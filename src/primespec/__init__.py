@@ -9,11 +9,11 @@ from .errors import (BudgetExceededError, ConfigError, ContextMismatchError,
 from .factor import brute_force_factor_oracle, factor_univariate, is_irreducible_univariate
 from .genpoly import (HypothesisHStatus, QuasiGenericSpec, generic_polynomial,
                       hypothesis_h_sufficient, quasi_generic)
-from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, buchberger_basis,
-                       eliminate, fiber_dimension, ideal_dimension, normal_form)
+from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, eliminate,
+                       fiber_dimension, ideal_dimension)
 from .orders import MonomialOrder, block_order, elimination_order, grevlex, lex
 from .parse import parse_ideal_source, parse_polynomial, read_ideal_file
-from .poly import Polynomial, monomials_upto, space_dimension
+from .poly import Polynomial, monomials_upto
 from .primality import (PrimalityVerdict, ZeroDimQuotient, is_prime,
                         minimal_polynomial, quotient_basis)
 from .specialize import (LambdaAssignment, SpecializationPoint, build_parametric_system,
@@ -24,11 +24,11 @@ __all__ = [
     "PrimespecError", "ContextMismatchError", "PolynomialSyntaxError",
     "UnknownVariableError", "BudgetExceededError", "HypothesisViolationError",
     "ConfigError",
-    "Polynomial", "monomials_upto", "space_dimension",
+    "Polynomial", "monomials_upto",
     "parse_polynomial", "parse_ideal_source", "read_ideal_file",
     "MonomialOrder", "lex", "grevlex", "block_order", "elimination_order",
-    "GBLimits", "GroebnerBasis", "Ideal", "buchberger", "buchberger_basis",
-    "normal_form", "ideal_dimension", "eliminate", "fiber_dimension",
+    "GBLimits", "GroebnerBasis", "Ideal", "buchberger",
+    "ideal_dimension", "eliminate", "fiber_dimension",
     "factor_univariate", "brute_force_factor_oracle", "is_irreducible_univariate",
     "ZeroDimQuotient", "quotient_basis", "minimal_polynomial", "is_prime",
     "PrimalityVerdict",

@@ -8,15 +8,18 @@ budget runs out.  Densities are reported both against all samples and
 against the decisive ones, always as exact fractions alongside floats.
 
 Reports are deterministic for a fixed config and seed: every sample owns
-an independent random stream derived from (seed, index), so the worker
-pool never affects results.  ``report_hash`` ignores the timestamp and
-per-sample timings, which are the only run-dependent fields.
+an independent random stream derived from (seed, index), so handing the
+samples to a process pool in chunks (``workers > 1``) never affects
+results.  ``report_hash`` ignores the timestamp and per-sample timings,
+which are the only run-dependent fields.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +33,7 @@ from .errors import BudgetExceededError, ConfigError, HypothesisViolationError, 
 from .groebner import GBLimits, Ideal, eliminate
 from .orders import grevlex
 from .parse import parse_ideal_source, parse_polynomial
-from .poly import Polynomial, monomials_upto, space_dimension
+from .poly import Polynomial, monomials_upto
 from .primality import (DEFAULT_BOX_CAP, DEFAULT_BOX_START, DEFAULT_TRIALS,
                         INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, is_prime)
 from .specialize import (LambdaAssignment, SpecializationPoint, intersect_generic,
@@ -64,7 +67,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = DEFAULT_TRIALS
     degrees: tuple[int, ...] = ()
-    rho: int | None = None
     workers: int = 1
     budgets: Budgets = field(default_factory=Budgets)
 
@@ -79,13 +81,11 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.kind == GENERIC_INTERSECT and not self.degrees:
             raise ConfigError("GenericIntersect needs a degrees list")
-        if self.rho is not None and self.rho != len(self.degrees):
-            raise ConfigError("rho must match the number of degrees")
 
 
 _CONFIG_KEYS = {
-    "kind", "ideal", "H", "n", "seed", "trials", "degrees", "rho", "workers",
-    "gb.max_pairs", "gb.max_term_count", "primality.trials",
+    "kind", "ideal", "H", "n", "seed", "trials", "degrees", "workers",
+    "gb.max_pairs", "gb.max_term_count",
     "primality.box_start", "primality.box_cap", "sample.timeout_ms",
 }
 
@@ -102,8 +102,6 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key == "primality.trials":
-            key = "trials"
         if key in data:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         data[key] = value
@@ -143,7 +141,6 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         seed=as_int("seed", 0),
         trials=as_int("trials", DEFAULT_TRIALS),
         degrees=degrees,
-        rho=as_int("rho"),
         workers=as_int("workers", 1),
         budgets=budgets,
     )
@@ -171,7 +168,7 @@ def sample_scalar(r: int, box: int, rng: Random) -> SpecializationPoint:
 def sample_lambda(degrees, s: int, box: int, rng: Random) -> LambdaAssignment:
     blocks = []
     for degree in degrees:
-        count = space_dimension(s, degree).count
+        count = math.comb(s + degree, degree)
         blocks.append(tuple(Fraction(rng.randint(-box, box)) for _ in range(count)))
     return LambdaAssignment(tuple(blocks))
 
@@ -311,17 +308,6 @@ def _baseline(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) -> int:
     return d - rho
 
 
-def _pool_task(args):
-    payload, index = args
-    config = ExperimentConfig(
-        kind=payload["kind"], ideal_path=payload["ideal_path"], box=payload["box"],
-        samples=payload["samples"], seed=payload["seed"], trials=payload["trials"],
-        degrees=tuple(payload["degrees"]), workers=1,
-        budgets=Budgets(**payload["budgets"]))
-    ctx, gens = parse_ideal_source(payload["ideal_text"])
-    return run_sample(Ideal(ctx, gens), config, payload["expected"], index)
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all samples and assemble the report dictionary."""
     with open(config.ideal_path, "r", encoding="ascii") as handle:
@@ -331,19 +317,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     limits = GBLimits(config.budgets.gb_max_pairs, config.budgets.gb_max_term_count)
     expected = _baseline(ideal, config, limits)
 
+    task = functools.partial(run_sample, ideal, config, expected)
+    indices = range(config.samples)
     if config.workers > 1:
-        payload = {
-            "kind": config.kind, "ideal_path": config.ideal_path, "box": config.box,
-            "samples": config.samples, "seed": config.seed, "trials": config.trials,
-            "degrees": list(config.degrees), "budgets": asdict(config.budgets),
-            "ideal_text": ideal_text, "expected": expected,
-        }
+        chunksize = math.ceil(config.samples / (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_pool_task,
-                                    ((payload, i) for i in range(config.samples))))
+            records = list(pool.map(task, indices, chunksize=chunksize))
     else:
-        records = [run_sample(ideal, config, expected, i) for i in range(config.samples)]
-    records.sort(key=lambda r: r["index"])
+        records = list(map(task, indices))
 
     counts = {"good": 0, "bad": 0, "inconclusive": 0}
     for record in records:

@@ -154,14 +154,8 @@ def _yun_squarefree(f):
 # -- arithmetic modulo a prime (gf): lists of ints in [0, p) -----------------
 
 
-def _gf_strip(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _gf_from_zx(f, p):
-    return _gf_strip([c % p for c in f])
+    return _zx_strip([c % p for c in f])
 
 
 def _gf_monic(f, p):
@@ -177,7 +171,7 @@ def _gf_mul(f, g, p):
         if a:
             for j, b in enumerate(g):
                 out[i + j] = (out[i + j] + a * b) % p
-    return _gf_strip(out)
+    return _zx_strip(out)
 
 
 def _gf_divmod(f, g, p):
@@ -191,8 +185,8 @@ def _gf_divmod(f, g, p):
         q[k] = c
         for i, b in enumerate(g):
             rem[k + i] = (rem[k + i] - c * b) % p
-        _gf_strip(rem)
-    return _gf_strip(q), rem
+        _zx_strip(rem)
+    return _zx_strip(q), rem
 
 
 def _gf_gcd(f, g, p):
@@ -209,8 +203,8 @@ def _gf_gcdex(f, g, p):
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_strip([(a - b) % p for a, b in itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _gf_strip([(a - b) % p for a, b in itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
+        s0, s1 = s1, _zx_strip([(a - b) % p for a, b in itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
+        t0, t1 = t1, _zx_strip([(a - b) % p for a, b in itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
     inv = pow(r0[-1], -1, p)
     return ([c * inv % p for c in s0],
             [c * inv % p for c in t0],
@@ -283,7 +277,7 @@ def _berlekamp(f, p):
         return [list(f)]
     factors = [list(f)]
     for vec in null:
-        v = _gf_strip(list(vec))
+        v = _zx_strip(list(vec))
         if len(v) <= 1:
             continue  # the constant vector splits nothing
         next_factors = []
@@ -294,7 +288,7 @@ def _berlekamp(f, p):
             pieces = []
             rest = u
             for c in range(p):
-                shifted = _gf_strip([(v[0] - c) % p] + v[1:]) if v else []
+                shifted = _zx_strip([(v[0] - c) % p] + v[1:]) if v else []
                 g = _gf_gcd(rest, shifted, p)
                 if 0 < len(g) - 1 < len(rest) - 1:
                     pieces.append(g)

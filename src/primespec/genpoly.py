@@ -13,12 +13,13 @@ only verdicts are holds-by-lemma and unknown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .context import Block, ROLE_LAMBDA, context as make_context
 from .errors import PrimespecError
 from .groebner import DEFAULT_LIMITS, Ideal, fiber_dimension
-from .poly import Exponent, Polynomial, monomials_upto, space_dimension
+from .poly import Exponent, Polynomial, monomials_upto
 from .primality import DEFAULT_TRIALS, NOT_PRIME, PRIME, is_prime
 
 HOLDS_BY_LEMMA = "holds_by_lemma"
@@ -33,7 +34,7 @@ def generic_polynomial(s: int, degree: int, lambda_names,
     of power products).  ``lambda_names`` must provide exactly one name
     per power product of degree <= ``degree``.
     """
-    count = space_dimension(s, degree).count
+    count = math.comb(s + degree, degree)
     lambda_names = tuple(lambda_names)
     if len(lambda_names) != count:
         raise ValueError(f"need {count} lambda names, got {len(lambda_names)}")

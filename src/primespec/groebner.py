@@ -14,7 +14,6 @@ support, searched exhaustively (inputs here stay below ~8 variables).
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +60,9 @@ def _quotient(b: Exponent, a: Exponent) -> Exponent:
 
 # -- reduction ---------------------------------------------------------------
 
-# A reducer is (lead_exponent, lead_coefficient, term_map).
+# A reducer is (lead_exponent, lead_coefficient, term_map).  The working
+# basis of ``buchberger`` holds monic reducers, so each lead is computed
+# once, when its element enters the basis.
 
 
 def _reducers(polys, order):
@@ -133,7 +134,7 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0].is_constant and not self.polys[0].is_zero
 
     def leading_exponents(self) -> list[Exponent]:
-        return [max(p.terms, key=self.order.key) for p in self.polys]
+        return [lead for lead, _, _ in self._reducers]
 
     def normal_form(self, p: Polynomial, limits=DEFAULT_LIMITS) -> Polynomial:
         if p.context != self.context:
@@ -144,22 +145,18 @@ class GroebnerBasis:
         return self.normal_form(p, limits).is_zero
 
 
-def normal_form(p: Polynomial, basis: GroebnerBasis, limits=DEFAULT_LIMITS) -> Polynomial:
-    return basis.normal_form(p, limits)
-
-
 # -- Buchberger ---------------------------------------------------------------
 
 
-def _update(basis, pairs, new_poly, order):
-    """Add a monic polynomial to the working basis, pruning pairs.
+def _update(basis, pairs, new, order):
+    """Add a monic reducer to the working basis and return the pruned pairs.
 
     Gebauer-Moeller criteria: discard old pairs whose lcm is a proper
     multiple of the new lead, keep one representative per minimal new
     lcm, and drop coprime-lead pairs (Buchberger's first criterion).
     """
-    leads = [max(g.terms, key=order.key) for g in basis]
-    new_lead = max(new_poly.terms, key=order.key)
+    leads = [lead for lead, _, _ in basis]
+    new_lead = new[0]
     m = len(basis)
 
     kept = set()
@@ -183,37 +180,37 @@ def _update(basis, pairs, new_poly, order):
             continue  # coprime leads: S-polynomial reduces to zero
         kept.add((min(members), m))
 
-    basis.append(new_poly)
-    return basis, kept
+    basis.append(new)
+    return kept
 
 
-def _monic(p: Polynomial, order) -> Polynomial:
-    lead = max(p.terms, key=order.key)
-    lc = p.terms[lead]
-    if lc == 1:
-        return p
-    return Polynomial(p.context, {e: c / lc for e, c in p.terms.items()})
+def _monic(terms, order):
+    """Monic reducer (lead, 1, term_map) of a nonzero term map."""
+    lead = max(terms, key=order.key)
+    lc = terms[lead]
+    if lc != 1:
+        terms = {e: c / lc for e, c in terms.items()}
+    return lead, 1, terms
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    lf = max(f.terms, key=order.key)
-    lg = max(g.terms, key=order.key)
+def _s_polynomial(f, g) -> dict[Exponent, Fraction]:
+    """Term map of the S-polynomial of two monic reducers."""
+    lf, _, f_terms = f
+    lg, _, g_terms = g
     lcm = _lcm(lf, lg)
     sf = _quotient(lcm, lf)
     sg = _quotient(lcm, lg)
-    cf = f.terms[lf]
-    cg = g.terms[lg]
     terms: dict[Exponent, Fraction] = {}
-    for e, c in f.terms.items():
-        terms[_mul(e, sf)] = c / cf
-    for e, c in g.terms.items():
+    for e, c in f_terms.items():
+        terms[_mul(e, sf)] = c
+    for e, c in g_terms.items():
         target = _mul(e, sg)
-        new = terms.get(target, 0) - c / cg
+        new = terms.get(target, 0) - c
         if new:
             terms[target] = new
         else:
             terms.pop(target, None)
-    return Polynomial(f.context, terms)
+    return terms
 
 
 def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[Polynomial]:
@@ -230,13 +227,12 @@ def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[
         if g.context != context:
             raise ContextMismatchError("generators live in different contexts")
 
-    basis: list[Polynomial] = []
+    basis: list[tuple] = []
     pairs: set[tuple[int, int]] = set()
     for g in gens:
-        reduced = Polynomial(context, _normal_form_terms(
-            g.terms, _reducers(basis, order), order, limits))
-        if not reduced.is_zero:
-            basis, pairs = _update(basis, pairs, _monic(reduced, order), order)
+        reduced = _normal_form_terms(g.terms, basis, order, limits)
+        if reduced:
+            pairs = _update(basis, pairs, _monic(reduced, order), order)
 
     processed = 0
     key = order.key
@@ -245,33 +241,30 @@ def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[
         processed += 1
         if processed > limits.max_pairs:
             raise BudgetExceededError(f"pair budget {limits.max_pairs} exceeded")
-        leads = [max(g.terms, key=key) for g in basis]
-        pair = min(pairs, key=lambda p: (key(_lcm(leads[p[0]], leads[p[1]])), p))
+        pair = min(pairs, key=lambda p: (key(_lcm(basis[p[0]][0], basis[p[1]][0])), p))
         pairs.remove(pair)
         i, j = pair
-        s = _s_polynomial(basis[i], basis[j], order)
-        remainder = _normal_form_terms(s.terms, _reducers(basis, order), order, limits)
+        remainder = _normal_form_terms(_s_polynomial(basis[i], basis[j]), basis, order, limits)
         if remainder:
-            basis, pairs = _update(basis, pairs, _monic(Polynomial(context, remainder), order), order)
+            pairs = _update(basis, pairs, _monic(remainder, order), order)
 
-    return _interreduce(basis, order, limits)
+    return [Polynomial(context, terms) for _, _, terms in _interreduce(basis, order, limits)]
 
 
 def _interreduce(basis, order, limits):
     # Minimal basis: drop elements whose lead is divisible by another lead.
-    leads = [max(g.terms, key=order.key) for g in basis]
     minimal = []
-    for i, g in enumerate(basis):
-        if not any(j != i and _divides(leads[j], leads[i])
-                   and (leads[j] != leads[i] or j < i) for j in range(len(basis))):
-            minimal.append(g)
+    for i, (lead, _, _) in enumerate(basis):
+        if not any(j != i and _divides(other, lead) and (other != lead or j < i)
+                   for j, (other, _, _) in enumerate(basis)):
+            minimal.append(basis[i])
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (_, _, terms) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        rem = _normal_form_terms(g.terms, _reducers(others, order), order, limits)
+        rem = _normal_form_terms(terms, others, order, limits)
         if rem:
-            reduced.append(_monic(Polynomial(g.context, rem), order))
-    reduced.sort(key=lambda p: order.key(max(p.terms, key=order.key)), reverse=True)
+            reduced.append(_monic(rem, order))
+    reduced.sort(key=lambda g: order.key(g[0]), reverse=True)
     return reduced
 
 
@@ -282,8 +275,8 @@ class Ideal:
     """Generator list plus cached Groebner bases and dimension data.
 
     Zero generators are dropped at construction.  The cache maps each
-    monomial order to its reduced basis and is guarded by a lock so
-    distinct threads may share one Ideal value.
+    monomial order to its reduced basis; it travels with the ideal when
+    the ideal is pickled, so pool workers start from the parent's bases.
     """
 
     def __init__(self, context: VariableContext, generators=()):
@@ -297,7 +290,6 @@ class Ideal:
         self.generators = tuple(gens)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         self._dim: int | None = None
-        self._lock = threading.Lock()
 
     @property
     def is_zero(self) -> bool:
@@ -311,36 +303,16 @@ class Ideal:
         return Ideal(self.context, self.generators + tuple(extra))
 
     def groebner(self, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:
-        with self._lock:
-            cached = self._cache.get(order)
-        if cached is not None:
-            return cached
-        basis = GroebnerBasis(self.context, order, buchberger(self.generators, order, limits))
-        with self._lock:
-            self._cache.setdefault(order, basis)
+        basis = self._cache.get(order)
+        if basis is None:
+            basis = GroebnerBasis(self.context, order, buchberger(self.generators, order, limits))
+            self._cache[order] = basis
         return basis
 
-    def normal_form(self, p: Polynomial, order=grevlex, limits=DEFAULT_LIMITS) -> Polynomial:
-        return self.groebner(order, limits).normal_form(p, limits)
-
-    def contains(self, p: Polynomial, limits=DEFAULT_LIMITS) -> bool:
-        return self.normal_form(p, limits=limits).is_zero
-
     def dimension(self, limits=DEFAULT_LIMITS) -> int:
-        with self._lock:
-            if self._dim is not None:
-                return self._dim
-        dim = ideal_dimension(self, limits)
-        return dim
-
-    @property
-    def height(self) -> int:
-        """Codimension: #variables - dimension (computing it on demand)."""
-        return len(self.context) - self.dimension()
-
-
-def buchberger_basis(ideal: Ideal, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:
-    return ideal.groebner(order, limits)
+        if self._dim is None:
+            self._dim = ideal_dimension(self, limits)
+        return self._dim
 
 
 def _max_independent_set(lead_supports, var_count) -> int:
@@ -360,16 +332,12 @@ def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
     n = len(ideal.context)
     basis = ideal.groebner(grevlex, limits)
     if basis.is_unit:
-        dim = -1
-    elif not basis.polys:
-        dim = n
-    else:
-        supports = [frozenset(i for i, e in enumerate(exp) if e)
-                    for exp in basis.leading_exponents()]
-        dim = _max_independent_set(supports, n)
-    with ideal._lock:
-        ideal._dim = dim
-    return dim
+        return -1
+    if not basis.polys:
+        return n
+    supports = [frozenset(i for i, e in enumerate(exp) if e)
+                for exp in basis.leading_exponents()]
+    return _max_independent_set(supports, n)
 
 
 def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
@@ -389,7 +357,7 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
     selected = []
     for p in basis:
         if all(all(e == 0 or i in keep_set for i, e in enumerate(exp)) for exp in p.terms):
-            selected.append(p.restrict(target))
+            selected.append(p.embed(target))
     return Ideal(target, selected)
 
 

@@ -43,9 +43,6 @@ class MonomialOrder:
             parts.append(_grevlex_key(sub) if inner == GREVLEX else _lex_key(sub))
         return tuple(parts)
 
-    def leading_exponent(self, exponents):
-        return max(exponents, key=self.key)
-
     def __str__(self):
         if self.kind != BLOCK:
             return self.kind

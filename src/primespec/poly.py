@@ -6,15 +6,14 @@ has an empty term map.  All operations return canonical forms: no zero
 coefficient is ever stored, and printing iterates terms in descending
 grevlex order so equal polynomials always print identically.
 
-Values are immutable after construction and safe to share across worker
-processes; every operation builds a fresh term map.
+Values are immutable after construction; every operation builds a fresh
+term map, and unpickling rebuilds a value through the constructor.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import VariableContext
@@ -58,6 +57,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (self.context, self.terms)
+
     def _audit(self):
         width = len(self.context)
         for exp, coeff in self.terms.items():
@@ -95,14 +97,6 @@ class Polynomial:
     @property
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        [(exp, coeff)] = self.terms.items()
-        if any(exp):
-            raise ValueError("polynomial is not constant")
-        return coeff
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -205,7 +199,7 @@ class Polynomial:
     # -- context moves -------------------------------------------------------
 
     def embed(self, target: VariableContext) -> Polynomial:
-        """Re-express in a larger context containing all used variables."""
+        """Re-express in another context containing all used variables."""
         if target == self.context:
             return self
         positions = []
@@ -226,10 +220,6 @@ class Polynomial:
                     new[positions[i]] = e
             terms[tuple(new)] = coeff
         return Polynomial(target, terms)
-
-    def restrict(self, target: VariableContext) -> Polynomial:
-        """Project onto a smaller context; dropped variables must be unused."""
-        return self.embed(target)
 
     # -- substitution ----------------------------------------------------------
 
@@ -347,16 +337,3 @@ def monomials_upto(s: int, degree: int) -> list[Exponent]:
         level.sort(reverse=True)
         out.extend(level)
     return out
-
-
-@dataclass(frozen=True)
-class PolynomialSpaceDim:
-    """Dimension bookkeeping for the space of degree-bounded polynomials."""
-
-    s: int
-    degree: int
-    count: int
-
-
-def space_dimension(s: int, degree: int) -> PolynomialSpaceDim:
-    return PolynomialSpaceDim(s, degree, math.comb(s + degree, degree))

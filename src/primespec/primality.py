@@ -14,13 +14,13 @@ only reported when it replays on the original ideal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .context import context as make_context
 from .errors import PrimespecError
 from .factor import factor_univariate
-from .groebner import DEFAULT_LIMITS, GroebnerBasis, Ideal
+from .groebner import DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides
 from .orders import grevlex
 from .poly import Exponent, Polynomial
 
@@ -40,8 +40,7 @@ class ZeroDimQuotient:
     """Vector-space view of K[vars]/I for a zero-dimensional ideal.
 
     ``staircase`` lists the monomials below the grevlex staircase in
-    increasing order; multiplication operator matrices are built lazily
-    per variable.
+    increasing order.
     """
 
     def __init__(self, basis: GroebnerBasis, limits=DEFAULT_LIMITS):
@@ -66,7 +65,6 @@ class ZeroDimQuotient:
         self.staircase: tuple[Exponent, ...] = tuple(staircase)
         self.index = {exp: i for i, exp in enumerate(staircase)}
         self.vector_dim = len(staircase)
-        self._mult_ops: dict[str, tuple[tuple[Fraction, ...], ...]] = {}
 
     def reduce(self, p: Polynomial) -> Polynomial:
         return self.basis.normal_form(p, self.limits)
@@ -77,31 +75,12 @@ class ZeroDimQuotient:
             vec[self.index[exp]] = coeff
         return vec
 
-    def multiplication_matrix(self, name) -> tuple[tuple[Fraction, ...], ...]:
-        """Matrix of multiplication by a variable, columns over the staircase."""
-        cached = self._mult_ops.get(name)
-        if cached is not None:
-            return cached
-        var = Polynomial.variable(self.basis.context, name)
-        columns = []
-        for exp in self.staircase:
-            image = self.reduce(var * Polynomial.monomial(self.basis.context, exp))
-            columns.append(self.coords(image))
-        rows = tuple(tuple(columns[j][i] for j in range(self.vector_dim))
-                     for i in range(self.vector_dim))
-        self._mult_ops[name] = rows
-        return rows
-
 
 def _box(bounds):
     exps = [()]
     for bound in bounds:
         exps = [e + (k,) for e in exps for k in range(bound)]
     return exps
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def quotient_basis(ideal: Ideal, limits=DEFAULT_LIMITS) -> ZeroDimQuotient:
@@ -186,14 +165,23 @@ class PrimalityVerdict:
     reason: str = ""
 
 
+def _certificate_error(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
+                       limits) -> str | None:
+    """Why (f, g) fails to certify NotPrime for the basis' ideal; None if it holds."""
+    if not basis.contains(f * g, limits):
+        return "f*g is not in the ideal"
+    if basis.contains(f, limits) or basis.contains(g, limits):
+        return "a factor lies in the ideal"
+    return None
+
+
 def not_prime_verdict(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
                       trials: int, limits=DEFAULT_LIMITS,
                       sections=()) -> PrimalityVerdict:
     """NotPrime verdict; the certificate is re-verified before it is issued."""
-    if not basis.contains(f * g, limits):
-        raise PrimespecError("invalid certificate: f*g is not in the ideal")
-    if basis.contains(f, limits) or basis.contains(g, limits):
-        raise PrimespecError("invalid certificate: a factor lies in the ideal")
+    error = _certificate_error(basis, f, g, limits)
+    if error is not None:
+        raise PrimespecError(f"invalid certificate: {error}")
     return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=tuple(sections),
                             confidence_trials=trials)
 
@@ -320,25 +308,19 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         forms, cut = section
         quotient = ZeroDimQuotient(cut.groebner(grevlex, limits), limits)
         inner = _field_test(cut, quotient, rng, trials, box, box_cap, limits)
+        if inner.status == INCONCLUSIVE:
+            return PrimalityVerdict(INCONCLUSIVE, confidence_trials=trial - 1,
+                                    reason=inner.reason or "section test inconclusive")
+        probe = replace(inner.sections[0], section_forms=forms)
         if inner.status == PRIME:
-            probe = inner.sections[0]
-            sections.append(SectionData(forms, probe.linear_form, probe.minimal_poly,
-                                        probe.quotient_dim))
+            sections.append(probe)
             continue
-        if inner.status == NOT_PRIME:
-            f, g = inner.certificate
-            if (basis.contains(f * g, limits)
-                    and not basis.contains(f, limits)
-                    and not basis.contains(g, limits)):
-                probe = inner.sections[0]
-                descended = SectionData(forms, probe.linear_form, probe.minimal_poly,
-                                        probe.quotient_dim)
-                return not_prime_verdict(basis, f, g, trials=trial, limits=limits,
-                                         sections=(descended,))
-            return PrimalityVerdict(
-                INCONCLUSIVE, confidence_trials=trial - 1,
-                reason="a section is not prime but its certificate does not descend")
-        return PrimalityVerdict(INCONCLUSIVE, confidence_trials=trial - 1,
-                                reason=inner.reason or "section test inconclusive")
+        f, g = inner.certificate
+        if _certificate_error(basis, f, g, limits) is None:
+            return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=(probe,),
+                                    confidence_trials=trial)
+        return PrimalityVerdict(
+            INCONCLUSIVE, confidence_trials=trial - 1,
+            reason="a section is not prime but its certificate does not descend")
     return PrimalityVerdict(PRIME, sections=tuple(sections), confidence_trials=trials,
                             probabilistic=True)

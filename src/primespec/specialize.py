@@ -14,13 +14,14 @@ coefficients and eliminating T reproduces the pointwise construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import Block, ROLE_LAMBDA, ROLE_PARAM
 from .errors import ContextMismatchError
 from .groebner import Ideal
-from .poly import Polynomial, monomials_upto, space_dimension
+from .poly import Polynomial, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class SpecializationPoint:
                     raise ValueError(f"value {p} exceeds its degree bound {bound}")
         else:
             raise ValueError(f"unknown specialization kind {self.kind!r}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.scalars) if self.kind == "scalar" else len(self.polys)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def intersect_generic(ideal: Ideal, degrees, assignment: LambdaAssignment) -> Id
     s = ctx.s
     extra = []
     for degree, block in zip(degrees, assignment.blocks):
-        count = space_dimension(s, degree).count
+        count = math.comb(s + degree, degree)
         if len(block) != count:
             raise ValueError(f"coefficient block has {len(block)} entries, expected {count}")
         terms = {}
@@ -129,7 +126,7 @@ def intersect_generic(ideal: Ideal, degrees, assignment: LambdaAssignment) -> Id
 
 def lambda_block_names(index: int, degree: int, s: int) -> tuple[str, ...]:
     """Names L{index}_{j} for the coefficient block of one hypersurface."""
-    count = space_dimension(s, degree).count
+    count = math.comb(s + degree, degree)
     return tuple(f"L{index}_{j}" for j in range(1, count + 1))
 
 

@@ -15,6 +15,7 @@ from primespec.parse import parse_polynomial
 from conftest import seeded
 
 PARABOLA = "params: T\nvars: Y\ngens:\nY^2 - T\n"
+CUBIC_FIBER = "params: T\nvars: Y1, Y2, Y3\ngens:\nY2 - T*Y1^2\nY3 - Y1*Y2\n"
 CIRCLE = "vars: Y1, Y2\ngens:\nY1^2 + Y2^2 - 1\n"
 BAD = "params: T\nvars: Y\ngens:\nY - T\nY - 1\n"
 
@@ -57,8 +58,9 @@ def test_config_parsing(tmp_path):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        parse_experiment_config("kind = ScalarSpec\nideal = x\nH = 1\nn = 1\nfoo = 2\n")
+    for line in ("foo = 2", "rho = 1", "primality.trials = 5"):
+        with pytest.raises(ConfigError):
+            parse_experiment_config(f"kind = ScalarSpec\nideal = x\nH = 1\nn = 1\n{line}\n")
 
 
 def test_config_requires_fields():
@@ -211,10 +213,15 @@ def test_consistency_experiment(parabola_path):
     assert all(s["verdict"] == "consistent" for s in report["samples"])
 
 
-def test_worker_pool_matches_sequential(parabola_path):
-    sequential = run_experiment(scalar_config(parabola_path, n=16, seed=4))
-    parallel = run_experiment(scalar_config(parabola_path, n=16, seed=4, workers=2))
-    assert report_hash(sequential) == report_hash(parallel)
+def test_worker_pool_matches_sequential(parabola_path, tmp_path):
+    # The cubic fibers are curves: their samples cut sections, and the ideal
+    # reaches the workers with the bases cached by the hypothesis gate.
+    cubic_path = tmp_path / "cubic_fiber.ideal"
+    cubic_path.write_text(CUBIC_FIBER)
+    for path, n in ((parabola_path, 16), (str(cubic_path), 6)):
+        sequential = run_experiment(scalar_config(path, n=n, seed=4))
+        parallel = run_experiment(scalar_config(path, n=n, seed=4, workers=2))
+        assert report_hash(sequential) == report_hash(parallel)
 
 
 def test_budget_errors_mark_samples_inconclusive(parabola_path):

@@ -54,7 +54,7 @@ def test_dimension_of_twisted_cubic(twisted_cubic):
 
 def test_dimension_of_two_points(two_points):
     assert two_points.dimension() == 0
-    assert two_points.height == 2
+    assert len(two_points.context) - two_points.dimension() == 2
 
 
 def test_dimension_of_unit_ideal():

@@ -1,7 +1,5 @@
 """Zero-dimensional quotients, minimal polynomials, primality verdicts."""
 
-from fractions import Fraction
-
 import pytest
 
 from primespec import (Ideal, Polynomial, PrimespecError, context, is_prime,
@@ -28,14 +26,6 @@ def test_quotient_basis_rejects_unit_and_positive_dim(circle):
         quotient_basis(Ideal(ctx, [Polynomial.constant(ctx, 1)]))
     with pytest.raises(ValueError):
         quotient_basis(circle)
-
-
-def test_multiplication_matrix_columns():
-    ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = quotient_basis(ideal)
-    # columns are the coordinates of Y*1 = Y and Y*Y = 4
-    matrix = q.multiplication_matrix("Y")
-    assert matrix == ((Fraction(0), Fraction(4)), (Fraction(1), Fraction(0)))
 
 
 def test_minimal_polynomial_of_generator():

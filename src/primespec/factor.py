@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetExceededError
+from .groebner import DEFAULT_LIMITS
 from .poly import Polynomial
 
 # -- dense integer polynomials (zx): [a0, a1, ...], stripped ----------------
@@ -349,7 +350,7 @@ def _hensel_step(m, f, g, h, s, t):
     return G, H, S, T
 
 
-def _hensel_lift(p, f, modular_factors, l):
+def _hensel_lift(p, f, modular_factors, l, limits):
     """Lift monic mod-p factors of f/lc(f) to monic factors mod p^l.
 
     The returned integer polynomials are monic modulo p^l and their
@@ -377,12 +378,13 @@ def _hensel_lift(p, f, modular_factors, l):
     t = _trunc_symmetric(t, p)
     m = p
     for _ in range(steps):
+        limits.check_deadline()
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
         if m >= pl:
             break
-    return (_hensel_lift(p, _trunc_symmetric(g, pl), modular_factors[:k], l)
-            + _hensel_lift(p, _trunc_symmetric(h, pl), modular_factors[k:], l))
+    return (_hensel_lift(p, _trunc_symmetric(g, pl), modular_factors[:k], l, limits)
+            + _hensel_lift(p, _trunc_symmetric(h, pl), modular_factors[k:], l, limits))
 
 
 # -- Zassenhaus ---------------------------------------------------------------
@@ -431,7 +433,7 @@ def mignotte_factor_height(coeffs, factor_degree) -> int:
     return (1 << factor_degree) * (math.isqrt(norm_sq) + 1)
 
 
-def _zassenhaus(f):
+def _zassenhaus(f, limits):
     """Irreducible factors of a primitive squarefree integer polynomial."""
     n = _zx_degree(f)
     if n == 1:
@@ -445,7 +447,7 @@ def _zassenhaus(f):
     l = 1
     while p ** l < bound:
         l += 1
-    lifted = _hensel_lift(p, f, modular, l)
+    lifted = _hensel_lift(p, f, modular, l, limits)
     pl = p ** l
 
     result = []
@@ -455,6 +457,7 @@ def _zassenhaus(f):
     while 2 * size <= len(active):
         found = None
         for subset in itertools.combinations(active, size):
+            limits.check_deadline()
             candidate = [current[-1]]
             for i in subset:
                 candidate = _zx_mul_mod(candidate, lifted[i], pl)
@@ -502,12 +505,14 @@ def _from_dense(context, var, coeffs) -> Polynomial:
     return Polynomial(context, terms)
 
 
-def factor_univariate(p: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
+def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
+                      ) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     """Factor a univariate rational polynomial into irreducibles.
 
     Returns (unit, [(factor, multiplicity)]) with primitive positive-lead
     integer factors; unit * prod(factor^multiplicity) reconstructs the
-    input exactly.  Degree-zero input yields (value, []).
+    input exactly.  Degree-zero input yields (value, []).  The deadline of
+    ``limits`` is checked at every Hensel step and recombination subset.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -524,7 +529,7 @@ def factor_univariate(p: Polynomial) -> tuple[Fraction, list[tuple[Polynomial, i
 
     factors = []
     for part, multiplicity in _yun_squarefree(primitive):
-        for irreducible in _zassenhaus(part):
+        for irreducible in _zassenhaus(part, limits):
             factors.append((irreducible, multiplicity))
     factors.sort(key=lambda item: (len(item[0]), item[0]))
     return unit, [(_from_dense(p.context, var, f), m) for f, m in factors]

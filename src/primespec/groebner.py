@@ -77,14 +77,17 @@ def _normal_form_terms(terms, reducers, order, limits):
     """Remainder of multivariate division, fully tail-reduced.
 
     Ties between applicable reducers break by lowest index, which keeps
-    reduction deterministic.
+    reduction deterministic.  Each exponent's order key is computed once,
+    when the exponent first enters ``work``; keys of distinct exponents
+    differ, so the largest key picks the leading term.
     """
     work = dict(terms)
     remainder = {}
     key = order.key
+    keys = {e: key(e) for e in work}
     while work:
         limits.check_deadline()
-        exp = max(work, key=key)
+        exp = max(work, key=keys.__getitem__)
         coeff = work[exp]
         for lead, lead_coeff, body in reducers:
             if _divides(lead, exp):
@@ -95,6 +98,8 @@ def _normal_form_terms(terms, reducers, order, limits):
                     new = work.get(target, 0) - scale * c
                     if new:
                         work[target] = new
+                        if target not in keys:
+                            keys[target] = key(target)
                     else:
                         work.pop(target, None)
                 if len(work) + len(remainder) > limits.max_term_count:

@@ -91,57 +91,38 @@ def quotient_basis(ideal: Ideal, limits=DEFAULT_LIMITS) -> ZeroDimQuotient:
     return ZeroDimQuotient(ideal.groebner(grevlex, limits), limits)
 
 
-def _solve_dependency(vectors, target):
-    """Coefficients x with sum x_i vectors[i] = target, or None."""
-    k = len(vectors)
-    dim = len(target)
-    rows = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(dim)]
-    pivot_cols = []
-    rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, dim) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(dim):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, dim):
-        if rows[r][k]:
-            return None  # inconsistent: target independent of the vectors
-    solution = [Fraction(0)] * k
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][k]
-    return solution
-
-
 def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polynomial:
     """Monic least-degree m over Q with m(element) = 0 in the quotient.
 
-    Returned as a univariate polynomial in the variable Z, found from
-    the Krylov sequence 1, e, e^2, ... by exact linear algebra.
+    Returned as a univariate polynomial in the variable Z.  The Krylov
+    powers 1, e, e^2, ... are reduced one at a time against an echelon
+    form of the powers before them, kept as (pivot, row, combination)
+    triples whose combination writes the row in 1, e, ..., e^(k-1).  The
+    first power e^k that reduces to zero is a combination of the earlier
+    ones; moved to the left, with coefficient 1 at e^k, that combination
+    is m.
     """
     z_ctx = make_context((_MINPOLY_VARIABLE,))
+    size = quotient.vector_dim + 1
     reduced = quotient.reduce(element)
-    one = quotient.reduce(Polynomial.constant(quotient.basis.context, 1))
-    vectors = [quotient.coords(one)]
-    power = one
-    for k in range(1, quotient.vector_dim + 1):
-        power = quotient.reduce(power * reduced)
-        target = quotient.coords(power)
-        combo = _solve_dependency(vectors, target)
-        if combo is not None:
-            terms = {(k,): Fraction(1)}
-            for i, c in enumerate(combo):
-                if c:
-                    terms[(i,)] = -c
+    power = quotient.reduce(Polynomial.constant(quotient.basis.context, 1))
+    rows = []
+    for k in range(size):
+        vec = quotient.coords(power)
+        combo = [Fraction(0)] * size
+        combo[k] = Fraction(1)
+        for pivot, row, row_combo in rows:
+            c = vec[pivot]
+            if c:
+                vec = [a - c * b if b else a for a, b in zip(vec, row)]
+                combo = [a - c * b if b else a for a, b in zip(combo, row_combo)]
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            terms = {(i,): c for i, c in enumerate(combo) if c}
             return Polynomial(z_ctx, terms)
-        vectors.append(target)
+        lead = vec[pivot]
+        rows.append((pivot, [v / lead for v in vec], [c / lead for c in combo]))
+        power = quotient.reduce(power * reduced)
     raise PrimespecError("Krylov sequence exceeded the quotient dimension")
 
 
@@ -166,7 +147,7 @@ class PrimalityVerdict:
 
 
 def _certificate_error(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
-                       limits) -> str | None:
+                       limits=DEFAULT_LIMITS) -> str | None:
     """Why (f, g) fails to certify NotPrime for the basis' ideal; None if it holds."""
     if not basis.contains(f * g, limits):
         return "f*g is not in the ideal"
@@ -202,9 +183,9 @@ def _random_linear_form(ctx, rng, box, affine=False):
     return Polynomial(ctx, terms)
 
 
-def _split_minimal_poly(m: Polynomial):
+def _split_minimal_poly(m: Polynomial, limits):
     """(f, g) with f*g = m, both of positive degree, or None if irreducible."""
-    unit, factors = factor_univariate(m)
+    unit, factors = factor_univariate(m, limits)
     if len(factors) == 1 and factors[0][1] == 1:
         return None
     first, first_mult = factors[0]
@@ -244,7 +225,7 @@ def _field_test(ideal: Ideal, quotient: ZeroDimQuotient, rng, trials,
             box = min(2 * box, box_cap)
             continue
         m = minimal_polynomial(quotient, u)
-        split = _split_minimal_poly(m)
+        split = _split_minimal_poly(m, limits)
         if split is None:
             if m.total_degree() == quotient.vector_dim:
                 data = SectionData((), u, m, quotient.vector_dim)

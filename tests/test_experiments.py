@@ -1,6 +1,7 @@
 """Experiment configs, sampling, reports, replay verification."""
 
 import json
+import re
 
 import pytest
 
@@ -175,13 +176,16 @@ def test_verify_report_confirms_certificates(parabola_path):
 
 def test_verify_report_detects_tampering(parabola_path):
     report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
-    tampered = json.loads(json.dumps(report))
-    for sample in tampered["samples"]:
-        if sample["verdict"] == "not_prime":
-            sample["certificate"]["f"] = "Y + 12345"
-            break
-    with pytest.raises(PrimespecError):
-        verify_report(tampered)
+    # f = 0 keeps f*g in the ideal but puts a factor there
+    for bad_f, error in (("Y + 12345", "f*g is not in the ideal"),
+                         ("0", "a factor lies in the ideal")):
+        tampered = json.loads(json.dumps(report))
+        for sample in tampered["samples"]:
+            if sample["verdict"] == "not_prime":
+                sample["certificate"]["f"] = bad_f
+                break
+        with pytest.raises(PrimespecError, match=rf"^sample \d+: .*{re.escape(error)}$"):
+            verify_report(tampered)
     counted = json.loads(json.dumps(report))
     counted["aggregate"]["good"] += 1
     with pytest.raises(PrimespecError):

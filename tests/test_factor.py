@@ -1,10 +1,11 @@
 """Univariate factorization over Q and the brute-force divisor oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from primespec import (BudgetExceededError, Polynomial, brute_force_factor_oracle,
+from primespec import (BudgetExceededError, GBLimits, Polynomial, brute_force_factor_oracle,
                        context, factor_univariate, is_irreducible_univariate,
                        parse_polynomial)
 from primespec.factor import mignotte_factor_height
@@ -78,6 +79,16 @@ def test_exact_reconstruction_on_random_inputs(y):
         for factor, _ in factors:
             content, primitive = factor.integer_content_primitive()
             assert content == 1 and primitive == factor
+
+
+def test_expired_deadline_stops_factorization(y):
+    # Y^4 + 1 is irreducible over Q but splits modulo every prime, so the
+    # Hensel lift and the subset recombination both run.
+    expired = GBLimits(deadline=time.monotonic() - 1)
+    p = parse_polynomial("Y^4 + 1", y)
+    assert len(factor_univariate(p)[1]) == 1
+    with pytest.raises(BudgetExceededError):
+        factor_univariate(p, expired)
 
 
 def test_oracle_finds_first_divisor(y):

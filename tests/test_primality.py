@@ -3,8 +3,9 @@
 import pytest
 
 from primespec import (Ideal, Polynomial, PrimespecError, context, is_prime,
-                       minimal_polynomial, quotient_basis)
-from primespec.primality import INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, not_prime_verdict
+                       minimal_polynomial, parse_polynomial, quotient_basis)
+from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL,
+                                 _evaluate_in_quotient, not_prime_verdict)
 
 from conftest import make_ideal, random_polynomial, seeded
 
@@ -156,3 +157,87 @@ def test_large_quotient_certificate_stays_compact():
     basis = ideal.groebner()
     assert basis.contains(f * g)
     assert not basis.contains(f) and not basis.contains(g)
+
+
+# The fiber of the points benchmark family at T = 2: a field of degree 12.
+POINTS_T2 = ["Y1^3 + 2*Y2 - 1", "Y2^2 - Y1*Y3 - 2", "Y3^2 - Y1 - Y2 + 2"]
+
+
+def _rank(rows):
+    """Rank of a rational matrix by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _krylov_rank(q, element):
+    reduced = q.reduce(element)
+    power = q.reduce(Polynomial.constant(element.context, 1))
+    rows = [q.coords(power)]
+    for _ in range(q.vector_dim):
+        power = q.reduce(power * reduced)
+        rows.append(q.coords(power))
+    return _rank(rows)
+
+
+def _points_forms(ctx):
+    forms = []
+    for seed in range(5):
+        rng = seeded(seed)
+        form = Polynomial.zero(ctx)
+        for v in ("Y1", "Y2", "Y3"):
+            form = form + Polynomial.constant(ctx, rng.randint(-10, 10)) * Polynomial.variable(ctx, v)
+        forms.append(form)
+    return forms
+
+
+def test_minimal_polynomial_matches_krylov_rank():
+    ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
+    q = quotient_basis(ideal)
+    assert q.vector_dim == 12
+    ctx = ideal.context
+    # The T = 2 field has no proper subfield (mod-p factor degrees 1 + 11
+    # force a 2-transitive Galois group), so its one element of low degree
+    # is a constant; at T = 0, Y1^3 = 1 and Y1 + Y1^2 has degree 2.
+    fiber_t0 = make_ideal(("Y1", "Y2", "Y3"), ["Y1^3 - 1", "Y2^2 - Y1*Y3", "Y3^2 - Y1 - Y2"])
+    q_t0 = quotient_basis(fiber_t0)
+    cases = [(q, e) for e in _points_forms(ctx)]
+    cases += [(q, Polynomial.constant(ctx, 3)),
+              (q_t0, parse_polynomial("Y1 + Y1^2", fiber_t0.context))]
+    found = []
+    for quotient, element in cases:
+        m = minimal_polynomial(quotient, element)
+        top = max(m.terms, key=lambda exp: exp[0])
+        assert m.terms[top] == 1
+        assert _evaluate_in_quotient(quotient, m, quotient.reduce(element)).is_zero
+        assert m.total_degree() == _krylov_rank(quotient, element)
+        found.append(m)
+    assert [m.total_degree() for m in found] == [12] * 5 + [1, 2]
+    assert [str(m) for m in found[5:]] == ["Z - 3", "Z^2 - Z - 2"]
+
+
+GOLDEN_POINTS_MINPOLYS = [
+    "Z^12 + 864*Z^10 - 7898*Z^9 + 286785*Z^8 - 3687573*Z^7 + 52494956*Z^6 - 632428499*Z^5"
+    " + 7334577132*Z^4 - 34314110877*Z^3 + 689050871547*Z^2 + 1575363746970*Z"
+    " + 26315817523195",
+    "Z^12 - 3936*Z^9 + 448768*Z^8 + 1721344*Z^7 + 102756736*Z^6 - 763481088*Z^5"
+    " - 12149051392*Z^4 - 34768582656*Z^3 + 2355305783296*Z^2 - 1374853038080*Z"
+    " + 594912354570240",
+]
+
+
+def test_minimal_polynomial_golden_points_forms():
+    # Exact values: any change to the elimination must reproduce them.
+    ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
+    q = quotient_basis(ideal)
+    forms = _points_forms(ideal.context)
+    assert [str(minimal_polynomial(q, forms[i])) for i in (0, 1)] == GOLDEN_POINTS_MINPOLYS

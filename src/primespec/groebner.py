@@ -6,6 +6,13 @@ and sorted by decreasing leading monomial.  Computation budgets (pair
 count, intermediate term count, optional wall-clock deadline) raise
 ``BudgetExceededError`` instead of ever returning a truncated basis.
 
+Reduction runs over Z: every working polynomial is a primitive integer
+term map and normal forms are fraction-free pseudo-remainders.  A
+pseudo-remainder is a nonzero rational multiple of the remainder over Q,
+with the same support at every step, so the path through pairs and
+budgets is the one division over Q would take.  ``Fraction``s appear
+only in returned polynomials: the monic basis and ``normal_form``.
+
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
 support, searched exhaustively (inputs here stay below ~8 variables).
@@ -14,6 +21,7 @@ support, searched exhaustively (inputs here stay below ~8 variables).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +29,7 @@ from fractions import Fraction
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
 from .orders import MonomialOrder, elimination_order, block_order, grevlex
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, integer_primitive
 
 
 @dataclass(frozen=True)
@@ -60,21 +68,29 @@ def _quotient(b: Exponent, a: Exponent) -> Exponent:
 
 # -- reduction ---------------------------------------------------------------
 
-# A reducer is (lead_exponent, lead_coefficient, term_map).  The working
-# basis of ``buchberger`` holds monic reducers, so each lead is computed
-# once, when its element enters the basis.
+# A reducer is (lead_exponent, lead_coefficient, term_map): a primitive
+# integer term map whose lead coefficient is a positive int.  Each lead is
+# computed once, when its element becomes a reducer.
 
 
-def _reducers(polys, order):
-    out = []
-    for p in polys:
-        lead = max(p.terms, key=order.key)
-        out.append((lead, p.terms[lead], p.terms))
-    return out
+def _primitive(terms, order):
+    """Primitive reducer (lead, lc, term_map) of a nonzero term map, lc > 0."""
+    _, terms = integer_primitive(terms)
+    lead = max(terms, key=order.key)
+    if terms[lead] < 0:
+        terms = {e: -c for e, c in terms.items()}
+    return lead, terms[lead], terms
 
 
 def _normal_form_terms(terms, reducers, order, limits):
-    """Remainder of multivariate division, fully tail-reduced.
+    """Pseudo-remainder over Z of an integer term map, fully tail-reduced.
+
+    Returns (remainder, scale) with remainder == scale * NF(terms).  A
+    step on the term c*x^a with reducer lead lc*x^b multiplies the whole
+    state by lc/g and subtracts (c/g)*x^(a-b)*body, g = gcd(c, lc); after
+    a scaling step the common content of work and remainder is divided
+    out.  The support of every intermediate equals that of division over
+    Q, so reducer choice and the term budget follow the same path.
 
     Ties between applicable reducers break by lowest index, which keeps
     reduction deterministic.  Each exponent's order key is computed once,
@@ -83,6 +99,7 @@ def _normal_form_terms(terms, reducers, order, limits):
     """
     work = dict(terms)
     remainder = {}
+    num = den = 1
     key = order.key
     keys = {e: key(e) for e in work}
     while work:
@@ -92,10 +109,16 @@ def _normal_form_terms(terms, reducers, order, limits):
         for lead, lead_coeff, body in reducers:
             if _divides(lead, exp):
                 shift = _quotient(exp, lead)
-                scale = coeff / lead_coeff
+                g = math.gcd(coeff, lead_coeff)
+                mult = lead_coeff // g
+                coeff //= g
+                if mult != 1:
+                    work = {e: c * mult for e, c in work.items()}
+                    remainder = {e: c * mult for e, c in remainder.items()}
+                    num *= mult
                 for e, c in body.items():
                     target = _mul(e, shift)
-                    new = work.get(target, 0) - scale * c
+                    new = work.get(target, 0) - coeff * c
                     if new:
                         work[target] = new
                         if target not in keys:
@@ -104,15 +127,25 @@ def _normal_form_terms(terms, reducers, order, limits):
                         work.pop(target, None)
                 if len(work) + len(remainder) > limits.max_term_count:
                     raise BudgetExceededError("intermediate polynomial exceeds term budget")
+                if mult != 1:
+                    content = math.gcd(*work.values(), *remainder.values())
+                    if content != 1:
+                        work = {e: c // content for e, c in work.items()}
+                        remainder = {e: c // content for e, c in remainder.items()}
+                        den *= content
                 break
         else:
             remainder[exp] = coeff
             del work[exp]
-    return remainder
+    return remainder, Fraction(num, den)
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis frozen together with its monomial order."""
+    """A reduced Groebner basis frozen together with its monomial order.
+
+    ``polys`` are monic over Q; reduction runs on their primitive integer
+    reducers.
+    """
 
     __slots__ = ("context", "order", "polys", "_reducers")
 
@@ -120,7 +153,7 @@ class GroebnerBasis:
         self.context = context
         self.order = order
         self.polys = tuple(polys)
-        self._reducers = _reducers(self.polys, order)
+        self._reducers = [_primitive(p.terms, order) for p in self.polys]
 
     def __iter__(self):
         return iter(self.polys)
@@ -141,10 +174,17 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[Exponent]:
         return [lead for lead, _, _ in self._reducers]
 
+    def pseudo_normal_form(self, terms, limits=DEFAULT_LIMITS):
+        """(remainder, scale) of an integer term map; remainder == scale * NF."""
+        return _normal_form_terms(terms, self._reducers, self.order, limits)
+
     def normal_form(self, p: Polynomial, limits=DEFAULT_LIMITS) -> Polynomial:
         if p.context != self.context:
             raise ContextMismatchError("polynomial context differs from basis context")
-        return Polynomial(self.context, _normal_form_terms(p.terms, self._reducers, self.order, limits))
+        content, terms = integer_primitive(p.terms)
+        remainder, scale = self.pseudo_normal_form(terms, limits)
+        factor = content / scale
+        return Polynomial(self.context, {e: factor * c for e, c in remainder.items()})
 
     def contains(self, p: Polynomial, limits=DEFAULT_LIMITS) -> bool:
         return self.normal_form(p, limits).is_zero
@@ -154,7 +194,7 @@ class GroebnerBasis:
 
 
 def _update(basis, pairs, new, order):
-    """Add a monic reducer to the working basis and return the pruned pairs.
+    """Add a reducer to the working basis and return the pruned pairs.
 
     Gebauer-Moeller criteria: discard old pairs whose lcm is a proper
     multiple of the new lead, keep one representative per minimal new
@@ -189,28 +229,22 @@ def _update(basis, pairs, new, order):
     return kept
 
 
-def _monic(terms, order):
-    """Monic reducer (lead, 1, term_map) of a nonzero term map."""
-    lead = max(terms, key=order.key)
-    lc = terms[lead]
-    if lc != 1:
-        terms = {e: c / lc for e, c in terms.items()}
-    return lead, 1, terms
-
-
-def _s_polynomial(f, g) -> dict[Exponent, Fraction]:
-    """Term map of the S-polynomial of two monic reducers."""
-    lf, _, f_terms = f
-    lg, _, g_terms = g
+def _s_polynomial(f, g) -> dict[Exponent, int]:
+    """Integer term map of a nonzero multiple of the S-polynomial of two reducers."""
+    lf, cf, f_terms = f
+    lg, cg, g_terms = g
     lcm = _lcm(lf, lg)
     sf = _quotient(lcm, lf)
     sg = _quotient(lcm, lg)
-    terms: dict[Exponent, Fraction] = {}
+    common = math.gcd(cf, cg)
+    mf = cg // common
+    mg = cf // common
+    terms: dict[Exponent, int] = {}
     for e, c in f_terms.items():
-        terms[_mul(e, sf)] = c
+        terms[_mul(e, sf)] = mf * c
     for e, c in g_terms.items():
         target = _mul(e, sg)
-        new = terms.get(target, 0) - c
+        new = terms.get(target, 0) - mg * c
         if new:
             terms[target] = new
         else:
@@ -235,9 +269,9 @@ def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[
     basis: list[tuple] = []
     pairs: set[tuple[int, int]] = set()
     for g in gens:
-        reduced = _normal_form_terms(g.terms, basis, order, limits)
+        reduced, _ = _normal_form_terms(integer_primitive(g.terms)[1], basis, order, limits)
         if reduced:
-            pairs = _update(basis, pairs, _monic(reduced, order), order)
+            pairs = _update(basis, pairs, _primitive(reduced, order), order)
 
     processed = 0
     key = order.key
@@ -249,11 +283,12 @@ def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[
         pair = min(pairs, key=lambda p: (key(_lcm(basis[p[0]][0], basis[p[1]][0])), p))
         pairs.remove(pair)
         i, j = pair
-        remainder = _normal_form_terms(_s_polynomial(basis[i], basis[j]), basis, order, limits)
+        remainder, _ = _normal_form_terms(_s_polynomial(basis[i], basis[j]), basis, order, limits)
         if remainder:
-            pairs = _update(basis, pairs, _monic(remainder, order), order)
+            pairs = _update(basis, pairs, _primitive(remainder, order), order)
 
-    return [Polynomial(context, terms) for _, _, terms in _interreduce(basis, order, limits)]
+    return [Polynomial(context, {e: Fraction(c, lc) for e, c in terms.items()})
+            for _, lc, terms in _interreduce(basis, order, limits)]
 
 
 def _interreduce(basis, order, limits):
@@ -266,9 +301,9 @@ def _interreduce(basis, order, limits):
     reduced = []
     for i, (_, _, terms) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        rem = _normal_form_terms(terms, others, order, limits)
+        rem, _ = _normal_form_terms(terms, others, order, limits)
         if rem:
-            reduced.append(_monic(rem, order))
+            reduced.append(_primitive(rem, order))
     reduced.sort(key=lambda g: order.key(g[0]), reverse=True)
     return reduced
 
@@ -320,11 +355,12 @@ class Ideal:
         return self._dim
 
 
-def _max_independent_set(lead_supports, var_count) -> int:
+def _max_independent_set(lead_supports, var_count, limits=DEFAULT_LIMITS) -> int:
     """Largest k such that some k-subset of variables meets no support."""
     if any(not support for support in lead_supports):
         raise ValueError("unit leading term")
     for size in range(var_count, 0, -1):
+        limits.check_deadline()
         for subset in itertools.combinations(range(var_count), size):
             chosen = set(subset)
             if all(not support <= chosen for support in lead_supports):
@@ -342,7 +378,7 @@ def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
         return n
     supports = [frozenset(i for i, e in enumerate(exp) if e)
                 for exp in basis.leading_exponents()]
-    return _max_independent_set(supports, n)
+    return _max_independent_set(supports, n, limits)
 
 
 def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
@@ -393,4 +429,4 @@ def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> i
     if any(not s for s in supports):
         # Some basis element lies in the inverted block: unit ideal there.
         return -1
-    return _max_independent_set(supports, len(main))
+    return _max_independent_set(supports, len(main), limits)

@@ -278,17 +278,11 @@ class Polynomial:
         """
         if not self.terms:
             raise ValueError("zero polynomial has no content decomposition")
-        num_gcd = 0
-        den_lcm = 1
-        for coeff in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(coeff.numerator))
-            den_lcm = den_lcm * coeff.denominator // math.gcd(den_lcm, coeff.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        lead_exp = max(self.terms, key=order.key)
-        if self.terms[lead_exp] < 0:
+        content, primitive = integer_primitive(self.terms)
+        if primitive[max(primitive, key=order.key)] < 0:
             content = -content
-        primitive = Polynomial(self.context, {e: c / content for e, c in self.terms.items()})
-        return content, primitive
+            primitive = {e: -c for e, c in primitive.items()}
+        return content, Polynomial(self.context, primitive)
 
     # -- printing -----------------------------------------------------------
 
@@ -318,6 +312,24 @@ class Polynomial:
             else:
                 pieces.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(pieces)
+
+
+# -- integer term maps ------------------------------------------------------
+
+
+def integer_primitive(terms) -> tuple[Fraction, dict[Exponent, int]]:
+    """Split a term map into (content, primitive) with terms == content * primitive.
+
+    ``terms`` maps exponents to ints or Fractions.  The primitive map has
+    coprime int coefficients and the content is positive; the empty map
+    gives (0, {}).
+    """
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    num = math.gcd(*ints.values())
+    if num != 1:
+        ints = {e: c // num for e, c in ints.items()}
+    return Fraction(num, den), ints
 
 
 # -- monomial enumeration -------------------------------------------------

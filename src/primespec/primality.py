@@ -9,10 +9,15 @@ outside it (certified NotPrime).  Positive-dimensional ideals are cut
 down by random affine hyperplane sections: all sections must agree on
 Prime (probabilistic verdict), and a section's NotPrime certificate is
 only reported when it replays on the original ideal.
+
+The Krylov elimination behind the minimal polynomial runs over Z on
+primitive integer maps and vectors; ``Fraction``s appear only in the
+returned polynomials.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -20,9 +25,9 @@ from fractions import Fraction
 from .context import context as make_context
 from .errors import PrimespecError
 from .factor import factor_univariate
-from .groebner import DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides
+from .groebner import DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul
 from .orders import grevlex
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, integer_primitive
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -69,12 +74,6 @@ class ZeroDimQuotient:
     def reduce(self, p: Polynomial) -> Polynomial:
         return self.basis.normal_form(p, self.limits)
 
-    def coords(self, reduced: Polynomial) -> list[Fraction]:
-        vec = [Fraction(0)] * self.vector_dim
-        for exp, coeff in reduced.terms.items():
-            vec[self.index[exp]] = coeff
-        return vec
-
 
 def _box(bounds):
     exps = [()]
@@ -97,32 +96,67 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
     Returned as a univariate polynomial in the variable Z.  The Krylov
     powers 1, e, e^2, ... are reduced one at a time against an echelon
     form of the powers before them, kept as (pivot, row, combination)
-    triples whose combination writes the row in 1, e, ..., e^(k-1).  The
-    first power e^k that reduces to zero is a combination of the earlier
-    ones; moved to the left, with coefficient 1 at e^k, that combination
-    is m.
+    triples whose combination writes the row in the powers before it.
+    The first power e^k that reduces to zero is a combination of the
+    earlier ones; moved to the left and made monic, that combination is m.
+
+    Everything runs over Z: e^k is kept as a primitive integer map P_k
+    with e^k = (num_k / den_k) * P_k, and rows and combinations are
+    integer vectors over P_0, P_1, ..., combined by fraction-free
+    cross-multiplication with content removal.
     """
     z_ctx = make_context((_MINPOLY_VARIABLE,))
+    basis, limits, index = quotient.basis, quotient.limits, quotient.index
     size = quotient.vector_dim + 1
-    reduced = quotient.reduce(element)
-    power = quotient.reduce(Polynomial.constant(quotient.basis.context, 1))
+    # element == factor * step in the quotient, step a primitive integer map.
+    factor, step = integer_primitive(quotient.reduce(element).terms)
+    power = {(0,) * len(basis.context): 1}
+    scales = [(1, 1)]
     rows = []
     for k in range(size):
-        vec = quotient.coords(power)
-        combo = [Fraction(0)] * size
-        combo[k] = Fraction(1)
+        limits.check_deadline()
+        vec = [0] * quotient.vector_dim
+        for exp, c in power.items():
+            vec[index[exp]] = c
+        combo = [0] * size
+        combo[k] = 1
         for pivot, row, row_combo in rows:
             c = vec[pivot]
             if c:
-                vec = [a - c * b if b else a for a, b in zip(vec, row)]
-                combo = [a - c * b if b else a for a, b in zip(combo, row_combo)]
+                g = math.gcd(c, row[pivot])
+                mult, c = row[pivot] // g, c // g
+                vec = [mult * a - c * b for a, b in zip(vec, row)]
+                combo = [mult * a - c * b for a, b in zip(combo, row_combo)]
+                if mult != 1:
+                    content = math.gcd(*vec, *combo)
+                    if content != 1:
+                        vec = [a // content for a in vec]
+                        combo = [a // content for a in combo]
         pivot = next((i for i, v in enumerate(vec) if v), None)
         if pivot is None:
-            terms = {(i,): c for i, c in enumerate(combo) if c}
-            return Polynomial(z_ctx, terms)
-        lead = vec[pivot]
-        rows.append((pivot, [v / lead for v in vec], [c / lead for c in combo]))
-        power = quotient.reduce(power * reduced)
+            # sum combo[i] * P_i = 0 with P_i = (den_i / num_i) * e^i
+            coeffs = {(i,): Fraction(c * scales[i][1], scales[i][0])
+                      for i, c in enumerate(combo) if c}
+            lead = coeffs[(k,)]
+            return Polynomial(z_ctx, {e: c / lead for e, c in coeffs.items()})
+        rows.append((pivot, vec, combo))
+        product = {}
+        for e1, c1 in power.items():
+            for e2, c2 in step.items():
+                exp = _mul(e1, e2)
+                product[exp] = product.get(exp, 0) + c1 * c2
+        remainder, scale = basis.pseudo_normal_form(
+            {e: c for e, c in product.items() if c}, limits)
+        num, den = scales[-1]
+        if remainder:
+            unit, power = integer_primitive(remainder)
+            # e^(k+1) = (num/den) * factor * P_k * step, and P_k * step
+            # reduces to (unit / scale) * P_(k+1)
+            num *= factor.numerator * unit.numerator * scale.denominator
+            den *= factor.denominator * scale.numerator
+        else:
+            power = {}
+        scales.append((num, den))
     raise PrimespecError("Krylov sequence exceeded the quotient dimension")
 
 

@@ -1,9 +1,13 @@
 """Buchberger engine: bases, normal forms, dimension, elimination, budgets."""
 
+import time
+
 import pytest
 
 from primespec import (BudgetExceededError, GBLimits, Ideal, Polynomial, buchberger,
                        context, eliminate, fiber_dimension, grevlex, lex, parse_polynomial)
+from primespec.groebner import ideal_dimension
+from primespec.orders import block_order
 
 from conftest import make_ideal, random_polynomial, seeded, suite_proper_ideals
 
@@ -158,3 +162,121 @@ def test_bases_are_monic_and_sorted():
                     lead = leads[j][0]
                     for exp in p.terms:
                         assert not all(a <= b for a, b in zip(lead, exp))
+
+
+RATIONAL_GENERATORS = [
+    ["1/2*Y1^2 - 3/7*Y2", "Y1*Y2 - 5/3"],
+    ["2/3*Y1^2*Y2 - 1/5*Y3 + 7", "3/4*Y2^2 - 2/9*Y1*Y3", "5/8*Y3^2 - Y1 + 1/6"],
+]
+
+# Reduced bases of RATIONAL_GENERATORS under grevlex, lex and the block
+# order (Y1 | Y2, Y3), captured from the reduction over Q.
+GOLDEN_RATIONAL_BASES = [
+    [["Y1^2 - 6/7*Y2", "Y1*Y2 - 5/3", "Y2^2 - 35/18*Y1"],
+     ["-18/35*Y2^2 + Y1", "Y2^3 - 175/54"],
+     ["-18/35*Y2^2 + Y1", "Y2^3 - 175/54"]],
+    [["Y1^4 - 1/6*Y1^3 - 81/80*Y1*Y2 + 2835/128*Y2*Y3 + 27/160*Y2",
+      "Y1^3*Y3 - 81/80*Y2*Y3 + 567/16*Y2", "Y1^2*Y2 - 3/10*Y3 + 21/2",
+      "Y2^2 - 8/27*Y1*Y3", "Y3^2 - 8/5*Y1 + 4/15"],
+     ["-5/8*Y3^2 + Y1 - 1/6",
+      "15625/97282840608*Y3^10 + 546875/97282840608*Y3^9 + 57484375/291848521824*Y3^8"
+      " + 2011953125/291848521824*Y3^7 + 425625/2702301128*Y3^6 + 14896875/2702301128*Y3^5"
+      " + 6894125/164164793526*Y3^4 + 241294375/164164793526*Y3^3"
+      " + 919150/246247190289*Y3^2 + Y2 + 160221394/1231235951445*Y3 + 6048/337787641",
+      "Y3^11 + 4/3*Y3^9 + 32/45*Y3^7 + 128/675*Y3^5 + 256/10125*Y3^3 - 248832/78125*Y3^2"
+      " + 846531584/3796875*Y3 - 12192768/3125"],
+     ["-5/8*Y3^2 + Y1 - 1/6", "Y2^5 - 32/225*Y2^2 + 224/243*Y3^2 + 128/18225*Y3",
+      "Y2^3*Y3 + 4/81*Y2*Y3^2 + 16/1215*Y2 - 32/225*Y3 + 224/45",
+      "Y3^3 - 27/5*Y2^2 + 4/15*Y3"]],
+]
+
+
+def _rational_ideal(gens):
+    return make_ideal(("Y1", "Y2", "Y3"), gens)
+
+
+def _three_orders(ctx):
+    return [grevlex, lex, block_order(ctx, (("Y1",), ("Y2", "Y3")))]
+
+
+def test_buchberger_rational_generators_golden():
+    for gens, golden in zip(RATIONAL_GENERATORS, GOLDEN_RATIONAL_BASES):
+        ideal = _rational_ideal(gens)
+        for order, expected in zip(_three_orders(ideal.context), golden):
+            assert [str(p) for p in buchberger(ideal.generators, order)] == expected
+
+
+def test_term_budget_threshold_on_rational_generators():
+    # Reduction over Q needs 14 live terms here: the integer reduction keeps
+    # the same supports, so the budget binds at the same count.
+    ideal = _rational_ideal(RATIONAL_GENERATORS[1])
+    with pytest.raises(BudgetExceededError):
+        buchberger(ideal.generators, lex, GBLimits(max_term_count=13))
+    assert len(buchberger(ideal.generators, lex, GBLimits(max_term_count=14))) == 3
+
+
+def _reference_normal_form(p, basis):
+    """Multivariate division by the monic basis in plain Fraction arithmetic."""
+    order = basis.order
+    leads = [g.leading_term(order)[0] for g in basis]
+    work, remainder = dict(p.terms), {}
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work.pop(exp)
+        for lead, g in zip(leads, basis):
+            if all(a <= b for a, b in zip(lead, exp)):
+                shift = tuple(b - a for a, b in zip(lead, exp))
+                for e, c in g.terms.items():
+                    target = tuple(a + b for a, b in zip(e, shift))
+                    if target != exp:
+                        work[target] = work.get(target, 0) - coeff * c
+                        if not work[target]:
+                            del work[target]
+                break
+        else:
+            remainder[exp] = coeff
+    return Polynomial(p.context, remainder)
+
+
+def _rational_polynomial(ctx, rng, **kw):
+    p = random_polynomial(ctx, rng, **kw)
+    return Polynomial(ctx, {e: c / rng.randint(1, 9) for e, c in p.terms.items()})
+
+
+def test_normal_form_matches_fraction_division():
+    rng = seeded(8)
+    cases = [(ideal, grevlex) for ideal in suite_proper_ideals()]
+    for ideal in suite_proper_ideals():
+        params = ideal.context.param_names
+        if params:
+            main = tuple(n for n in ideal.context.names if n not in params)
+            cases.append((ideal, block_order(ideal.context, (main, params))))
+    for gens in RATIONAL_GENERATORS:
+        ideal = _rational_ideal(gens)
+        cases += [(ideal, order) for order in _three_orders(ideal.context)]
+    for ideal, order in cases:
+        basis = ideal.groebner(order)
+        for _ in range(6):
+            p = _rational_polynomial(ideal.context, rng)
+            # a member plus p: the member part must cancel exactly
+            member = Polynomial.zero(ideal.context)
+            for g in basis:
+                member = member + _rational_polynomial(ideal.context, rng, max_degree=2) * g
+            for q in (p, member, p + member):
+                assert basis.normal_form(q) == _reference_normal_form(q, basis)
+            assert basis.normal_form(member).is_zero
+
+
+def test_expired_deadline_stops_dimension_search():
+    # The bases are cached first, so only the staircase search is left to
+    # notice the deadline.
+    ideal = make_ideal(("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"], params=("T",))
+    main = ("Y1", "Y2", "Y3")
+    ideal.groebner(grevlex)
+    ideal.groebner(block_order(ideal.context, (main, ("T",))))
+    expired = GBLimits(deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceededError):
+        ideal_dimension(ideal, expired)
+    with pytest.raises(BudgetExceededError):
+        fiber_dimension(ideal, ("T",), expired)
+    assert ideal_dimension(ideal) == 2 and fiber_dimension(ideal, ("T",)) == 1

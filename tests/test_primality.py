@@ -1,10 +1,13 @@
 """Zero-dimensional quotients, minimal polynomials, primality verdicts."""
 
+from fractions import Fraction
+
 import pytest
 
 from primespec import (Ideal, Polynomial, PrimespecError, context, is_prime,
                        minimal_polynomial, parse_polynomial, quotient_basis)
-from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL,
+from primespec import BudgetExceededError, GBLimits
+from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
                                  _evaluate_in_quotient, not_prime_verdict)
 
 from conftest import make_ideal, random_polynomial, seeded
@@ -179,13 +182,21 @@ def _rank(rows):
     return rank
 
 
+def _coords(q, reduced):
+    """Coordinates of a reduced polynomial in the staircase basis."""
+    vec = [Fraction(0)] * q.vector_dim
+    for exp, coeff in reduced.terms.items():
+        vec[q.index[exp]] = coeff
+    return vec
+
+
 def _krylov_rank(q, element):
     reduced = q.reduce(element)
     power = q.reduce(Polynomial.constant(element.context, 1))
-    rows = [q.coords(power)]
+    rows = [_coords(q, power)]
     for _ in range(q.vector_dim):
         power = q.reduce(power * reduced)
-        rows.append(q.coords(power))
+        rows.append(_coords(q, power))
     return _rank(rows)
 
 
@@ -210,9 +221,11 @@ def test_minimal_polynomial_matches_krylov_rank():
     # is a constant; at T = 0, Y1^3 = 1 and Y1 + Y1^2 has degree 2.
     fiber_t0 = make_ideal(("Y1", "Y2", "Y3"), ["Y1^3 - 1", "Y2^2 - Y1*Y3", "Y3^2 - Y1 - Y2"])
     q_t0 = quotient_basis(fiber_t0)
-    cases = [(q, e) for e in _points_forms(ctx)]
+    forms = _points_forms(ctx) + [parse_polynomial("1/2*Y1 - 3/7*Y2 + 5/3*Y3", ctx)]
+    cases = [(q, e) for e in forms]
     cases += [(q, Polynomial.constant(ctx, 3)),
-              (q_t0, parse_polynomial("Y1 + Y1^2", fiber_t0.context))]
+              (q_t0, parse_polynomial("Y1 + Y1^2", fiber_t0.context)),
+              (q_t0, parse_polynomial("1/2*Y1 + 1/2*Y1^2", fiber_t0.context))]
     found = []
     for quotient, element in cases:
         m = minimal_polynomial(quotient, element)
@@ -221,8 +234,8 @@ def test_minimal_polynomial_matches_krylov_rank():
         assert _evaluate_in_quotient(quotient, m, quotient.reduce(element)).is_zero
         assert m.total_degree() == _krylov_rank(quotient, element)
         found.append(m)
-    assert [m.total_degree() for m in found] == [12] * 5 + [1, 2]
-    assert [str(m) for m in found[5:]] == ["Z - 3", "Z^2 - Z - 2"]
+    assert [m.total_degree() for m in found] == [12] * 6 + [1, 2, 2]
+    assert [str(m) for m in found[6:]] == ["Z - 3", "Z^2 - Z - 2", "Z^2 - 1/2*Z - 1/2"]
 
 
 GOLDEN_POINTS_MINPOLYS = [
@@ -241,3 +254,12 @@ def test_minimal_polynomial_golden_points_forms():
     q = quotient_basis(ideal)
     forms = _points_forms(ideal.context)
     assert [str(minimal_polynomial(q, forms[i])) for i in (0, 1)] == GOLDEN_POINTS_MINPOLYS
+
+
+def test_expired_deadline_stops_minimal_polynomial():
+    import time
+
+    ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
+    expired = ZeroDimQuotient(ideal.groebner(), GBLimits(deadline=time.monotonic() - 1))
+    with pytest.raises(BudgetExceededError):
+        minimal_polynomial(expired, Polynomial.variable(ideal.context, "Y1"))

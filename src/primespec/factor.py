@@ -1,13 +1,15 @@
 """Exact factorization of univariate polynomials over the rationals.
 
 Pipeline: strip the rational content, split into squarefree parts with
-Yun's algorithm, factor each part modulo a good odd prime (Berlekamp),
-lift the modular factors with quadratic multifactor Hensel steps to
-twice the Landau-Mignotte coefficient bound, and recombine by exhaustive
-subset search up to half the modular factor count.
+Yun's algorithm (its gcds are primitive remainder sequences over Z),
+factor each part modulo a good odd prime (Berlekamp), lift the modular
+factors with quadratic multifactor Hensel steps to twice the
+Landau-Mignotte coefficient bound, and recombine by exhaustive subset
+search up to half the modular factor count.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
-throughout; ``brute_force_factor_oracle`` is an independent divisor
+throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
+or built; ``brute_force_factor_oracle`` is an independent divisor
 search used as a test oracle and shares none of the lifting machinery.
 """
 
@@ -17,9 +19,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PrimespecError
 from .groebner import DEFAULT_LIMITS
-from .poly import Polynomial
+from .poly import Polynomial, integer_primitive
 
 # -- dense integer polynomials (zx): [a0, a1, ...], stripped ----------------
 
@@ -101,31 +103,35 @@ def _trunc_symmetric(f, m):
     return _zx_strip(out)
 
 
-# -- rational gcd (used by Yun's squarefree decomposition) -------------------
+# -- integer gcd (used by Yun's squarefree decomposition) ---------------------
 
 
-def _qx_gcd(f, g):
-    """Primitive positive-lc integer gcd of two integer polynomials."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while b:
-        # remainder of a by b over Q
-        r = list(a)
-        db = len(b) - 1
-        lc = b[-1]
-        while len(r) - 1 >= db and r:
-            c = r[-1] / lc
-            k = len(r) - 1 - db
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-            r[-1] = 0
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    if not a:
-        return []
-    den = math.lcm(*(c.denominator for c in a))
-    return _zx_primitive([int(c * den) for c in a])
+def _zx_gcd(f, g):
+    """Primitive positive-lc gcd over Q of two integer polynomials.
+
+    Primitive polynomial remainder sequence (Brown 1971): each
+    pseudo-remainder over Z is replaced by its primitive part, so no
+    rational arithmetic is needed and contents never accumulate.  A
+    division step on the lead c of the remainder multiplies it by
+    lc(g)/gcd(c, lc(g)) only.
+    """
+    while g:
+        r = list(f)
+        lc = g[-1]
+        dg = len(g) - 1
+        while len(r) - 1 >= dg:
+            c = r[-1]
+            k = len(r) - 1 - dg
+            d = math.gcd(c, lc)
+            mult, c = lc // d, c // d
+            if mult != 1:
+                r = [mult * a for a in r]
+            for i, b in enumerate(g):
+                r[k + i] -= c * b
+            r.pop()
+            _zx_strip(r)
+        f, g = g, _zx_primitive(r) if r else []
+    return _zx_primitive(f) if f else []
 
 
 def _yun_squarefree(f):
@@ -134,7 +140,7 @@ def _yun_squarefree(f):
     Returns [(part, multiplicity)] with pairwise-coprime primitive
     squarefree parts whose weighted product is f.
     """
-    d = _qx_gcd(f, _zx_derivative(f))
+    d = _zx_gcd(f, _zx_derivative(f))
     if len(d) == 1:
         return [(f, 1)]
     v = _zx_div_exact(f, d)
@@ -143,7 +149,7 @@ def _yun_squarefree(f):
     i = 1
     while len(v) > 1:
         z = _zx_strip([wc - vc for wc, vc in itertools.zip_longest(w, _zx_derivative(v), fillvalue=0)])
-        h = _qx_gcd(v, z)
+        h = _zx_gcd(v, z)
         if len(h) > 1:
             out.append((h, i))
         v = _zx_div_exact(v, h)
@@ -371,7 +377,8 @@ def _hensel_lift(p, f, modular_factors, l, limits):
     for fac in modular_factors[k + 1:]:
         h = _gf_mul(h, fac, p)
     s, t, one = _gf_gcdex(g, h, p)
-    assert one == [1], "mod-p factors are not coprime"
+    if one != [1]:
+        raise PrimespecError("mod-p factors are not coprime")
     g = _trunc_symmetric(g, p)
     h = _trunc_symmetric(h, p)
     s = _trunc_symmetric(s, p)
@@ -519,13 +526,10 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
     var, coeffs = _to_dense(p)
     if len(coeffs) == 1:
         return coeffs[0], []
-    den = math.lcm(*(c.denominator for c in coeffs))
-    zx = [int(c * den) for c in coeffs]
-    content = _zx_content(zx)
-    if zx[-1] < 0:
-        content = -content
-    unit = Fraction(content, den)
-    primitive = [c // content for c in zx]
+    unit, ints = integer_primitive(dict(enumerate(coeffs)))
+    primitive = list(ints.values())
+    if primitive[-1] < 0:
+        unit, primitive = -unit, [-c for c in primitive]
 
     factors = []
     for part, multiplicity in _yun_squarefree(primitive):

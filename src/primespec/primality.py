@@ -10,14 +10,15 @@ down by random affine hyperplane sections: all sections must agree on
 Prime (probabilistic verdict), and a section's NotPrime certificate is
 only reported when it replays on the original ideal.
 
-The Krylov elimination behind the minimal polynomial runs over Z on
-primitive integer maps and vectors; ``Fraction``s appear only in the
-returned polynomials.
+The Krylov elimination behind the minimal polynomial runs over Z: an
+integer multiplication matrix of the quotient acts on primitive integer
+coordinate vectors; ``Fraction``s appear only in the returned polynomials.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -100,25 +101,41 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
     The first power e^k that reduces to zero is a combination of the
     earlier ones; moved to the left and made monic, that combination is m.
 
-    Everything runs over Z: e^k is kept as a primitive integer map P_k
-    with e^k = (num_k / den_k) * P_k, and rows and combinations are
-    integer vectors over P_0, P_1, ..., combined by fraction-free
-    cross-multiplication with content removal.
+    Everything runs over Z.  With e == factor * step, step a primitive
+    integer map, the multiplication matrix M has column j equal to
+    den * NF(step * b_j) for the staircase monomial b_j and one common
+    integer den, so multiplying by e is (factor / den) * M on coordinate
+    vectors.  e^k is kept as a primitive integer vector P_k with
+    e^k = (num_k / den_k) * P_k; each power is one matrix-vector product
+    and a content removal.  Rows and combinations are integer vectors
+    over P_0, P_1, ..., combined by fraction-free cross-multiplication
+    with content removal.
     """
     z_ctx = make_context((_MINPOLY_VARIABLE,))
     basis, limits, index = quotient.basis, quotient.limits, quotient.index
-    size = quotient.vector_dim + 1
-    # element == factor * step in the quotient, step a primitive integer map.
+    n = quotient.vector_dim
     factor, step = integer_primitive(quotient.reduce(element).terms)
-    power = {(0,) * len(basis.context): 1}
+    columns = []
+    for monomial in quotient.staircase:
+        limits.check_deadline()
+        columns.append(basis.pseudo_normal_form(
+            {_mul(monomial, e): c for e, c in step.items()}, limits))
+    # remainder == scale * NF, so den * NF == remainder * (den / scale)
+    den = math.lcm(*(scale.numerator for _, scale in columns))
+    matrix = [[0] * n for _ in range(n)]
+    for j, (remainder, scale) in enumerate(columns):
+        to_den = scale.denominator * (den // scale.numerator)
+        for exp, c in remainder.items():
+            matrix[index[exp]][j] = to_den * c
+    step_num, step_den = factor.numerator, factor.denominator * den
+    power = [0] * n
+    power[index[(0,) * len(basis.context)]] = 1
     scales = [(1, 1)]
     rows = []
-    for k in range(size):
+    for k in range(n + 1):
         limits.check_deadline()
-        vec = [0] * quotient.vector_dim
-        for exp, c in power.items():
-            vec[index[exp]] = c
-        combo = [0] * size
+        vec = power
+        combo = [0] * (n + 1)
         combo[k] = 1
         for pivot, row, row_combo in rows:
             c = vec[pivot]
@@ -140,23 +157,15 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
             lead = coeffs[(k,)]
             return Polynomial(z_ctx, {e: c / lead for e, c in coeffs.items()})
         rows.append((pivot, vec, combo))
-        product = {}
-        for e1, c1 in power.items():
-            for e2, c2 in step.items():
-                exp = _mul(e1, e2)
-                product[exp] = product.get(exp, 0) + c1 * c2
-        remainder, scale = basis.pseudo_normal_form(
-            {e: c for e, c in product.items() if c}, limits)
-        num, den = scales[-1]
-        if remainder:
-            unit, power = integer_primitive(remainder)
-            # e^(k+1) = (num/den) * factor * P_k * step, and P_k * step
-            # reduces to (unit / scale) * P_(k+1)
-            num *= factor.numerator * unit.numerator * scale.denominator
-            den *= factor.denominator * scale.numerator
-        else:
-            power = {}
-        scales.append((num, den))
+        # e^(k+1) = (num_k / den_k) * (factor / den) * M P_k
+        power = [sum(map(operator.mul, row, power)) for row in matrix]
+        unit = math.gcd(*power)
+        num_k, den_k = scales[-1]
+        if unit:
+            power = [c // unit for c in power]
+            num_k *= step_num * unit
+            den_k *= step_den
+        scales.append((num_k, den_k))
     raise PrimespecError("Krylov sequence exceeded the quotient dimension")
 
 

@@ -1,15 +1,17 @@
 """Experiment configs, sampling, reports, replay verification."""
 
 import json
+import os
 import re
 
 import pytest
 
 from primespec import ConfigError, HypothesisViolationError, PrimespecError, context
 from primespec.experiments import (Budgets, ExperimentConfig, classify, derive_seed,
-                                   emit_report, parse_experiment_config, report_hash,
-                                   run_experiment, sample_lambda, sample_point,
-                                   sample_poly_values, sample_scalar, verify_report)
+                                   emit_report, parse_experiment_config,
+                                   read_experiment_config, report_hash, run_experiment,
+                                   sample_lambda, sample_point, sample_poly_values,
+                                   sample_scalar, verify_report)
 from primespec.groebner import Ideal
 from primespec.parse import parse_polynomial
 
@@ -278,3 +280,22 @@ def test_two_parameter_polynomial_values(tmp_path):
     for sample in report["samples"]:
         second = parse_polynomial(sample["point"]["values"][1], y_ctx)
         assert second.is_constant
+
+
+SHIPPED_CONFIG_HASHES = {
+    "circle_cut": "2c76061d48ab30c7",
+    "consistency": "b96b0807a3d870c3",
+    "cubic_fibers": "130e5376b581f776",
+    "polyspec_quadric": "9167889f097c7699",
+    "scalar_parabola": "f5d7460a4ce53973",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_HASHES))
+def test_shipped_config_report_hash(name, monkeypatch):
+    # Golden verdicts: a speed-up that changes any verdict, certificate or
+    # echoed field of a shipped config changes its hash.  Run from the repo
+    # root, since the report echoes the ideal path as the config resolves it.
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    report = run_experiment(read_experiment_config(f"configs/{name}.conf"))
+    assert report_hash(report)[:16] == SHIPPED_CONFIG_HASHES[name]

@@ -1,14 +1,17 @@
 """Univariate factorization over Q and the brute-force divisor oracle."""
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from primespec import (BudgetExceededError, GBLimits, Polynomial, brute_force_factor_oracle,
-                       context, factor_univariate, is_irreducible_univariate,
-                       parse_polynomial)
-from primespec.factor import mignotte_factor_height
+from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError,
+                       brute_force_factor_oracle, context, factor_univariate,
+                       is_irreducible_univariate, parse_polynomial)
+from primespec.factor import (_hensel_lift, _yun_squarefree, _zx_div_exact, _zx_gcd, _zx_mul,
+                              _zx_primitive, mignotte_factor_height)
+from primespec.groebner import DEFAULT_LIMITS
 
 from conftest import seeded
 
@@ -79,6 +82,83 @@ def test_exact_reconstruction_on_random_inputs(y):
         for factor, _ in factors:
             content, primitive = factor.integer_content_primitive()
             assert content == 1 and primitive == factor
+
+
+def _fraction_gcd(f, g):
+    """Primitive positive-lc gcd by Euclid over Q: the oracle for _zx_gcd."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while b:
+        r = list(a)
+        db = len(b) - 1
+        lc = b[-1]
+        while len(r) - 1 >= db and r:
+            c = r[-1] / lc
+            k = len(r) - 1 - db
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+            r[-1] = 0
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    if not a:
+        return []
+    den = math.lcm(*(c.denominator for c in a))
+    return _zx_primitive([int(c * den) for c in a])
+
+
+def _random_zx(rng, degree, bits):
+    """Dense integer polynomial of exact degree with coefficients of up to ``bits`` bits."""
+    coeffs = [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(degree)]
+    return coeffs + [(rng.getrandbits(bits) | 1) * rng.choice((-1, 1))]
+
+
+def test_zx_gcd_matches_fraction_euclid():
+    # Coefficients of 60-90 bits, as in the degree-12 minimal polynomials
+    # of the points workload; leads are odd and of either sign, so never monic.
+    rng = seeded(47)
+    for _ in range(40):
+        shared = _random_zx(rng, rng.randint(1, 4), 30)
+        u = _random_zx(rng, rng.randint(0, 6), rng.randint(30, 60))
+        v = _random_zx(rng, rng.randint(0, 6), rng.randint(30, 60))
+        f, g = _zx_mul(shared, u), _zx_mul(shared, v)
+        expected = _fraction_gcd(f, g)
+        assert _zx_gcd(f, g) == expected
+        assert _zx_div_exact(expected, _zx_primitive(shared)) is not None
+        coprime_f = _random_zx(rng, rng.randint(1, 12), rng.randint(60, 90))
+        coprime_g = _random_zx(rng, rng.randint(1, 12), rng.randint(60, 90))
+        assert _zx_gcd(coprime_f, coprime_g) == _fraction_gcd(coprime_f, coprime_g) == [1]
+    assert _zx_gcd([], [4, -6]) == _fraction_gcd([], [4, -6]) == [-2, 3]
+    assert _zx_gcd([], []) == []
+
+
+def test_yun_splits_large_non_monic_powers(y):
+    rng = seeded(53)
+    for _ in range(5):
+        parts = [_zx_primitive(_random_zx(rng, rng.randint(1, 3), 40)) for _ in range(3)]
+        for i, part in enumerate(parts):
+            assert _fraction_gcd(part, [k * c for k, c in enumerate(part)][1:]) == [1]
+            for other in parts[i + 1:]:
+                assert _fraction_gcd(part, other) == [1]
+        g1, g2, g3 = parts
+        f = _zx_mul(_zx_mul(g1, _zx_mul(g2, g2)), _zx_mul(g3, _zx_mul(g3, g3)))
+        assert _yun_squarefree(_zx_primitive(f)) == [(g1, 1), (g2, 2), (g3, 3)]
+
+        p = Polynomial(y, {(i,): Fraction(-c, 7) for i, c in enumerate(f) if c})
+        unit, factors = factor_univariate(p)
+        assert reassemble(y, unit, factors) == p
+        for factor, multiplicity in factors:
+            dense = [0] * (factor.total_degree() + 1)
+            for (e,), c in factor.terms.items():
+                dense[e] = int(c)
+            assert _zx_div_exact(parts[multiplicity - 1], dense) is not None
+
+
+def test_hensel_lift_rejects_non_coprime_factors():
+    # (Y + 1)^2 modulo 5 with the repeated factor passed twice: a check
+    # that must hold under python -O too.
+    with pytest.raises(PrimespecError, match="not coprime"):
+        _hensel_lift(5, [1, 2, 1], [[1, 1], [1, 1]], 3, DEFAULT_LIMITS)
 
 
 def test_expired_deadline_stops_factorization(y):

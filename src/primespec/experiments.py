@@ -22,7 +22,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from random import Random
@@ -134,6 +133,17 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         primality_box_cap=as_int("primality.box_cap", Budgets.primality_box_cap),
         sample_timeout_ms=as_int("sample.timeout_ms", Budgets.sample_timeout_ms),
     )
+    workers = as_int("workers", 1)
+    for key, value, least in (
+        ("workers", workers, 1),
+        ("gb.max_pairs", budgets.gb_max_pairs, 1),
+        ("gb.max_term_count", budgets.gb_max_term_count, 1),
+        ("primality.box_start", budgets.primality_box_start, 1),
+        ("primality.box_cap", budgets.primality_box_cap, budgets.primality_box_start),
+        ("sample.timeout_ms", budgets.sample_timeout_ms, 1),
+    ):
+        if value < least:
+            raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
     return ExperimentConfig(
         kind=data["kind"],
         ideal_path=os.path.normpath(os.path.join(base_dir, data["ideal"])),
@@ -142,7 +152,7 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         seed=as_int("seed", 0),
         trials=as_int("trials", DEFAULT_TRIALS),
         degrees=degrees,
-        workers=as_int("workers", 1),
+        workers=workers,
         budgets=budgets,
     )
 
@@ -321,6 +331,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     task = functools.partial(run_sample, ideal, config, expected)
     indices = range(config.samples)
     if config.workers > 1:
+        # Imported here so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = math.ceil(config.samples / (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(task, indices, chunksize=chunksize))

@@ -1,11 +1,15 @@
 """Exact factorization of univariate polynomials over the rationals.
 
 Pipeline: strip the rational content, split into squarefree parts with
-Yun's algorithm (its gcds are primitive remainder sequences over Z),
-factor each part modulo a good odd prime (Berlekamp), lift the modular
-factors with quadratic multifactor Hensel steps to twice the
-Landau-Mignotte coefficient bound, and recombine by exhaustive subset
-search up to half the modular factor count.
+Yun's algorithm (its gcds are primitive remainder sequences over Z), and
+factor each part.  A quadratic a*z^2 + b*z + c splits exactly when its
+discriminant d = b^2 - 4ac is a square, into the primitive parts of
+2a*z + b -+ sqrt(d).  Higher degrees are factored modulo a good odd prime
+(Berlekamp); the modular factors are lifted with quadratic multifactor
+Hensel steps to p^l, the least power of p above twice the
+Landau-Mignotte coefficient bound (the last step stops at p^l rather
+than squaring past it), and recombined by exhaustive subset search up to
+half the modular factor count.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
 throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
@@ -333,19 +337,25 @@ def _zx_divmod_monic_mod(f, g, m):
     return _trunc_symmetric(q, m), _trunc_symmetric(rem, m)
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift: from f = g*h and s*g + t*h = 1 (mod m) to mod m^2.
+def _hensel_step(M, f, g, h, s, t):
+    """Lift f = g*h (mod m) to mod M, for s*g + t*h = 1 (mod m) and M | m^2.
 
-    h stays monic; degree bounds deg(s) < deg(h), deg(t) < deg(g) are
-    preserved.
+    h stays monic and keeps its degree.
     """
-    M = m * m
     e = _trunc_symmetric([a - b for a, b in itertools.zip_longest(f, _zx_mul(g, h), fillvalue=0)], M)
     q, r = _zx_divmod_monic_mod(_zx_mul(s, e), h, M)
     G = _trunc_symmetric([a + b for a, b in itertools.zip_longest(
         g, _zx_strip([x + y for x, y in itertools.zip_longest(_zx_mul(t, e), _zx_mul(q, g), fillvalue=0)]),
         fillvalue=0)], M)
     H = _trunc_symmetric([a + b for a, b in itertools.zip_longest(h, r, fillvalue=0)], M)
+    return G, H
+
+
+def _bezout_step(M, G, H, s, t):
+    """Lift s*G + t*H = 1 from mod m to mod M, for G, H lifted to mod M | m^2.
+
+    Degree bounds deg(s) < deg(H), deg(t) < deg(G) are preserved.
+    """
     b = _trunc_symmetric([a - (1 if i == 0 else 0) for i, a in enumerate(
         _zx_strip([x + y for x, y in itertools.zip_longest(_zx_mul(s, G), _zx_mul(t, H), fillvalue=0)]))] or [-1], M)
     c, d = _zx_divmod_monic_mod(_zx_mul(s, b), H, M)
@@ -353,7 +363,7 @@ def _hensel_step(m, f, g, h, s, t):
     T = _trunc_symmetric([x - y for x, y in itertools.zip_longest(
         t, _zx_strip([u + v for u, v in itertools.zip_longest(_zx_mul(t, b), _zx_mul(c, G), fillvalue=0)]),
         fillvalue=0)], M)
-    return G, H, S, T
+    return S, T
 
 
 def _hensel_lift(p, f, modular_factors, l, limits):
@@ -369,7 +379,6 @@ def _hensel_lift(p, f, modular_factors, l, limits):
         inv = pow(lc % pl, -1, pl)
         return [_trunc_symmetric([c * inv for c in f], pl)]
     k = r // 2
-    steps = max(1, math.ceil(math.log2(l)))
     g = _gf_from_zx([lc], p)
     for fac in modular_factors[:k]:
         g = _gf_mul(g, fac, p)
@@ -384,12 +393,12 @@ def _hensel_lift(p, f, modular_factors, l, limits):
     s = _trunc_symmetric(s, p)
     t = _trunc_symmetric(t, p)
     m = p
-    for _ in range(steps):
+    while m < pl:
         limits.check_deadline()
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
-        if m >= pl:
-            break
+        m = min(m * m, pl)
+        g, h = _hensel_step(m, f, g, h, s, t)
+        if m < pl:
+            s, t = _bezout_step(m, g, h, s, t)  # the last step needs no s, t
     return (_hensel_lift(p, _trunc_symmetric(g, pl), modular_factors[:k], l, limits)
             + _hensel_lift(p, _trunc_symmetric(h, pl), modular_factors[k:], l, limits))
 
@@ -445,6 +454,13 @@ def _zassenhaus(f, limits):
     n = _zx_degree(f)
     if n == 1:
         return [list(f)]
+    if n == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        root = math.isqrt(disc) if disc > 0 else -1
+        if root * root != disc:
+            return [list(f)]
+        return [_zx_primitive([b - root, 2 * a]), _zx_primitive([b + root, 2 * a])]
     p = _choose_prime(f)
     modular = _berlekamp(_gf_monic(_gf_from_zx(f, p), p), p)
     if len(modular) == 1:

@@ -25,6 +25,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
@@ -59,7 +60,7 @@ def _mul(a: Exponent, b: Exponent) -> Exponent:
 
 def _divides(a: Exponent, b: Exponent) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _quotient(b: Exponent, a: Exponent) -> Exponent:

@@ -9,7 +9,10 @@ monomial avoids the leading groups, the whole polynomial does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from operator import neg
 
 LEX = "lex"
 GREVLEX = "grevlex"
@@ -23,7 +26,15 @@ def _lex_key(exp):
 def _grevlex_key(exp):
     # Ties on total degree break by the *last* nonzero entry of the
     # difference being negative, i.e. reversed negated exponents.
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
+
+
+def _block_key(groups, exp):
+    parts = []
+    for indices, inner in groups:
+        sub = tuple(exp[i] for i in indices)
+        parts.append(_grevlex_key(sub) if inner == GREVLEX else _lex_key(sub))
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -31,17 +42,17 @@ class MonomialOrder:
     kind: str
     # For block orders: ((indices, inner_kind), ...) covering all variables.
     groups: tuple[tuple[tuple[int, ...], str], ...] = ()
+    # key(exp), bound once when the order is built.
+    key: Callable = field(init=False, repr=False, compare=False)
 
-    def key(self, exp):
+    def __post_init__(self):
         if self.kind == LEX:
-            return _lex_key(exp)
-        if self.kind == GREVLEX:
-            return _grevlex_key(exp)
-        parts = []
-        for indices, inner in self.groups:
-            sub = tuple(exp[i] for i in indices)
-            parts.append(_grevlex_key(sub) if inner == GREVLEX else _lex_key(sub))
-        return tuple(parts)
+            key = _lex_key
+        elif self.kind == GREVLEX:
+            key = _grevlex_key
+        else:
+            key = functools.partial(_block_key, self.groups)
+        object.__setattr__(self, "key", key)
 
     def __str__(self):
         if self.kind != BLOCK:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from .context import VariableContext
 from .errors import ContextMismatchError
@@ -163,16 +164,7 @@ class Polynomial:
                 return Polynomial.zero(self.context)
             return Polynomial(self.context, {e: c * scalar for e, c in self.terms.items()})
         self._require_same_context(other)
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exp, 0) + c1 * c2
-                if new:
-                    terms[exp] = new
-                else:
-                    terms.pop(exp, None)
-        return Polynomial(self.context, terms)
+        return Polynomial(self.context, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -227,46 +219,48 @@ class Polynomial:
         """Ring-homomorphism image under variable -> polynomial bindings.
 
         Unbound variables pass through and must exist in the target
-        context (default: this polynomial's own context).
+        context (default: this polynomial's own context).  The work runs
+        on term maps: the powers of each image are cached, every term is
+        multiplied out and added into one accumulator, and one polynomial
+        is built at the end.
         """
         if target is None:
             target = self.context
-        images: dict[int, Polynomial] = {}
+        width = len(target)
+        images: dict[int, dict[Exponent, Fraction]] = {}
         for name, value in bindings.items():
             if name not in self.context:
                 raise ContextMismatchError(f"bound variable {name!r} not in context")
             if isinstance(value, (int, Fraction)):
-                value = Polynomial.constant(target, value)
-            elif value.context != target:
-                value = value.embed(target)
-            images[self.context.index[name]] = value
-        one = Polynomial.constant(target, 1)
-        var_cache: dict[int, Polynomial] = {}
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
+                images[self.context.index[name]] = {(0,) * width: _coerce(value)} if value else {}
+            else:
+                images[self.context.index[name]] = value.embed(target).terms
+        powers: dict[int, list[dict[Exponent, Fraction]]] = {i: [image] for i, image in images.items()}
+        positions = [target.index.get(name) for name in self.context.names]
 
-        def var_power(i, e):
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                if i in images:
-                    base = images[i]
-                else:
-                    base = var_cache.get(i)
-                    if base is None:
-                        base = Polynomial.variable(target, self.context.names[i])
-                        var_cache[i] = base
-                got = base ** e
-                pow_cache[key] = got
-            return got
-
-        result = Polynomial.zero(target)
+        acc: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
-            term = one * coeff
+            shift = [0] * width
+            factors = []
             for i, e in enumerate(exp):
-                if e:
-                    term = term * var_power(i, e)
-            result = result + term
-        return result
+                if not e:
+                    continue
+                chain = powers.get(i)
+                if chain is None:
+                    if positions[i] is None:
+                        raise ContextMismatchError(
+                            f"variable {self.context.names[i]!r} not in context")
+                    shift[positions[i]] = e
+                    continue
+                while len(chain) < e:
+                    chain.append(_mul_terms(chain[-1], chain[0]))
+                factors.append(chain[e - 1])
+            term = {tuple(shift): coeff}
+            for factor in factors:
+                term = _mul_terms(term, factor)
+            for e, c in term.items():
+                acc[e] = acc.get(e, 0) + c
+        return Polynomial(target, acc)
 
     # -- content and primitive part ---------------------------------------------
 
@@ -314,7 +308,17 @@ class Polynomial:
         return " ".join(pieces)
 
 
-# -- integer term maps ------------------------------------------------------
+# -- term maps ----------------------------------------------------------------
+
+
+def _mul_terms(a, b) -> dict[Exponent, Fraction]:
+    """Product of two term maps; cancelled terms stay as zero entries."""
+    out: dict[Exponent, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(map(add, e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return out
 
 
 def integer_primitive(terms) -> tuple[Fraction, dict[Exponent, int]]:

@@ -96,12 +96,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_budget_exit_code(parabola, tmp_path, capsys):
-    # a pair budget of zero stops the baseline Groebner run of a 2-generator ideal
+    # a pair budget of one stops the baseline Groebner run of a 2-generator ideal
     ideal = tmp_path / "curve.ideal"
     ideal.write_text("params: T\nvars: Y1, Y2, Y3\ngens:\nY2 - T*Y1^2\nY3 - Y1*Y2\n")
     config = tmp_path / "exp.conf"
     config.write_text(
-        f"kind = ScalarSpec\nideal = {ideal}\nH = 5\nn = 3\ngb.max_pairs = 0\n")
+        f"kind = ScalarSpec\nideal = {ideal}\nH = 5\nn = 3\ngb.max_pairs = 1\n")
     assert main(["experiment", str(config)]) == 4
 
 

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +75,39 @@ def test_config_requires_fields():
         parse_experiment_config("kind = ScalarSpec\nideal = x\nH = 1\nn = 0\n")
     with pytest.raises(ConfigError):
         parse_experiment_config("kind = Bogus\nideal = x\nH = 1\nn = 1\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("workers = 0", "workers"),
+    ("workers = -3", "workers"),
+    ("primality.box_start = 0", "primality.box_start"),
+    ("primality.box_start = 5\nprimality.box_cap = 4", "primality.box_cap"),
+    ("sample.timeout_ms = 0", "sample.timeout_ms"),
+    ("gb.max_pairs = 0", "gb.max_pairs"),
+    ("gb.max_term_count = -1", "gb.max_term_count"),
+])
+def test_config_rejects_invalid_budgets(line, key):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        parse_experiment_config(f"kind = ScalarSpec\nideal = x\nH = 1\nn = 1\n{line}\n")
+
+
+def test_config_accepts_smallest_budgets():
+    config = parse_experiment_config(
+        "kind = ScalarSpec\nideal = x\nH = 1\nn = 1\nworkers = 1\n"
+        "primality.box_start = 1\nprimality.box_cap = 1\nsample.timeout_ms = 1\n"
+        "gb.max_pairs = 1\ngb.max_term_count = 1\n")
+    assert config.workers == 1
+    assert config.budgets == Budgets(1, 1, 1, 1, 1)
+
+
+def test_serial_import_skips_multiprocessing():
+    # The process pool is imported only when workers > 1.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, primespec.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_sampling_is_deterministic():

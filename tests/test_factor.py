@@ -9,7 +9,8 @@ import pytest
 from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError,
                        brute_force_factor_oracle, context, factor_univariate,
                        is_irreducible_univariate, parse_polynomial)
-from primespec.factor import (_hensel_lift, _yun_squarefree, _zx_div_exact, _zx_gcd, _zx_mul,
+from primespec.factor import (_berlekamp, _choose_prime, _gf_from_zx, _gf_monic, _hensel_lift,
+                              _yun_squarefree, _zassenhaus, _zx_div_exact, _zx_gcd, _zx_mul,
                               _zx_primitive, mignotte_factor_height)
 from primespec.groebner import DEFAULT_LIMITS
 
@@ -152,6 +153,94 @@ def test_yun_splits_large_non_monic_powers(y):
             for (e,), c in factor.terms.items():
                 dense[e] = int(c)
             assert _zx_div_exact(parts[multiplicity - 1], dense) is not None
+
+
+def _dense(factor):
+    coeffs = [0] * (factor.total_degree() + 1)
+    for (e,), c in factor.terms.items():
+        coeffs[e] = int(c)
+    return coeffs
+
+
+def test_quadratic_products_split_into_their_primitive_parts(y):
+    rng = seeded(61)
+    bound = 1 << 40
+    for _ in range(200):
+        linear = []
+        for _ in range(2):
+            a = rng.choice((-1, 1)) * rng.randint(1, bound)
+            linear.append([rng.randint(-bound, bound), a])
+        product = _zx_mul(*linear)
+        p = Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(product) if c})
+        unit, factors = factor_univariate(p)
+        expected = sorted(_zx_primitive(f) for f in linear)
+        assert expected[0] != expected[1]
+        assert sorted(_dense(f) for f, _ in factors) == expected
+        assert [m for _, m in factors] == [1, 1]
+        assert reassemble(y, unit, factors) == p
+        assert sorted(_zassenhaus(_zx_primitive(product), DEFAULT_LIMITS)) == expected
+
+
+def test_irreducible_quadratics_stay_one_factor(y):
+    rng = seeded(62)
+    bound = 1 << 40
+    seen = {"negative": 0, "non-square": 0}
+    while min(seen.values()) < 50:
+        c, b, a = (rng.randint(-bound, bound) for _ in range(3))
+        disc = b * b - 4 * a * c
+        if a <= 0 or disc == 0 or (disc > 0 and math.isqrt(disc) ** 2 == disc):
+            continue
+        seen["negative" if disc < 0 else "non-square"] += 1
+        f = _zx_primitive([c, b, a])
+        p = Polynomial(y, {(i,): Fraction(v) for i, v in enumerate(f) if v})
+        _, factors = factor_univariate(p)
+        assert [(_dense(g), m) for g, m in factors] == [(f, 1)]
+        assert _zassenhaus(f, DEFAULT_LIMITS) == [f]
+
+
+def test_quadratics_agree_with_oracle(y):
+    # Every quadratic of height <= 4: a linear factor of a primitive quadratic
+    # has height at most that of the quadratic.
+    import itertools
+
+    height = 4
+    for a in (v for v in range(-height, height + 1) if v):
+        for b, c in itertools.product(range(-height, height + 1), repeat=2):
+            p = Polynomial(y, {(i,): Fraction(v) for i, v in enumerate((c, b, a)) if v})
+            _, factors = factor_univariate(p)
+            reducible = sum(m for _, m in factors) == 2
+            found = brute_force_factor_oracle(p, 1, height)
+            assert (found is not None) == reducible, str(p)
+            if found is not None:
+                assert found in [f for f, _ in factors], str(p)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5, 13, 54])
+def test_hensel_lift_stops_at_the_requested_power(l):
+    rng = seeded(63)
+    lifted_any = 0
+    for _ in range(12):
+        f = [rng.choice((-1, 1)) * rng.randint(1, 50)]
+        for degree in (2, 3, 3):
+            f = _zx_mul(f, [rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(1, 9)])
+        f = _zx_primitive(f)
+        if len(_zx_gcd(f, [i * c for i, c in enumerate(f)][1:])) > 1:
+            continue
+        p = _choose_prime(f)
+        modular = _berlekamp(_gf_monic(_gf_from_zx(f, p), p), p)
+        pl = p ** l
+        lifted = _hensel_lift(p, f, modular, l, DEFAULT_LIMITS)
+        assert len(lifted) == len(modular)
+        for g, fac in zip(lifted, modular):
+            assert g[-1] % pl == 1 and len(g) == len(fac)
+            assert _gf_from_zx(g, p) == fac
+        product = [f[-1]]
+        for g in lifted:
+            product = _zx_mul(product, g)
+        assert len(product) == len(f)
+        assert all((a - b) % pl == 0 for a, b in zip(product, f))
+        lifted_any += len(modular) >= 3
+    assert lifted_any >= 3
 
 
 def test_hensel_lift_rejects_non_coprime_factors():

@@ -101,6 +101,95 @@ def test_unbound_variables_pass_through(xy):
     assert p.substitute({"Y1": 1}) == parse_polynomial("Y2 + 1", xy)
 
 
+def _reference_substitute(p, bindings, target=None):
+    """The polynomial-per-term substitution, kept as an independent reference."""
+    if target is None:
+        target = p.context
+    images = {}
+    for name, value in bindings.items():
+        if name not in p.context:
+            raise ContextMismatchError(f"bound variable {name!r} not in context")
+        if isinstance(value, (int, Fraction)):
+            value = Polynomial.constant(target, value)
+        elif value.context != target:
+            value = value.embed(target)
+        images[p.context.index[name]] = value
+    one = Polynomial.constant(target, 1)
+    var_cache = {}
+    pow_cache = {}
+
+    def var_power(i, e):
+        key = (i, e)
+        got = pow_cache.get(key)
+        if got is None:
+            if i in images:
+                base = images[i]
+            else:
+                base = var_cache.get(i)
+                if base is None:
+                    base = Polynomial.variable(target, p.context.names[i])
+                    var_cache[i] = base
+            got = base ** e
+            pow_cache[key] = got
+        return got
+
+    result = Polynomial.zero(target)
+    for exp, coeff in p.terms.items():
+        term = one * coeff
+        for i, e in enumerate(exp):
+            if e:
+                term = term * var_power(i, e)
+        result = result + term
+    return result
+
+
+def test_substitute_matches_reference():
+    source = context(("Y1", "Y2", "Y3"), params=("T1", "T2"))
+    # Same variables in another order, and a wider context in a third order.
+    reordered = context(("Y3", "Y1", "Y2"))
+    wider = context(("Y2", "Z", "Y3", "Y1"), params=("T2",))
+    images_in = context(("Y1", "Y2"))
+    rng = seeded(71)
+
+    def scalar():
+        value = rng.randint(-6, 6)
+        return value if rng.random() < 0.5 else Fraction(value, rng.randint(1, 7))
+
+    def image(ctx):
+        return random_polynomial(ctx, rng, max_degree=2, max_terms=3) * Fraction(1, rng.randint(1, 3))
+
+    # Each target lists the bound variables it lacks; the others may pass through.
+    for target, required in ((source, ()), (reordered, ("T1", "T2")), (wider, ("T1",))):
+        for _ in range(60):
+            p = random_polynomial(source, rng, max_degree=5, max_terms=6) * scalar()
+            kind = rng.choice(("int", "fraction", "poly", "mixed"))
+            if kind == "int":
+                bindings = {"T1": rng.randint(-5, 5), "T2": rng.randint(-5, 5)}
+            elif kind == "fraction":
+                bindings = {"T1": Fraction(rng.randint(-5, 5), 3), "T2": Fraction(7, rng.randint(1, 4))}
+            elif kind == "poly":
+                bindings = {"T1": image(images_in), "T2": image(target)}
+            else:
+                bindings = {"T1": scalar(), "T2": image(images_in), "Y1": image(images_in)}
+            bindings = {n: v for n, v in bindings.items() if n in required or rng.random() < 0.7}
+            assert p.substitute(bindings, target) == _reference_substitute(p, bindings, target)
+
+
+def test_substitute_requires_used_unbound_variables_in_target():
+    source = context(("Y1", "Y2"), params=("T",))
+    target = context(("Y1",))
+    uses_y2 = parse_polynomial("T*Y1 + Y2^2", source)
+    with pytest.raises(ContextMismatchError, match="'Y2'"):
+        uses_y2.substitute({"T": 2}, target)
+    with pytest.raises(ContextMismatchError, match="'Y2'"):
+        _reference_substitute(uses_y2, {"T": 2}, target)
+    # Y2 is missing from the target but unused, so the image exists.
+    avoids_y2 = parse_polynomial("T*Y1 + 3", source)
+    assert avoids_y2.substitute({"T": 2}, target) == parse_polynomial("2*Y1 + 3", target)
+    with pytest.raises(ContextMismatchError, match="'W'"):
+        avoids_y2.substitute({"W": 1}, target)
+
+
 def test_content_primitive_integer_scaled():
     ctx = context(("Y",))
     content, primitive = parse_polynomial("6Y^2 - 4", ctx).integer_content_primitive()

@@ -6,9 +6,8 @@ from .context import Block, VariableContext, context
 from .errors import (BudgetExceededError, ConfigError, ContextMismatchError,
                      HypothesisViolationError, PolynomialSyntaxError, PrimespecError,
                      UnknownVariableError)
-from .factor import brute_force_factor_oracle, factor_univariate, is_irreducible_univariate
-from .genpoly import (HypothesisHStatus, QuasiGenericSpec, generic_polynomial,
-                      hypothesis_h_sufficient, quasi_generic)
+from .factor import factor_univariate
+from .genpoly import HypothesisHStatus, QuasiGenericSpec, hypothesis_h_sufficient, quasi_generic
 from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, eliminate,
                        fiber_dimension, ideal_dimension)
 from .orders import MonomialOrder, block_order, elimination_order, grevlex, lex
@@ -17,7 +16,8 @@ from .poly import Polynomial, monomials_upto
 from .primality import (PrimalityVerdict, ZeroDimQuotient, is_prime,
                         minimal_polynomial, quotient_basis)
 from .specialize import (LambdaAssignment, SpecializationPoint, build_parametric_system,
-                         intersect_generic, specialize_polynomial, specialize_scalar)
+                         generic_form, intersect_generic, specialize_polynomial,
+                         specialize_scalar)
 
 __all__ = [
     "Block", "VariableContext", "context",
@@ -29,11 +29,11 @@ __all__ = [
     "MonomialOrder", "lex", "grevlex", "block_order", "elimination_order",
     "GBLimits", "GroebnerBasis", "Ideal", "buchberger",
     "ideal_dimension", "eliminate", "fiber_dimension",
-    "factor_univariate", "brute_force_factor_oracle", "is_irreducible_univariate",
+    "factor_univariate",
     "ZeroDimQuotient", "quotient_basis", "minimal_polynomial", "is_prime",
     "PrimalityVerdict",
-    "generic_polynomial", "QuasiGenericSpec", "quasi_generic",
+    "QuasiGenericSpec", "quasi_generic",
     "hypothesis_h_sufficient", "HypothesisHStatus",
     "SpecializationPoint", "LambdaAssignment", "specialize_scalar",
-    "specialize_polynomial", "intersect_generic", "build_parametric_system",
+    "specialize_polynomial", "intersect_generic", "build_parametric_system", "generic_form",
 ]

@@ -36,8 +36,8 @@ from .poly import Polynomial, monomials_upto
 from .primality import (DEFAULT_BOX_CAP, DEFAULT_BOX_START, DEFAULT_TRIALS,
                         INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, _certificate_error,
                         is_prime)
-from .specialize import (LambdaAssignment, SpecializationPoint, intersect_generic,
-                         specialize_polynomial, specialize_scalar)
+from .specialize import (LambdaAssignment, SpecializationPoint, generic_form,
+                         intersect_generic, specialize_polynomial, specialize_scalar)
 
 SCALAR_SPEC = "ScalarSpec"
 GENERIC_INTERSECT = "GenericIntersect"
@@ -49,6 +49,12 @@ CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
 
+def _require_at_least(key: str, value: int, least: int) -> None:
+    """Reject a config value below its minimum, naming the config key."""
+    if value < least:
+        raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Budgets:
     gb_max_pairs: int = 50_000
@@ -56,6 +62,13 @@ class Budgets:
     primality_box_start: int = DEFAULT_BOX_START
     primality_box_cap: int = DEFAULT_BOX_CAP
     sample_timeout_ms: int = 20_000
+
+    def __post_init__(self):
+        _require_at_least("gb.max_pairs", self.gb_max_pairs, 1)
+        _require_at_least("gb.max_term_count", self.gb_max_term_count, 1)
+        _require_at_least("primality.box_start", self.primality_box_start, 1)
+        _require_at_least("primality.box_cap", self.primality_box_cap, self.primality_box_start)
+        _require_at_least("sample.timeout_ms", self.sample_timeout_ms, 1)
 
 
 @dataclass(frozen=True)
@@ -73,12 +86,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.samples < 1:
-            raise ConfigError("n must be >= 1")
-        if self.box < 1:
-            raise ConfigError("H must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _require_at_least("n", self.samples, 1)
+        _require_at_least("H", self.box, 1)
+        _require_at_least("trials", self.trials, 1)
+        _require_at_least("workers", self.workers, 1)
         if self.kind == GENERIC_INTERSECT and not self.degrees:
             raise ConfigError("GenericIntersect needs a degrees list")
 
@@ -133,17 +144,6 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         primality_box_cap=as_int("primality.box_cap", Budgets.primality_box_cap),
         sample_timeout_ms=as_int("sample.timeout_ms", Budgets.sample_timeout_ms),
     )
-    workers = as_int("workers", 1)
-    for key, value, least in (
-        ("workers", workers, 1),
-        ("gb.max_pairs", budgets.gb_max_pairs, 1),
-        ("gb.max_term_count", budgets.gb_max_term_count, 1),
-        ("primality.box_start", budgets.primality_box_start, 1),
-        ("primality.box_cap", budgets.primality_box_cap, budgets.primality_box_start),
-        ("sample.timeout_ms", budgets.sample_timeout_ms, 1),
-    ):
-        if value < least:
-            raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
     return ExperimentConfig(
         kind=data["kind"],
         ideal_path=os.path.normpath(os.path.join(base_dir, data["ideal"])),
@@ -152,7 +152,7 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         seed=as_int("seed", 0),
         trials=as_int("trials", DEFAULT_TRIALS),
         degrees=degrees,
-        workers=workers,
+        workers=as_int("workers", 1),
         budgets=budgets,
     )
 
@@ -185,15 +185,10 @@ def sample_lambda(degrees, s: int, box: int, rng: Random) -> LambdaAssignment:
 
 
 def sample_poly_values(degrees, y_context, box: int, rng: Random) -> SpecializationPoint:
-    s = y_context.s
     polys = []
     for degree in degrees:
-        terms = {}
-        for exp in monomials_upto(s, degree):
-            c = rng.randint(-box, box)
-            if c:
-                terms[exp] = Fraction(c)
-        polys.append(Polynomial(y_context, terms))
+        support = monomials_upto(y_context.s, degree)
+        polys.append(generic_form(y_context, support, [rng.randint(-box, box) for _ in support]))
     return SpecializationPoint("poly", polys=tuple(polys), degree_bounds=tuple(degrees))
 
 

@@ -13,8 +13,7 @@ half the modular factor count.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
 throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
-or built; ``brute_force_factor_oracle`` is an independent divisor
-search used as a test oracle and shares none of the lifting machinery.
+or built.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PrimespecError
+from .errors import PrimespecError
 from .groebner import DEFAULT_LIMITS
 from .poly import Polynomial, integer_primitive
 
@@ -86,13 +85,6 @@ def _zx_div_exact(f, g):
             rem[k + i] -= c * b
         _zx_strip(rem)
     return q if not rem else None
-
-
-def _zx_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def _trunc_symmetric(f, m):
@@ -553,75 +545,3 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
             factors.append((irreducible, multiplicity))
     factors.sort(key=lambda item: (len(item[0]), item[0]))
     return unit, [(_from_dense(p.context, var, f), m) for f, m in factors]
-
-
-def is_irreducible_univariate(p: Polynomial) -> bool:
-    """True when p has degree >= 1 and is irreducible over the rationals."""
-    if p.is_zero or p.is_constant:
-        return False
-    _, factors = factor_univariate(p)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
-def _divisors_upto(n, limit):
-    n = abs(n)
-    out = [d for d in range(1, min(n, limit) + 1) if n % d == 0]
-    return out
-
-
-def brute_force_factor_oracle(p: Polynomial, max_deg: int, max_height: int,
-                              max_candidates: int = 5_000_000) -> Polynomial | None:
-    """Search for a nontrivial divisor by exhaustive enumeration.
-
-    Tries every primitive integer polynomial of degree 1..max_deg with
-    positive lead and coefficient height <= max_height, in degree order,
-    and returns the first exact divisor (None if the search finds none).
-    Cheap divisibility filters on the values at 0 and +-1 reject
-    non-divisors before the division test.  Completely independent of
-    the Hensel/Zassenhaus path, so it can serve as its oracle.
-    """
-    var, coeffs = _to_dense(p)
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError("oracle expects integer coefficients")
-    zx = [int(c) for c in coeffs]
-    degree = _zx_degree(zx)
-    if degree < 1:
-        raise ValueError("input must have degree >= 1")
-    if not 1 <= max_deg < degree:
-        raise ValueError("need 1 <= max_deg < deg p")
-    f = _zx_primitive(zx)
-    f0 = _zx_eval(f, 0)
-    f1 = _zx_eval(f, 1)
-    fm1 = _zx_eval(f, -1)
-    lc = abs(f[-1])
-
-    tried = 0
-    lead_choices = _divisors_upto(lc, max_height)
-    for d in range(1, max_deg + 1):
-        if f0:
-            pos = _divisors_upto(f0, max_height)
-            a0_choices = [-v for v in reversed(pos)] + pos
-        else:
-            a0_choices = range(-max_height, max_height + 1)
-        for lead in lead_choices:
-            for a0 in a0_choices:
-                for middle in itertools.product(range(-max_height, max_height + 1), repeat=d - 1):
-                    tried += 1
-                    if tried > max_candidates:
-                        raise BudgetExceededError(
-                            f"oracle enumeration exceeded {max_candidates} candidates")
-                    g1 = a0 + sum(middle) + lead
-                    if f1:
-                        if g1 == 0 or f1 % g1:
-                            continue
-                    gm1 = a0 + sum(c if i % 2 else -c for i, c in enumerate(middle)) \
-                        + (lead if d % 2 == 0 else -lead)
-                    if fm1:
-                        if gm1 == 0 or fm1 % gm1:
-                            continue
-                    g = [a0, *middle, lead]
-                    if _zx_content(g) != 1:
-                        continue
-                    if _zx_div_exact(f, g) is not None:
-                        return _from_dense(p.context, var, g)
-    return None

@@ -1,56 +1,30 @@
-"""Generic and quasi-generic polynomial constructors.
+"""Quasi-generic polynomials and the sufficient hypothesis test.
 
 The generic polynomial of degree D attaches one fresh coefficient
 parameter to every power product of degree <= D in the ambient
-variables.  A quasi-generic polynomial restricts the parametrized
-support to a chosen monomial set S (which must contain 1) and adds a
-fixed offset polynomial R.  ``hypothesis_h_sufficient`` implements the
-sufficient non-degeneracy test: the parametrized family is guaranteed
-non-degenerate when the base ideal is non-maximal and every ambient
-variable is covered by S or by R.  The test never claims failure; the
-only verdicts are holds-by-lemma and unknown.
+variables; ``specialize.generic_form`` builds it.  A quasi-generic
+polynomial restricts the parametrized support to a chosen monomial set
+S (which must contain 1) and adds a fixed offset polynomial R.
+``hypothesis_h_sufficient`` implements the sufficient non-degeneracy
+test: the parametrized family is guaranteed non-degenerate when the
+base ideal is non-maximal and every ambient variable is covered by S or
+by R.  The test never claims failure; the only verdicts are
+holds-by-lemma and unknown.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .context import Block, ROLE_LAMBDA, context as make_context
+from .context import Block, ROLE_LAMBDA
 from .errors import PrimespecError
 from .groebner import DEFAULT_LIMITS, Ideal, fiber_dimension
-from .poly import Exponent, Polynomial, monomials_upto
+from .poly import Exponent, Polynomial
 from .primality import DEFAULT_TRIALS, NOT_PRIME, PRIME, is_prime
+from .specialize import generic_form
 
 HOLDS_BY_LEMMA = "holds_by_lemma"
 UNKNOWN = "unknown"
-
-
-def generic_polynomial(s: int, degree: int, lambda_names,
-                       y_names=None) -> tuple[Polynomial, int]:
-    """The degree-bounded polynomial with fresh parameter coefficients.
-
-    Returns (polynomial over the context (lambda block | Y block), count
-    of power products).  ``lambda_names`` must provide exactly one name
-    per power product of degree <= ``degree``.
-    """
-    count = math.comb(s + degree, degree)
-    lambda_names = tuple(lambda_names)
-    if len(lambda_names) != count:
-        raise ValueError(f"need {count} lambda names, got {len(lambda_names)}")
-    if y_names is None:
-        y_names = tuple(f"Y{i}" for i in range(1, s + 1))
-    ctx = make_context(y_names, lambdas=(("L", lambda_names),))
-    exponents = monomials_upto(s, degree)
-    terms = {}
-    n_lambda = len(lambda_names)
-    for i, y_exp in enumerate(exponents):
-        exp = [0] * len(ctx)
-        exp[i] = 1
-        for j, e in enumerate(y_exp):
-            exp[n_lambda + j] = e
-        terms[tuple(exp)] = 1
-    return Polynomial(ctx, terms), count
 
 
 @dataclass(frozen=True)
@@ -79,32 +53,11 @@ class QuasiGenericSpec:
         if clash:
             raise ValueError(f"lambda names collide with existing variables: {sorted(clash)}")
 
-    @property
-    def degree(self) -> int:
-        return max(sum(exp) for exp in self.support)
-
 
 def quasi_generic(spec: QuasiGenericSpec) -> Polynomial:
     """Assemble sum(lambda_i * S_i) + R over the extended context."""
-    base = spec.offset.context
-    ctx = base.adjoin_front(Block("L", ROLE_LAMBDA, spec.lambda_names))
-    y_positions = ctx.indices_of(base.var_names)
-    n_lambda = len(spec.lambda_names)
-    terms = {}
-    for i, y_exp in enumerate(spec.support):
-        exp = [0] * len(ctx)
-        exp[i] = 1
-        for j, e in enumerate(y_exp):
-            exp[y_positions[j]] = e
-        terms[tuple(exp)] = 1
-    result = Polynomial(ctx, terms) + spec.offset.embed(ctx)
-    if spec.offset.is_zero:
-        s = base.s
-        d = spec.degree
-        if set(spec.support) == set(monomials_upto(s, d)):
-            full, _ = generic_polynomial(s, d, spec.lambda_names, base.var_names)
-            assert result == (full if full.context == ctx else full.embed(ctx))
-    return result
+    ctx = spec.offset.context.adjoin_front(Block("L", ROLE_LAMBDA, spec.lambda_names))
+    return generic_form(ctx, spec.support, spec.lambda_names) + spec.offset.embed(ctx)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@
 * polynomial specialization: substitute each T_i by a polynomial in the
   ambient variables.
 
+``generic_form`` builds every generic form, one coefficient per support
+monomial, each a rational or a fresh lambda variable: the cutting
+hypersurfaces, the sampled polynomial values, the relations below and
+``genpoly.quasi_generic``.
+
 ``build_parametric_system`` assembles the symbolic counterpart of
 polynomial specialization: fresh coefficient blocks L{i}_{j} and the
 relations U_i(L_i, Y) - T_i adjoined to the ideal, so substituting the
@@ -14,7 +19,6 @@ coefficients and eliminating T reproduces the pointwise construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,6 +97,27 @@ def specialize_polynomial(ideal: Ideal, values) -> Ideal:
     return Ideal(target, (g.substitute(bindings, target) for g in ideal.generators))
 
 
+def generic_form(ctx, support, coefficients) -> Polynomial:
+    """The generic form sum(c_j * Y^e_j) over ``ctx``, one coefficient per monomial.
+
+    The distinct exponents e_j in ``support`` range over ``ctx.var_names``.
+    Each c_j is a rational or the name of a ``ctx`` variable (a fresh
+    lambda coefficient).  Raises ValueError when the lengths do not match.
+    """
+    width = len(ctx)
+    y_positions = ctx.indices_of(ctx.var_names)
+    terms = {}
+    for y_exp, coeff in zip(support, coefficients, strict=True):
+        exp = [0] * width
+        for position, e in zip(y_positions, y_exp, strict=True):
+            exp[position] = e
+        if isinstance(coeff, str):
+            exp[ctx.index[coeff]] += 1
+            coeff = 1
+        terms[tuple(exp)] = coeff
+    return Polynomial(ctx, terms)
+
+
 def intersect_generic(ideal: Ideal, degrees, assignment: LambdaAssignment) -> Ideal:
     """Adjoin specialized degree-bounded hypersurfaces to an ideal in K[Y].
 
@@ -109,25 +134,10 @@ def intersect_generic(ideal: Ideal, degrees, assignment: LambdaAssignment) -> Id
     d = ideal.dimension()
     if len(degrees) > d:
         raise ValueError(f"cannot cut {len(degrees)} times: dimension is {d}")
-    ctx = ideal.context
-    s = ctx.s
-    extra = []
-    for degree, block in zip(degrees, assignment.blocks):
-        count = math.comb(s + degree, degree)
-        if len(block) != count:
-            raise ValueError(f"coefficient block has {len(block)} entries, expected {count}")
-        terms = {}
-        for exp, coeff in zip(monomials_upto(s, degree), block):
-            if coeff:
-                terms[exp] = terms.get(exp, 0) + coeff
-        extra.append(Polynomial(ctx, terms))
+    s = ideal.context.s
+    extra = [generic_form(ideal.context, monomials_upto(s, degree), block)
+             for degree, block in zip(degrees, assignment.blocks)]
     return ideal.adjoin(extra)
-
-
-def lambda_block_names(index: int, degree: int, s: int) -> tuple[str, ...]:
-    """Names L{index}_{j} for the coefficient block of one hypersurface."""
-    count = math.comb(s + degree, degree)
-    return tuple(f"L{index}_{j}" for j in range(1, count + 1))
 
 
 def build_parametric_system(ideal: Ideal, degrees) -> Ideal:
@@ -141,24 +151,13 @@ def build_parametric_system(ideal: Ideal, degrees) -> Ideal:
     if len(degrees) != len(params):
         raise ValueError(f"expected {len(params)} degrees, got {len(degrees)}")
     s = ideal.context.s
+    supports = [monomials_upto(s, degree) for degree in degrees]
+    blocks = [Block(f"L{i}", ROLE_LAMBDA, tuple(f"L{i}_{j}" for j in range(1, len(support) + 1)))
+              for i, support in enumerate(supports, start=1)]
     ctx = ideal.context
-    blocks = []
-    for i, degree in enumerate(degrees, start=1):
-        blocks.append(Block(f"L{i}", ROLE_LAMBDA, lambda_block_names(i, degree, s)))
     for block in reversed(blocks):
         ctx = ctx.adjoin_front(block)
-
     generators = [g.embed(ctx) for g in ideal.generators]
-    y_positions = ctx.indices_of(ideal.context.var_names)
-    for i, (degree, param) in enumerate(zip(degrees, params), start=1):
-        names = blocks[i - 1].names
-        terms = {}
-        for j, y_exp in enumerate(monomials_upto(s, degree)):
-            exp = [0] * len(ctx)
-            exp[ctx.index[names[j]]] = 1
-            for k, e in enumerate(y_exp):
-                exp[y_positions[k]] = e
-            terms[tuple(exp)] = Fraction(1)
-        generic = Polynomial(ctx, terms)
-        generators.append(generic - Polynomial.variable(ctx, param))
+    for block, support, param in zip(blocks, supports, params):
+        generators.append(generic_form(ctx, support, block.names) - Polynomial.variable(ctx, param))
     return Ideal(ctx, generators)

@@ -14,14 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (Polynomial, brute_force_factor_oracle, context,
-                       eliminate, factor_univariate, fiber_dimension, is_prime,
-                       parse_polynomial)
+from primespec import (Polynomial, context, eliminate, factor_univariate, fiber_dimension,
+                       is_prime, parse_polynomial)
 from primespec.experiments import (ExperimentConfig, classify, report_hash,
                                    run_experiment, verify_report)
 from primespec.factor import mignotte_factor_height
 
 from conftest import make_ideal
+from factor_oracle import brute_force_factor_oracle
 
 PARABOLA = "params: T\nvars: Y\ngens:\nY^2 - T\n"
 CIRCLE = "vars: Y1, Y2\ngens:\nY1^2 + Y2^2 - 1\n"

@@ -91,6 +91,17 @@ def test_config_rejects_invalid_budgets(line, key):
         parse_experiment_config(f"kind = ScalarSpec\nideal = x\nH = 1\nn = 1\n{line}\n")
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: ExperimentConfig(kind="ScalarSpec", ideal_path="x", box=1, samples=1,
+                              workers=-3), "workers"),
+    (lambda: Budgets(sample_timeout_ms=0), "sample.timeout_ms"),
+    (lambda: Budgets(primality_box_start=5, primality_box_cap=4), "primality.box_cap"),
+])
+def test_direct_construction_rejects_invalid_budgets(build, key):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        build()
+
+
 def test_config_accepts_smallest_budgets():
     config = parse_experiment_config(
         "kind = ScalarSpec\nideal = x\nH = 1\nn = 1\nworkers = 1\n"
@@ -265,9 +276,11 @@ def test_worker_pool_matches_sequential(parabola_path, tmp_path):
         assert report_hash(sequential) == report_hash(parallel)
 
 
-def test_budget_errors_mark_samples_inconclusive(parabola_path):
-    config = scalar_config(parabola_path, n=6,
-                           budgets=Budgets(gb_max_term_count=0))
+def test_budget_errors_mark_samples_inconclusive(tmp_path):
+    # A term budget of 1 passes the baseline but stops every fiber's Buchberger run.
+    path = tmp_path / "cubic_fiber.ideal"
+    path.write_text(CUBIC_FIBER)
+    config = scalar_config(str(path), n=6, budgets=Budgets(gb_max_term_count=1))
     report = run_experiment(config)
     assert report["aggregate"]["inconclusive"] == 6
     assert all("budget" in s.get("reason", "") for s in report["samples"])

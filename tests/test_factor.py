@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError,
-                       brute_force_factor_oracle, context, factor_univariate,
-                       is_irreducible_univariate, parse_polynomial)
+from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError, context,
+                       factor_univariate, parse_polynomial)
 from primespec.factor import (_berlekamp, _choose_prime, _gf_from_zx, _gf_monic, _hensel_lift,
                               _yun_squarefree, _zassenhaus, _zx_div_exact, _zx_gcd, _zx_mul,
                               _zx_primitive, mignotte_factor_height)
 from primespec.groebner import DEFAULT_LIMITS
 
 from conftest import seeded
+from factor_oracle import brute_force_factor_oracle, is_irreducible_univariate
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from primespec import (Polynomial, QuasiGenericSpec, context, generic_polynomial,
+from primespec import (Polynomial, QuasiGenericSpec, context, generic_form,
                        hypothesis_h_sufficient, monomials_upto, parse_polynomial,
                        quasi_generic)
 from primespec.genpoly import HOLDS_BY_LEMMA, UNKNOWN
@@ -16,33 +16,41 @@ def lam(n, prefix="M"):
     return tuple(f"{prefix}{i}" for i in range(1, n + 1))
 
 
+def y_names(s):
+    return tuple(f"Y{i}" for i in range(1, s + 1))
+
+
+def generic(s, degree, names):
+    """The degree-bounded generic form over (lambda block | Y block)."""
+    ctx = context(y_names(s), lambdas=(("L", names),))
+    return generic_form(ctx, monomials_upto(s, degree), names)
+
+
 def test_degree_zero_generic_is_a_single_parameter():
-    g, count = generic_polynomial(1, 0, ("M1",))
-    assert count == 1
+    g = generic(1, 0, ("M1",))
+    assert len(g.terms) == 1
     assert str(g) == "M1"
 
 
 def test_degree_one_generic_two_variables():
-    g, count = generic_polynomial(2, 1, lam(3))
-    assert count == 3
+    g = generic(2, 1, lam(3))
+    assert len(g.terms) == 3
     assert g == parse_polynomial("M1 + M2*Y1 + M3*Y2", g.context)
 
 
 def test_monomial_count_s2_d2():
-    _, count = generic_polynomial(2, 2, lam(6))
-    assert count == 6
+    assert len(generic(2, 2, lam(6)).terms) == 6
 
 
 @pytest.mark.parametrize("s,degree", [(s, d) for s in range(1, 5) for d in range(6)])
 def test_count_matches_binomial(s, degree):
     names = lam(math.comb(s + degree, degree))
-    _, count = generic_polynomial(s, degree, names)
-    assert count == math.comb(s + degree, degree)
+    assert len(generic(s, degree, names).terms) == math.comb(s + degree, degree)
 
 
 def test_block_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        generic_polynomial(2, 1, lam(2))
+        generic(2, 1, lam(2))
 
 
 def test_quasi_generic_degree_zero_offset_minus_parameter():
@@ -53,15 +61,21 @@ def test_quasi_generic_degree_zero_offset_minus_parameter():
 
 
 def test_quasi_generic_full_support_equals_generic():
+    # The expected form is built from variables alone, by products and sums.
     for s in range(1, 4):
         for degree in range(4):
-            y_names = tuple(f"Y{i}" for i in range(1, s + 1))
-            ctx = context(y_names)
             names = lam(math.comb(s + degree, degree))
             spec = QuasiGenericSpec(support=tuple(monomials_upto(s, degree)),
-                                    offset=Polynomial.zero(ctx), lambda_names=names)
-            full, _ = generic_polynomial(s, degree, names, y_names)
-            assert quasi_generic(spec) == full
+                                    offset=Polynomial.zero(context(y_names(s))),
+                                    lambda_names=names)
+            ctx = context(y_names(s), lambdas=(("L", names),))
+            expected = Polynomial.zero(ctx)
+            for name, exp in zip(names, monomials_upto(s, degree)):
+                term = Polynomial.variable(ctx, name)
+                for y, e in zip(y_names(s), exp):
+                    term = term * Polynomial.variable(ctx, y) ** e
+                expected = expected + term
+            assert quasi_generic(spec) == expected
 
 
 def test_quasi_generic_partial_support_with_offset():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from primespec import (ContextMismatchError, Ideal, LambdaAssignment, Polynomial,
-                       build_parametric_system, context, eliminate, grevlex,
-                       intersect_generic, is_prime, parse_polynomial,
+                       build_parametric_system, context, eliminate, generic_form, grevlex,
+                       intersect_generic, is_prime, monomials_upto, parse_polynomial,
                        specialize_polynomial, specialize_scalar)
 from primespec.primality import NOT_PRIME, PRIME
 from primespec.specialize import SpecializationPoint
@@ -85,6 +85,40 @@ def test_specialization_point_validation():
         SpecializationPoint("poly", polys=(parse_polynomial("Y^2", ctx),), degree_bounds=(1,))
     with pytest.raises(ValueError):
         SpecializationPoint("other")
+
+
+def test_generic_form_rational_block_drops_zeros():
+    ctx = context(("Y1", "Y2"))
+    form = generic_form(ctx, monomials_upto(2, 1), (2, 0, Fraction(-1, 3)))
+    assert form == parse_polynomial("2 - 1/3 Y2", ctx)
+    assert form.terms == {(0, 0): 2, (0, 1): Fraction(-1, 3)}
+    assert generic_form(ctx, monomials_upto(2, 2), (0,) * 6).is_zero
+
+
+def test_generic_form_lambda_block():
+    names = ("A", "B", "C", "D", "E", "F")
+    ctx = context(("Y1", "Y2"), lambdas=(("L", names),))
+    form = generic_form(ctx, monomials_upto(2, 2), names)
+    assert form == parse_polynomial("A + B*Y1 + C*Y2 + D*Y1^2 + E*Y1*Y2 + F*Y2^2", ctx)
+    assert set(form.terms.values()) == {1}
+
+
+def test_generic_form_mixed_layout():
+    # (lambda | T | Y): exponents land on the Y slots, names on their own slot
+    ctx = context(("Y1", "Y2"), params=("T",), lambdas=(("L", ("A", "B")),))
+    form = generic_form(ctx, ((0, 0), (2, 1), (0, 1)), ("A", "B", -5))
+    assert form.terms == {(1, 0, 0, 0, 0): 1, (0, 1, 0, 2, 1): 1, (0, 0, 0, 0, 1): -5}
+    assert form == parse_polynomial("A + B*Y1^2*Y2 - 5*Y2", ctx)
+
+
+def test_generic_form_length_mismatch_rejected():
+    ctx = context(("Y1", "Y2"))
+    support = monomials_upto(2, 1)
+    for coefficients in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            generic_form(ctx, support, coefficients)
+    with pytest.raises(ValueError):
+        generic_form(ctx, ((0, 0, 1),), (1,))
 
 
 def test_intersect_empty_is_identity(circle):

@@ -15,9 +15,8 @@ from .parse import parse_ideal_source, parse_polynomial, read_ideal_file
 from .poly import Polynomial, monomials_upto
 from .primality import (PrimalityVerdict, ZeroDimQuotient, is_prime,
                         minimal_polynomial, quotient_basis)
-from .specialize import (LambdaAssignment, SpecializationPoint, build_parametric_system,
-                         generic_form, intersect_generic, specialize_polynomial,
-                         specialize_scalar)
+from .specialize import (build_parametric_system, generic_form, intersect_generic,
+                         specialize_polynomial, specialize_scalar)
 
 __all__ = [
     "Block", "VariableContext", "context",
@@ -34,6 +33,6 @@ __all__ = [
     "PrimalityVerdict",
     "QuasiGenericSpec", "quasi_generic",
     "hypothesis_h_sufficient", "HypothesisHStatus",
-    "SpecializationPoint", "LambdaAssignment", "specialize_scalar",
-    "specialize_polynomial", "intersect_generic", "build_parametric_system", "generic_form",
+    "specialize_scalar", "specialize_polynomial", "intersect_generic",
+    "build_parametric_system", "generic_form",
 ]

@@ -7,6 +7,10 @@ dimension; *inconclusive* when the probabilistic test cannot decide or a
 budget runs out.  Densities are reported both against all samples and
 against the decisive ones, always as exact fractions alongside floats.
 
+Each sample stores its point as JSON (``sample_point``); ``specialize_point``
+builds the specialized ideal from that point both when the sample runs and
+when ``verify_report`` replays it.
+
 Reports are deterministic for a fixed config and seed: every sample owns
 an independent random stream derived from (seed, index), so handing the
 samples to a process pool in chunks (``workers > 1``) never affects
@@ -29,15 +33,15 @@ from random import Random
 from . import __version__
 from .context import context as make_context
 from .errors import BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError
-from .groebner import GBLimits, Ideal, eliminate
+from .groebner import DEFAULT_LIMITS, GBLimits, Ideal, eliminate
 from .orders import grevlex
 from .parse import parse_ideal_source, parse_polynomial
 from .poly import Polynomial, monomials_upto
 from .primality import (DEFAULT_BOX_CAP, DEFAULT_BOX_START, DEFAULT_TRIALS,
                         INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, _certificate_error,
                         is_prime)
-from .specialize import (LambdaAssignment, SpecializationPoint, generic_form,
-                         intersect_generic, specialize_polynomial, specialize_scalar)
+from .specialize import (generic_form, intersect_generic, specialize_polynomial,
+                         specialize_scalar)
 
 SCALAR_SPEC = "ScalarSpec"
 GENERIC_INTERSECT = "GenericIntersect"
@@ -171,62 +175,70 @@ def derive_seed(seed: int, index: int, purpose: str = "sample") -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_scalar(r: int, box: int, rng: Random) -> SpecializationPoint:
-    return SpecializationPoint("scalar",
-                               scalars=tuple(rng.randint(-box, box) for _ in range(r)))
+def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random) -> dict:
+    """Draw one specialization point, coordinates uniform on [-H, H].
 
-
-def sample_lambda(degrees, s: int, box: int, rng: Random) -> LambdaAssignment:
-    blocks = []
-    for degree in degrees:
-        count = math.comb(s + degree, degree)
-        blocks.append(tuple(Fraction(rng.randint(-box, box)) for _ in range(count)))
-    return LambdaAssignment(tuple(blocks))
-
-
-def sample_poly_values(degrees, y_context, box: int, rng: Random) -> SpecializationPoint:
-    polys = []
-    for degree in degrees:
-        support = monomials_upto(y_context.s, degree)
-        polys.append(generic_form(y_context, support, [rng.randint(-box, box) for _ in support]))
-    return SpecializationPoint("poly", polys=tuple(polys), degree_bounds=tuple(degrees))
-
-
-def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random):
-    """Draw one specialization point with coordinates uniform on [-H, H]."""
+    Returns the point as the report stores it: scalar values, polynomial
+    values with their degree bounds, or one coefficient block per cutting
+    hypersurface, each number and polynomial as a string.
+    """
+    ctx = ideal.context
     if kind in (SCALAR_SPEC, CONSISTENCY):
-        return sample_scalar(ideal.context.r, box, rng)
+        return {"kind": "scalar", "values": [str(rng.randint(-box, box)) for _ in range(ctx.r)]}
     if kind == POLY_SPEC:
-        return sample_poly_values(degrees, ideal.context.drop_role("param"), box, rng)
+        y_ctx = ctx.drop_role("param")
+        supports = [monomials_upto(y_ctx.s, degree) for degree in degrees]
+        values = [str(generic_form(y_ctx, support, [rng.randint(-box, box) for _ in support]))
+                  for support in supports]
+        return {"kind": "poly", "values": values, "degrees": list(degrees)}
     if kind == GENERIC_INTERSECT:
-        return sample_lambda(degrees, ideal.context.s, box, rng)
+        return {"kind": "lambda",
+                "blocks": [[str(rng.randint(-box, box)) for _ in range(math.comb(ctx.s + d, d))]
+                           for d in degrees]}
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 
 # -- per-sample work ----------------------------------------------------------
 
 
-def _point_json(point):
-    if isinstance(point, LambdaAssignment):
-        return {"kind": "lambda", "blocks": [[str(v) for v in b] for b in point.blocks]}
-    if point.kind == "scalar":
-        return {"kind": "scalar", "values": [str(v) for v in point.scalars]}
-    return {"kind": "poly", "values": [str(p) for p in point.polys],
-            "degrees": list(point.degree_bounds)}
+_POINT_KINDS = {SCALAR_SPEC: "scalar", CONSISTENCY: "scalar", POLY_SPEC: "poly",
+                GENERIC_INTERSECT: "lambda"}
 
 
-def _specialize_for_kind(kind, ideal, degrees, point):
-    if kind in (SCALAR_SPEC, CONSISTENCY):
-        return specialize_scalar(ideal, point.scalars)
-    if kind == POLY_SPEC:
-        return specialize_polynomial(ideal, point.polys)
-    return intersect_generic(ideal, degrees, point)
+def specialize_point(ideal: Ideal, kind: str, degrees, point: dict) -> Ideal:
+    """The specialized ideal at a point in the form ``sample_point`` returns.
+
+    Raises PrimespecError when the point's form does not fit the experiment
+    ``kind`` or a polynomial value exceeds its recorded degree bound, and
+    ValueError on malformed numbers, counts or block sizes.
+    """
+    if point["kind"] != _POINT_KINDS.get(kind):
+        raise PrimespecError(f"a {point['kind']!r} point does not fit a {kind} experiment")
+    if point["kind"] == "scalar":
+        return specialize_scalar(ideal, [Fraction(v) for v in point["values"]])
+    if point["kind"] == "poly":
+        y_ctx = ideal.context.drop_role("param")
+        values = [parse_polynomial(v, y_ctx) for v in point["values"]]
+        for value, bound in zip(values, point["degrees"], strict=True):
+            if value.total_degree() > bound:
+                raise PrimespecError(f"value {value} exceeds its degree bound {bound}")
+        return specialize_polynomial(ideal, values)
+    return intersect_generic(ideal, degrees,
+                             [[Fraction(v) for v in block] for block in point["blocks"]])
 
 
 def _is_degenerate(kind, point, specialized):
     if kind == GENERIC_INTERSECT:
-        return any(all(v == 0 for v in block) for block in point.blocks)
+        return any(all(Fraction(v) == 0 for v in block) for block in point["blocks"])
     return specialized.is_zero
+
+
+def _consistent(ideal: Ideal, specialized: Ideal, point: dict, limits: GBLimits) -> bool:
+    """Scalar specialization equals specialization at the constant polynomials."""
+    twin = specialize_polynomial(
+        ideal, [Polynomial.constant(specialized.context, Fraction(v)) for v in point["values"]])
+    return (specialized.groebner(grevlex, limits).polys
+            == twin.groebner(grevlex, limits).polys)
 
 
 def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int) -> dict:
@@ -239,7 +251,7 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
                       deadline=time.monotonic() + budgets.sample_timeout_ms / 1000.0)
     record = {
         "index": index,
-        "point": _point_json(point),
+        "point": point,
         "verdict": INCONCLUSIVE,
         "dimension": None,
         "expected_dimension": expected,
@@ -247,15 +259,11 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
         "elapsed_ms": 0.0,
     }
     try:
-        specialized = _specialize_for_kind(config.kind, ideal, config.degrees, point)
+        specialized = specialize_point(ideal, config.kind, config.degrees, point)
         if _is_degenerate(config.kind, point, specialized):
             record["degenerate_specialization"] = True
         if config.kind == CONSISTENCY:
-            twin = specialize_polynomial(
-                ideal, tuple(Polynomial.constant(specialized.context, v)
-                             for v in point.scalars))
-            same = (specialized.groebner(grevlex, limits).polys
-                    == twin.groebner(grevlex, limits).polys)
+            same = _consistent(ideal, specialized, point, limits)
             record["verdict"] = CONSISTENT if same else INCONSISTENT
             record["dimension"] = specialized.dimension(limits)
         else:
@@ -417,27 +425,6 @@ def emit_report(report: dict, fmt: str, path) -> None:
             ])
 
 
-def _rebuild_specialized(config_echo, sample):
-    source = config_echo["ideal_source"]
-    ctx = make_context(source["vars"], params=source["params"])
-    ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
-    point_json = sample["point"]
-    kind = config_echo["kind"]
-    if point_json["kind"] == "scalar":
-        point = SpecializationPoint("scalar",
-                                    scalars=tuple(Fraction(v) for v in point_json["values"]))
-    elif point_json["kind"] == "poly":
-        y_ctx = ctx.drop_role("param")
-        point = SpecializationPoint(
-            "poly",
-            polys=tuple(parse_polynomial(v, y_ctx) for v in point_json["values"]),
-            degree_bounds=tuple(point_json["degrees"]))
-    else:
-        point = LambdaAssignment(tuple(tuple(Fraction(v) for v in block)
-                                       for block in point_json["blocks"]))
-    return _specialize_for_kind(kind, ideal, tuple(config_echo["degrees"]), point), ideal
-
-
 def verify_report(report: dict) -> list[str]:
     """Replay every failure witness in a report; raises on any mismatch.
 
@@ -464,11 +451,15 @@ def verify_report(report: dict) -> list[str]:
         raise PrimespecError("density_exact does not match good/n")
     messages.append(f"accounting confirmed for {n} samples")
 
+    config = report["config"]
+    source = config["ideal_source"]
+    ctx = make_context(source["vars"], params=source["params"])
+    ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
     for sample in samples:
         if classify(sample) != "bad":
             continue
         index = sample["index"]
-        specialized, base_ideal = _rebuild_specialized(report["config"], sample)
+        specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
         verdict = sample["verdict"]
         if verdict == NOT_PRIME:
             cert = sample["certificate"]
@@ -483,11 +474,7 @@ def verify_report(report: dict) -> list[str]:
                 raise PrimespecError(f"sample {index}: unit-ideal verdict does not replay")
             messages.append(f"sample {index}: unit ideal confirmed")
         elif verdict == INCONSISTENT:
-            twin = specialize_polynomial(
-                base_ideal,
-                tuple(Polynomial.constant(specialized.context, Fraction(v))
-                      for v in sample["point"]["values"]))
-            if specialized.groebner().polys == twin.groebner().polys:
+            if _consistent(ideal, specialized, sample["point"], DEFAULT_LIMITS):
                 raise PrimespecError(f"sample {index}: inconsistency does not replay")
             messages.append(f"sample {index}: inconsistency confirmed")
         else:

@@ -136,6 +136,8 @@ def _yun_squarefree(f):
     Returns [(part, multiplicity)] with pairwise-coprime primitive
     squarefree parts whose weighted product is f.
     """
+    if len(f) == 3 and f[1] * f[1] != 4 * f[0] * f[2]:
+        return [(f, 1)]  # a nonzero discriminant: no repeated root
     d = _zx_gcd(f, _zx_derivative(f))
     if len(d) == 1:
         return [(f, 1)]

@@ -85,10 +85,6 @@ class Polynomial:
         exp[context.index[name]] = 1
         return Polynomial(context, {tuple(exp): Fraction(1)})
 
-    @staticmethod
-    def monomial(context, exp, coeff=1) -> Polynomial:
-        return Polynomial(context, {tuple(exp): _coerce(coeff)})
-
     # -- queries ------------------------------------------------------------
 
     @property

@@ -256,11 +256,11 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
     return acc
 
 
-def _field_test(ideal: Ideal, quotient: ZeroDimQuotient, rng, trials,
+def _field_test(quotient: ZeroDimQuotient, rng, trials,
                 box_start, box_cap, limits) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive."""
-    ctx = ideal.context
-    basis = ideal.groebner(grevlex, limits)
+    basis = quotient.basis
+    ctx = basis.context
     box = box_start
     for attempt in range(1, trials + 1):
         u = _random_linear_form(ctx, rng, box)
@@ -309,7 +309,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     dim = ideal.dimension(limits)
     if dim == 0:
         quotient = ZeroDimQuotient(basis, limits)
-        return _field_test(ideal, quotient, rng, trials, box_start, box_cap, limits)
+        return _field_test(quotient, rng, trials, box_start, box_cap, limits)
 
     box = box_start
     sections = []
@@ -331,7 +331,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
                                     reason="no zero-dimensional section found")
         forms, cut = section
         quotient = ZeroDimQuotient(cut.groebner(grevlex, limits), limits)
-        inner = _field_test(cut, quotient, rng, trials, box, box_cap, limits)
+        inner = _field_test(quotient, rng, trials, box, box_cap, limits)
         if inner.status == INCONCLUSIVE:
             return PrimalityVerdict(INCONCLUSIVE, confidence_trials=trial - 1,
                                     reason=inner.reason or "section test inconclusive")

@@ -2,7 +2,8 @@
 
 * scalar specialization: substitute the parameters T by rational values,
 * generic intersection: adjoin degree-bounded hypersurfaces whose
-  coefficients are specialized at a rational assignment,
+  coefficients are given as blocks of rationals, one block per
+  hypersurface,
 * polynomial specialization: substitute each T_i by a polynomial in the
   ambient variables.
 
@@ -19,46 +20,12 @@ coefficients and eliminating T reproduces the pointwise construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import Block, ROLE_LAMBDA, ROLE_PARAM
 from .errors import ContextMismatchError
 from .groebner import Ideal
 from .poly import Polynomial, monomials_upto
-
-
-@dataclass(frozen=True)
-class SpecializationPoint:
-    """A scalar tuple in Q^r or a tuple of degree-bounded polynomials."""
-
-    kind: str  # "scalar" | "poly"
-    scalars: tuple[Fraction, ...] = ()
-    polys: tuple[Polynomial, ...] = ()
-    degree_bounds: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "scalar":
-            object.__setattr__(self, "scalars", tuple(Fraction(v) for v in self.scalars))
-        elif self.kind == "poly":
-            if len(self.degree_bounds) != len(self.polys):
-                raise ValueError("one degree bound per polynomial value required")
-            for p, bound in zip(self.polys, self.degree_bounds):
-                if p.total_degree() > bound:
-                    raise ValueError(f"value {p} exceeds its degree bound {bound}")
-        else:
-            raise ValueError(f"unknown specialization kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class LambdaAssignment:
-    """Rational values for the coefficient blocks, one block per hypersurface."""
-
-    blocks: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks",
-                           tuple(tuple(Fraction(v) for v in block) for block in self.blocks))
 
 
 def _target_without_params(ideal: Ideal):
@@ -118,25 +85,25 @@ def generic_form(ctx, support, coefficients) -> Polynomial:
     return Polynomial(ctx, terms)
 
 
-def intersect_generic(ideal: Ideal, degrees, assignment: LambdaAssignment) -> Ideal:
+def intersect_generic(ideal: Ideal, degrees, blocks) -> Ideal:
     """Adjoin specialized degree-bounded hypersurfaces to an ideal in K[Y].
 
-    Requires len(degrees) <= dim of the quotient; an empty degree list
-    returns the ideal unchanged.
+    ``blocks`` holds one sequence of rationals per degree, the coefficients
+    of that hypersurface in ``monomials_upto`` order; a count or length
+    mismatch raises ValueError.  Requires len(degrees) <= dim of the
+    quotient; an empty degree list returns the ideal unchanged.
     """
     degrees = tuple(degrees)
     if not degrees:
         return ideal
     if ideal.context.r or ideal.context.lambda_names:
         raise ContextMismatchError("generic intersection expects an ideal in the Y-variables only")
-    if len(assignment.blocks) != len(degrees):
-        raise ValueError("one coefficient block per hypersurface required")
     d = ideal.dimension()
     if len(degrees) > d:
         raise ValueError(f"cannot cut {len(degrees)} times: dimension is {d}")
     s = ideal.context.s
     extra = [generic_form(ideal.context, monomials_upto(s, degree), block)
-             for degree, block in zip(degrees, assignment.blocks)]
+             for degree, block in zip(degrees, blocks, strict=True)]
     return ideal.adjoin(extra)
 
 

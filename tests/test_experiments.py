@@ -9,11 +9,11 @@ import sys
 import pytest
 
 from primespec import ConfigError, HypothesisViolationError, PrimespecError, context
+from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, classify, derive_seed,
                                    emit_report, parse_experiment_config,
                                    read_experiment_config, report_hash, run_experiment,
-                                   sample_lambda, sample_point, sample_poly_values,
-                                   sample_scalar, verify_report)
+                                   sample_point, verify_report)
 from primespec.groebner import Ideal
 from primespec.parse import parse_polynomial
 
@@ -122,35 +122,39 @@ def test_serial_import_skips_multiprocessing():
 
 
 def test_sampling_is_deterministic():
-    a = sample_scalar(3, 50, seeded(9))
-    b = sample_scalar(3, 50, seeded(9))
+    plane = Ideal(context(("Y1", "Y2"), params=("T1", "T2", "T3")), [])
+    a = sample_point("ScalarSpec", plane, (), 50, seeded(9))
+    b = sample_point("ScalarSpec", plane, (), 50, seeded(9))
     assert a == b
-    assert all(-50 <= v <= 50 for v in a.scalars)
-    la = sample_lambda((1, 2), 2, 10, seeded(9))
-    lb = sample_lambda((1, 2), 2, 10, seeded(9))
+    assert all(-50 <= int(v) <= 50 for v in a["values"])
+    circle = Ideal(context(("Y1", "Y2")), [])
+    la = sample_point("GenericIntersect", circle, (1, 2), 10, seeded(9))
+    lb = sample_point("GenericIntersect", circle, (1, 2), 10, seeded(9))
     assert la == lb
-    assert [len(block) for block in la.blocks] == [3, 6]
+    assert [len(block) for block in la["blocks"]] == [3, 6]
 
 
 def test_poly_sampling_respects_degree_bounds():
+    ideal_ctx = context(("Y",), params=("T",))
+    ideal = Ideal(ideal_ctx, [])
     y_ctx = context(("Y",))
-    point = sample_poly_values((1,), y_ctx, 1, seeded(3))
-    assert point.polys[0].total_degree() <= 1
+    point = sample_point("PolySpec", ideal, (1,), 1, seeded(3))
+    assert parse_polynomial(point["values"][0], y_ctx).total_degree() <= 1
     # box 1, degree 1: coefficients drawn from {-1,0,1}
     seen = set()
     for s in range(60):
-        p = sample_poly_values((1,), y_ctx, 1, seeded(s)).polys[0]
-        for coeff in p.terms.values():
+        value = sample_point("PolySpec", ideal, (1,), 1, seeded(s))["values"][0]
+        for coeff in parse_polynomial(value, y_ctx).terms.values():
             assert coeff in (-1, 1)
-        seen.add(str(p))
+        seen.add(value)
     assert len(seen) > 3
 
 
 def test_sample_point_dispatch():
     ideal_ctx = context(("Y",), params=("T",))
     ideal = Ideal(ideal_ctx, [parse_polynomial("Y^2 - T", ideal_ctx)])
-    assert sample_point("ScalarSpec", ideal, (), 5, seeded(1)).kind == "scalar"
-    assert sample_point("PolySpec", ideal, (2,), 5, seeded(1)).kind == "poly"
+    assert sample_point("ScalarSpec", ideal, (), 5, seeded(1))["kind"] == "scalar"
+    assert sample_point("PolySpec", ideal, (2,), 5, seeded(1))["kind"] == "poly"
 
 
 def test_derived_seeds_differ():
@@ -238,6 +242,36 @@ def test_verify_report_detects_tampering(parabola_path):
     counted["aggregate"]["good"] += 1
     with pytest.raises(PrimespecError):
         verify_report(counted)
+
+
+TAMPERED_POINTS = {
+    "lambda point in a ScalarSpec report": (
+        "ScalarSpec", (), 9, lambda point: {"kind": "lambda", "blocks": [["1", "0", "1"]]},
+        PrimespecError, "does not fit a ScalarSpec experiment", 1),
+    "PolySpec value above its degree": (
+        "PolySpec", (1,), 3, lambda point: {**point, "values": ["Y^2 - 4"]},
+        PrimespecError, "exceeds its degree bound 1", 1),
+    "lambda block of the wrong length": (
+        "GenericIntersect", (1,), 3, lambda point: {**point, "blocks": [point["blocks"][0][:-1]]},
+        ValueError, "shorter than argument", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_POINTS))
+def test_verify_report_rejects_tampered_points(case, parabola_path, circle_path, tmp_path):
+    kind, degrees, box, tamper, error, message, code = TAMPERED_POINTS[case]
+    path = circle_path if kind == "GenericIntersect" else parabola_path
+    report = run_experiment(ExperimentConfig(kind=kind, ideal_path=path, box=box, samples=60,
+                                             seed=2, degrees=degrees))
+    # verify_report replays only bad samples, so the tampered point is a bad one
+    sample = next(s for s in report["samples"] if classify(s) == "bad")
+    sample["point"] = tamper(sample["point"])
+    with pytest.raises(error, match=re.escape(message)):
+        verify_report(json.loads(json.dumps(report)))
+    # main returns the exit code only when it catches the error: no traceback
+    report_path = tmp_path / "tampered.json"
+    emit_report(report, "json", report_path)
+    assert main(["verify-report", str(report_path)]) == code
 
 
 def test_intersect_experiment_runs(circle_path):
@@ -347,3 +381,6 @@ def test_shipped_config_report_hash(name, monkeypatch):
     monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     report = run_experiment(read_experiment_config(f"configs/{name}.conf"))
     assert report_hash(report)[:16] == SHIPPED_CONFIG_HASHES[name]
+    reloaded = json.loads(json.dumps(report))
+    assert report_hash(reloaded) == report_hash(report)
+    verify_report(reloaded)

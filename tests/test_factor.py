@@ -8,6 +8,7 @@ import pytest
 
 from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError, context,
                        factor_univariate, parse_polynomial)
+from primespec import factor
 from primespec.factor import (_berlekamp, _choose_prime, _gf_from_zx, _gf_monic, _hensel_lift,
                               _yun_squarefree, _zassenhaus, _zx_div_exact, _zx_gcd, _zx_mul,
                               _zx_primitive, mignotte_factor_height)
@@ -196,6 +197,34 @@ def test_irreducible_quadratics_stay_one_factor(y):
         _, factors = factor_univariate(p)
         assert [(_dense(g), m) for g, m in factors] == [(f, 1)]
         assert _zassenhaus(f, DEFAULT_LIMITS) == [f]
+
+
+def test_yun_decides_quadratics_by_their_discriminant(y, monkeypatch):
+    # A nonzero discriminant already proves a quadratic squarefree.
+    def no_gcd(f, g):
+        raise AssertionError(f"gcd of {f} and {g}")
+
+    monkeypatch.setattr(factor, "_zx_gcd", no_gcd)
+    rng = seeded(64)
+    bound = 1 << 40
+    checked = 0
+    while checked < 50:
+        c, b, a = (rng.randint(-bound, bound) for _ in range(3))
+        if a == 0 or b * b == 4 * a * c:
+            continue
+        f = _zx_primitive([c, b, a])
+        assert _yun_squarefree(f) == [(f, 1)]
+        p = Polynomial(y, {(i,): Fraction(v) for i, v in enumerate((c, b, a)) if v})
+        unit, factors = factor_univariate(p)
+        assert reassemble(y, unit, factors) == p
+        checked += 1
+
+    # Discriminant 0: 4z^2 + 4z + 1 = (2z + 1)^2 still runs the gcd.
+    calls = []
+    monkeypatch.setattr(factor, "_zx_gcd", lambda f, g: calls.append(f) or _zx_gcd(f, g))
+    _, factors = factor_univariate(parse_polynomial("4*Y^2 + 4*Y + 1", y))
+    assert [(str(f), m) for f, m in factors] == [("2*Y + 1", 2)]
+    assert calls
 
 
 def test_quadratics_agree_with_oracle(y):

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (ContextMismatchError, Ideal, LambdaAssignment, Polynomial,
-                       build_parametric_system, context, eliminate, generic_form, grevlex,
-                       intersect_generic, is_prime, monomials_upto, parse_polynomial,
-                       specialize_polynomial, specialize_scalar)
+from primespec import (ContextMismatchError, Ideal, Polynomial, build_parametric_system,
+                       context, eliminate, generic_form, grevlex, intersect_generic, is_prime,
+                       monomials_upto, parse_polynomial, specialize_polynomial,
+                       specialize_scalar)
 from primespec.primality import NOT_PRIME, PRIME
-from primespec.specialize import SpecializationPoint
 
 from conftest import make_ideal, seeded
 
@@ -79,14 +78,6 @@ def test_degree_zero_matches_scalar_bit_for_bit():
         assert scalar.groebner(grevlex).polys == constant.groebner(grevlex).polys
 
 
-def test_specialization_point_validation():
-    ctx = context(("Y",))
-    with pytest.raises(ValueError):
-        SpecializationPoint("poly", polys=(parse_polynomial("Y^2", ctx),), degree_bounds=(1,))
-    with pytest.raises(ValueError):
-        SpecializationPoint("other")
-
-
 def test_generic_form_rational_block_drops_zeros():
     ctx = context(("Y1", "Y2"))
     form = generic_form(ctx, monomials_upto(2, 1), (2, 0, Fraction(-1, 3)))
@@ -122,19 +113,19 @@ def test_generic_form_length_mismatch_rejected():
 
 
 def test_intersect_empty_is_identity(circle):
-    assert intersect_generic(circle, (), LambdaAssignment(())) is circle
+    assert intersect_generic(circle, (), ()) is circle
 
 
 def test_intersect_bad_lambda_reducible(circle):
     # lambda = (0,0,1) cuts with the line Y2 = 0, leaving Y1^2 - 1: reducible
-    cut = intersect_generic(circle, (1,), LambdaAssignment(((0, 0, 1),)))
+    cut = intersect_generic(circle, (1,), ((0, 0, 1),))
     assert [str(g) for g in cut.generators] == ["Y1^2 + Y2^2 - 1", "Y2"]
     assert is_prime(cut, seed=0).status == NOT_PRIME
 
 
 def test_intersect_good_lambda_prime(circle):
     # 2 + Y1 + Y2: eliminating Y2 leaves 2Y1^2 + 4Y1 + 3 with discriminant -8
-    cut = intersect_generic(circle, (1,), LambdaAssignment(((2, 1, 1),)))
+    cut = intersect_generic(circle, (1,), ((2, 1, 1),))
     verdict = is_prime(cut, seed=0)
     assert verdict.status == PRIME
     assert cut.dimension() == 0
@@ -142,18 +133,18 @@ def test_intersect_good_lambda_prime(circle):
 
 def test_intersect_secant_through_rational_points(circle):
     # 1 + Y1 + Y2 meets the circle at (0,-1) and (-1,0): not prime
-    cut = intersect_generic(circle, (1,), LambdaAssignment(((1, 1, 1),)))
+    cut = intersect_generic(circle, (1,), ((1, 1, 1),))
     assert is_prime(cut, seed=0).status == NOT_PRIME
 
 
 def test_intersect_codimension_bounded(circle):
     with pytest.raises(ValueError):
-        intersect_generic(circle, (1, 1), LambdaAssignment(((1, 1, 1), (1, 1, 1))))
+        intersect_generic(circle, (1, 1), ((1, 1, 1), (1, 1, 1)))
 
 
 def test_intersect_requires_plain_context(parabola_family):
     with pytest.raises(ContextMismatchError):
-        intersect_generic(parabola_family, (1,), LambdaAssignment(((1, 1),)))
+        intersect_generic(parabola_family, (1,), ((1, 1),))
 
 
 def test_cut_dimension_drops_by_one_when_prime():
@@ -169,7 +160,7 @@ def test_cut_dimension_drops_by_one_when_prime():
         for _ in range(100):
             block = tuple(Fraction(rng.randint(-20, 20))
                           for _ in range(len(ideal.context.var_names) + 1))
-            cut = intersect_generic(ideal, (1,), LambdaAssignment((block,)))
+            cut = intersect_generic(ideal, (1,), (block,))
             verdict = is_prime(cut, trials=3, seed=rng.randint(0, 10**6))
             if verdict.status == PRIME:
                 confirmed += 1
@@ -218,7 +209,7 @@ def test_double_cut_of_sphere_drops_dimension_by_two():
     for k in range(30):
         blocks = tuple(tuple(Fraction(rng.randint(-15, 15)) for _ in range(4))
                        for _ in range(2))
-        cut = intersect_generic(sphere, (1, 1), LambdaAssignment(blocks))
+        cut = intersect_generic(sphere, (1, 1), blocks)
         if is_prime(cut, trials=3, seed=k).status == PRIME:
             confirmed += 1
             assert cut.dimension() == 0

@@ -13,8 +13,7 @@ from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, eliminate,
 from .orders import MonomialOrder, block_order, elimination_order, grevlex, lex
 from .parse import parse_ideal_source, parse_polynomial, read_ideal_file
 from .poly import Polynomial, monomials_upto
-from .primality import (PrimalityVerdict, ZeroDimQuotient, is_prime,
-                        minimal_polynomial, quotient_basis)
+from .primality import PrimalityVerdict, ZeroDimQuotient, is_prime, minimal_polynomial
 from .specialize import (build_parametric_system, generic_form, intersect_generic,
                          specialize_polynomial, specialize_scalar)
 
@@ -29,7 +28,7 @@ __all__ = [
     "GBLimits", "GroebnerBasis", "Ideal", "buchberger",
     "ideal_dimension", "eliminate", "fiber_dimension",
     "factor_univariate",
-    "ZeroDimQuotient", "quotient_basis", "minimal_polynomial", "is_prime",
+    "ZeroDimQuotient", "minimal_polynomial", "is_prime",
     "PrimalityVerdict",
     "QuasiGenericSpec", "quasi_generic",
     "hypothesis_h_sufficient", "HypothesisHStatus",

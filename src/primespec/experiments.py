@@ -298,6 +298,22 @@ def classify(record) -> str:
     return "bad"
 
 
+def _aggregate(records) -> dict:
+    """The report's tally of sample classes and its densities of good samples."""
+    counts = {"good": 0, "bad": 0, "inconclusive": 0}
+    for record in records:
+        counts[classify(record)] += 1
+    n = len(records)
+    decisive = counts["good"] + counts["bad"]
+    return {
+        **counts,
+        "density_exact": str(Fraction(counts["good"], n)),
+        "density_float": counts["good"] / n,
+        "decisive_density_exact": str(Fraction(counts["good"], decisive)) if decisive else None,
+        "decisive_density_float": counts["good"] / decisive if decisive else None,
+    }
+
+
 # -- the experiment -----------------------------------------------------------
 
 
@@ -343,20 +359,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     else:
         records = list(map(task, indices))
 
-    counts = {"good": 0, "bad": 0, "inconclusive": 0}
-    for record in records:
-        counts[classify(record)] += 1
-    n = config.samples
-    decisive = counts["good"] + counts["bad"]
-    aggregate = {
-        "good": counts["good"],
-        "bad": counts["bad"],
-        "inconclusive": counts["inconclusive"],
-        "density_exact": str(Fraction(counts["good"], n)),
-        "density_float": counts["good"] / n,
-        "decisive_density_exact": str(Fraction(counts["good"], decisive)) if decisive else None,
-        "decisive_density_float": counts["good"] / decisive if decisive else None,
-    }
     config_echo = {
         "kind": config.kind,
         "ideal": config.ideal_path,
@@ -377,7 +379,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {
         "config": config_echo,
         "samples": records,
-        "aggregate": aggregate,
+        "aggregate": _aggregate(records),
         "tool_version": __version__,
         "seed": config.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -425,64 +427,62 @@ def emit_report(report: dict, fmt: str, path) -> None:
             ])
 
 
+def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | None:
+    """Replay the failure witness of a bad sample; None for other samples."""
+    try:
+        if classify(sample) != "bad":
+            return None
+        index, verdict, dimension = sample["index"], sample["verdict"], sample["dimension"]
+        specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
+        if verdict == NOT_PRIME:
+            f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
+                    for key in ("f", "g"))
+    except (KeyError, TypeError) as exc:
+        raise PrimespecError(f"sample {position}: malformed record: {exc!r}") from exc
+    if verdict == NOT_PRIME:
+        error = _certificate_error(specialized.groebner(), f, g)
+        if error is not None:
+            raise PrimespecError(f"sample {index}: certificate invalid: {error}")
+        return f"sample {index}: NotPrime certificate replayed"
+    if verdict == UNIT_IDEAL:
+        if not specialized.groebner().is_unit:
+            raise PrimespecError(f"sample {index}: unit-ideal verdict does not replay")
+        return f"sample {index}: unit ideal confirmed"
+    if verdict == INCONSISTENT:
+        if _consistent(ideal, specialized, sample["point"], DEFAULT_LIMITS):
+            raise PrimespecError(f"sample {index}: inconsistency does not replay")
+        return f"sample {index}: inconsistency confirmed"
+    dim = specialized.dimension()
+    if dim != dimension:
+        raise PrimespecError(f"sample {index}: recorded dimension {dimension}, recomputed {dim}")
+    if verdict == PRIME and dim == sample["expected_dimension"]:
+        raise PrimespecError(f"sample {index}: classified bad but replay looks good")
+    return f"sample {index}: dimension mismatch confirmed ({dim})"
+
+
 def verify_report(report: dict) -> list[str]:
     """Replay every failure witness in a report; raises on any mismatch.
 
-    Confirms the sample accounting, every NotPrime certificate (product
-    in the ideal, factors outside), every unit-ideal collapse, every
-    dimension mismatch, and every consistency failure.  Returns one
-    confirmation message per replayed check.
+    Confirms every NotPrime certificate (product in the ideal, factors
+    outside), every unit-ideal collapse, every dimension mismatch, every
+    consistency failure, and then the whole ``aggregate`` against the one
+    ``run_experiment`` computes.  A sample record with a missing or
+    mistyped field fails verification.  Returns one accounting message
+    and one message per replayed check.
     """
-    messages = []
     samples = report["samples"]
-    aggregate = report["aggregate"]
-    counts = {"good": 0, "bad": 0, "inconclusive": 0}
-    for sample in samples:
-        counts[classify(sample)] += 1
-    n = len(samples)
-    if n != report["config"]["n"]:
-        raise PrimespecError(f"sample count {n} differs from configured n")
-    for key in ("good", "bad", "inconclusive"):
-        if counts[key] != aggregate[key]:
-            raise PrimespecError(f"aggregate {key} is {aggregate[key]}, recomputed {counts[key]}")
-    if counts["good"] + counts["bad"] + counts["inconclusive"] != n:
-        raise PrimespecError("sample counts do not sum to n")
-    if str(Fraction(counts["good"], n)) != aggregate["density_exact"]:
-        raise PrimespecError("density_exact does not match good/n")
-    messages.append(f"accounting confirmed for {n} samples")
-
     config = report["config"]
+    n = len(samples)
+    if n != config["n"]:
+        raise PrimespecError(f"sample count {n} differs from configured n")
     source = config["ideal_source"]
     ctx = make_context(source["vars"], params=source["params"])
     ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
-    for sample in samples:
-        if classify(sample) != "bad":
-            continue
-        index = sample["index"]
-        specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
-        verdict = sample["verdict"]
-        if verdict == NOT_PRIME:
-            cert = sample["certificate"]
-            f = parse_polynomial(cert["f"], specialized.context)
-            g = parse_polynomial(cert["g"], specialized.context)
-            error = _certificate_error(specialized.groebner(), f, g)
-            if error is not None:
-                raise PrimespecError(f"sample {index}: certificate invalid: {error}")
-            messages.append(f"sample {index}: NotPrime certificate replayed")
-        elif verdict == UNIT_IDEAL:
-            if not specialized.groebner().is_unit:
-                raise PrimespecError(f"sample {index}: unit-ideal verdict does not replay")
-            messages.append(f"sample {index}: unit ideal confirmed")
-        elif verdict == INCONSISTENT:
-            if _consistent(ideal, specialized, sample["point"], DEFAULT_LIMITS):
-                raise PrimespecError(f"sample {index}: inconsistency does not replay")
-            messages.append(f"sample {index}: inconsistency confirmed")
-        else:
-            dim = specialized.dimension()
-            if dim != sample["dimension"]:
-                raise PrimespecError(
-                    f"sample {index}: recorded dimension {sample['dimension']}, recomputed {dim}")
-            if dim == sample["expected_dimension"] and verdict == PRIME:
-                raise PrimespecError(f"sample {index}: classified bad but replay looks good")
-            messages.append(f"sample {index}: dimension mismatch confirmed ({dim})")
-    return messages
+    replays = [_replay(ideal, config, position, sample) for position, sample in enumerate(samples)]
+    recorded, recomputed = report["aggregate"], _aggregate(samples)
+    if recorded != recomputed:
+        missing = object()
+        wrong = sorted(key for key in recorded.keys() | recomputed.keys()
+                       if recorded.get(key, missing) != recomputed.get(key, missing))
+        raise PrimespecError(f"aggregate {wrong} differs from the recomputed {recomputed}")
+    return [f"accounting confirmed for {n} samples"] + [m for m in replays if m is not None]

@@ -13,7 +13,11 @@ half the modular factor count.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
 throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
-or built.
+or built.  Berlekamp (m = p) and the Hensel lift (m = p^k) share one
+arithmetic modulo m, with residues in [0, m).  The symmetric
+representative in (-m/2, m/2] is taken in one place only: where the
+recombination turns a product of lifted factors into an integer
+candidate.
 """
 
 from __future__ import annotations
@@ -37,6 +41,22 @@ def _zx_strip(f):
 
 def _zx_degree(f):
     return len(f) - 1
+
+
+def _zx_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, b in enumerate(g):
+        out[i] += b
+    return _zx_strip(out)
+
+
+def _zx_sub(f, g):
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, b in enumerate(g):
+        out[i] -= b
+    return _zx_strip(out)
 
 
 def _zx_mul(f, g):
@@ -87,18 +107,6 @@ def _zx_div_exact(f, g):
     return q if not rem else None
 
 
-def _trunc_symmetric(f, m):
-    """Reduce coefficients into the symmetric range (-m/2, m/2]."""
-    half = m // 2
-    out = []
-    for c in f:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return _zx_strip(out)
-
-
 # -- integer gcd (used by Yun's squarefree decomposition) ---------------------
 
 
@@ -146,7 +154,7 @@ def _yun_squarefree(f):
     out = []
     i = 1
     while len(v) > 1:
-        z = _zx_strip([wc - vc for wc, vc in itertools.zip_longest(w, _zx_derivative(v), fillvalue=0)])
+        z = _zx_sub(w, _zx_derivative(v))
         h = _zx_gcd(v, z)
         if len(h) > 1:
             out.append((h, i))
@@ -156,75 +164,70 @@ def _yun_squarefree(f):
     return out
 
 
-# -- arithmetic modulo a prime (gf): lists of ints in [0, p) -----------------
+# -- arithmetic modulo m: stripped lists of residues in [0, m) ----------------
+# Inputs may be any integer lists.  A lead that is inverted must be a unit
+# mod m; the gcd, gcdex and nullspace helpers need m prime.
 
 
-def _gf_from_zx(f, p):
-    return _zx_strip([c % p for c in f])
+def _mod(f, m):
+    return _zx_strip([c % m for c in f])
 
 
-def _gf_monic(f, p):
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+def _mod_monic(f, m):
+    inv = pow(f[-1], -1, m)
+    return [c * inv % m for c in f]
 
 
-def _gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _zx_strip(out)
+def _mod_mul(f, g, m):
+    return _mod(_zx_mul(f, g), m)
 
 
-def _gf_divmod(f, g, p):
+def _mod_divmod(f, g, m):
+    """Quotient and remainder of f by g modulo m."""
     rem = list(f)
     dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
+    inv = pow(g[-1], -1, m)
     q = [0] * max(len(f) - dg, 0)
-    while len(rem) - 1 >= dg and rem:
-        c = rem[-1] * inv % p
-        k = len(rem) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            rem[k + i] = (rem[k + i] - c * b) % p
-        _zx_strip(rem)
-    return _zx_strip(q), rem
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = rem.pop() * inv % m
+        if c:
+            for i in range(dg):
+                rem[k + i] -= c * g[i]
+    return _mod(q, m), _mod(rem, m)
 
 
-def _gf_gcd(f, g, p):
+def _mod_gcd(f, g, p):
     while g:
-        f, g = g, _gf_divmod(f, g, p)[1]
-    return _gf_monic(f, p) if f else []
+        f, g = g, _mod_divmod(f, g, p)[1]
+    return _mod_monic(f, p) if f else []
 
 
-def _gf_gcdex(f, g, p):
-    """(s, t, gcd) with s*f + t*g = gcd, gcd monic."""
-    r0, r1 = list(f), list(g)
+def _mod_gcdex(f, g, p):
+    """(s, t, gcd) with s*f + t*g = gcd modulo p, gcd monic."""
+    r0, r1 = f, g
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _mod_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zx_strip([(a - b) % p for a, b in itertools.zip_longest(s0, _gf_mul(q, s1, p), fillvalue=0)])
-        t0, t1 = t1, _zx_strip([(a - b) % p for a, b in itertools.zip_longest(t0, _gf_mul(q, t1, p), fillvalue=0)])
+        s0, s1 = s1, _mod(_zx_sub(s0, _zx_mul(q, s1)), p)
+        t0, t1 = t1, _mod(_zx_sub(t0, _zx_mul(q, t1)), p)
     inv = pow(r0[-1], -1, p)
     return ([c * inv % p for c in s0],
             [c * inv % p for c in t0],
             [c * inv % p for c in r0])
 
 
-def _gf_pow_mod(base, n, mod, p):
+def _mod_pow(base, n, mod, m):
+    """base^n reduced by the polynomial mod, modulo m."""
     result = [1]
-    base = _gf_divmod(base, mod, p)[1]
+    base = _mod_divmod(base, mod, m)[1]
     while n:
         if n & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), mod, p)[1]
+            result = _mod_divmod(_zx_mul(result, base), mod, m)[1]
         n >>= 1
         if n:
-            base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
+            base = _mod_divmod(_zx_mul(base, base), mod, m)[1]
     return result
 
 
@@ -268,11 +271,11 @@ def _berlekamp(f, p):
     if n == 1:
         return [list(f)]
     # Frobenius matrix: row i holds x^(p*i) mod f.
-    xp = _gf_pow_mod([0, 1], p, f, p)
+    xp = _mod_pow([0, 1], p, f, p)
     rows = [[1] + [0] * (n - 1)]
     current = [1]
     for _ in range(1, n):
-        current = _gf_divmod(_gf_mul(current, xp, p), f, p)[1]
+        current = _mod_divmod(_zx_mul(current, xp), f, p)[1]
         rows.append(list(current) + [0] * (n - len(current)))
     # Null vectors v of (Q - I)^T satisfy v(x)^p = v(x) mod f.
     mat = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
@@ -293,15 +296,14 @@ def _berlekamp(f, p):
             pieces = []
             rest = u
             for c in range(p):
-                shifted = _zx_strip([(v[0] - c) % p] + v[1:]) if v else []
-                g = _gf_gcd(rest, shifted, p)
+                g = _mod_gcd(rest, _mod([v[0] - c] + v[1:], p), p)
                 if 0 < len(g) - 1 < len(rest) - 1:
                     pieces.append(g)
-                    rest = _gf_divmod(rest, g, p)[0]
+                    rest = _mod_divmod(rest, g, p)[0]
                     if len(rest) - 1 == 0:
                         break
             if len(rest) - 1 >= 1:
-                pieces.append(_gf_monic(rest, p))
+                pieces.append(_mod_monic(rest, p))
             next_factors.extend(pieces if pieces else [u])
         factors = next_factors
         if len(factors) == k:
@@ -312,37 +314,15 @@ def _berlekamp(f, p):
 # -- Hensel lifting -----------------------------------------------------------
 
 
-def _zx_mul_mod(f, g, m):
-    return _trunc_symmetric(_zx_mul(f, g), m)
-
-
-def _zx_divmod_monic_mod(f, g, m):
-    """divmod by a monic g with coefficients reduced mod m."""
-    rem = list(f)
-    dg = len(g) - 1
-    q = [0] * max(len(f) - dg, 0)
-    while len(rem) - 1 >= dg and rem:
-        c = rem[-1]
-        k = len(rem) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            rem[k + i] -= c * b
-        _zx_strip(rem)
-    return _trunc_symmetric(q, m), _trunc_symmetric(rem, m)
-
-
 def _hensel_step(M, f, g, h, s, t):
     """Lift f = g*h (mod m) to mod M, for s*g + t*h = 1 (mod m) and M | m^2.
 
     h stays monic and keeps its degree.
     """
-    e = _trunc_symmetric([a - b for a, b in itertools.zip_longest(f, _zx_mul(g, h), fillvalue=0)], M)
-    q, r = _zx_divmod_monic_mod(_zx_mul(s, e), h, M)
-    G = _trunc_symmetric([a + b for a, b in itertools.zip_longest(
-        g, _zx_strip([x + y for x, y in itertools.zip_longest(_zx_mul(t, e), _zx_mul(q, g), fillvalue=0)]),
-        fillvalue=0)], M)
-    H = _trunc_symmetric([a + b for a, b in itertools.zip_longest(h, r, fillvalue=0)], M)
-    return G, H
+    e = _mod(_zx_sub(f, _zx_mul(g, h)), M)
+    q, r = _mod_divmod(_zx_mul(s, e), h, M)
+    G = _mod(_zx_add(g, _zx_add(_zx_mul(t, e), _zx_mul(q, g))), M)
+    return G, _mod(_zx_add(h, r), M)
 
 
 def _bezout_step(M, G, H, s, t):
@@ -350,42 +330,32 @@ def _bezout_step(M, G, H, s, t):
 
     Degree bounds deg(s) < deg(H), deg(t) < deg(G) are preserved.
     """
-    b = _trunc_symmetric([a - (1 if i == 0 else 0) for i, a in enumerate(
-        _zx_strip([x + y for x, y in itertools.zip_longest(_zx_mul(s, G), _zx_mul(t, H), fillvalue=0)]))] or [-1], M)
-    c, d = _zx_divmod_monic_mod(_zx_mul(s, b), H, M)
-    S = _trunc_symmetric([x - y for x, y in itertools.zip_longest(s, d, fillvalue=0)], M)
-    T = _trunc_symmetric([x - y for x, y in itertools.zip_longest(
-        t, _zx_strip([u + v for u, v in itertools.zip_longest(_zx_mul(t, b), _zx_mul(c, G), fillvalue=0)]),
-        fillvalue=0)], M)
-    return S, T
+    b = _mod(_zx_sub(_zx_add(_zx_mul(s, G), _zx_mul(t, H)), [1]), M)
+    c, d = _mod_divmod(_zx_mul(s, b), H, M)
+    T = _mod(_zx_sub(t, _zx_add(_zx_mul(t, b), _zx_mul(c, G))), M)
+    return _mod(_zx_sub(s, d), M), T
 
 
 def _hensel_lift(p, f, modular_factors, l, limits):
     """Lift monic mod-p factors of f/lc(f) to monic factors mod p^l.
 
-    The returned integer polynomials are monic modulo p^l and their
-    product times lc(f) is congruent to f mod p^l.
+    The returned factors have residues in [0, p^l), and their product
+    times lc(f) is congruent to f mod p^l.
     """
     r = len(modular_factors)
-    lc = f[-1]
     pl = p ** l
     if r == 1:
-        inv = pow(lc % pl, -1, pl)
-        return [_trunc_symmetric([c * inv for c in f], pl)]
+        return [_mod_monic(f, pl)]
     k = r // 2
-    g = _gf_from_zx([lc], p)
+    g = [f[-1] % p]
     for fac in modular_factors[:k]:
-        g = _gf_mul(g, fac, p)
+        g = _mod_mul(g, fac, p)
     h = modular_factors[k]
     for fac in modular_factors[k + 1:]:
-        h = _gf_mul(h, fac, p)
-    s, t, one = _gf_gcdex(g, h, p)
+        h = _mod_mul(h, fac, p)
+    s, t, one = _mod_gcdex(g, h, p)
     if one != [1]:
         raise PrimespecError("mod-p factors are not coprime")
-    g = _trunc_symmetric(g, p)
-    h = _trunc_symmetric(h, p)
-    s = _trunc_symmetric(s, p)
-    t = _trunc_symmetric(t, p)
     m = p
     while m < pl:
         limits.check_deadline()
@@ -393,8 +363,8 @@ def _hensel_lift(p, f, modular_factors, l, limits):
         g, h = _hensel_step(m, f, g, h, s, t)
         if m < pl:
             s, t = _bezout_step(m, g, h, s, t)  # the last step needs no s, t
-    return (_hensel_lift(p, _trunc_symmetric(g, pl), modular_factors[:k], l, limits)
-            + _hensel_lift(p, _trunc_symmetric(h, pl), modular_factors[k:], l, limits))
+    return (_hensel_lift(p, g, modular_factors[:k], l, limits)
+            + _hensel_lift(p, h, modular_factors[k:], l, limits))
 
 
 # -- Zassenhaus ---------------------------------------------------------------
@@ -405,36 +375,11 @@ def _choose_prime(f):
     df = _zx_derivative(f)
     candidate = 3
     while True:
-        if _is_prime_int(candidate) and f[-1] % candidate:
-            fb = _gf_from_zx(f, candidate)
-            db = _gf_from_zx(df, candidate)
-            if db and _gf_gcd(fb, db, candidate) == [1]:
+        if f[-1] % candidate and all(candidate % q for q in range(3, math.isqrt(candidate) + 1, 2)):
+            db = _mod(df, candidate)
+            if db and _mod_gcd(_mod(f, candidate), db, candidate) == [1]:
                 return candidate
         candidate += 2
-
-
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def mignotte_factor_height(coeffs, factor_degree) -> int:
@@ -456,7 +401,7 @@ def _zassenhaus(f, limits):
             return [list(f)]
         return [_zx_primitive([b - root, 2 * a]), _zx_primitive([b + root, 2 * a])]
     p = _choose_prime(f)
-    modular = _berlekamp(_gf_monic(_gf_from_zx(f, p), p), p)
+    modular = _berlekamp(_mod_monic(f, p), p)
     if len(modular) == 1:
         return [list(f)]
     modular.sort()
@@ -477,8 +422,10 @@ def _zassenhaus(f, limits):
             limits.check_deadline()
             candidate = [current[-1]]
             for i in subset:
-                candidate = _zx_mul_mod(candidate, lifted[i], pl)
-            candidate = _zx_primitive(candidate)
+                candidate = _mod_mul(candidate, lifted[i], pl)
+            # A true factor times the lead lies within the bound < pl/2, so
+            # the symmetric representative in (-pl/2, pl/2] recovers it.
+            candidate = _zx_primitive([c - pl if 2 * c > pl else c for c in candidate])
             quotient = _zx_div_exact(current, candidate)
             if quotient is not None:
                 found = (subset, candidate, quotient)

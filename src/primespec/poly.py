@@ -109,15 +109,6 @@ class Polynomial:
                     used.add(i)
         return tuple(self.context.names[i] for i in sorted(used))
 
-    def leading_term(self, order=grevlex) -> tuple[Exponent, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=order.key)
-        return exp, self.terms[exp]
-
-    def coefficient(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     def sorted_terms(self, order=grevlex) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
@@ -257,22 +248,6 @@ class Polynomial:
             for e, c in term.items():
                 acc[e] = acc.get(e, 0) + c
         return Polynomial(target, acc)
-
-    # -- content and primitive part ---------------------------------------------
-
-    def integer_content_primitive(self, order=grevlex) -> tuple[Fraction, Polynomial]:
-        """Split into (content, primitive) with p = content * primitive.
-
-        The primitive part has coprime integer coefficients and positive
-        leading coefficient under ``order``.
-        """
-        if not self.terms:
-            raise ValueError("zero polynomial has no content decomposition")
-        content, primitive = integer_primitive(self.terms)
-        if primitive[max(primitive, key=order.key)] < 0:
-            content = -content
-            primitive = {e: -c for e, c in primitive.items()}
-        return content, Polynomial(self.context, primitive)
 
     # -- printing -----------------------------------------------------------
 

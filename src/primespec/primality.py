@@ -83,14 +83,6 @@ def _box(bounds):
     return exps
 
 
-def quotient_basis(ideal: Ideal, limits=DEFAULT_LIMITS) -> ZeroDimQuotient:
-    """Staircase basis of the quotient; requires dimension exactly 0."""
-    dim = ideal.dimension(limits)
-    if dim != 0:
-        raise ValueError(f"ideal has dimension {dim}, expected 0")
-    return ZeroDimQuotient(ideal.groebner(grevlex, limits), limits)
-
-
 def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polynomial:
     """Monic least-degree m over Q with m(element) = 0 in the quotient.
 

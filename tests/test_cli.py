@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -116,3 +117,35 @@ def test_tampered_report_fails_verification(parabola, tmp_path, capsys):
     out_path.write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify-report", str(out_path)]) == 1
+
+
+def _first_not_prime(report):
+    return next(s for s in report["samples"] if s["verdict"] == "not_prime")
+
+
+MALFORMED_REPORTS = {
+    "poly point without values": (
+        lambda report: _first_not_prime(report)["point"].pop("values"), r"sample \d+: "),
+    "not_prime sample with a null certificate": (
+        lambda report: _first_not_prime(report).update(certificate=None), r"sample \d+: "),
+    "aggregate without good": (
+        lambda report: report["aggregate"].pop("good"), "aggregate "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_verify_report_rejects_malformed_reports(case, parabola, tmp_path, capsys):
+    tamper, reason = MALFORMED_REPORTS[case]
+    config = tmp_path / "exp.conf"
+    config.write_text(
+        f"kind = PolySpec\nideal = {parabola}\nH = 3\nn = 40\nseed = 2\ndegrees = 1\n")
+    out_path = tmp_path / "report.json"
+    assert main(["experiment", str(config), "--out", str(out_path)]) == 0
+    assert main(["verify-report", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    tamper(report)
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    # main returns the exit code only when it catches the error: no traceback
+    assert main(["verify-report", str(out_path)]) == 1
+    assert re.match("verification failed: " + reason, capsys.readouterr().err)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -242,6 +243,24 @@ def test_verify_report_detects_tampering(parabola_path):
     counted["aggregate"]["good"] += 1
     with pytest.raises(PrimespecError):
         verify_report(counted)
+
+
+def _tampered(value):
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    return str(Fraction(value) / 2)
+
+
+@pytest.mark.parametrize("key", ["good", "bad", "inconclusive", "density_exact", "density_float",
+                                 "decisive_density_exact", "decisive_density_float"])
+def test_verify_report_checks_every_aggregate_field(key, parabola_path):
+    report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
+    verify_report(report)
+    report["aggregate"][key] = _tampered(report["aggregate"][key])
+    with pytest.raises(PrimespecError, match=rf"^aggregate .*'{key}'"):
+        verify_report(report)
 
 
 TAMPERED_POINTS = {

@@ -9,10 +9,11 @@ import pytest
 from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError, context,
                        factor_univariate, parse_polynomial)
 from primespec import factor
-from primespec.factor import (_berlekamp, _choose_prime, _gf_from_zx, _gf_monic, _hensel_lift,
+from primespec.factor import (_berlekamp, _choose_prime, _hensel_lift, _mod, _mod_monic,
                               _yun_squarefree, _zassenhaus, _zx_div_exact, _zx_gcd, _zx_mul,
                               _zx_primitive, mignotte_factor_height)
 from primespec.groebner import DEFAULT_LIMITS
+from primespec.poly import integer_primitive
 
 from conftest import seeded
 from factor_oracle import brute_force_factor_oracle, is_irreducible_univariate
@@ -82,8 +83,9 @@ def test_exact_reconstruction_on_random_inputs(y):
         unit, factors = factor_univariate(p)
         assert reassemble(y, unit, factors) == p
         for factor, _ in factors:
-            content, primitive = factor.integer_content_primitive()
-            assert content == 1 and primitive == factor
+            content, primitive = integer_primitive(factor.terms)
+            assert content == 1 and primitive == factor.terms
+            assert factor.terms[max(factor.terms)] > 0
 
 
 def _fraction_gcd(f, g):
@@ -244,6 +246,16 @@ def test_quadratics_agree_with_oracle(y):
                 assert found in [f for f, _ in factors], str(p)
 
 
+def test_choose_prime_skips_bad_primes():
+    # 15Y^3 + 62Y^2 + 77Y + 77 is squarefree over Q, but 3 and 5 divide its
+    # lead, and modulo 7 and 11 it is Y^2 (Y + 6) and Y^2 (4Y + 7): the first
+    # good prime is 13, and 9 is skipped as composite.
+    f = [77, 77, 62, 15]
+    assert _zx_gcd(f, [77, 124, 45]) == [1]
+    assert _mod(f, 7) == [0, 0, 6, 1] and _mod(f, 11) == [0, 0, 7, 4]
+    assert _choose_prime(f) == 13
+
+
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 13, 54])
 def test_hensel_lift_stops_at_the_requested_power(l):
     rng = seeded(63)
@@ -256,13 +268,13 @@ def test_hensel_lift_stops_at_the_requested_power(l):
         if len(_zx_gcd(f, [i * c for i, c in enumerate(f)][1:])) > 1:
             continue
         p = _choose_prime(f)
-        modular = _berlekamp(_gf_monic(_gf_from_zx(f, p), p), p)
+        modular = _berlekamp(_mod_monic(_mod(f, p), p), p)
         pl = p ** l
         lifted = _hensel_lift(p, f, modular, l, DEFAULT_LIMITS)
         assert len(lifted) == len(modular)
         for g, fac in zip(lifted, modular):
             assert g[-1] % pl == 1 and len(g) == len(fac)
-            assert _gf_from_zx(g, p) == fac
+            assert _mod(g, p) == fac
         product = [f[-1]]
         for g in lifted:
             product = _zx_mul(product, g)

@@ -150,16 +150,16 @@ def test_bases_are_monic_and_sorted():
     for ideal in suite_proper_ideals():
         for order in (grevlex, lex):
             basis = ideal.groebner(order)
-            leads = [p.leading_term(order) for p in basis]
-            assert all(coeff == 1 for _, coeff in leads)
-            keys = [order.key(exp) for exp, _ in leads]
+            leads = [max(p.terms, key=order.key) for p in basis]
+            assert all(p.terms[exp] == 1 for p, exp in zip(basis, leads))
+            keys = [order.key(exp) for exp in leads]
             assert keys == sorted(keys, reverse=True)
             # reduced: no leading exponent divides a monomial of another element
             for i, p in enumerate(basis):
                 for j, q in enumerate(basis):
                     if i == j:
                         continue
-                    lead = leads[j][0]
+                    lead = leads[j]
                     for exp in p.terms:
                         assert not all(a <= b for a, b in zip(lead, exp))
 
@@ -218,7 +218,7 @@ def test_term_budget_threshold_on_rational_generators():
 def _reference_normal_form(p, basis):
     """Multivariate division by the monic basis in plain Fraction arithmetic."""
     order = basis.order
-    leads = [g.leading_term(order)[0] for g in basis]
+    leads = [max(g.terms, key=order.key) for g in basis]
     work, remainder = dict(p.terms), {}
     while work:
         exp = max(work, key=order.key)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import ContextMismatchError, Polynomial, context, monomials_upto, parse_polynomial
+from primespec import (ContextMismatchError, Polynomial, context, factor_univariate, monomials_upto,
+                       parse_polynomial)
+from primespec.poly import integer_primitive
 
 from conftest import evaluate, random_polynomial, seeded
 
@@ -192,36 +194,43 @@ def test_substitute_requires_used_unbound_variables_in_target():
 
 def test_content_primitive_integer_scaled():
     ctx = context(("Y",))
-    content, primitive = parse_polynomial("6Y^2 - 4", ctx).integer_content_primitive()
+    content, primitive = integer_primitive(parse_polynomial("6Y^2 - 4", ctx).terms)
     assert content == 2
-    assert primitive == parse_polynomial("3Y^2 - 2", ctx)
+    assert primitive == parse_polynomial("3Y^2 - 2", ctx).terms
 
 
 def test_content_primitive_rational():
     ctx = context(("Y",))
-    content, primitive = (Polynomial.variable(ctx, "Y") * Fraction(1, 2)).integer_content_primitive()
+    content, primitive = integer_primitive((Polynomial.variable(ctx, "Y") * Fraction(1, 2)).terms)
     assert content == Fraction(1, 2)
-    assert primitive == Polynomial.variable(ctx, "Y")
+    assert primitive == Polynomial.variable(ctx, "Y").terms
 
 
 def test_content_primitive_gcd():
     ctx = context(("Y",))
-    content, primitive = parse_polynomial("9Y^2 - 12Y + 6", ctx).integer_content_primitive()
+    content, primitive = integer_primitive(parse_polynomial("9Y^2 - 12Y + 6", ctx).terms)
     assert content == 3
-    assert primitive == parse_polynomial("3Y^2 - 4Y + 2", ctx)
+    assert primitive == parse_polynomial("3Y^2 - 4Y + 2", ctx).terms
 
 
 def test_content_negative_lead_normalized():
+    # integer_primitive keeps the content positive; factor_univariate moves
+    # the sign of a negative lead into its unit.
     ctx = context(("Y",))
-    content, primitive = parse_polynomial("-2Y + 4", ctx).integer_content_primitive()
+    p = parse_polynomial("-2Y + 4", ctx)
+    content, primitive = integer_primitive(p.terms)
+    assert content == 2 and primitive == (p * Fraction(1, 2)).terms and primitive[(1,)] == -1
+    content, factors = factor_univariate(p)
     assert content == -2
-    assert primitive == parse_polynomial("Y - 2", ctx)
+    assert factors == [(parse_polynomial("Y - 2", ctx), 1)]
 
 
 def test_content_of_zero_rejected():
+    # integer_primitive maps zero to content 0; factor_univariate rejects it.
     ctx = context(("Y",))
+    assert integer_primitive(Polynomial.zero(ctx).terms) == (0, {})
     with pytest.raises(ValueError):
-        Polynomial.zero(ctx).integer_content_primitive()
+        factor_univariate(Polynomial.zero(ctx))
 
 
 def test_embedding_and_restriction():

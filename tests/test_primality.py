@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (Ideal, Polynomial, PrimespecError, context, is_prime,
-                       minimal_polynomial, parse_polynomial, quotient_basis)
+from primespec import (Ideal, Polynomial, PrimespecError, context, grevlex, is_prime,
+                       minimal_polynomial, parse_polynomial)
 from primespec import BudgetExceededError, GBLimits
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
                                  _evaluate_in_quotient, not_prime_verdict)
@@ -15,39 +15,39 @@ from conftest import make_ideal, random_polynomial, seeded
 
 def test_quotient_basis_univariate():
     ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = quotient_basis(ideal)
+    q = ZeroDimQuotient(ideal.groebner(grevlex))
     assert q.staircase == ((0,), (1,))
     assert q.vector_dim == 2
 
 
 def test_quotient_basis_two_points(two_points):
-    assert quotient_basis(two_points).vector_dim == 2
+    assert ZeroDimQuotient(two_points.groebner(grevlex)).vector_dim == 2
 
 
 def test_quotient_basis_rejects_unit_and_positive_dim(circle):
     ctx = context(("Y",))
     with pytest.raises(ValueError):
-        quotient_basis(Ideal(ctx, [Polynomial.constant(ctx, 1)]))
+        ZeroDimQuotient(Ideal(ctx, [Polynomial.constant(ctx, 1)]).groebner(grevlex))
     with pytest.raises(ValueError):
-        quotient_basis(circle)
+        ZeroDimQuotient(circle.groebner(grevlex))
 
 
 def test_minimal_polynomial_of_generator():
     ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = quotient_basis(ideal)
+    q = ZeroDimQuotient(ideal.groebner(grevlex))
     m = minimal_polynomial(q, Polynomial.variable(ideal.context, "Y"))
     assert str(m) == "Z^2 - 4"
 
 
 def test_minimal_polynomial_of_zero():
     ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = quotient_basis(ideal)
+    q = ZeroDimQuotient(ideal.groebner(grevlex))
     assert str(minimal_polynomial(q, Polynomial.zero(ideal.context))) == "Z"
 
 
 def test_minimal_polynomial_idempotent_coordinate(two_points):
     # X^2 = X in the quotient, so the minimal polynomial is Z^2 - Z
-    q = quotient_basis(two_points)
+    q = ZeroDimQuotient(two_points.groebner(grevlex))
     m = minimal_polynomial(q, Polynomial.variable(two_points.context, "X"))
     assert str(m) == "Z^2 - Z"
 
@@ -150,7 +150,7 @@ def test_large_quotient_certificate_stays_compact():
          "2x0*x1 + 2x1*x2 + 2x2*x3 + 2x3*x4 - x1",
          "x1^2 + 2x0*x2 + 2x1*x3 + 2x2*x4 - x2",
          "2x1*x2 + 2x0*x3 + 2x1*x4 - x3"])
-    assert quotient_basis(ideal).vector_dim == 16
+    assert ZeroDimQuotient(ideal.groebner(grevlex)).vector_dim == 16
     start = time.monotonic()
     verdict = is_prime(ideal, seed=0)
     assert time.monotonic() - start < 20
@@ -213,14 +213,14 @@ def _points_forms(ctx):
 
 def test_minimal_polynomial_matches_krylov_rank():
     ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
-    q = quotient_basis(ideal)
+    q = ZeroDimQuotient(ideal.groebner(grevlex))
     assert q.vector_dim == 12
     ctx = ideal.context
     # The T = 2 field has no proper subfield (mod-p factor degrees 1 + 11
     # force a 2-transitive Galois group), so its one element of low degree
     # is a constant; at T = 0, Y1^3 = 1 and Y1 + Y1^2 has degree 2.
     fiber_t0 = make_ideal(("Y1", "Y2", "Y3"), ["Y1^3 - 1", "Y2^2 - Y1*Y3", "Y3^2 - Y1 - Y2"])
-    q_t0 = quotient_basis(fiber_t0)
+    q_t0 = ZeroDimQuotient(fiber_t0.groebner(grevlex))
     forms = _points_forms(ctx) + [parse_polynomial("1/2*Y1 - 3/7*Y2 + 5/3*Y3", ctx)]
     cases = [(q, e) for e in forms]
     cases += [(q, Polynomial.constant(ctx, 3)),
@@ -251,7 +251,7 @@ GOLDEN_POINTS_MINPOLYS = [
 def test_minimal_polynomial_golden_points_forms():
     # Exact values: any change to the elimination must reproduce them.
     ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
-    q = quotient_basis(ideal)
+    q = ZeroDimQuotient(ideal.groebner(grevlex))
     forms = _points_forms(ideal.context)
     assert [str(minimal_polynomial(q, forms[i])) for i in (0, 1)] == GOLDEN_POINTS_MINPOLYS
 

@@ -295,7 +295,9 @@ def classify(record) -> str:
         return "inconclusive"
     if verdict == PRIME and record["dimension"] == record["expected_dimension"]:
         return "good"
-    return "bad"
+    if verdict in (PRIME, NOT_PRIME, UNIT_IDEAL):
+        return "bad"
+    raise PrimespecError(f"sample {record['index']}: unknown verdict {verdict!r}")
 
 
 def _aggregate(records) -> dict:
@@ -455,7 +457,7 @@ def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | No
     dim = specialized.dimension()
     if dim != dimension:
         raise PrimespecError(f"sample {index}: recorded dimension {dimension}, recomputed {dim}")
-    if verdict == PRIME and dim == sample["expected_dimension"]:
+    if dim == sample["expected_dimension"]:
         raise PrimespecError(f"sample {index}: classified bad but replay looks good")
     return f"sample {index}: dimension mismatch confirmed ({dim})"
 
@@ -466,20 +468,23 @@ def verify_report(report: dict) -> list[str]:
     Confirms every NotPrime certificate (product in the ideal, factors
     outside), every unit-ideal collapse, every dimension mismatch, every
     consistency failure, and then the whole ``aggregate`` against the one
-    ``run_experiment`` computes.  A sample record with a missing or
-    mistyped field fails verification.  Returns one accounting message
-    and one message per replayed check.
+    ``run_experiment`` computes.  A report or sample record with a missing
+    or mistyped field, or a sample with an unknown verdict, fails
+    verification.  Returns one accounting message and one message per
+    replayed check.
     """
-    samples = report["samples"]
-    config = report["config"]
+    try:
+        samples, config, recorded = report["samples"], report["config"], report["aggregate"]
+        configured_n, source = config["n"], config["ideal_source"]
+        ctx = make_context(source["vars"], params=source["params"])
+        ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
+    except (KeyError, TypeError) as exc:
+        raise PrimespecError(f"malformed report: {exc!r}") from exc
     n = len(samples)
-    if n != config["n"]:
+    if n != configured_n:
         raise PrimespecError(f"sample count {n} differs from configured n")
-    source = config["ideal_source"]
-    ctx = make_context(source["vars"], params=source["params"])
-    ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
     replays = [_replay(ideal, config, position, sample) for position, sample in enumerate(samples)]
-    recorded, recomputed = report["aggregate"], _aggregate(samples)
+    recomputed = _aggregate(samples)
     if recorded != recomputed:
         missing = object()
         wrong = sorted(key for key in recorded.keys() | recomputed.keys()

@@ -5,16 +5,17 @@ Yun's algorithm (its gcds are primitive remainder sequences over Z), and
 factor each part.  A quadratic a*z^2 + b*z + c splits exactly when its
 discriminant d = b^2 - 4ac is a square, into the primitive parts of
 2a*z + b -+ sqrt(d).  Higher degrees are factored modulo a good odd prime
-(Berlekamp); the modular factors are lifted with quadratic multifactor
-Hensel steps to p^l, the least power of p above twice the
+p by a distinct-degree split followed by a Cantor-Zassenhaus
+equal-degree split; the modular factors are lifted with quadratic
+multifactor Hensel steps to p^l, the least power of p above twice the
 Landau-Mignotte coefficient bound (the last step stops at p^l rather
 than squaring past it), and recombined by exhaustive subset search up to
 half the modular factor count.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
 throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
-or built.  Berlekamp (m = p) and the Hensel lift (m = p^k) share one
-arithmetic modulo m, with residues in [0, m).  The symmetric
+or built.  The modular split (m = p) and the Hensel lift (m = p^k) share
+one arithmetic modulo m, with residues in [0, m).  The symmetric
 representative in (-m/2, m/2] is taken in one place only: where the
 recombination turns a product of lifted factors into an integer
 candidate.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from .errors import PrimespecError
@@ -166,7 +168,7 @@ def _yun_squarefree(f):
 
 # -- arithmetic modulo m: stripped lists of residues in [0, m) ----------------
 # Inputs may be any integer lists.  A lead that is inverted must be a unit
-# mod m; the gcd, gcdex and nullspace helpers need m prime.
+# mod m; the gcd and gcdex helpers need m prime.
 
 
 def _mod(f, m):
@@ -219,9 +221,8 @@ def _mod_gcdex(f, g, p):
 
 
 def _mod_pow(base, n, mod, m):
-    """base^n reduced by the polynomial mod, modulo m."""
+    """base^n reduced by the polynomial mod, modulo m, for base reduced by mod."""
     result = [1]
-    base = _mod_divmod(base, mod, m)[1]
     while n:
         if n & 1:
             result = _mod_divmod(_zx_mul(result, base), mod, m)[1]
@@ -231,83 +232,41 @@ def _mod_pow(base, n, mod, m):
     return result
 
 
-def _gf_nullspace(matrix, p):
-    """Basis of the right nullspace of a square matrix over GF(p)."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    pivots = {}
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+def _modular_factors(f, p, limits):
+    """Monic irreducible factors of a monic f, squarefree modulo the odd prime p.
+
+    Distinct-degree split: once the factors of degree below d are divided
+    out, gcd(x^(p^d) - x, f) is the product of those of degree d.
+    Equal-degree split (Cantor-Zassenhaus): for a random residue a,
+    gcd(a^((p^d - 1)/2) - 1, g) keeps each degree-d factor of g with
+    probability about 1/2.  The factors are unique, so the seeded draws
+    change only the order in which they are found.
+    """
+    rng = random.Random(p)
+    blocks, factors = [], []
+    h = [0, 1]
+    d = 1
+    while 2 * d <= len(f) - 1:
+        limits.check_deadline()
+        h = _mod_pow(h, p, f, p)
+        g = _mod_gcd(f, _mod(_zx_sub(h, [0, 1]), p), p)
+        if len(g) > 1:
+            blocks.append((g, d))
+            f = _mod_divmod(f, g, p)[0]
+            h = _mod_divmod(h, f, p)[1]
+        d += 1
+    if len(f) > 1:
+        factors.append(f)
+    while blocks:
+        g, d = blocks.pop()
+        if len(g) - 1 == d:
+            factors.append(g)
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [c * inv % p for c in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for free in free_cols:
-        vec = [0] * n
-        vec[free] = 1
-        for col, row in pivots.items():
-            vec[col] = (-rows[row][free]) % p
-        basis.append(vec)
-    return basis
-
-
-def _berlekamp(f, p):
-    """Monic irreducible factors of a monic squarefree f over GF(p)."""
-    n = len(f) - 1
-    if n == 1:
-        return [list(f)]
-    # Frobenius matrix: row i holds x^(p*i) mod f.
-    xp = _mod_pow([0, 1], p, f, p)
-    rows = [[1] + [0] * (n - 1)]
-    current = [1]
-    for _ in range(1, n):
-        current = _mod_divmod(_zx_mul(current, xp), f, p)[1]
-        rows.append(list(current) + [0] * (n - len(current)))
-    # Null vectors v of (Q - I)^T satisfy v(x)^p = v(x) mod f.
-    mat = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    null = _gf_nullspace(mat, p)
-    k = len(null)
-    if k == 1:
-        return [list(f)]
-    factors = [list(f)]
-    for vec in null:
-        v = _zx_strip(list(vec))
-        if len(v) <= 1:
-            continue  # the constant vector splits nothing
-        next_factors = []
-        for u in factors:
-            if len(u) - 1 == 1:
-                next_factors.append(u)
-                continue
-            pieces = []
-            rest = u
-            for c in range(p):
-                g = _mod_gcd(rest, _mod([v[0] - c] + v[1:], p), p)
-                if 0 < len(g) - 1 < len(rest) - 1:
-                    pieces.append(g)
-                    rest = _mod_divmod(rest, g, p)[0]
-                    if len(rest) - 1 == 0:
-                        break
-            if len(rest) - 1 >= 1:
-                pieces.append(_mod_monic(rest, p))
-            next_factors.extend(pieces if pieces else [u])
-        factors = next_factors
-        if len(factors) == k:
-            break
+        limits.check_deadline()
+        a = _zx_strip([rng.randrange(p) for _ in range(len(g) - 1)])
+        b = _mod_gcd(g, _mod(_zx_sub(_mod_pow(a, (p ** d - 1) // 2, g, p), [1]), p), p)
+        split = 1 < len(b) < len(g)
+        blocks += [(b, d), (_mod_divmod(g, b, p)[0], d)] if split else [(g, d)]
     return factors
 
 
@@ -401,7 +360,7 @@ def _zassenhaus(f, limits):
             return [list(f)]
         return [_zx_primitive([b - root, 2 * a]), _zx_primitive([b + root, 2 * a])]
     p = _choose_prime(f)
-    modular = _berlekamp(_mod_monic(f, p), p)
+    modular = _modular_factors(_mod_monic(f, p), p, limits)
     if len(modular) == 1:
         return [list(f)]
     modular.sort()
@@ -476,7 +435,8 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
     Returns (unit, [(factor, multiplicity)]) with primitive positive-lead
     integer factors; unit * prod(factor^multiplicity) reconstructs the
     input exactly.  Degree-zero input yields (value, []).  The deadline of
-    ``limits`` is checked at every Hensel step and recombination subset.
+    ``limits`` is checked at every step of the modular split, every Hensel
+    step and every recombination subset.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")

@@ -1,8 +1,8 @@
 """Test oracles for univariate factorization over Q.
 
 ``brute_force_factor_oracle`` is an independent divisor search: it
-enumerates small integer polynomials and shares none of the
-Berlekamp/Hensel/Zassenhaus machinery of ``primespec.factor``, so it can
+enumerates small integer polynomials and shares none of the modular
+split, Hensel lift or recombination of ``primespec.factor``, so it can
 check that path.  ``is_irreducible_univariate`` reads irreducibility off
 ``factor_univariate``.
 """

@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -123,6 +124,22 @@ def _first_not_prime(report):
     return next(s for s in report["samples"] if s["verdict"] == "not_prime")
 
 
+def _first_sample_made_unknown(report):
+    # The aggregate is adjusted as if an unknown verdict counted as bad, so
+    # only the verdict itself can fail verification.
+    sample = report["samples"][0]
+    assert sample["verdict"] == "prime" and sample["dimension"] == sample["expected_dimension"]
+    sample["verdict"] = "bogus"
+    aggregate = report["aggregate"]
+    aggregate["good"] -= 1
+    aggregate["bad"] += 1
+    good, n = aggregate["good"], len(report["samples"])
+    decisive = good + aggregate["bad"]
+    aggregate.update(density_exact=str(Fraction(good, n)), density_float=good / n,
+                     decisive_density_exact=str(Fraction(good, decisive)),
+                     decisive_density_float=good / decisive)
+
+
 MALFORMED_REPORTS = {
     "poly point without values": (
         lambda report: _first_not_prime(report)["point"].pop("values"), r"sample \d+: "),
@@ -130,6 +147,10 @@ MALFORMED_REPORTS = {
         lambda report: _first_not_prime(report).update(certificate=None), r"sample \d+: "),
     "aggregate without good": (
         lambda report: report["aggregate"].pop("good"), "aggregate "),
+    "prime sample with an unknown verdict": (_first_sample_made_unknown, "sample 0: "),
+    "report without config": (lambda report: report.pop("config"), "malformed report: "),
+    "report without aggregate": (lambda report: report.pop("aggregate"), "malformed report: "),
+    "config without n": (lambda report: report["config"].pop("n"), "malformed report: "),
 }
 
 

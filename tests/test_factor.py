@@ -9,9 +9,10 @@ import pytest
 from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError, context,
                        factor_univariate, parse_polynomial)
 from primespec import factor
-from primespec.factor import (_berlekamp, _choose_prime, _hensel_lift, _mod, _mod_monic,
-                              _yun_squarefree, _zassenhaus, _zx_div_exact, _zx_gcd, _zx_mul,
-                              _zx_primitive, mignotte_factor_height)
+from primespec.factor import (_choose_prime, _hensel_lift, _mod, _mod_divmod, _mod_gcd,
+                              _mod_monic, _mod_mul, _mod_pow, _modular_factors, _yun_squarefree,
+                              _zassenhaus, _zx_derivative, _zx_div_exact, _zx_gcd, _zx_mul,
+                              _zx_primitive, _zx_strip, mignotte_factor_height)
 from primespec.groebner import DEFAULT_LIMITS
 from primespec.poly import integer_primitive
 
@@ -256,6 +257,160 @@ def test_choose_prime_skips_bad_primes():
     assert _choose_prime(f) == 13
 
 
+def _reference_nullspace(matrix, p):
+    """Basis of the right nullspace of a square matrix over GF(p)."""
+    n = len(matrix)
+    rows = [list(r) for r in matrix]
+    pivots = {}
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, n):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [c * inv % p for c in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col]:
+                scale = rows[r][col]
+                rows[r] = [(a - scale * b) % p for a, b in zip(rows[r], rows[rank])]
+        pivots[col] = rank
+        rank += 1
+    basis = []
+    free_cols = [c for c in range(n) if c not in pivots]
+    for free in free_cols:
+        vec = [0] * n
+        vec[free] = 1
+        for col, row in pivots.items():
+            vec[col] = (-rows[row][free]) % p
+        basis.append(vec)
+    return basis
+
+
+def _reference_berlekamp(f, p):
+    """Monic irreducible factors of a monic squarefree f over GF(p) (Berlekamp).
+
+    The oracle for ``_modular_factors``: it shares only the arithmetic
+    modulo p, and finds the factors from the nullspace of Q - I.
+    """
+    n = len(f) - 1
+    if n == 1:
+        return [list(f)]
+    # Frobenius matrix: row i holds x^(p*i) mod f.
+    xp = _mod_pow([0, 1], p, f, p)
+    rows = [[1] + [0] * (n - 1)]
+    current = [1]
+    for _ in range(1, n):
+        current = _mod_divmod(_zx_mul(current, xp), f, p)[1]
+        rows.append(list(current) + [0] * (n - len(current)))
+    # Null vectors v of (Q - I)^T satisfy v(x)^p = v(x) mod f.
+    mat = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
+    null = _reference_nullspace(mat, p)
+    k = len(null)
+    if k == 1:
+        return [list(f)]
+    factors = [list(f)]
+    for vec in null:
+        v = _zx_strip(list(vec))
+        if len(v) <= 1:
+            continue  # the constant vector splits nothing
+        next_factors = []
+        for u in factors:
+            if len(u) - 1 == 1:
+                next_factors.append(u)
+                continue
+            pieces = []
+            rest = u
+            for c in range(p):
+                g = _mod_gcd(rest, _mod([v[0] - c] + v[1:], p), p)
+                if 0 < len(g) - 1 < len(rest) - 1:
+                    pieces.append(g)
+                    rest = _mod_divmod(rest, g, p)[0]
+                    if len(rest) - 1 == 0:
+                        break
+            if len(rest) - 1 >= 1:
+                pieces.append(_mod_monic(rest, p))
+            next_factors.extend(pieces if pieces else [u])
+        factors = next_factors
+        if len(factors) == k:
+            break
+    return factors
+
+
+def _squarefree_mod(f, p):
+    return _mod_gcd(f, _mod(_zx_derivative(f), p), p) == [1]
+
+
+def _draw_monic(rng, p, degree):
+    """A random monic polynomial of the given degree, squarefree modulo p."""
+    while True:
+        f = [rng.randrange(p) for _ in range(degree)] + [1]
+        if _squarefree_mod(f, p):
+            return f
+
+
+def _modular_inputs():
+    """Seeded pairs (f, p) with f squarefree modulo p and p not dividing its lead."""
+    rng = seeded(71)
+    # Y^4 + 1, Y^4 - 10Y^2 + 1, Y^6 - 1, Y^8 + 1, Y^12 + 1, Y^16 + 1, Y^12 - 1
+    named = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, 0, 0, 0, 0, 0, 1], [1] + [0] * 7 + [1],
+             [1] + [0] * 11 + [1], [1] + [0] * 15 + [1], [-1] + [0] * 11 + [1])
+    inputs = [(f, _choose_prime(f)) for f in named]
+    while len(inputs) < len(named) + 100:
+        f = _zx_primitive(_random_zx(rng, rng.randint(3, 10), rng.randint(2, 20)))
+        if len(_zx_gcd(f, _zx_derivative(f))) == 1:
+            inputs.append((f, _choose_prime(f)))
+    for p in (3, 5, 7, 101):
+        inputs += [(_draw_monic(rng, p, rng.randint(1, 10)), p) for _ in range(40)]
+        for _ in range(15):
+            # 3 or 4 distinct irreducibles of one degree, so the equal-degree
+            # split recurses on the block; a cofactor of other degrees leaves
+            # more blocks or a remainder after the distinct-degree split.
+            degree = rng.randint(1, 3 if p < 101 else 2)
+            # GF(3) has only 3 monic irreducibles of degree 1 and of degree 2
+            count = 3 if p == 3 and degree < 3 else rng.randint(3, 4)
+            block = []
+            while len(block) < count:
+                g = _draw_monic(rng, p, degree)
+                if g not in block and len(_reference_berlekamp(g, p)) == 1:
+                    block.append(g)
+            f = [1]
+            for g in block:
+                f = _mod_mul(f, g, p)
+            other = _mod_mul(f, [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [1], p)
+            inputs.append((other if _squarefree_mod(other, p) else f, p))
+    return inputs
+
+
+def test_modular_factors_match_berlekamp():
+    inputs = _modular_inputs()
+    assert len(inputs) >= 300
+    for f, p in inputs:
+        monic = _mod_monic(_mod(f, p), p)
+        found = _modular_factors(monic, p, DEFAULT_LIMITS)
+        assert sorted(found) == sorted(_reference_berlekamp(monic, p)), (f, p)
+
+
+def test_modular_powers_take_reduced_residues(monkeypatch):
+    # After a distinct-degree split, x^(p^d) is reduced by the remaining
+    # factor, so every power is taken of a residue of lower degree.
+    calls = []
+
+    def reduced_pow(base, n, mod, m):
+        calls.append(mod)
+        assert len(base) < len(mod), (base, mod)
+        return _mod_pow(base, n, mod, m)
+
+    monkeypatch.setattr(factor, "_mod_pow", reduced_pow)
+    for f, p in _modular_inputs():
+        _modular_factors(_mod_monic(_mod(f, p), p), p, DEFAULT_LIMITS)
+    assert len(calls) > 1000
+
+
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 13, 54])
 def test_hensel_lift_stops_at_the_requested_power(l):
     rng = seeded(63)
@@ -268,7 +423,7 @@ def test_hensel_lift_stops_at_the_requested_power(l):
         if len(_zx_gcd(f, [i * c for i, c in enumerate(f)][1:])) > 1:
             continue
         p = _choose_prime(f)
-        modular = _berlekamp(_mod_monic(_mod(f, p), p), p)
+        modular = _modular_factors(_mod_monic(_mod(f, p), p), p, DEFAULT_LIMITS)
         pl = p ** l
         lifted = _hensel_lift(p, f, modular, l, DEFAULT_LIMITS)
         assert len(lifted) == len(modular)
@@ -293,12 +448,14 @@ def test_hensel_lift_rejects_non_coprime_factors():
 
 def test_expired_deadline_stops_factorization(y):
     # Y^4 + 1 is irreducible over Q but splits modulo every prime, so the
-    # Hensel lift and the subset recombination both run.
+    # Hensel lift and the subset recombination both run.  Y^5 - Y - 1 stays
+    # one factor modulo 3, so only the modular split runs.
     expired = GBLimits(deadline=time.monotonic() - 1)
-    p = parse_polynomial("Y^4 + 1", y)
-    assert len(factor_univariate(p)[1]) == 1
-    with pytest.raises(BudgetExceededError):
-        factor_univariate(p, expired)
+    for text in ("Y^4 + 1", "Y^5 - Y - 1"):
+        p = parse_polynomial(text, y)
+        assert len(factor_univariate(p)[1]) == 1
+        with pytest.raises(BudgetExceededError):
+            factor_univariate(p, expired)
 
 
 def test_oracle_finds_first_divisor(y):

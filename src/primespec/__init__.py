@@ -2,23 +2,22 @@
 
 __version__ = "0.1.0"
 
-from .context import Block, VariableContext, context
+from .context import VariableContext, context
 from .errors import (BudgetExceededError, ConfigError, ContextMismatchError,
                      HypothesisViolationError, PolynomialSyntaxError, PrimespecError,
                      UnknownVariableError)
 from .factor import factor_univariate
-from .genpoly import HypothesisHStatus, QuasiGenericSpec, hypothesis_h_sufficient, quasi_generic
 from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, eliminate,
                        fiber_dimension, ideal_dimension)
 from .orders import MonomialOrder, block_order, elimination_order, grevlex, lex
 from .parse import parse_ideal_source, parse_polynomial, read_ideal_file
 from .poly import Polynomial, monomials_upto
 from .primality import PrimalityVerdict, ZeroDimQuotient, is_prime, minimal_polynomial
-from .specialize import (build_parametric_system, generic_form, intersect_generic,
-                         specialize_polynomial, specialize_scalar)
+from .specialize import (generic_form, intersect_generic, specialize_polynomial,
+                         specialize_scalar)
 
 __all__ = [
-    "Block", "VariableContext", "context",
+    "VariableContext", "context",
     "PrimespecError", "ContextMismatchError", "PolynomialSyntaxError",
     "UnknownVariableError", "BudgetExceededError", "HypothesisViolationError",
     "ConfigError",
@@ -30,8 +29,6 @@ __all__ = [
     "factor_univariate",
     "ZeroDimQuotient", "minimal_polynomial", "is_prime",
     "PrimalityVerdict",
-    "QuasiGenericSpec", "quasi_generic",
-    "hypothesis_h_sufficient", "HypothesisHStatus",
     "specialize_scalar", "specialize_polynomial", "intersect_generic",
-    "build_parametric_system", "generic_form",
+    "generic_form",
 ]

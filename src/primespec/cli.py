@@ -95,7 +95,7 @@ def _cmd_specialize(args):
         values = tuple(Fraction(part.strip()) for part in args.at.split(","))
         result = specialize_scalar(ideal, values)
     else:
-        y_ctx = ideal.context.drop_role("param")
+        y_ctx = ideal.context.without_params()
         with open(args.poly_at, "r", encoding="ascii") as handle:
             lines = [line.split("#", 1)[0].strip() for line in handle]
         polys = tuple(parse_polynomial(line, y_ctx) for line in lines if line)
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ConfigError, PolynomialSyntaxError, ValueError) as exc:
+    except (ConfigError, PolynomialSyntaxError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

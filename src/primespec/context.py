@@ -1,17 +1,13 @@
-"""Variable contexts with named, role-tagged blocks.
+"""The variable layout (T | Y) that every polynomial lives over.
 
-A context is an ordered list of blocks.  Each block groups variables that
-play one role:
-
-  * ``lambda`` -- auxiliary "generic coefficient" parameters,
-  * ``param``  -- the specialization parameters (the T-variables),
-  * ``var``    -- the ambient polynomial variables (the Y-variables).
-
-Monomials are exponent tuples indexed by the flattened variable list, so
-the block order is fixed at creation and every polynomial over a context
+A context holds two ordered name tuples: the specialization parameters
+T (``param_names``) and the ambient variables Y (``var_names``).
+Monomials are exponent tuples indexed by the flattened list T then Y, so
+the layout is fixed at creation and every polynomial over a context
 stores exponent tuples of the same length.  Contexts are immutable;
-adjoining a block or restricting to a subset of variables produces a new
-context, and polynomials are re-embedded by exponent padding/projection.
+dropping the parameters or restricting to a subset of variables
+produces a new context, and polynomials are re-embedded by exponent
+padding/projection.
 """
 
 from __future__ import annotations
@@ -20,61 +16,27 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatchError
 
-ROLE_LAMBDA = "lambda"
-ROLE_PARAM = "param"
-ROLE_VAR = "var"
-_ROLES = (ROLE_LAMBDA, ROLE_PARAM, ROLE_VAR)
-
-
-@dataclass(frozen=True)
-class Block:
-    name: str
-    role: str
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown block role {self.role!r}")
-        if not self.names:
-            raise ValueError(f"block {self.name!r} has no variables")
-
 
 @dataclass(frozen=True)
 class VariableContext:
-    blocks: tuple[Block, ...]
+    param_names: tuple[str, ...]
+    var_names: tuple[str, ...]
 
     def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            for name in block.names:
-                if name in seen:
-                    raise ValueError(f"duplicate variable name {name!r}")
-                seen.add(name)
-        object.__setattr__(self, "names", tuple(n for b in self.blocks for n in b.names))
-        object.__setattr__(self, "index", {n: i for i, n in enumerate(self.names)})
-
-    # -- basic queries ----------------------------------------------------
+        names = self.param_names + self.var_names
+        if not names:
+            raise ContextMismatchError("a context needs at least one variable")
+        if len(set(names)) != len(names):
+            duplicate = next(n for n in names if names.count(n) > 1)
+            raise ValueError(f"duplicate variable name {duplicate!r}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "index", {n: i for i, n in enumerate(names)})
 
     def __len__(self):
         return len(self.names)
 
     def __contains__(self, name):
         return name in self.index
-
-    def names_with_role(self, role) -> tuple[str, ...]:
-        return tuple(n for b in self.blocks if b.role == role for n in b.names)
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return self.names_with_role(ROLE_PARAM)
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return self.names_with_role(ROLE_VAR)
-
-    @property
-    def lambda_names(self) -> tuple[str, ...]:
-        return self.names_with_role(ROLE_LAMBDA)
 
     @property
     def r(self) -> int:
@@ -87,48 +49,20 @@ class VariableContext:
     def indices_of(self, names) -> tuple[int, ...]:
         return tuple(self.index[n] for n in names)
 
-    # -- derived contexts -------------------------------------------------
-
-    def adjoin_front(self, block: Block) -> VariableContext:
-        """New context with ``block`` prepended (the K[L, T, Y] convention)."""
-        return VariableContext((block,) + self.blocks)
-
     def keep(self, names) -> VariableContext:
-        """New context restricted to ``names``, preserving block structure.
-
-        Blocks that lose all their variables are dropped.
-        """
+        """New context restricted to ``names``; each keeps its role and position."""
         keep = set(names)
         missing = keep - set(self.names)
         if missing:
             raise ContextMismatchError(f"variables not in context: {sorted(missing)}")
-        blocks = []
-        for block in self.blocks:
-            kept = tuple(n for n in block.names if n in keep)
-            if kept:
-                blocks.append(Block(block.name, block.role, kept))
-        if not blocks:
-            raise ContextMismatchError("restriction would leave an empty context")
-        return VariableContext(tuple(blocks))
+        return VariableContext(tuple(n for n in self.param_names if n in keep),
+                               tuple(n for n in self.var_names if n in keep))
 
-    def drop_role(self, role) -> VariableContext:
-        blocks = tuple(b for b in self.blocks if b.role != role)
-        if not blocks:
-            raise ContextMismatchError(f"dropping role {role!r} leaves an empty context")
-        return VariableContext(blocks)
-
-    def __repr__(self):
-        parts = ", ".join(f"{b.role}:{'/'.join(b.names)}" for b in self.blocks)
-        return f"VariableContext({parts})"
+    def without_params(self) -> VariableContext:
+        """The ambient context (Y) that specializing the parameters lands in."""
+        return VariableContext((), self.var_names)
 
 
-def context(variables, params=(), lambdas=()) -> VariableContext:
-    """Convenience constructor for the common (Lambda | T | Y) layouts.
-
-    ``lambdas`` is a sequence of (block_name, names) pairs, placed first.
-    """
-    blocks = [Block(name, ROLE_LAMBDA, tuple(names)) for name, names in lambdas]
-    if params:
-        blocks.append(Block("T", ROLE_PARAM, tuple(params)))
-    blocks.append(Block("Y", ROLE_VAR, tuple(variables)))
-    return VariableContext(tuple(blocks))
+def context(variables, params=()) -> VariableContext:
+    """The context (params | variables), from any two sequences of names."""
+    return VariableContext(tuple(params), tuple(variables))

@@ -186,7 +186,7 @@ def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random) -> dic
     if kind in (SCALAR_SPEC, CONSISTENCY):
         return {"kind": "scalar", "values": [str(rng.randint(-box, box)) for _ in range(ctx.r)]}
     if kind == POLY_SPEC:
-        y_ctx = ctx.drop_role("param")
+        y_ctx = ctx.without_params()
         supports = [monomials_upto(y_ctx.s, degree) for degree in degrees]
         values = [str(generic_form(y_ctx, support, [rng.randint(-box, box) for _ in support]))
                   for support in supports]
@@ -209,15 +209,16 @@ def specialize_point(ideal: Ideal, kind: str, degrees, point: dict) -> Ideal:
     """The specialized ideal at a point in the form ``sample_point`` returns.
 
     Raises PrimespecError when the point's form does not fit the experiment
-    ``kind`` or a polynomial value exceeds its recorded degree bound, and
-    ValueError on malformed numbers, counts or block sizes.
+    ``kind`` or a polynomial value exceeds its recorded degree bound,
+    ValueError on malformed numbers, counts or block sizes, and
+    ZeroDivisionError on a zero denominator.
     """
     if point["kind"] != _POINT_KINDS.get(kind):
         raise PrimespecError(f"a {point['kind']!r} point does not fit a {kind} experiment")
     if point["kind"] == "scalar":
         return specialize_scalar(ideal, [Fraction(v) for v in point["values"]])
     if point["kind"] == "poly":
-        y_ctx = ideal.context.drop_role("param")
+        y_ctx = ideal.context.without_params()
         values = [parse_polynomial(v, y_ctx) for v in point["values"]]
         for value, bound in zip(values, point["degrees"], strict=True):
             if value.total_degree() > bound:

@@ -7,22 +7,17 @@
 * polynomial specialization: substitute each T_i by a polynomial in the
   ambient variables.
 
-``generic_form`` builds every generic form, one coefficient per support
-monomial, each a rational or a fresh lambda variable: the cutting
-hypersurfaces, the sampled polynomial values, the relations below and
-``genpoly.quasi_generic``.
-
-``build_parametric_system`` assembles the symbolic counterpart of
-polynomial specialization: fresh coefficient blocks L{i}_{j} and the
-relations U_i(L_i, Y) - T_i adjoined to the ideal, so substituting the
-coefficients and eliminating T reproduces the pointwise construction.
+Scalar and polynomial specialization take an ideal over the layout
+(T | Y) of ``context`` and return one over (Y); generic intersection
+works over (Y) alone.  ``generic_form`` builds every generic form, one
+rational coefficient per support monomial: the cutting hypersurfaces and
+the sampled polynomial values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .context import Block, ROLE_LAMBDA, ROLE_PARAM
 from .errors import ContextMismatchError
 from .groebner import Ideal
 from .poly import Polynomial, monomials_upto
@@ -31,7 +26,7 @@ from .poly import Polynomial, monomials_upto
 def _target_without_params(ideal: Ideal):
     if ideal.context.r == 0:
         raise ContextMismatchError("ideal has no parameter block to specialize")
-    return ideal.context.drop_role(ROLE_PARAM)
+    return ideal.context.without_params()
 
 
 def specialize_scalar(ideal: Ideal, values) -> Ideal:
@@ -65,11 +60,10 @@ def specialize_polynomial(ideal: Ideal, values) -> Ideal:
 
 
 def generic_form(ctx, support, coefficients) -> Polynomial:
-    """The generic form sum(c_j * Y^e_j) over ``ctx``, one coefficient per monomial.
+    """The generic form sum(c_j * Y^e_j) over ``ctx``, one rational c_j per monomial.
 
     The distinct exponents e_j in ``support`` range over ``ctx.var_names``.
-    Each c_j is a rational or the name of a ``ctx`` variable (a fresh
-    lambda coefficient).  Raises ValueError when the lengths do not match.
+    Raises ValueError when the lengths do not match.
     """
     width = len(ctx)
     y_positions = ctx.indices_of(ctx.var_names)
@@ -78,9 +72,6 @@ def generic_form(ctx, support, coefficients) -> Polynomial:
         exp = [0] * width
         for position, e in zip(y_positions, y_exp, strict=True):
             exp[position] = e
-        if isinstance(coeff, str):
-            exp[ctx.index[coeff]] += 1
-            coeff = 1
         terms[tuple(exp)] = coeff
     return Polynomial(ctx, terms)
 
@@ -96,7 +87,7 @@ def intersect_generic(ideal: Ideal, degrees, blocks) -> Ideal:
     degrees = tuple(degrees)
     if not degrees:
         return ideal
-    if ideal.context.r or ideal.context.lambda_names:
+    if ideal.context.r:
         raise ContextMismatchError("generic intersection expects an ideal in the Y-variables only")
     d = ideal.dimension()
     if len(degrees) > d:
@@ -106,25 +97,3 @@ def intersect_generic(ideal: Ideal, degrees, blocks) -> Ideal:
              for degree, block in zip(degrees, blocks, strict=True)]
     return ideal.adjoin(extra)
 
-
-def build_parametric_system(ideal: Ideal, degrees) -> Ideal:
-    """Adjoin U_i(L_i, Y) - T_i for every parameter, over fresh L-blocks.
-
-    Substituting rational values for the L-blocks and eliminating T
-    reproduces ``specialize_polynomial`` at the corresponding values.
-    """
-    degrees = tuple(degrees)
-    params = ideal.context.param_names
-    if len(degrees) != len(params):
-        raise ValueError(f"expected {len(params)} degrees, got {len(degrees)}")
-    s = ideal.context.s
-    supports = [monomials_upto(s, degree) for degree in degrees]
-    blocks = [Block(f"L{i}", ROLE_LAMBDA, tuple(f"L{i}_{j}" for j in range(1, len(support) + 1)))
-              for i, support in enumerate(supports, start=1)]
-    ctx = ideal.context
-    for block in reversed(blocks):
-        ctx = ctx.adjoin_front(block)
-    generators = [g.embed(ctx) for g in ideal.generators]
-    for block, support, param in zip(blocks, supports, params):
-        generators.append(generic_form(ctx, support, block.names) - Polynomial.variable(ctx, param))
-    return Ideal(ctx, generators)

@@ -66,6 +66,12 @@ def test_specialize_poly_at(parabola, tmp_path, capsys):
     assert "Y^2 - Y - 1" in capsys.readouterr().out
 
 
+def test_specialize_zero_denominator_exit_code(parabola, capsys):
+    # main returns the exit code only when it catches the error: no traceback
+    assert main(["specialize", parabola, "--at", "1/0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_experiment_writes_report_and_verifies(parabola, tmp_path, capsys):
     config = tmp_path / "exp.conf"
     config.write_text(
@@ -118,6 +124,20 @@ def test_tampered_report_fails_verification(parabola, tmp_path, capsys):
     out_path.write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify-report", str(out_path)]) == 1
+
+
+def test_verify_report_zero_denominator_exit_code(parabola, tmp_path, capsys):
+    config = tmp_path / "exp.conf"
+    config.write_text(
+        f"kind = ScalarSpec\nideal = {parabola}\nH = 9\nn = 30\nseed = 2\n")
+    out_path = tmp_path / "report.json"
+    assert main(["experiment", str(config), "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    _first_not_prime(report)["point"]["values"] = ["1/0"]
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify-report", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _first_not_prime(report):

@@ -98,6 +98,26 @@ def test_product_of_lines_never_certified_prime():
             assert basis.contains(f * g)
 
 
+NON_PRIME_WITH_PRIME_SECTIONS = {
+    # (X) with an embedded point at the origin: X^2 lies in it, X does not
+    "(X^2, XY)": (("X", "Y"), ["X^2", "X*Y"]),
+    # the line X = 0 and the point (1, 0)
+    "(XY, X^2 - X)": (("X", "Y"), ["X*Y", "X^2 - X"]),
+    # the plane X = 0 and the line Y = Z = 0
+    "(XY, XZ)": (("X", "Y", "Z"), ["X*Y", "X*Z"]),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: random sections miss the "
+                                       "embedded or lower-dimensional component, so the "
+                                       "section loop answers prime")
+@pytest.mark.parametrize("case", sorted(NON_PRIME_WITH_PRIME_SECTIONS))
+def test_positive_dimensional_non_prime_ideals_never_prime(case):
+    variables, gens = NON_PRIME_WITH_PRIME_SECTIONS[case]
+    ideal = make_ideal(variables, gens)
+    assert all(is_prime(ideal, seed=seed).status != PRIME for seed in range(5))
+
+
 def test_field_certificate_implies_integrality(two_points):
     # spot check: products of nonmembers stay outside a certified-prime ideal
     ideal = make_ideal(("Y",), ["Y^3 - 2"])

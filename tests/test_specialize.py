@@ -1,13 +1,13 @@
-"""Scalar/polynomial specialization, generic intersection, parametric systems."""
+"""Scalar/polynomial specialization, generic forms and generic intersection."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from primespec import (ContextMismatchError, Ideal, Polynomial, build_parametric_system,
-                       context, eliminate, generic_form, grevlex, intersect_generic, is_prime,
-                       monomials_upto, parse_polynomial, specialize_polynomial,
-                       specialize_scalar)
+from primespec import (ContextMismatchError, Polynomial, context, eliminate, generic_form,
+                       grevlex, intersect_generic, is_prime, monomials_upto, parse_polynomial,
+                       specialize_polynomial, specialize_scalar)
 from primespec.primality import NOT_PRIME, PRIME
 
 from conftest import make_ideal, seeded
@@ -38,7 +38,7 @@ def test_scalar_arity_checked(parabola_family):
 
 def test_scalar_matches_generatorwise_substitution(parabola_family):
     rng = seeded(51)
-    target = parabola_family.context.drop_role("param")
+    target = parabola_family.context.without_params()
     for _ in range(25):
         t = Fraction(rng.randint(-50, 50))
         result = specialize_scalar(parabola_family, (t,))
@@ -47,7 +47,7 @@ def test_scalar_matches_generatorwise_substitution(parabola_family):
 
 
 def test_polynomial_specialization_irreducible_image(parabola_family):
-    y_ctx = parabola_family.context.drop_role("param")
+    y_ctx = parabola_family.context.without_params()
     u = parse_polynomial("Y + 1", y_ctx)
     result = specialize_polynomial(parabola_family, (u,))
     assert [str(g) for g in result.generators] == ["Y^2 - Y - 1"]
@@ -55,7 +55,7 @@ def test_polynomial_specialization_irreducible_image(parabola_family):
 
 
 def test_polynomial_specialization_degenerate_cancellation(parabola_family):
-    y_ctx = parabola_family.context.drop_role("param")
+    y_ctx = parabola_family.context.without_params()
     result = specialize_polynomial(parabola_family, (parse_polynomial("Y^2", y_ctx),))
     assert result.is_zero
     assert result.dimension() == 1  # the whole line: dimension s
@@ -69,7 +69,7 @@ def test_degree_zero_matches_scalar_bit_for_bit():
     ]
     for k in range(50):
         family = families[k % len(families)]
-        y_ctx = family.context.drop_role("param")
+        y_ctx = family.context.without_params()
         t = tuple(Fraction(rng.randint(-30, 30)) for _ in family.context.param_names)
         scalar = specialize_scalar(family, t)
         constant = specialize_polynomial(
@@ -86,20 +86,20 @@ def test_generic_form_rational_block_drops_zeros():
     assert generic_form(ctx, monomials_upto(2, 2), (0,) * 6).is_zero
 
 
-def test_generic_form_lambda_block():
-    names = ("A", "B", "C", "D", "E", "F")
-    ctx = context(("Y1", "Y2"), lambdas=(("L", names),))
-    form = generic_form(ctx, monomials_upto(2, 2), names)
-    assert form == parse_polynomial("A + B*Y1 + C*Y2 + D*Y1^2 + E*Y1*Y2 + F*Y2^2", ctx)
-    assert set(form.terms.values()) == {1}
-
-
 def test_generic_form_mixed_layout():
-    # (lambda | T | Y): exponents land on the Y slots, names on their own slot
-    ctx = context(("Y1", "Y2"), params=("T",), lambdas=(("L", ("A", "B")),))
-    form = generic_form(ctx, ((0, 0), (2, 1), (0, 1)), ("A", "B", -5))
-    assert form.terms == {(1, 0, 0, 0, 0): 1, (0, 1, 0, 2, 1): 1, (0, 0, 0, 0, 1): -5}
-    assert form == parse_polynomial("A + B*Y1^2*Y2 - 5*Y2", ctx)
+    # (T | Y): exponents land on the Y slots, the T slot stays zero
+    ctx = context(("Y1", "Y2"), params=("T",))
+    form = generic_form(ctx, ((0, 0), (2, 1), (0, 1)), (3, Fraction(1, 2), -5))
+    assert form.terms == {(0, 0, 0): 3, (0, 2, 1): Fraction(1, 2), (0, 0, 1): -5}
+    assert form == parse_polynomial("3 + 1/2*Y1^2*Y2 - 5*Y2", ctx)
+
+
+@pytest.mark.parametrize("s,degree", [(s, d) for s in range(1, 5) for d in range(6)])
+def test_count_matches_binomial(s, degree):
+    ctx = context(tuple(f"Y{i}" for i in range(1, s + 1)))
+    support = monomials_upto(s, degree)
+    coefficients = [Fraction((-1) ** j * (j + 1), j + 2) for j in range(len(support))]
+    assert len(generic_form(ctx, support, coefficients).terms) == math.comb(s + degree, degree)
 
 
 def test_generic_form_length_mismatch_rejected():
@@ -168,36 +168,18 @@ def test_cut_dimension_drops_by_one_when_prime():
         assert confirmed > 0
 
 
-def test_parametric_system_shapes(parabola_family):
-    d0 = build_parametric_system(parabola_family, (0,))
-    assert [str(g) for g in d0.generators] == ["Y^2 - T", "L1_1 - T"]
-    d1 = build_parametric_system(parabola_family, (1,))
-    assert [str(g) for g in d1.generators] == ["Y^2 - T", "L1_2*Y + L1_1 - T"]
-    assert d1.context.lambda_names == ("L1_1", "L1_2")
-
-
-def test_parametric_elimination_recovers_quadric(parabola_family):
-    system = build_parametric_system(parabola_family, (1,))
-    kept = [n for n in system.context.names if n != "T"]
-    meet = eliminate(system, kept)
-    ctx = meet.context
-    target = Ideal(ctx, [parse_polynomial("Y^2 - L1_2*Y - L1_1", ctx)])
-    assert meet.groebner(grevlex).polys == target.groebner(grevlex).polys
-
-
 def test_parametric_pointwise_commutation(parabola_family):
-    system = build_parametric_system(parabola_family, (1,))
-    y_ctx = parabola_family.context.drop_role("param")
+    # Independent oracle: adjoin T - u(Y) and eliminate T.
+    ctx = parabola_family.context
+    y_ctx = ctx.without_params()
     rng = seeded(54)
     for _ in range(25):
         a = Fraction(rng.randint(-20, 20))
         b = Fraction(rng.randint(-20, 20))
         u = Polynomial.constant(y_ctx, a) + Polynomial.variable(y_ctx, "Y") * b
         direct = specialize_polynomial(parabola_family, (u,))
-        bound = {"L1_1": a, "L1_2": b}
-        plain = system.context.drop_role("lambda")
-        substituted = Ideal(plain, [g.substitute(bound, plain) for g in system.generators])
-        eliminated = eliminate(substituted, ("Y",))
+        graph = parabola_family.adjoin([Polynomial.variable(ctx, "T") - u.embed(ctx)])
+        eliminated = eliminate(graph, ("Y",))
         assert eliminated.groebner(grevlex).polys == direct.groebner(grevlex).polys
 
 

@@ -1,6 +1,5 @@
 """Scalar/polynomial specialization, generic forms and generic intersection."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -92,14 +91,6 @@ def test_generic_form_mixed_layout():
     form = generic_form(ctx, ((0, 0), (2, 1), (0, 1)), (3, Fraction(1, 2), -5))
     assert form.terms == {(0, 0, 0): 3, (0, 2, 1): Fraction(1, 2), (0, 0, 1): -5}
     assert form == parse_polynomial("3 + 1/2*Y1^2*Y2 - 5*Y2", ctx)
-
-
-@pytest.mark.parametrize("s,degree", [(s, d) for s in range(1, 5) for d in range(6)])
-def test_count_matches_binomial(s, degree):
-    ctx = context(tuple(f"Y{i}" for i in range(1, s + 1)))
-    support = monomials_upto(s, degree)
-    coefficients = [Fraction((-1) ** j * (j + 1), j + 2) for j in range(len(support))]
-    assert len(generic_form(ctx, support, coefficients).terms) == math.comb(s + degree, degree)
 
 
 def test_generic_form_length_mismatch_rejected():

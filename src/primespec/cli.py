@@ -66,9 +66,12 @@ def _cmd_prime(args):
         f, g = verdict.certificate
         print(f"certificate f: {f}")
         print(f"certificate g: {g}")
-    if verdict.status == "prime":
-        kind = "probabilistic" if verdict.probabilistic else "field certificate"
-        print(f"kind: {kind} ({verdict.confidence_trials} trial(s))")
+    if verdict.status == "prime" and verdict.sections:
+        field = verdict.sections[-1]
+        print(f"U: ({', '.join(field.independent)})")
+        print(f"u: ({', '.join(map(str, field.point))})")
+        print(f"linear form: {field.linear_form}")
+        print(f"minimal polynomial: {field.minimal_poly}")
     if verdict.reason:
         print(f"reason: {verdict.reason}")
     return EXIT_OK

@@ -3,13 +3,13 @@
 A sample is *good* when the specialized ideal is certified prime and its
 dimension matches the expected fiber dimension; *bad* when it is
 certifiably not prime, collapses to the unit ideal, or has the wrong
-dimension; *inconclusive* when the probabilistic test cannot decide or a
-budget runs out.  Densities are reported both against all samples and
+dimension; *inconclusive* when ``is_prime`` finds no certificate within
+its trials (its reason is recorded) or a budget runs out.  Densities are reported both against all samples and
 against the decisive ones, always as exact fractions alongside floats.
 
 Each sample stores its point as JSON (``sample_point``); ``specialize_point``
 builds the specialized ideal from that point both when the sample runs and
-when ``verify_report`` replays it.
+when ``verify_report`` replays the report, for every sample.
 
 Reports are deterministic for a fixed config and seed: every sample owns
 an independent random stream derived from (seed, index), so handing the
@@ -431,12 +431,15 @@ def emit_report(report: dict, fmt: str, path) -> None:
 
 
 def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | None:
-    """Replay the failure witness of a bad sample; None for other samples."""
+    """Rebuild a sample's specialized ideal; replay the failure witness of a bad one.
+
+    Returns None for a sample that is not bad.
+    """
     try:
+        specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
         if classify(sample) != "bad":
             return None
         index, verdict, dimension = sample["index"], sample["verdict"], sample["dimension"]
-        specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
         if verdict == NOT_PRIME:
             f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
                     for key in ("f", "g"))
@@ -466,7 +469,8 @@ def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | No
 def verify_report(report: dict) -> list[str]:
     """Replay every failure witness in a report; raises on any mismatch.
 
-    Confirms every NotPrime certificate (product in the ideal, factors
+    Rebuilds the specialized ideal of every sample from its point, then
+    confirms every NotPrime certificate (product in the ideal, factors
     outside), every unit-ideal collapse, every dimension mismatch, every
     consistency failure, and then the whole ``aggregate`` against the one
     ``run_experiment`` computes.  A report or sample record with a missing

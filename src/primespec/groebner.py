@@ -1,4 +1,4 @@
-"""Buchberger engine with elimination orders, dimension and membership.
+"""Buchberger engine with elimination orders, dimension, membership and saturation.
 
 The engine is a plain Buchberger loop with the normal selection strategy
 and Gebauer-Moeller pair elimination; returned bases are reduced, monic
@@ -16,6 +16,9 @@ only in returned polynomials: the monic basis and ``normal_form``.
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
 support, searched exhaustively (inputs here stay below ~8 variables).
+The search yields every such largest subset, the candidate independent
+variables that positive-dimensional primality specializes.  Saturation
+by a polynomial is an elimination (the Rabinowitsch trick).
 """
 
 from __future__ import annotations
@@ -356,17 +359,24 @@ class Ideal:
         return self._dim
 
 
-def _max_independent_set(lead_supports, var_count, limits=DEFAULT_LIMITS) -> int:
-    """Largest k such that some k-subset of variables meets no support."""
+def _max_independent_sets(lead_supports, var_count, limits=DEFAULT_LIMITS):
+    """Every largest subset of variables meeting no support, as sorted index tuples.
+
+    Yields in ``itertools.combinations`` order; the empty set when no
+    variable is free.
+    """
     if any(not support for support in lead_supports):
         raise ValueError("unit leading term")
-    for size in range(var_count, 0, -1):
+    for size in range(var_count, -1, -1):
         limits.check_deadline()
+        found = False
         for subset in itertools.combinations(range(var_count), size):
             chosen = set(subset)
             if all(not support <= chosen for support in lead_supports):
-                return size
-    return 0
+                found = True
+                yield subset
+        if found:
+            return
 
 
 def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
@@ -375,11 +385,9 @@ def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
     basis = ideal.groebner(grevlex, limits)
     if basis.is_unit:
         return -1
-    if not basis.polys:
-        return n
     supports = [frozenset(i for i, e in enumerate(exp) if e)
                 for exp in basis.leading_exponents()]
-    return _max_independent_set(supports, n, limits)
+    return len(next(_max_independent_sets(supports, n, limits)))
 
 
 def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
@@ -403,6 +411,18 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
     return Ideal(target, selected)
 
 
+def saturation(ideal: Ideal, h: Polynomial, limits=DEFAULT_LIMITS) -> Ideal:
+    """The saturation I : h^oo, eliminating t from I + (1 - t*h) (Rabinowitsch)."""
+    ctx = ideal.context
+    fresh = "_t"
+    while fresh in ctx:
+        fresh += "_"
+    wide = VariableContext(ctx.param_names, ctx.var_names + (fresh,))
+    inverse = 1 - Polynomial.variable(wide, fresh) * h.embed(wide)
+    return eliminate(Ideal(wide, [g.embed(wide) for g in ideal.generators] + [inverse]),
+                     ctx.names, limits)
+
+
 def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> int:
     """Dimension of the quotient after inverting the named variables.
 
@@ -420,8 +440,6 @@ def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> i
     basis = ideal.groebner(order, limits)
     if basis.is_unit:
         return -1
-    if not basis.polys:
-        return len(main)
     main_idx = ideal.context.indices_of(main)
     supports = []
     for exp in basis.leading_exponents():
@@ -430,4 +448,4 @@ def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> i
     if any(not s for s in supports):
         # Some basis element lies in the inverted block: unit ideal there.
         return -1
-    return _max_independent_set(supports, len(main), limits)
+    return len(next(_max_independent_sets(supports, len(main), limits)))

@@ -3,12 +3,17 @@
 For a zero-dimensional ideal the quotient is a finite-dimensional
 vector space with the staircase monomials as basis.  A random linear
 form whose minimal polynomial is irreducible of full degree certifies
-the quotient is a field (deterministic Prime); a reducible minimal
-polynomial yields a product pair lying in the ideal with both factors
-outside it (certified NotPrime).  Positive-dimensional ideals are cut
-down by random affine hyperplane sections: all sections must agree on
-Prime (probabilistic verdict), and a section's NotPrime certificate is
-only reported when it replays on the original ideal.
+the quotient is a field (Prime); a reducible minimal polynomial yields a
+product pair lying in the ideal with both factors outside it (NotPrime).
+
+In positive dimension the independent variables U are specialized, as
+the paper specializes parameters (Gianni-Trager-Zacharias).  With h the
+product of the Q[U]-leading coefficients of the block basis (V | U),
+I^e meet Q[x] = I : h^oo, so a larger saturation yields NotPrime (g, h^k);
+otherwise one field certificate at an integer u with h(u) != 0 and an
+unchanged staircase proves I prime: the form's characteristic polynomial
+has coefficients in the integrally closed Q[U, 1/h], so a factorization
+over Q(U) would persist at u.  Points whose test splits are redrawn.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -24,10 +29,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .context import context as make_context
-from .errors import PrimespecError
+from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
-from .groebner import DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul
-from .orders import grevlex
+from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _max_independent_sets,
+                       _mul, saturation)
+from .orders import block_order, grevlex
 from .poly import Exponent, Polynomial, integer_primitive
 
 PRIME = "prime"
@@ -52,23 +58,10 @@ class ZeroDimQuotient:
     def __init__(self, basis: GroebnerBasis, limits=DEFAULT_LIMITS):
         self.basis = basis
         self.limits = limits
-        leads = basis.leading_exponents()
-        n = len(basis.context)
-        bounds = [None] * n
-        for exp in leads:
-            support = [i for i, e in enumerate(exp) if e]
-            if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or exp[i] < bounds[i]:
-                    bounds[i] = exp[i]
-        if any(b is None for b in bounds):
+        staircase = _staircase(basis.leading_exponents(), len(basis.context))
+        if staircase is None:
             raise ValueError("leading terms admit no finite staircase (dimension > 0)")
-        staircase = []
-        for exp in _box(bounds):
-            if not any(_divides(lead, exp) for lead in leads):
-                staircase.append(exp)
-        staircase.sort(key=grevlex.key)
-        self.staircase: tuple[Exponent, ...] = tuple(staircase)
+        self.staircase: tuple[Exponent, ...] = staircase
         self.index = {exp: i for i, exp in enumerate(staircase)}
         self.vector_dim = len(staircase)
 
@@ -76,11 +69,20 @@ class ZeroDimQuotient:
         return self.basis.normal_form(p, self.limits)
 
 
-def _box(bounds):
-    exps = [()]
-    for bound in bounds:
-        exps = [e + (k,) for e in exps for k in range(bound)]
-    return exps
+def _staircase(leads, width):
+    """Monomials outside the monomial ideal of ``leads``, grevlex-increasing; None if infinite."""
+    bounds = {}
+    for exp in leads:
+        support = [i for i, e in enumerate(exp) if e]
+        if len(support) == 1:
+            bounds[support[0]] = min(exp[support[0]], bounds.get(support[0], exp[support[0]]))
+    if len(bounds) < width:
+        return None
+    box = [()]
+    for i in range(width):
+        box = [e + (k,) for e in box for k in range(bounds[i])]
+    staircase = [exp for exp in box if not any(_divides(lead, exp) for lead in leads)]
+    return tuple(sorted(staircase, key=grevlex.key))
 
 
 def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polynomial:
@@ -124,6 +126,9 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
     power[index[(0,) * len(basis.context)]] = 1
     scales = [(1, 1)]
     rows = []
+    # The term budget binds on each elimination step as on a reduction step;
+    # a row and its combination hold at most 2n + 1 terms.
+    check_terms = 2 * n + 1 > limits.max_term_count
     for k in range(n + 1):
         limits.check_deadline()
         vec = power
@@ -136,6 +141,8 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
                 mult, c = row[pivot] // g, c // g
                 vec = [mult * a - c * b for a, b in zip(vec, row)]
                 combo = [mult * a - c * b for a, b in zip(combo, row_combo)]
+                if check_terms and sum(map(bool, vec + combo)) > limits.max_term_count:
+                    raise BudgetExceededError("Krylov row exceeds term budget")
                 if mult != 1:
                     content = math.gcd(*vec, *combo)
                     if content != 1:
@@ -163,9 +170,10 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
 
 @dataclass(frozen=True)
 class SectionData:
-    """One certification attempt: cutting forms, probe form, its minimal polynomial."""
+    """One field test at U = u (both empty in dimension 0): probe form, minimal polynomial."""
 
-    section_forms: tuple[Polynomial, ...]
+    independent: tuple[str, ...]
+    point: tuple[int, ...]
     linear_form: Polynomial
     minimal_poly: Polynomial
     quotient_dim: int
@@ -176,8 +184,6 @@ class PrimalityVerdict:
     status: str
     certificate: tuple[Polynomial, Polynomial] | None = None
     sections: tuple[SectionData, ...] = ()
-    confidence_trials: int = 0
-    probabilistic: bool = False
     reason: str = ""
 
 
@@ -192,30 +198,18 @@ def _certificate_error(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
 
 
 def not_prime_verdict(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
-                      trials: int, limits=DEFAULT_LIMITS,
-                      sections=()) -> PrimalityVerdict:
+                      limits=DEFAULT_LIMITS, sections=()) -> PrimalityVerdict:
     """NotPrime verdict; the certificate is re-verified before it is issued."""
     error = _certificate_error(basis, f, g, limits)
     if error is not None:
         raise PrimespecError(f"invalid certificate: {error}")
-    return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=tuple(sections),
-                            confidence_trials=trials)
+    return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=tuple(sections))
 
 
-def _random_linear_form(ctx, rng, box, affine=False):
-    terms = {}
-    width = len(ctx)
-    if affine:
-        constant = rng.randint(-box, box)
-        if constant:
-            terms[(0,) * width] = Fraction(constant)
-    for i in range(width):
-        c = rng.randint(-box, box)
-        if c:
-            exp = [0] * width
-            exp[i] = 1
-            terms[tuple(exp)] = Fraction(c)
-    return Polynomial(ctx, terms)
+def _random_linear_form(ctx, rng, box):
+    coeffs = [rng.randint(-box, box) for _ in ctx.names]
+    return Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
+                            for i, c in enumerate(coeffs) if c})
 
 
 def _split_minimal_poly(m: Polynomial, limits):
@@ -251,21 +245,18 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
 def _field_test(quotient: ZeroDimQuotient, rng, trials,
                 box_start, box_cap, limits) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive."""
-    basis = quotient.basis
-    ctx = basis.context
     box = box_start
-    for attempt in range(1, trials + 1):
-        u = _random_linear_form(ctx, rng, box)
+    for _ in range(trials):
+        u = _random_linear_form(quotient.basis.context, rng, box)
         if u.is_zero:
             box = min(2 * box, box_cap)
             continue
         m = minimal_polynomial(quotient, u)
+        data = SectionData((), (), u, m, quotient.vector_dim)
         split = _split_minimal_poly(m, limits)
         if split is None:
             if m.total_degree() == quotient.vector_dim:
-                data = SectionData((), u, m, quotient.vector_dim)
-                return PrimalityVerdict(PRIME, sections=(data,), confidence_trials=attempt,
-                                        probabilistic=False)
+                return PrimalityVerdict(PRIME, sections=(data,))
             box = min(2 * box, box_cap)  # u generates a proper subfield: retry
             continue
         f_z, g_z = split
@@ -274,23 +265,35 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials,
         reduced_u = quotient.reduce(u)
         f = _evaluate_in_quotient(quotient, f_z, reduced_u)
         g = _evaluate_in_quotient(quotient, g_z, reduced_u)
-        return not_prime_verdict(basis, f, g, trials=attempt, limits=limits,
-                                 sections=(SectionData((), u, m, quotient.vector_dim),))
-    return PrimalityVerdict(INCONCLUSIVE, confidence_trials=trials,
-                            reason="only degenerate linear forms drawn")
+        return not_prime_verdict(quotient.basis, f, g, limits, sections=(data,))
+    return PrimalityVerdict(INCONCLUSIVE, reason="only degenerate linear forms drawn")
+
+
+def _block_reduction(ideal: Ideal, basis: GroebnerBasis, limits):
+    """U, the block basis (V | U) and its staircase over Q(U), for the smallest staircase."""
+    names = ideal.context.names
+    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in basis.leading_exponents()]
+    best = None
+    for subset in _max_independent_sets(supports, len(names), limits):
+        free = tuple(names[i] for i in subset)
+        bound = tuple(n for n in names if n not in free)
+        block = ideal.groebner(block_order(ideal.context, (bound, free)), limits)
+        positions = ideal.context.indices_of(bound)
+        stair = _staircase([tuple(exp[i] for i in positions) for exp in block.leading_exponents()],
+                           len(bound))
+        if best is None or len(stair) < len(best[2]):
+            best = (free, block, stair)
+    return best
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
              box_start: int = DEFAULT_BOX_START, box_cap: int = DEFAULT_BOX_CAP,
              limits=DEFAULT_LIMITS) -> PrimalityVerdict:
-    """Primality verdict for an ideal over the rationals.
+    """Certified primality verdict for an ideal over the rationals (module docstring).
 
-    Dimension 0 gives deterministic answers (field certificate or a
-    re-verified NotPrime pair).  In positive dimension the verdict
-    Prime is probabilistic: ``trials`` independent random sections must
-    all certify Prime; a section NotPrime certificate is reported only
-    when it re-verifies against the original ideal, and disagreement
-    yields Inconclusive.  Fixed seeds give identical verdicts.
+    ``trials`` bounds the linear forms per field test and, in positive
+    dimension, the points u; ``sections`` holds one ``SectionData`` per
+    field test, the certifying one last.  Fixed seeds give identical verdicts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -298,45 +301,42 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     basis = ideal.groebner(grevlex, limits)
     if basis.is_unit:
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
-    dim = ideal.dimension(limits)
-    if dim == 0:
-        quotient = ZeroDimQuotient(basis, limits)
-        return _field_test(quotient, rng, trials, box_start, box_cap, limits)
+    if ideal.dimension(limits) == 0:
+        return _field_test(ZeroDimQuotient(basis, limits), rng, trials, box_start, box_cap, limits)
+    if not basis.polys:
+        return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
-    box = box_start
+    ctx = ideal.context
+    free, block, stair = _block_reduction(ideal, basis, limits)
+    bound = make_context(tuple(n for n in ctx.names if n not in free))
+    positions = ctx.indices_of(bound.names)
+    leading = {Polynomial(ctx, {tuple(0 if i in positions else x for i, x in enumerate(e)): c
+                                for e, c in g.terms.items()
+                                if all(e[i] == lead[i] for i in positions)})
+               for g, lead in zip(block, block.leading_exponents())}
+    h = math.prod(leading, start=Polynomial.constant(ctx, 1))
+    if not h.is_constant:
+        for g in saturation(ideal, h, limits).generators:
+            if not basis.contains(g, limits):
+                power = h  # h^k lies outside I because I meets Q[U] only in 0
+                while not basis.contains(g * power, limits):
+                    power = power * h
+                return not_prime_verdict(basis, g, power, limits)
+
     sections = []
-    for trial in range(1, trials + 1):
-        section = None
-        for _ in range(8):
-            forms = tuple(_random_linear_form(ideal.context, rng, box, affine=True)
-                          for _ in range(dim))
-            if any(f.is_zero or f.is_constant for f in forms):
-                box = min(2 * box, box_cap)
-                continue
-            candidate = ideal.adjoin(forms)
-            if candidate.dimension(limits) == 0:
-                section = (forms, candidate)
-                break
-            box = min(2 * box, box_cap)
-        if section is None:
-            return PrimalityVerdict(INCONCLUSIVE, confidence_trials=trial - 1,
-                                    reason="no zero-dimensional section found")
-        forms, cut = section
-        quotient = ZeroDimQuotient(cut.groebner(grevlex, limits), limits)
-        inner = _field_test(quotient, rng, trials, box, box_cap, limits)
-        if inner.status == INCONCLUSIVE:
-            return PrimalityVerdict(INCONCLUSIVE, confidence_trials=trial - 1,
-                                    reason=inner.reason or "section test inconclusive")
-        probe = replace(inner.sections[0], section_forms=forms)
-        if inner.status == PRIME:
-            sections.append(probe)
+    box = box_start
+    for _ in range(trials):
+        point = tuple(rng.randint(-box, box) for _ in free)
+        box = min(2 * box, box_cap)
+        at = dict(zip(free, point))
+        if h.substitute(at).is_zero:
             continue
-        f, g = inner.certificate
-        if _certificate_error(basis, f, g, limits) is None:
-            return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=(probe,),
-                                    confidence_trials=trial)
-        return PrimalityVerdict(
-            INCONCLUSIVE, confidence_trials=trial - 1,
-            reason="a section is not prime but its certificate does not descend")
-    return PrimalityVerdict(PRIME, sections=tuple(sections), confidence_trials=trials,
-                            probabilistic=True)
+        cut = Ideal(bound, [g.substitute(at, bound) for g in block]).groebner(grevlex, limits)
+        if _staircase(cut.leading_exponents(), len(bound)) != stair:
+            continue
+        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, box_start, box_cap, limits)
+        sections += [replace(data, independent=free, point=point) for data in inner.sections]
+        if inner.status == PRIME:
+            return PrimalityVerdict(PRIME, sections=tuple(sections))
+    return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections),
+                            reason=f"no field certificate at {trials} specialization points u")

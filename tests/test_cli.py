@@ -42,6 +42,19 @@ def test_prime_not_prime_with_certificate(tmp_path, capsys):
     assert "certificate f:" in out
 
 
+def test_prime_prints_the_field_certificate(tmp_path, capsys):
+    # the cusp: Y is independent, and the fiber X^3 = u^2 is a field for u != 0
+    path = tmp_path / "cusp.ideal"
+    path.write_text("vars: X, Y\ngens:\nY^2 - X^3\n")
+    assert main(["prime", str(path), "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["status: prime", "U: (Y)"]
+    assert re.fullmatch(r"u: \(-?[1-9]\d*\)", out[2])
+    assert re.fullmatch(r"linear form: -?\d*\*?X", out[3])
+    assert re.fullmatch(r"minimal polynomial: Z\^3 .*", out[4])
+    assert len(out) == 5
+
+
 def test_factor_command(capsys):
     assert main(["factor", "Y^4 - 5Y^2 + 4"]) == 0
     out = capsys.readouterr().out
@@ -134,6 +147,21 @@ def test_verify_report_zero_denominator_exit_code(parabola, tmp_path, capsys):
     assert main(["experiment", str(config), "--out", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
     _first_not_prime(report)["point"]["values"] = ["1/0"]
+    out_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify-report", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_report_decodes_good_sample_points(parabola, tmp_path, capsys):
+    # A good sample's point is rebuilt too, so "1/0" there fails like anywhere else.
+    config = tmp_path / "exp.conf"
+    config.write_text(
+        f"kind = ScalarSpec\nideal = {parabola}\nH = 9\nn = 30\nseed = 2\n")
+    out_path = tmp_path / "report.json"
+    assert main(["experiment", str(config), "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    next(s for s in report["samples"] if s["verdict"] == "prime")["point"]["values"] = ["1/0"]
     out_path.write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["verify-report", str(out_path)]) == 2

@@ -4,13 +4,12 @@ Each test runs every point of its box through ``experiments.specialize_point``
 and ``is_prime`` and compares the verdict with an exact oracle, so a wrong
 ``prime`` and a wrong ``not_prime`` both fail.  No point may end inconclusive.
 The oracles are discriminant rules: a quadratic over Q splits, or has a
-double root, exactly when its discriminant is a perfect square.
+double root, exactly when its discriminant is a perfect square.  The
+cubic fibers need none: each is parametrized by a line, so it is prime.
 """
 
 import itertools
 import math
-
-import pytest
 
 from primespec import is_prime
 from primespec.experiments import specialize_point
@@ -55,9 +54,6 @@ def test_circle_line_box(circle):
         assert is_prime(cut(circle, line), seed=0).status == circle_line_oracle(*line), line
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a positive-dimensional prime ideal "
-                                       "ends inconclusive when a section splits "
-                                       "and its certificate does not descend")
 def test_circle_zero_line_is_the_whole_circle(circle):
     specialized = cut(circle, (0, 0, 0))
     assert specialized.dimension() == 1
@@ -71,3 +67,12 @@ def test_parabola_at_degree_one_values_box(parabola_family):
         specialized = specialize_point(parabola_family, "PolySpec", (1,), point)
         expected = NOT_PRIME if is_square(b * b + 4 * a) else PRIME
         assert is_prime(specialized, seed=0).status == expected, (a, b)
+
+
+def test_cubic_fiber_box(cubic_fiber_family):
+    # Y2 = t*Y1^2, Y3 = Y1*Y2 is the image of a line for every t: a prime curve.
+    for t in range(-100, 101):
+        point = {"kind": "scalar", "values": [str(t)]}
+        specialized = specialize_point(cubic_fiber_family, "ScalarSpec", (), point)
+        assert specialized.dimension() == 1, t
+        assert is_prime(specialized, seed=0).status == PRIME, t

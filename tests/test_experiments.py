@@ -319,8 +319,9 @@ def test_consistency_experiment(parabola_path):
 
 
 def test_worker_pool_matches_sequential(parabola_path, tmp_path):
-    # The cubic fibers are curves: their samples cut sections, and the ideal
-    # reaches the workers with the bases cached by the hypothesis gate.
+    # The cubic fibers are curves: their samples specialize an independent
+    # variable, and the ideal reaches the workers with the bases cached by
+    # the hypothesis gate.
     cubic_path = tmp_path / "cubic_fiber.ideal"
     cubic_path.write_text(CUBIC_FIBER)
     for path, n in ((parabola_path, 16), (str(cubic_path), 6)):
@@ -330,7 +331,8 @@ def test_worker_pool_matches_sequential(parabola_path, tmp_path):
 
 
 def test_budget_errors_mark_samples_inconclusive(tmp_path):
-    # A term budget of 1 passes the baseline but stops every fiber's Buchberger run.
+    # A term budget of 1 passes the baseline but stops every fiber's primality
+    # test: in a reduction step, or in the Krylov elimination of the field test.
     path = tmp_path / "cubic_fiber.ideal"
     path.write_text(CUBIC_FIBER)
     config = scalar_config(str(path), n=6, budgets=Budgets(gb_max_term_count=1))
@@ -386,7 +388,7 @@ def test_two_parameter_polynomial_values(tmp_path):
 SHIPPED_CONFIG_HASHES = {
     "circle_cut": "2c76061d48ab30c7",
     "consistency": "b96b0807a3d870c3",
-    "cubic_fibers": "130e5376b581f776",
+    "cubic_fibers": "8ac64c44da4f247f",
     "polyspec_quadric": "9167889f097c7699",
     "scalar_parabola": "f5d7460a4ce53973",
 }

@@ -6,7 +6,7 @@ import pytest
 
 from primespec import (BudgetExceededError, GBLimits, Ideal, Polynomial, buchberger,
                        context, eliminate, fiber_dimension, grevlex, lex, parse_polynomial)
-from primespec.groebner import ideal_dimension
+from primespec.groebner import ideal_dimension, saturation
 from primespec.orders import block_order
 
 from conftest import make_ideal, random_polynomial, seeded, suite_proper_ideals
@@ -113,9 +113,30 @@ def test_dimension_agrees_between_orders():
     for ideal in suite_proper_ideals():
         grev_dim = ideal.dimension()
         lex_leads = ideal.groebner(lex).leading_exponents()
-        from primespec.groebner import _max_independent_set
+        from primespec.groebner import _max_independent_sets
         supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in lex_leads]
-        assert _max_independent_set(supports, len(ideal.context)) == grev_dim
+        assert len(next(_max_independent_sets(supports, len(ideal.context)))) == grev_dim
+
+
+def test_max_independent_sets_lists_every_largest_set():
+    from primespec.groebner import _max_independent_sets
+    # leads X*Y and X*Z over (X, Y, Z): {Y, Z} is the one free pair
+    assert list(_max_independent_sets([frozenset({0, 1}), frozenset({0, 2})], 3)) == [(1, 2)]
+    # lead X*Y: {X} and {Y}; no lead at all: every variable
+    assert list(_max_independent_sets([frozenset({0, 1})], 2)) == [(0,), (1,)]
+    assert list(_max_independent_sets([], 2)) == [(0, 1)]
+    assert list(_max_independent_sets([frozenset({0})], 1)) == [()]
+
+
+def test_saturation_removes_the_components_inside_h():
+    # (X^2, XY) : Y^oo = (X), the embedded point at the origin goes;
+    # a prime ideal missing h is its own saturation
+    embedded = make_ideal(("X", "Y"), ["X^2", "X*Y"])
+    y = parse_polynomial("Y", embedded.context)
+    assert [str(g) for g in saturation(embedded, y).generators] == ["X"]
+    hyperbola = make_ideal(("X", "Y"), ["X*Y - 1"])
+    saturated = saturation(hyperbola, parse_polynomial("X", hyperbola.context))
+    assert saturated.groebner().polys == hyperbola.groebner().polys
 
 
 def test_parameter_bookkeeping_for_fiber_dimension():

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (Ideal, Polynomial, PrimespecError, context, grevlex, is_prime,
-                       minimal_polynomial, parse_polynomial)
+from primespec import (Ideal, Polynomial, PrimespecError, context, factor_univariate, grevlex,
+                       is_prime, minimal_polynomial, parse_polynomial)
 from primespec import BudgetExceededError, GBLimits
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
-                                 _evaluate_in_quotient, not_prime_verdict)
+                                 _certificate_error, _evaluate_in_quotient, not_prime_verdict)
 
 from conftest import make_ideal, random_polynomial, seeded
 
@@ -64,7 +64,9 @@ def test_two_point_ideal_not_prime_with_replay(two_points):
 def test_irreducible_univariate_prime_deterministically():
     verdict = is_prime(make_ideal(("Y",), ["Y^2 - 2"]), seed=0)
     assert verdict.status == PRIME
-    assert not verdict.probabilistic
+    field = verdict.sections[-1]
+    assert (field.independent, field.point) == ((), ())  # nothing specialized
+    assert field.minimal_poly.total_degree() == field.quotient_dim == 2
 
 
 def test_unit_ideal_verdict():
@@ -73,12 +75,20 @@ def test_unit_ideal_verdict():
     assert verdict.status == UNIT_IDEAL
 
 
-def test_circle_prime_probabilistic(circle):
-    # seed chosen so all five random sections avoid rational chords
-    verdict = is_prime(circle, trials=5, seed=3)
-    assert verdict.status == PRIME
-    assert verdict.probabilistic
-    assert len(verdict.sections) == 5
+def test_circle_prime_with_field_certificate(circle):
+    # Y2 is the independent variable; the certificate replays on the fiber Y2 = u
+    for seed in range(5):
+        verdict = is_prime(circle, seed=seed)
+        assert verdict.status == PRIME, seed
+        field = verdict.sections[-1]
+        assert field.independent == ("Y2",)
+        (u,) = field.point
+        fiber = make_ideal(("Y1",), [f"Y1^2 + ({u * u - 1})"])
+        quotient = ZeroDimQuotient(fiber.groebner(grevlex))
+        assert quotient.vector_dim == field.quotient_dim == 2
+        assert minimal_polynomial(quotient, field.linear_form) == field.minimal_poly
+        _, factors = factor_univariate(field.minimal_poly)
+        assert [mult for _, mult in factors] == [1] and factors[0][0].total_degree() == 2
 
 
 def test_nonradical_ideal_not_prime():
@@ -86,19 +96,20 @@ def test_nonradical_ideal_not_prime():
     assert verdict.status == NOT_PRIME
 
 
+def _assert_certified_not_prime(ideal, seed):
+    verdict = is_prime(ideal, seed=seed)
+    assert verdict.status == NOT_PRIME, seed
+    assert _certificate_error(ideal.groebner(), *verdict.certificate) is None
+
+
 def test_product_of_lines_never_certified_prime():
-    # reducible but with no descending section certificate: never Prime
+    # Y1 is independent with leading coefficient h = Y1: Y2 * Y1 lies in the ideal
     ideal = make_ideal(("Y1", "Y2"), ["Y1*Y2"])
     for seed in range(6):
-        verdict = is_prime(ideal, seed=seed)
-        assert verdict.status in (NOT_PRIME, INCONCLUSIVE)
-        if verdict.status == NOT_PRIME:
-            f, g = verdict.certificate
-            basis = ideal.groebner()
-            assert basis.contains(f * g)
+        _assert_certified_not_prime(ideal, seed)
 
 
-NON_PRIME_WITH_PRIME_SECTIONS = {
+FORMER_FALSE_PRIMES = {
     # (X) with an embedded point at the origin: X^2 lies in it, X does not
     "(X^2, XY)": (("X", "Y"), ["X^2", "X*Y"]),
     # the line X = 0 and the point (1, 0)
@@ -108,14 +119,48 @@ NON_PRIME_WITH_PRIME_SECTIONS = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: random sections miss the "
-                                       "embedded or lower-dimensional component, so the "
-                                       "section loop answers prime")
-@pytest.mark.parametrize("case", sorted(NON_PRIME_WITH_PRIME_SECTIONS))
+@pytest.mark.parametrize("case", sorted(FORMER_FALSE_PRIMES))
 def test_positive_dimensional_non_prime_ideals_never_prime(case):
-    variables, gens = NON_PRIME_WITH_PRIME_SECTIONS[case]
-    ideal = make_ideal(variables, gens)
-    assert all(is_prime(ideal, seed=seed).status != PRIME for seed in range(5))
+    # A generic section misses the extra component; the saturation I : h^oo does not.
+    variables, gens = FORMER_FALSE_PRIMES[case]
+    for seed in range(5):
+        _assert_certified_not_prime(make_ideal(variables, gens), seed)
+
+
+POSITIVE_DIMENSIONAL_PRIMES = {
+    "cusp": (("X", "Y"), ["Y^2 - X^3"]),
+    "twisted cubic": (("X", "Y", "Z"), ["Y - X^2", "Z - X^3"]),
+    # the leading coefficient h = X is not constant: the saturation check runs
+    "hyperbola": (("X", "Y"), ["X*Y - 1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSITIVE_DIMENSIONAL_PRIMES))
+def test_positive_dimensional_primes_are_prime(case):
+    variables, gens = POSITIVE_DIMENSIONAL_PRIMES[case]
+    for seed in range(5):
+        verdict = is_prime(make_ideal(variables, gens), seed=seed)
+        assert verdict.status == PRIME, seed
+        field = verdict.sections[-1]
+        assert len(field.independent) == len(field.point) == 1
+        assert field.minimal_poly.total_degree() == field.quotient_dim
+
+
+SPLIT_AT_EVERY_POINT = {
+    "two lines": (("X", "Y"), ["X^2 - Y^2"]),
+    "double circle": (("X", "Y"), ["(X^2 + Y^2 - 1)^2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_AT_EVERY_POINT))
+def test_split_at_every_point_is_inconclusive_with_reason(case):
+    # Not prime, but every fiber splits and no certificate descends from a
+    # split yet (ROADMAP item 4): never prime, always a reason.
+    variables, gens = SPLIT_AT_EVERY_POINT[case]
+    for seed in range(5):
+        verdict = is_prime(make_ideal(variables, gens), seed=seed)
+        assert verdict.status == INCONCLUSIVE, seed
+        assert verdict.reason
 
 
 def test_field_certificate_implies_integrality(two_points):
@@ -149,7 +194,7 @@ def test_invalid_certificate_rejected(two_points):
     ctx = two_points.context
     x = Polynomial.variable(ctx, "X")
     with pytest.raises(PrimespecError):
-        not_prime_verdict(basis, x, x, trials=1)  # x*x is not in the ideal
+        not_prime_verdict(basis, x, x)  # x*x is not in the ideal
 
 
 def test_trials_validated(two_points):
@@ -283,3 +328,14 @@ def test_expired_deadline_stops_minimal_polynomial():
     expired = ZeroDimQuotient(ideal.groebner(), GBLimits(deadline=time.monotonic() - 1))
     with pytest.raises(BudgetExceededError):
         minimal_polynomial(expired, Polynomial.variable(ideal.context, "Y1"))
+
+
+def test_term_budget_binds_in_minimal_polynomial():
+    # Every reduction step of Y * Y keeps one term; the Krylov step that
+    # finds Z^2 - 2 holds two.
+    ideal = make_ideal(("Y",), ["Y^2 - 2"])
+    y = Polynomial.variable(ideal.context, "Y")
+    tight = ZeroDimQuotient(ideal.groebner(), GBLimits(max_term_count=1))
+    with pytest.raises(BudgetExceededError):
+        minimal_polynomial(tight, y)
+    assert str(minimal_polynomial(ZeroDimQuotient(ideal.groebner()), y)) == "Z^2 - 2"

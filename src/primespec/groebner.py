@@ -10,8 +10,18 @@ Reduction runs over Z: every working polynomial is a primitive integer
 term map and normal forms are fraction-free pseudo-remainders.  A
 pseudo-remainder is a nonzero rational multiple of the remainder over Q,
 with the same support at every step, so the path through pairs and
-budgets is the one division over Q would take.  ``Fraction``s appear
-only in returned polynomials: the monic basis and ``normal_form``.
+budgets is the one division over Q would take.  A basis is held as its
+primitive integer reducers; ``Fraction``s appear only in returned
+polynomials: the monic ``polys`` and ``normal_form``.
+
+Bases of a scalar specialization are specialized, not recomputed
+(Kalkbrener, J. Symbolic Comput. 24, 1997): let G be a Groebner basis of
+I in Q[T, Y] under an order comparing the Y-part first, and t a point at
+which no element's leading coefficient in Q[T] vanishes.  Then G at
+T = t is a Groebner basis of I at T = t, and interreduction makes it
+the reduced one.  Where a leading coefficient vanishes (a hypersurface of
+parameter values; finitely many t for one parameter), Buchberger runs on
+the specialized generators instead.
 
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
@@ -32,7 +42,7 @@ from operator import le
 
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
-from .orders import MonomialOrder, elimination_order, block_order, grevlex
+from .orders import BLOCK, GREVLEX, MonomialOrder, block_order, elimination_order, grevlex
 from .poly import Exponent, Polynomial, integer_primitive
 
 
@@ -147,33 +157,42 @@ def _normal_form_terms(terms, reducers, order, limits):
 class GroebnerBasis:
     """A reduced Groebner basis frozen together with its monomial order.
 
-    ``polys`` are monic over Q; reduction runs on their primitive integer
-    reducers.
+    The basis is held as its primitive integer reducers, sorted by
+    decreasing lead; reduction runs on them.  ``polys``, the monic
+    polynomials over Q, are built from them on first use.
     """
 
-    __slots__ = ("context", "order", "polys", "_reducers")
+    __slots__ = ("context", "order", "_reducers", "_polys")
 
-    def __init__(self, context, order, polys):
+    def __init__(self, context, order, reducers):
         self.context = context
         self.order = order
-        self.polys = tuple(polys)
-        self._reducers = [_primitive(p.terms, order) for p in self.polys]
+        self._reducers = tuple(reducers)
+        self._polys = None
+
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        if self._polys is None:
+            self._polys = tuple(
+                Polynomial(self.context, {e: Fraction(c, lc) for e, c in terms.items()})
+                for _, lc, terms in self._reducers)
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._reducers)
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
                 and self.context == other.context
                 and self.order == other.order
-                and self.polys == other.polys)
+                and self._reducers == other._reducers)
 
     @property
     def is_unit(self) -> bool:
-        return len(self.polys) == 1 and self.polys[0].is_constant and not self.polys[0].is_zero
+        return len(self._reducers) == 1 and not any(self._reducers[0][0])
 
     def leading_exponents(self) -> list[Exponent]:
         return [lead for lead, _, _ in self._reducers]
@@ -256,11 +275,12 @@ def _s_polynomial(f, g) -> dict[Exponent, int]:
     return terms
 
 
-def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[Polynomial]:
-    """Reduced Groebner basis of the given generators.
+def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[tuple]:
+    """Reduced Groebner basis of the given generators, as reducers.
 
-    Returns monic polynomials sorted by decreasing leading monomial; the
-    unit ideal yields ``[1]`` and the zero ideal ``[]``.
+    Returns primitive reducers (lead, lc, term_map) sorted by decreasing
+    lead, the form ``GroebnerBasis`` is built from; the unit ideal yields
+    the one reducer of 1 and the zero ideal ``[]``.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -291,8 +311,7 @@ def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[
         if remainder:
             pairs = _update(basis, pairs, _primitive(remainder, order), order)
 
-    return [Polynomial(context, {e: Fraction(c, lc) for e, c in terms.items()})
-            for _, lc, terms in _interreduce(basis, order, limits)]
+    return _interreduce(basis, order, limits)
 
 
 def _interreduce(basis, order, limits):
@@ -312,6 +331,58 @@ def _interreduce(basis, order, limits):
     return reduced
 
 
+# -- specialization -------------------------------------------------------------
+
+
+def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
+                     order: MonomialOrder, limits=DEFAULT_LIMITS) -> GroebnerBasis | None:
+    """Reduced basis of the ideal at ``values`` from a basis of the ideal; None if a lead vanishes.
+
+    ``values`` binds every variable of ``basis.context`` outside ``target``
+    to a rational; ``basis.order`` must compare the ``target`` part of two
+    monomials by ``order`` first (``_target_first``).  The leading
+    coefficient of an element is then the polynomial in the bound
+    variables in front of the ``target`` part of its lead.  When none
+    vanishes at ``values``, the images form a Groebner basis of the
+    specialized ideal (Kalkbrener); interreduction makes it the reduced
+    basis, which is unique, so it equals the one ``buchberger`` returns.
+    """
+    ctx = basis.context
+    keep = ctx.indices_of(target.names)
+    bound = [(ctx.index[name], Fraction(value)) for name, value in values.items()]
+    reducers = []
+    for lead, _, terms in basis._reducers:
+        limits.check_deadline()
+        # value = p/q: scaling the element by q^(its degree) keeps every image an integer
+        degrees = [max(e[i] for e in terms) for i, _ in bound]
+        image = {}
+        for e, c in terms.items():
+            for (i, value), d in zip(bound, degrees):
+                c *= value.numerator ** e[i] * value.denominator ** (d - e[i])
+            projected = tuple(e[i] for i in keep)
+            image[projected] = image.get(projected, 0) + c
+        if not image.get(tuple(lead[i] for i in keep)):
+            return None
+        image = {e: c for e, c in image.items() if c}
+        if len(image) > limits.max_term_count:
+            raise BudgetExceededError("specialized polynomial exceeds term budget")
+        reducers.append(_primitive(image, order))
+    return GroebnerBasis(target, order, _interreduce(reducers, order, limits))
+
+
+def _target_first(order: MonomialOrder, target: VariableContext, context) -> MonomialOrder:
+    """The order on ``context`` comparing ``target``'s variables by ``order``, then the rest.
+
+    The rest are compared by grevlex, so for grevlex on the ambient
+    variables this is ``elimination_order(context, param_names)``.
+    """
+    positions = context.indices_of(target.names)
+    rest = tuple(i for i in range(len(context)) if i not in positions)
+    groups = order.groups if order.kind == BLOCK else ((tuple(range(len(target))), order.kind),)
+    return MonomialOrder(BLOCK, tuple((tuple(positions[i] for i in idx), inner)
+                                      for idx, inner in groups) + ((rest, GREVLEX),))
+
+
 # -- ideals -------------------------------------------------------------------
 
 
@@ -321,9 +392,14 @@ class Ideal:
     Zero generators are dropped at construction.  The cache maps each
     monomial order to its reduced basis; it travels with the ideal when
     the ideal is pickled, so pool workers start from the parent's bases.
+
+    ``origin`` = (base ideal, {parameter: value}) marks an ideal built by
+    scalar specialization.  Its bases are specialized from the base's
+    basis under ``_target_first`` (cached on the base); Buchberger runs on
+    the generators only where a leading coefficient vanishes.
     """
 
-    def __init__(self, context: VariableContext, generators=()):
+    def __init__(self, context: VariableContext, generators=(), origin=None):
         gens = []
         for g in generators:
             if g.context != context:
@@ -334,6 +410,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         self._dim: int | None = None
+        self._origin = origin
 
     @property
     def is_zero(self) -> bool:
@@ -349,7 +426,13 @@ class Ideal:
     def groebner(self, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:
         basis = self._cache.get(order)
         if basis is None:
-            basis = GroebnerBasis(self.context, order, buchberger(self.generators, order, limits))
+            if self._origin is not None:
+                base, values = self._origin
+                lifted = base.groebner(_target_first(order, self.context, base.context), limits)
+                basis = specialize_basis(lifted, values, self.context, order, limits)
+            if basis is None:
+                reducers = buchberger(self.generators, order, limits)
+                basis = GroebnerBasis(self.context, order, reducers)
             self._cache[order] = basis
         return basis
 

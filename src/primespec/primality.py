@@ -14,6 +14,9 @@ otherwise one field certificate at an integer u with h(u) != 0 and an
 unchanged staircase proves I prime: the form's characteristic polynomial
 has coefficients in the integrally closed Q[U, 1/h], so a factorization
 over Q(U) would persist at u.  Points whose test splits are redrawn.
+Because h(u) != 0, the block basis at U = u is already a Groebner basis
+of the fiber (Kalkbrener): ``specialize_basis`` evaluates and
+interreduces it, and returns None, so u is redrawn, exactly when h(u) = 0.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -32,7 +35,7 @@ from .context import context as make_context
 from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _max_independent_sets,
-                       _mul, saturation)
+                       _mul, saturation, specialize_basis)
 from .orders import block_order, grevlex
 from .poly import Exponent, Polynomial, integer_primitive
 
@@ -85,10 +88,11 @@ def _staircase(leads, width):
     return tuple(sorted(staircase, key=grevlex.key))
 
 
-def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polynomial:
+def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial,
+                       variable: str = _MINPOLY_VARIABLE) -> Polynomial:
     """Monic least-degree m over Q with m(element) = 0 in the quotient.
 
-    Returned as a univariate polynomial in the variable Z.  The Krylov
+    Returned as a univariate polynomial in ``variable``.  The Krylov
     powers 1, e, e^2, ... are reduced one at a time against an echelon
     form of the powers before them, kept as (pivot, row, combination)
     triples whose combination writes the row in the powers before it.
@@ -105,7 +109,7 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial) -> Polyno
     over P_0, P_1, ..., combined by fraction-free cross-multiplication
     with content removal.
     """
-    z_ctx = make_context((_MINPOLY_VARIABLE,))
+    z_ctx = make_context((variable,))
     basis, limits, index = quotient.basis, quotient.limits, quotient.index
     n = quotient.vector_dim
     factor, step = integer_primitive(quotient.reduce(element).terms)
@@ -242,16 +246,19 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
     return acc
 
 
-def _field_test(quotient: ZeroDimQuotient, rng, trials,
-                box_start, box_cap, limits) -> PrimalityVerdict:
-    """Dimension-0 test: field certificate, NotPrime split, or Inconclusive."""
+def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limits,
+                variable) -> PrimalityVerdict:
+    """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
+
+    Minimal polynomials are written in ``variable``.
+    """
     box = box_start
     for _ in range(trials):
         u = _random_linear_form(quotient.basis.context, rng, box)
         if u.is_zero:
             box = min(2 * box, box_cap)
             continue
-        m = minimal_polynomial(quotient, u)
+        m = minimal_polynomial(quotient, u, variable)
         data = SectionData((), (), u, m, quotient.vector_dim)
         split = _split_minimal_poly(m, limits)
         if split is None:
@@ -298,12 +305,16 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    variable = _MINPOLY_VARIABLE  # Z, or Z_, Z__, ... when the ideal has a Z
+    while variable in ideal.context:
+        variable += "_"
     basis = ideal.groebner(grevlex, limits)
     if basis.is_unit:
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
     if ideal.dimension(limits) == 0:
-        return _field_test(ZeroDimQuotient(basis, limits), rng, trials, box_start, box_cap, limits)
-    if not basis.polys:
+        return _field_test(ZeroDimQuotient(basis, limits), rng, trials, box_start, box_cap, limits,
+                           variable)
+    if len(basis) == 0:
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
     ctx = ideal.context
@@ -328,13 +339,11 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     for _ in range(trials):
         point = tuple(rng.randint(-box, box) for _ in free)
         box = min(2 * box, box_cap)
-        at = dict(zip(free, point))
-        if h.substitute(at).is_zero:
-            continue
-        cut = Ideal(bound, [g.substitute(at, bound) for g in block]).groebner(grevlex, limits)
-        if _staircase(cut.leading_exponents(), len(bound)) != stair:
-            continue
-        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, box_start, box_cap, limits)
+        cut = specialize_basis(block, dict(zip(free, point)), bound, grevlex, limits)
+        if cut is None or _staircase(cut.leading_exponents(), len(bound)) != stair:
+            continue  # h(u) = 0; the staircase check is a guard
+        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, box_start, box_cap, limits,
+                            variable)
         sections += [replace(data, independent=free, point=point) for data in inner.sections]
         if inner.status == PRIME:
             return PrimalityVerdict(PRIME, sections=tuple(sections))

@@ -30,14 +30,19 @@ def _target_without_params(ideal: Ideal):
 
 
 def specialize_scalar(ideal: Ideal, values) -> Ideal:
-    """Substitute the parameters by rational values; zero generators drop."""
+    """Substitute the parameters by rational values; zero generators drop.
+
+    The result remembers ``ideal`` and the values, so its Groebner bases
+    are specialized from ``ideal``'s instead of recomputed.
+    """
     params = ideal.context.param_names
     values = tuple(Fraction(v) for v in values)
     if len(values) != len(params):
         raise ValueError(f"expected {len(params)} values, got {len(values)}")
     target = _target_without_params(ideal)
     bindings = dict(zip(params, values))
-    return Ideal(target, (g.substitute(bindings, target) for g in ideal.generators))
+    return Ideal(target, (g.substitute(bindings, target) for g in ideal.generators),
+                 origin=(ideal, bindings))
 
 
 def specialize_polynomial(ideal: Ideal, values) -> Ideal:

@@ -55,6 +55,18 @@ def test_prime_prints_the_field_certificate(tmp_path, capsys):
     assert len(out) == 5
 
 
+def test_prime_names_the_minimal_polynomial_variable_apart(tmp_path, capsys):
+    # the twisted cubic over (X, Y, Z) owns Z: the minimal polynomial is in Z_
+    path = tmp_path / "twisted_cubic.ideal"
+    path.write_text("vars: X, Y, Z\ngens:\nY - X^2\nZ - X^3\n")
+    assert main(["prime", str(path), "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "status: prime"
+    line = out[4]
+    assert re.fullmatch(r"minimal polynomial: Z_\^3 .*", line)
+    assert set(re.findall(r"[A-Za-z_]\w*", line.split(": ", 1)[1])) == {"Z_"}
+
+
 def test_factor_command(capsys):
     assert main(["factor", "Y^4 - 5Y^2 + 4"]) == 0
     out = capsys.readouterr().out

@@ -1,12 +1,15 @@
 """Buchberger engine: bases, normal forms, dimension, elimination, budgets."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
-from primespec import (BudgetExceededError, GBLimits, Ideal, Polynomial, buchberger,
-                       context, eliminate, fiber_dimension, grevlex, lex, parse_polynomial)
-from primespec.groebner import ideal_dimension, saturation
+from primespec import (BudgetExceededError, GBLimits, GroebnerBasis, Ideal, Polynomial,
+                       buchberger, context, eliminate, elimination_order, fiber_dimension,
+                       grevlex, lex, parse_polynomial, specialize_scalar)
+from primespec import groebner
+from primespec.groebner import _target_first, ideal_dimension, saturation, specialize_basis
 from primespec.orders import block_order
 
 from conftest import make_ideal, random_polynomial, seeded, suite_proper_ideals
@@ -87,7 +90,7 @@ def test_eliminate_keeps_y_side():
 def test_basis_idempotence():
     for ideal in suite_proper_ideals():
         basis = ideal.groebner(grevlex)
-        again = buchberger(basis.polys, grevlex)
+        again = GroebnerBasis(ideal.context, grevlex, buchberger(basis.polys, grevlex))
         assert tuple(again) == basis.polys
 
 
@@ -224,7 +227,8 @@ def test_buchberger_rational_generators_golden():
     for gens, golden in zip(RATIONAL_GENERATORS, GOLDEN_RATIONAL_BASES):
         ideal = _rational_ideal(gens)
         for order, expected in zip(_three_orders(ideal.context), golden):
-            assert [str(p) for p in buchberger(ideal.generators, order)] == expected
+            basis = GroebnerBasis(ideal.context, order, buchberger(ideal.generators, order))
+            assert [str(p) for p in basis] == expected
 
 
 def test_term_budget_threshold_on_rational_generators():
@@ -301,3 +305,51 @@ def test_expired_deadline_stops_dimension_search():
     with pytest.raises(BudgetExceededError):
         fiber_dimension(ideal, ("T",), expired)
     assert ideal_dimension(ideal) == 2 and fiber_dimension(ideal, ("T",)) == 1
+
+
+# The zero-dimensional family of the points benchmark: leads Y1^3, Y2^2, Y3^2.
+POINTS_FAMILY = ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"]
+
+
+def test_specialized_basis_matches_buchberger():
+    # Kalkbrener: where every leading coefficient survives, the specialized
+    # basis of the family is the basis of the fiber; elsewhere (t = 0 for
+    # T*Y1^2 - Y2) Ideal.groebner falls back to Buchberger.
+    families = {
+        "cubic_fiber": (("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"], range(-100, 101)),
+        "parabola": (("Y",), ["Y^2 - T"], range(-20, 21)),
+        "points": (("Y1", "Y2", "Y3"), POINTS_FAMILY, range(-10, 11)),
+    }
+    for name, (variables, gens, values) in families.items():
+        family = make_ideal(variables, gens, params=("T",))
+        target = family.context.without_params()
+        orders = [grevlex, lex]
+        if target.s > 1:
+            orders.append(block_order(target, (target.var_names[:1], target.var_names[1:])))
+        for order in orders:
+            lifted = family.groebner(_target_first(order, target, family.context))
+            fallbacks = []
+            for t in [*values, Fraction(1, 3), Fraction(-7, 2)]:
+                fiber = specialize_scalar(family, [t])
+                expected = GroebnerBasis(target, order, buchberger(fiber.generators, order))
+                if specialize_basis(lifted, {"T": t}, target, order) is None:
+                    fallbacks.append(t)
+                assert fiber.groebner(order) == expected, (name, order, t)
+            if name == "cubic_fiber":
+                assert fallbacks == [0], order
+
+
+def test_budgets_bind_on_the_specialized_basis(cubic_fiber_family, monkeypatch):
+    base = cubic_fiber_family
+    base.groebner(elimination_order(base.context, base.context.param_names))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cached base basis specializes at t = 2")
+
+    reference = buchberger(specialize_scalar(base, [2]).generators, grevlex)
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    for limits in (GBLimits(deadline=time.monotonic() - 1), GBLimits(max_term_count=1)):
+        with pytest.raises(BudgetExceededError):
+            specialize_scalar(base, [2]).groebner(grevlex, limits)
+    basis = specialize_scalar(base, [2]).groebner(grevlex)
+    assert basis == GroebnerBasis(basis.context, grevlex, reference)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (Ideal, Polynomial, PrimespecError, context, factor_univariate, grevlex,
-                       is_prime, minimal_polynomial, parse_polynomial)
+from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, block_order, buchberger,
+                       context, factor_univariate, grevlex, is_prime, minimal_polynomial,
+                       parse_polynomial)
 from primespec import BudgetExceededError, GBLimits
+from primespec.groebner import specialize_basis
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
                                  _certificate_error, _evaluate_in_quotient, not_prime_verdict)
 
@@ -144,6 +146,26 @@ def test_positive_dimensional_primes_are_prime(case):
         field = verdict.sections[-1]
         assert len(field.independent) == len(field.point) == 1
         assert field.minimal_poly.total_degree() == field.quotient_dim
+
+
+@pytest.mark.parametrize("case", sorted(POSITIVE_DIMENSIONAL_PRIMES) + ["circle"])
+def test_basis_at_u_matches_buchberger(case):
+    # The field test at U = u runs on the specialized block basis (V | U);
+    # Buchberger on the substituted block basis must give the same basis.
+    variables, gens = {**POSITIVE_DIMENSIONAL_PRIMES,
+                       "circle": (("Y1", "Y2"), ["Y1^2 + Y2^2 - 1"])}[case]
+    for seed in range(5):
+        ideal = make_ideal(variables, gens)
+        verdict = is_prime(ideal, seed=seed)
+        assert verdict.status == PRIME, seed
+        for field in verdict.sections:
+            bound = context(tuple(n for n in ideal.context.names if n not in field.independent))
+            block = ideal.groebner(block_order(ideal.context, (bound.names, field.independent)))
+            at = dict(zip(field.independent, field.point))
+            cut = specialize_basis(block, at, bound, grevlex)
+            substituted = [g.substitute(at, bound) for g in block]
+            assert cut == GroebnerBasis(bound, grevlex, buchberger(substituted, grevlex)), seed
+            assert ZeroDimQuotient(cut).vector_dim == field.quotient_dim
 
 
 SPLIT_AT_EVERY_POINT = {

@@ -26,9 +26,10 @@ the specialized generators instead.
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
 support, searched exhaustively (inputs here stay below ~8 variables).
-The search yields every such largest subset, the candidate independent
-variables that positive-dimensional primality specializes.  Saturation
-by a polynomial is an elimination (the Rabinowitsch trick).
+The first largest subset in ``itertools.combinations`` order is the set
+of independent variables that positive-dimensional primality
+specializes.  Saturation by a polynomial is an elimination (the
+Rabinowitsch trick).
 """
 
 from __future__ import annotations
@@ -442,35 +443,31 @@ class Ideal:
         return self._dim
 
 
-def _max_independent_sets(lead_supports, var_count, limits=DEFAULT_LIMITS):
-    """Every largest subset of variables meeting no support, as sorted index tuples.
+def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...]:
+    """The first largest subset of variables containing no lead's support.
 
-    Yields in ``itertools.combinations`` order; the empty set when no
-    variable is free.
+    First in ``itertools.combinations`` order, as a sorted index tuple;
+    the empty set when no variable is free.
     """
-    if any(not support for support in lead_supports):
+    supports = {frozenset(i for i, e in enumerate(exp) if e) for exp in leads}
+    if frozenset() in supports:
         raise ValueError("unit leading term")
-    for size in range(var_count, -1, -1):
+    # a variable with a pure-power lead lies in no such subset
+    free = [i for i in range(width) if frozenset((i,)) not in supports]
+    for size in range(len(free), -1, -1):
         limits.check_deadline()
-        found = False
-        for subset in itertools.combinations(range(var_count), size):
+        for subset in itertools.combinations(free, size):
             chosen = set(subset)
-            if all(not support <= chosen for support in lead_supports):
-                found = True
-                yield subset
-        if found:
-            return
+            if not any(support <= chosen for support in supports):
+                return subset
 
 
 def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal."""
-    n = len(ideal.context)
     basis = ideal.groebner(grevlex, limits)
     if basis.is_unit:
         return -1
-    supports = [frozenset(i for i, e in enumerate(exp) if e)
-                for exp in basis.leading_exponents()]
-    return len(next(_max_independent_sets(supports, n, limits)))
+    return len(_max_independent_set(basis.leading_exponents(), len(ideal.context), limits))
 
 
 def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
@@ -524,11 +521,8 @@ def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> i
     if basis.is_unit:
         return -1
     main_idx = ideal.context.indices_of(main)
-    supports = []
-    for exp in basis.leading_exponents():
-        support = frozenset(k for k, i in enumerate(main_idx) if exp[i])
-        supports.append(support)
-    if any(not s for s in supports):
+    leads = [tuple(exp[i] for i in main_idx) for exp in basis.leading_exponents()]
+    if not all(map(any, leads)):
         # Some basis element lies in the inverted block: unit ideal there.
         return -1
-    return len(next(_max_independent_sets(supports, len(main), limits)))
+    return len(_max_independent_set(leads, len(main), limits))

@@ -54,20 +54,16 @@ class MonomialOrder:
             key = functools.partial(_block_key, self.groups)
         object.__setattr__(self, "key", key)
 
-    def __str__(self):
-        if self.kind != BLOCK:
-            return self.kind
-        return "block(" + ";".join(f"{idx}:{inner}" for idx, inner in self.groups) + ")"
-
 
 lex = MonomialOrder(LEX)
 grevlex = MonomialOrder(GREVLEX)
 
 
-def block_order(context, group_names, inner=GREVLEX) -> MonomialOrder:
+def block_order(context, group_names) -> MonomialOrder:
     """Block order from an ordered partition of variable names.
 
-    ``group_names`` is a sequence of name groups, earliest group largest.
+    ``group_names`` is a sequence of name groups, earliest group largest;
+    each group is compared by grevlex.
     Every context variable must appear exactly once.
     """
     seen = []
@@ -75,7 +71,7 @@ def block_order(context, group_names, inner=GREVLEX) -> MonomialOrder:
     for names in group_names:
         idx = context.indices_of(names)
         seen.extend(idx)
-        groups.append((idx, inner))
+        groups.append((idx, GREVLEX))
     if sorted(seen) != list(range(len(context))):
         raise ValueError("group_names must partition the context variables")
     return MonomialOrder(BLOCK, tuple(groups))

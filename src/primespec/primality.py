@@ -7,7 +7,9 @@ the quotient is a field (Prime); a reducible minimal polynomial yields a
 product pair lying in the ideal with both factors outside it (NotPrime).
 
 In positive dimension the independent variables U are specialized, as
-the paper specializes parameters (Gianni-Trager-Zacharias).  With h the
+the paper specializes parameters (Gianni-Trager-Zacharias); U is the
+first largest set of variables free of every grevlex leading term
+(``groebner._max_independent_set``), and V the rest.  With h the
 product of the Q[U]-leading coefficients of the block basis (V | U),
 I^e meet Q[x] = I : h^oo, so a larger saturation yields NotPrime (g, h^k);
 otherwise one field certificate at an integer u with h(u) != 0 and an
@@ -34,8 +36,8 @@ from fractions import Fraction
 from .context import context as make_context
 from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
-from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _max_independent_sets,
-                       _mul, saturation, specialize_basis)
+from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _max_independent_set, _mul,
+                       saturation, specialize_basis)
 from .orders import block_order, grevlex
 from .poly import Exponent, Polynomial, integer_primitive
 
@@ -253,10 +255,12 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
     Minimal polynomials are written in ``variable``.
     """
     box = box_start
+    zero = proper = 0
     for _ in range(trials):
         u = _random_linear_form(quotient.basis.context, rng, box)
+        box = min(2 * box, box_cap)
         if u.is_zero:
-            box = min(2 * box, box_cap)
+            zero += 1
             continue
         m = minimal_polynomial(quotient, u, variable)
         data = SectionData((), (), u, m, quotient.vector_dim)
@@ -264,7 +268,7 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
         if split is None:
             if m.total_degree() == quotient.vector_dim:
                 return PrimalityVerdict(PRIME, sections=(data,))
-            box = min(2 * box, box_cap)  # u generates a proper subfield: retry
+            proper += 1  # u generates a proper subfield: retry
             continue
         f_z, g_z = split
         # The reduced images are the certificate: F*G = m(u) = 0 holds in
@@ -273,24 +277,9 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
         f = _evaluate_in_quotient(quotient, f_z, reduced_u)
         g = _evaluate_in_quotient(quotient, g_z, reduced_u)
         return not_prime_verdict(quotient.basis, f, g, limits, sections=(data,))
-    return PrimalityVerdict(INCONCLUSIVE, reason="only degenerate linear forms drawn")
-
-
-def _block_reduction(ideal: Ideal, basis: GroebnerBasis, limits):
-    """U, the block basis (V | U) and its staircase over Q(U), for the smallest staircase."""
-    names = ideal.context.names
-    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in basis.leading_exponents()]
-    best = None
-    for subset in _max_independent_sets(supports, len(names), limits):
-        free = tuple(names[i] for i in subset)
-        bound = tuple(n for n in names if n not in free)
-        block = ideal.groebner(block_order(ideal.context, (bound, free)), limits)
-        positions = ideal.context.indices_of(bound)
-        stair = _staircase([tuple(exp[i] for i in positions) for exp in block.leading_exponents()],
-                           len(bound))
-        if best is None or len(stair) < len(best[2]):
-            best = (free, block, stair)
-    return best
+    return PrimalityVerdict(INCONCLUSIVE, reason=(
+        f"no field certificate from {trials} linear form(s): {zero} zero, {proper} with an "
+        f"irreducible minimal polynomial of degree below {quotient.vector_dim}"))
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -311,16 +300,20 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     basis = ideal.groebner(grevlex, limits)
     if basis.is_unit:
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
-    if ideal.dimension(limits) == 0:
+    ctx = ideal.context
+    free = tuple(ctx.names[i]
+                 for i in _max_independent_set(basis.leading_exponents(), len(ctx), limits))
+    if not free:
         return _field_test(ZeroDimQuotient(basis, limits), rng, trials, box_start, box_cap, limits,
                            variable)
     if len(basis) == 0:
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
-    ctx = ideal.context
-    free, block, stair = _block_reduction(ideal, basis, limits)
     bound = make_context(tuple(n for n in ctx.names if n not in free))
+    block = ideal.groebner(block_order(ctx, (bound.names, free)), limits)
     positions = ctx.indices_of(bound.names)
+    stair = _staircase([tuple(exp[i] for i in positions) for exp in block.leading_exponents()],
+                       len(bound))
     leading = {Polynomial(ctx, {tuple(0 if i in positions else x for i, x in enumerate(e)): c
                                 for e, c in g.terms.items()
                                 if all(e[i] == lead[i] for i in positions)})

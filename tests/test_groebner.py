@@ -116,19 +116,20 @@ def test_dimension_agrees_between_orders():
     for ideal in suite_proper_ideals():
         grev_dim = ideal.dimension()
         lex_leads = ideal.groebner(lex).leading_exponents()
-        from primespec.groebner import _max_independent_sets
-        supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in lex_leads]
-        assert len(next(_max_independent_sets(supports, len(ideal.context)))) == grev_dim
+        from primespec.groebner import _max_independent_set
+        assert len(_max_independent_set(lex_leads, len(ideal.context))) == grev_dim
 
 
-def test_max_independent_sets_lists_every_largest_set():
-    from primespec.groebner import _max_independent_sets
+def test_max_independent_set_is_the_first_largest():
+    from primespec.groebner import _max_independent_set
     # leads X*Y and X*Z over (X, Y, Z): {Y, Z} is the one free pair
-    assert list(_max_independent_sets([frozenset({0, 1}), frozenset({0, 2})], 3)) == [(1, 2)]
-    # lead X*Y: {X} and {Y}; no lead at all: every variable
-    assert list(_max_independent_sets([frozenset({0, 1})], 2)) == [(0,), (1,)]
-    assert list(_max_independent_sets([], 2)) == [(0, 1)]
-    assert list(_max_independent_sets([frozenset({0})], 1)) == [()]
+    assert _max_independent_set([(1, 1, 0), (1, 0, 1)], 3) == (1, 2)
+    # lead X*Y: {X} comes before {Y}; no lead at all: every variable
+    assert _max_independent_set([(1, 1)], 2) == (0,)
+    assert _max_independent_set([], 2) == (0, 1)
+    assert _max_independent_set([(1,)], 1) == ()
+    # leads Y^2 and X*Z: Y is never free, {X} comes before {Z}
+    assert _max_independent_set([(0, 2, 0), (1, 0, 1)], 3) == (0,)
 
 
 def test_saturation_removes_the_components_inside_h():

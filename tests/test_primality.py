@@ -1,5 +1,6 @@
 """Zero-dimensional quotients, minimal polynomials, primality verdicts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, block_o
                        context, factor_univariate, grevlex, is_prime, minimal_polynomial,
                        parse_polynomial)
 from primespec import BudgetExceededError, GBLimits
+from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
                                  _certificate_error, _evaluate_in_quotient, not_prime_verdict)
@@ -183,6 +185,61 @@ def test_split_at_every_point_is_inconclusive_with_reason(case):
         verdict = is_prime(make_ideal(variables, gens), seed=seed)
         assert verdict.status == INCONCLUSIVE, seed
         assert verdict.reason
+
+
+def test_inconclusive_reason_counts_zero_and_subfield_forms():
+    # seed 7 draws -6*Y: Z^2 - 108 is irreducible, but Q(sqrt 3) is a proper
+    # subfield of the degree-4 quotient Q(sqrt 2, sqrt 3)
+    ideal = make_ideal(("X", "Y"), ["X^2 - 2", "Y^2 - 3"])
+    verdict = is_prime(ideal, trials=1, seed=7)
+    assert (verdict.status, verdict.sections) == (INCONCLUSIVE, ())
+    assert verdict.reason == ("no field certificate from 1 linear form(s): 0 zero, "
+                              "1 with an irreducible minimal polynomial of degree below 4")
+    # a box of radius 0 draws only the zero form
+    verdict = is_prime(ideal, trials=3, seed=7, box_start=0)
+    assert verdict.reason == ("no field certificate from 3 linear form(s): 3 zero, "
+                              "0 with an irreducible minimal polynomial of degree below 4")
+
+
+def _largest_free_sets(ideal):
+    """Every largest set of variables free of the grevlex leads, in combinations order."""
+    leads = ideal.groebner(grevlex).leading_exponents()
+    names = ideal.context.names
+    return [tuple(names[i] for i in subset)
+            for subset in itertools.combinations(range(len(names)), ideal.dimension())
+            if not any(all(e == 0 or i in subset for i, e in enumerate(lead)) for lead in leads)]
+
+
+def _assert_prime_at_first_of_two_candidates(ideal, seed, expected_u):
+    candidates = _largest_free_sets(ideal)
+    assert len(candidates) == 2 and candidates[0] == expected_u
+    verdict = is_prime(ideal, seed=seed)
+    assert verdict.status == PRIME, seed
+    assert all(field.independent == expected_u for field in verdict.sections)
+    return verdict.sections[-1]
+
+
+@pytest.mark.parametrize("variables, gens, expected_u", [
+    (("X", "Y"), ["X*Y - 1"], ("X",)),
+    (("X", "Y", "Z"), ["X*Y - Z^2"], ("X", "Z")),
+])
+def test_u_is_the_first_largest_independent_set(variables, gens, expected_u):
+    for seed in range(5):
+        field = _assert_prime_at_first_of_two_candidates(make_ideal(variables, gens), seed,
+                                                         expected_u)
+        assert field.minimal_poly.total_degree() == field.quotient_dim
+
+
+def test_polyspec_cubic_fibers_specialize_the_first_candidate(cubic_fiber_family):
+    # degree-2 PolySpec fibers of cubic_fiber are curves with grevlex
+    # candidates Y2 and Y3; U = Y2 and the fiber at Y2 = u has degree 4
+    for index in range(8):
+        point = sample_point("PolySpec", cubic_fiber_family, (2,), 20,
+                             seeded(derive_seed(3, index)))
+        fiber = specialize_point(cubic_fiber_family, "PolySpec", (2,), point)
+        field = _assert_prime_at_first_of_two_candidates(fiber, derive_seed(3, index, "prime"),
+                                                         ("Y2",))
+        assert field.minimal_poly.total_degree() == field.quotient_dim == 4
 
 
 def test_field_certificate_implies_integrality(two_points):

@@ -17,19 +17,23 @@ polynomials: the monic ``polys`` and ``normal_form``.
 Bases of a scalar specialization are specialized, not recomputed
 (Kalkbrener, J. Symbolic Comput. 24, 1997): let G be a Groebner basis of
 I in Q[T, Y] under an order comparing the Y-part first, and t a point at
-which no element's leading coefficient in Q[T] vanishes.  Then G at
-T = t is a Groebner basis of I at T = t, and interreduction makes it
-the reduced one.  Where a leading coefficient vanishes (a hypersurface of
-parameter values; finitely many t for one parameter), Buchberger runs on
-the specialized generators instead.
+which no element's leading coefficient in Q[T] vanishes
+(``lead_vanishes``).  Then G at T = t is a Groebner basis of I at T = t,
+and interreduction makes it the reduced one (``specialize_basis``).  The
+ideal at T = t records I as its root, and I caches G; where a leading
+coefficient vanishes (a hypersurface of parameter values; finitely many t
+for one parameter), Buchberger runs on the specialized generators instead.
 
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
 support, searched exhaustively (inputs here stay below ~8 variables).
 The first largest subset in ``itertools.combinations`` order is the set
 of independent variables that positive-dimensional primality
-specializes.  Saturation by a polynomial is an elimination (the
-Rabinowitsch trick).
+specializes; ``Ideal.independent_set`` caches it.  A fiber reads it from
+the leads of its root's basis under (Y | T), which project onto its own
+leads where no leading coefficient vanishes, so it builds no basis for
+it.  Saturation by a polynomial is an elimination (the Rabinowitsch
+trick).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import itemgetter, le
 
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
@@ -89,11 +93,13 @@ def _quotient(b: Exponent, a: Exponent) -> Exponent:
 
 
 def _primitive(terms, order):
-    """Primitive reducer (lead, lc, term_map) of a nonzero term map, lc > 0."""
-    _, terms = integer_primitive(terms)
+    """Primitive reducer (lead, lc, term_map) of a nonzero integer term map, lc > 0."""
     lead = max(terms, key=order.key)
+    content = math.gcd(*terms.values())
     if terms[lead] < 0:
-        terms = {e: -c for e, c in terms.items()}
+        content = -content
+    if content != 1:
+        terms = {e: c // content for e, c in terms.items()}
     return lead, terms[lead], terms
 
 
@@ -335,35 +341,89 @@ def _interreduce(basis, order, limits):
 # -- specialization -------------------------------------------------------------
 
 
+def _projection(context: VariableContext, target: VariableContext):
+    """The map from an exponent over ``context`` to the tuple of its ``target`` entries."""
+    positions = context.indices_of(target.names)
+    if len(positions) == 1:
+        i, = positions
+        return lambda exp: (exp[i],)
+    return itemgetter(*positions)
+
+
+def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
+                         target: VariableContext) -> list[dict[Exponent, Fraction]]:
+    """Each monic element's coefficient of the ``part`` of its lead, at ``values``.
+
+    ``basis.order`` must compare the ``part`` variables first
+    (``_target_first``): an element's leading coefficient is then the
+    polynomial in the other variables in front of the ``part`` of its lead.
+    ``values`` binds the variables of ``basis.context`` outside ``target``
+    to ints or ``Fraction``s; each result is a term map over ``target``
+    whose ``part`` exponents are 0, empty where the coefficient vanishes at
+    ``values``.
+    """
+    ctx = basis.context
+    positions = ctx.indices_of(part.names)
+    project = _projection(ctx, part)
+    keep = [None if i in positions else i for i in ctx.indices_of(target.names)]
+    # integer values stay ints, so the usual case runs in integer arithmetic
+    bound = [(ctx.index[name], value.numerator if value.denominator == 1 else value)
+             for name, value in values.items()]
+    coefficients = []
+    for lead, lc, terms in basis._reducers:
+        lead_part = project(lead)
+        coefficient = {}
+        for e, c in terms.items():
+            if project(e) == lead_part:
+                for i, v in bound:
+                    c *= v ** e[i]
+                rest = tuple(0 if i is None else e[i] for i in keep)
+                coefficient[rest] = coefficient.get(rest, 0) + c
+        coefficients.append({e: c if lc == 1 else Fraction(c, lc)
+                             for e, c in coefficient.items() if c})
+    return coefficients
+
+
+def lead_vanishes(basis: GroebnerBasis, values, target: VariableContext) -> bool:
+    """True when some element's leading coefficient vanishes at ``values``.
+
+    ``values`` binds every variable of ``basis.context`` outside ``target``,
+    and ``basis.order`` compares the ``target`` part first, as in
+    ``leading_coefficients`` with ``part`` = ``target``.
+    """
+    return bool(values) and not all(leading_coefficients(basis, target, values, target))
+
+
 def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
                      order: MonomialOrder, limits=DEFAULT_LIMITS) -> GroebnerBasis | None:
     """Reduced basis of the ideal at ``values`` from a basis of the ideal; None if a lead vanishes.
 
-    ``values`` binds every variable of ``basis.context`` outside ``target``
-    to a rational; ``basis.order`` must compare the ``target`` part of two
-    monomials by ``order`` first (``_target_first``).  The leading
-    coefficient of an element is then the polynomial in the bound
-    variables in front of the ``target`` part of its lead.  When none
-    vanishes at ``values``, the images form a Groebner basis of the
-    specialized ideal (Kalkbrener); interreduction makes it the reduced
-    basis, which is unique, so it equals the one ``buchberger`` returns.
+    ``values``, ``target`` and ``basis.order`` are as in ``lead_vanishes``,
+    with ``order`` the order on ``target`` that ``basis.order`` compares
+    first.  When no leading coefficient vanishes at ``values``, the images
+    form a Groebner basis of the specialized ideal (Kalkbrener);
+    interreduction makes it the reduced basis, which is unique, so it
+    equals the one ``buchberger`` returns.
     """
+    if lead_vanishes(basis, values, target):
+        return None
     ctx = basis.context
-    keep = ctx.indices_of(target.names)
+    project = _projection(ctx, target)
     bound = [(ctx.index[name], Fraction(value)) for name, value in values.items()]
     reducers = []
-    for lead, _, terms in basis._reducers:
+    for _, _, terms in basis._reducers:
         limits.check_deadline()
-        # value = p/q: scaling the element by q^(its degree) keeps every image an integer
-        degrees = [max(e[i] for e in terms) for i, _ in bound]
+        # value = p/q: scaling the element by q^d, d its degree in the
+        # variable, keeps every image an integer
+        scales = [(i, value.numerator, value.denominator,
+                   max(e[i] for e in terms) if value.denominator != 1 else 0)
+                  for i, value in bound]
         image = {}
         for e, c in terms.items():
-            for (i, value), d in zip(bound, degrees):
-                c *= value.numerator ** e[i] * value.denominator ** (d - e[i])
-            projected = tuple(e[i] for i in keep)
+            for i, p, q, d in scales:
+                c *= p ** e[i] if q == 1 else p ** e[i] * q ** (d - e[i])
+            projected = project(e)
             image[projected] = image.get(projected, 0) + c
-        if not image.get(tuple(lead[i] for i in keep)):
-            return None
         image = {e: c for e, c in image.items() if c}
         if len(image) > limits.max_term_count:
             raise BudgetExceededError("specialized polynomial exceeds term budget")
@@ -375,8 +435,11 @@ def _target_first(order: MonomialOrder, target: VariableContext, context) -> Mon
     """The order on ``context`` comparing ``target``'s variables by ``order``, then the rest.
 
     The rest are compared by grevlex, so for grevlex on the ambient
-    variables this is ``elimination_order(context, param_names)``.
+    variables this is ``elimination_order(context, param_names)``; with no
+    rest it is ``order`` itself.
     """
+    if target == context:
+        return order
     positions = context.indices_of(target.names)
     rest = tuple(i for i in range(len(context)) if i not in positions)
     groups = order.groups if order.kind == BLOCK else ((tuple(range(len(target))), order.kind),)
@@ -388,15 +451,16 @@ def _target_first(order: MonomialOrder, target: VariableContext, context) -> Mon
 
 
 class Ideal:
-    """Generator list plus cached Groebner bases and dimension data.
+    """Generator list plus cached Groebner bases and independent sets.
 
     Zero generators are dropped at construction.  The cache maps each
     monomial order to its reduced basis; it travels with the ideal when
     the ideal is pickled, so pool workers start from the parent's bases.
 
     ``origin`` = (base ideal, {parameter: value}) marks an ideal built by
-    scalar specialization.  Its bases are specialized from the base's
-    basis under ``_target_first`` (cached on the base); Buchberger runs on
+    scalar specialization; the base is its root, and every other ideal is
+    its own root (``root``).  Its bases are specialized from the root's
+    basis under ``_target_first`` (cached on the root); Buchberger runs on
     the generators only where a leading coefficient vanishes.
     """
 
@@ -410,12 +474,18 @@ class Ideal:
         self.context = context
         self.generators = tuple(gens)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        self._dim: int | None = None
+        # target context -> independent set of the grevlex-first leads projected onto it
+        self._free: dict[VariableContext, tuple[int, ...] | None] = {}
         self._origin = origin
 
     @property
     def is_zero(self) -> bool:
         return not self.generators
+
+    @property
+    def root(self) -> tuple[Ideal, dict]:
+        """(root ideal, the values of its variables outside this ideal's context)."""
+        return self._origin or (self, {})
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -437,21 +507,40 @@ class Ideal:
             self._cache[order] = basis
         return basis
 
+    def independent_set(self, limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
+        """The first largest set of variables free of every grevlex lead; None for the unit ideal.
+
+        Read from the root's basis under (Y | T) when no leading coefficient
+        vanishes at the origin's values: the grevlex leads are then the
+        projections of the root's, so the set is cached on the root and
+        shared by every such fiber, and no basis of this ideal is built.
+        """
+        target = self.context
+        if target not in self._free:
+            root, values = self.root
+            lifted = root.groebner(_target_first(grevlex, target, root.context), limits)
+            if lead_vanishes(lifted, values, target):
+                root, lifted = self, self.groebner(grevlex, limits)
+            if target not in root._free:
+                project = _projection(root.context, target)
+                leads = [project(lead) for lead in lifted.leading_exponents()]
+                root._free[target] = _max_independent_set(leads, len(target), limits)
+            self._free[target] = root._free[target]
+        return self._free[target]
+
     def dimension(self, limits=DEFAULT_LIMITS) -> int:
-        if self._dim is None:
-            self._dim = ideal_dimension(self, limits)
-        return self._dim
+        return ideal_dimension(self, limits)
 
 
-def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...]:
+def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
     """The first largest subset of variables containing no lead's support.
 
     First in ``itertools.combinations`` order, as a sorted index tuple;
-    the empty set when no variable is free.
+    the empty set when no variable is free, None when a lead is 1.
     """
     supports = {frozenset(i for i, e in enumerate(exp) if e) for exp in leads}
     if frozenset() in supports:
-        raise ValueError("unit leading term")
+        return None
     # a variable with a pure-power lead lies in no such subset
     free = [i for i in range(width) if frozenset((i,)) not in supports]
     for size in range(len(free), -1, -1):
@@ -464,10 +553,8 @@ def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...]
 
 def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal."""
-    basis = ideal.groebner(grevlex, limits)
-    if basis.is_unit:
-        return -1
-    return len(_max_independent_set(basis.leading_exponents(), len(ideal.context), limits))
+    free = ideal.independent_set(limits)
+    return -1 if free is None else len(free)
 
 
 def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
@@ -517,12 +604,9 @@ def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> i
     if not inverted:
         return ideal.dimension(limits)
     order = block_order(ideal.context, (main, inverted))
-    basis = ideal.groebner(order, limits)
-    if basis.is_unit:
-        return -1
     main_idx = ideal.context.indices_of(main)
-    leads = [tuple(exp[i] for i in main_idx) for exp in basis.leading_exponents()]
-    if not all(map(any, leads)):
-        # Some basis element lies in the inverted block: unit ideal there.
-        return -1
-    return len(_max_independent_set(leads, len(main), limits))
+    leads = [tuple(exp[i] for i in main_idx)
+             for exp in ideal.groebner(order, limits).leading_exponents()]
+    # a lead inside the inverted block makes the ideal the unit ideal there
+    free = _max_independent_set(leads, len(main), limits)
+    return -1 if free is None else len(free)

@@ -9,16 +9,28 @@ product pair lying in the ideal with both factors outside it (NotPrime).
 In positive dimension the independent variables U are specialized, as
 the paper specializes parameters (Gianni-Trager-Zacharias); U is the
 first largest set of variables free of every grevlex leading term
-(``groebner._max_independent_set``), and V the rest.  With h the
-product of the Q[U]-leading coefficients of the block basis (V | U),
-I^e meet Q[x] = I : h^oo, so a larger saturation yields NotPrime (g, h^k);
-otherwise one field certificate at an integer u with h(u) != 0 and an
-unchanged staircase proves I prime: the form's characteristic polynomial
-has coefficients in the integrally closed Q[U, 1/h], so a factorization
-over Q(U) would persist at u.  Points whose test splits are redrawn.
-Because h(u) != 0, the block basis at U = u is already a Groebner basis
-of the fiber (Kalkbrener): ``specialize_basis`` evaluates and
-interreduces it, and returns None, so u is redrawn, exactly when h(u) = 0.
+(``Ideal.independent_set``), and V the rest.  Let G be elements of I
+that form a Groebner basis of I Q(U)[V] under grevlex on V (the block
+basis (V | U) of I is one), and h the product of their distinct
+V-leading coefficients, polynomials in U.  Then I^e meet Q[x] = I : h^oo,
+so a larger saturation yields NotPrime (g, h^k); otherwise one field
+certificate at an integer u with h(u) != 0 proves I prime: the form's
+characteristic polynomial has coefficients in the integrally closed
+Q[U, 1/h], so a factorization over Q(U) would persist at u.  Points
+whose test splits are redrawn.  Because h(u) != 0, G at U = u is already
+a Groebner basis of the fiber (Kalkbrener): ``specialize_basis``
+evaluates and interreduces it, and returns None, so u is redrawn, exactly
+when h(u) = 0.
+
+G comes from the ideal's root (``Ideal.root``).  A scalar fiber I_t of a
+base P is certified from P's basis under (V | T, U), cached on P: where
+no V-leading coefficient vanishes identically at T = t, that basis at
+T = t is a Groebner basis of I_t Q(U)[V] inside I_t, h is the product of
+those coefficients at t, and the basis at u is P's basis evaluated at
+(t, u) in one step.  The fiber builds a basis of its own only for a
+zero-dimensional quotient, for the membership tests of a saturation
+certificate, or where such a coefficient vanishes at t; an ideal that is
+not a fiber is its own root.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -36,9 +48,9 @@ from fractions import Fraction
 from .context import context as make_context
 from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
-from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _max_independent_set, _mul,
-                       saturation, specialize_basis)
-from .orders import block_order, grevlex
+from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul, _target_first,
+                       leading_coefficients, saturation, specialize_basis)
+from .orders import grevlex
 from .poly import Exponent, Polynomial, integer_primitive
 
 PRIME = "prime"
@@ -252,10 +264,12 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
                 variable) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
 
-    Minimal polynomials are written in ``variable``.
+    Minimal polynomials are written in ``variable``.  ``sections`` holds
+    one ``SectionData`` per nonzero form drawn, the deciding one last.
     """
     box = box_start
-    zero = proper = 0
+    zero = 0
+    sections = []
     for _ in range(trials):
         u = _random_linear_form(quotient.basis.context, rng, box)
         box = min(2 * box, box_cap)
@@ -263,23 +277,22 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
             zero += 1
             continue
         m = minimal_polynomial(quotient, u, variable)
-        data = SectionData((), (), u, m, quotient.vector_dim)
+        sections.append(SectionData((), (), u, m, quotient.vector_dim))
         split = _split_minimal_poly(m, limits)
         if split is None:
             if m.total_degree() == quotient.vector_dim:
-                return PrimalityVerdict(PRIME, sections=(data,))
-            proper += 1  # u generates a proper subfield: retry
-            continue
+                return PrimalityVerdict(PRIME, sections=tuple(sections))
+            continue  # u generates a proper subfield: retry
         f_z, g_z = split
         # The reduced images are the certificate: F*G = m(u) = 0 holds in
         # the quotient and minimality of m keeps both factors nonzero.
         reduced_u = quotient.reduce(u)
         f = _evaluate_in_quotient(quotient, f_z, reduced_u)
         g = _evaluate_in_quotient(quotient, g_z, reduced_u)
-        return not_prime_verdict(quotient.basis, f, g, limits, sections=(data,))
-    return PrimalityVerdict(INCONCLUSIVE, reason=(
-        f"no field certificate from {trials} linear form(s): {zero} zero, {proper} with an "
-        f"irreducible minimal polynomial of degree below {quotient.vector_dim}"))
+        return not_prime_verdict(quotient.basis, f, g, limits, sections=sections)
+    return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections), reason=(
+        f"no field certificate from {trials} linear form(s): {zero} zero, {len(sections)} with "
+        f"an irreducible minimal polynomial of degree below {quotient.vector_dim}"))
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -289,7 +302,8 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
 
     ``trials`` bounds the linear forms per field test and, in positive
     dimension, the points u; ``sections`` holds one ``SectionData`` per
-    field test, the certifying one last.  Fixed seeds give identical verdicts.
+    nonzero form drawn, the certifying one last.  Fixed seeds give
+    identical verdicts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -297,29 +311,34 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     variable = _MINPOLY_VARIABLE  # Z, or Z_, Z__, ... when the ideal has a Z
     while variable in ideal.context:
         variable += "_"
-    basis = ideal.groebner(grevlex, limits)
-    if basis.is_unit:
+    independent = ideal.independent_set(limits)
+    if independent is None:
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
     ctx = ideal.context
-    free = tuple(ctx.names[i]
-                 for i in _max_independent_set(basis.leading_exponents(), len(ctx), limits))
-    if not free:
-        return _field_test(ZeroDimQuotient(basis, limits), rng, trials, box_start, box_cap, limits,
-                           variable)
-    if len(basis) == 0:
+    if not independent:
+        return _field_test(ZeroDimQuotient(ideal.groebner(grevlex, limits), limits), rng, trials,
+                           box_start, box_cap, limits, variable)
+    if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
+    free = tuple(ctx.names[i] for i in independent)
     bound = make_context(tuple(n for n in ctx.names if n not in free))
-    block = ideal.groebner(block_order(ctx, (bound.names, free)), limits)
-    positions = ctx.indices_of(bound.names)
-    stair = _staircase([tuple(exp[i] for i in positions) for exp in block.leading_exponents()],
-                       len(bound))
-    leading = {Polynomial(ctx, {tuple(0 if i in positions else x for i, x in enumerate(e)): c
-                                for e, c in g.terms.items()
-                                if all(e[i] == lead[i] for i in positions)})
-               for g, lead in zip(block, block.leading_exponents())}
-    h = math.prod(leading, start=Polynomial.constant(ctx, 1))
-    if not h.is_constant:
+    root, values = ideal.root
+    block = root.groebner(_target_first(grevlex, bound, root.context), limits)
+    leading = leading_coefficients(block, bound, values, ctx)
+    if not all(leading):
+        # some lc_V(g)(t, U) is 0: the fiber is its own root
+        values = {}
+        block = ideal.groebner(_target_first(grevlex, bound, ctx), limits)
+        leading = leading_coefficients(block, bound, values, ctx)
+    positions = block.context.indices_of(bound.names)
+    v_leads = {tuple(exp[i] for i in positions) for exp in block.leading_exponents()}
+    # the leads of the reduced basis at every u with h(u) != 0
+    cut_leads = {a for a in v_leads if not any(b != a and _divides(b, a) for b in v_leads)}
+    constant = (0,) * len(ctx)
+    if any(lc.keys() != {constant} for lc in leading):
+        h = math.prod({Polynomial(ctx, lc) for lc in leading}, start=Polynomial.constant(ctx, 1))
+        basis = ideal.groebner(grevlex, limits)
         for g in saturation(ideal, h, limits).generators:
             if not basis.contains(g, limits):
                 power = h  # h^k lies outside I because I meets Q[U] only in 0
@@ -332,9 +351,9 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     for _ in range(trials):
         point = tuple(rng.randint(-box, box) for _ in free)
         box = min(2 * box, box_cap)
-        cut = specialize_basis(block, dict(zip(free, point)), bound, grevlex, limits)
-        if cut is None or _staircase(cut.leading_exponents(), len(bound)) != stair:
-            continue  # h(u) = 0; the staircase check is a guard
+        cut = specialize_basis(block, {**values, **dict(zip(free, point))}, bound, grevlex, limits)
+        if cut is None or set(cut.leading_exponents()) != cut_leads:
+            continue  # h(u) = 0; the lead comparison is a guard
         inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, box_start, box_cap, limits,
                             variable)
         sections += [replace(data, independent=free, point=point) for data in inner.sections]

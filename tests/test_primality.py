@@ -8,7 +8,7 @@ import pytest
 from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, block_order, buchberger,
                        context, factor_univariate, grevlex, is_prime, minimal_polynomial,
                        parse_polynomial)
-from primespec import BudgetExceededError, GBLimits
+from primespec import BudgetExceededError, GBLimits, specialize_scalar
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
@@ -192,11 +192,16 @@ def test_inconclusive_reason_counts_zero_and_subfield_forms():
     # subfield of the degree-4 quotient Q(sqrt 2, sqrt 3)
     ideal = make_ideal(("X", "Y"), ["X^2 - 2", "Y^2 - 3"])
     verdict = is_prime(ideal, trials=1, seed=7)
-    assert (verdict.status, verdict.sections) == (INCONCLUSIVE, ())
+    assert verdict.status == INCONCLUSIVE
+    # the rejected form stays on the verdict with its minimal polynomial
+    [rejected] = verdict.sections
+    assert (str(rejected.linear_form), str(rejected.minimal_poly)) == ("-6*Y", "Z^2 - 108")
+    assert (rejected.independent, rejected.point, rejected.quotient_dim) == ((), (), 4)
     assert verdict.reason == ("no field certificate from 1 linear form(s): 0 zero, "
                               "1 with an irreducible minimal polynomial of degree below 4")
     # a box of radius 0 draws only the zero form
     verdict = is_prime(ideal, trials=3, seed=7, box_start=0)
+    assert verdict.sections == ()
     assert verdict.reason == ("no field certificate from 3 linear form(s): 3 zero, "
                               "0 with an irreducible minimal polynomial of degree below 4")
 
@@ -240,6 +245,66 @@ def test_polyspec_cubic_fibers_specialize_the_first_candidate(cubic_fiber_family
         field = _assert_prime_at_first_of_two_candidates(fiber, derive_seed(3, index, "prime"),
                                                          ("Y2",))
         assert field.minimal_poly.total_degree() == field.quotient_dim == 4
+
+
+def _assert_root_and_own_verdicts_agree(fiber, seed):
+    # the fiber certified from its root and the same ideal without origin,
+    # which is its own root: same verdict, certificate and certifying section
+    own = is_prime(Ideal(fiber.context, fiber.generators), seed=seed)
+    lifted = is_prime(fiber, seed=seed)
+    assert (lifted.status, lifted.certificate, lifted.reason) == \
+        (own.status, own.certificate, own.reason)
+    assert [(s.independent, s.point, s.minimal_poly) for s in lifted.sections[-1:]] == \
+        [(s.independent, s.point, s.minimal_poly) for s in own.sections[-1:]]
+    return lifted
+
+
+def test_cubic_fibers_certified_from_the_root_agree(cubic_fiber_family):
+    # t = 0 takes the fallback: the lead coefficient T of T*Y1^2 - Y2 vanishes
+    for t in range(-100, 101):
+        fiber = specialize_scalar(cubic_fiber_family, [t])
+        verdict = _assert_root_and_own_verdicts_agree(fiber, seed=t)
+        assert verdict.status == PRIME, t
+        assert verdict.sections[-1].independent == (("Y1",) if t == 0 else ("Y3",)), t
+
+
+def test_hyperbola_fibers_saturate_and_split_only_at_zero():
+    # lc_V = Y1 involves U = Y1, so every fiber runs the saturation check;
+    # at t = 0, (Y1*Y2) : Y1^oo = (Y2) and the certificate is (Y2, Y1)
+    family = make_ideal(("Y1", "Y2"), ["Y1*Y2 - T"], params=("T",))
+    for t in range(-20, 21):
+        fiber = specialize_scalar(family, [t])
+        verdict = _assert_root_and_own_verdicts_agree(fiber, seed=t)
+        assert verdict.status == (NOT_PRIME if t == 0 else PRIME), t
+        assert grevlex in fiber._cache  # the membership basis of the saturation check
+    zero = specialize_scalar(family, [0])
+    f, g = is_prime(zero).certificate
+    assert (str(f), str(g)) == ("Y2", "Y1")
+    assert _certificate_error(zero.groebner(), f, g) is None
+
+
+def test_block_basis_falls_back_where_lc_v_vanishes():
+    # The grevlex lead Y1*Y2 has lc 1 for every t, but the (Y2 | T, Y1) lead
+    # Y2^2 has lc T: at t = 0 the fiber Y1*Y2 - 1 builds its own block basis
+    # (lc Y1, a saturation check); elsewhere it reads the root's.
+    family = make_ideal(("Y1", "Y2"), ["T*Y2^2 + Y1*Y2 - 1"], params=("T",))
+    for t in range(-20, 21):
+        fiber = specialize_scalar(family, [t])
+        assert _assert_root_and_own_verdicts_agree(fiber, seed=t).status == PRIME, t
+        assert bool(fiber._cache) == (t == 0), t
+
+
+def test_fiber_builds_no_basis_of_its_own(cubic_fiber_family):
+    for t in (-7, 3, Fraction(5, 2)):
+        fiber = specialize_scalar(cubic_fiber_family, [t])
+        assert fiber.dimension() == 1
+        assert is_prime(fiber).status == PRIME
+        assert fiber._cache == {}, t
+    # at t = 0 the grevlex lead coefficient T vanishes: the fiber builds its
+    # grevlex basis, but still reads the block basis (Y2, Y3 | T, Y1) of the root
+    fiber = specialize_scalar(cubic_fiber_family, [0])
+    assert (fiber.dimension(), is_prime(fiber).status) == (1, PRIME)
+    assert list(fiber._cache) == [grevlex]
 
 
 def test_field_certificate_implies_integrality(two_points):

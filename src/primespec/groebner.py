@@ -17,12 +17,15 @@ polynomials: the monic ``polys`` and ``normal_form``.
 Bases of a scalar specialization are specialized, not recomputed
 (Kalkbrener, J. Symbolic Comput. 24, 1997): let G be a Groebner basis of
 I in Q[T, Y] under an order comparing the Y-part first, and t a point at
-which no element's leading coefficient in Q[T] vanishes
-(``lead_vanishes``).  Then G at T = t is a Groebner basis of I at T = t,
-and interreduction makes it the reduced one (``specialize_basis``).  The
-ideal at T = t records I as its root, and I caches G; where a leading
-coefficient vanishes (a hypersurface of parameter values; finitely many t
-for one parameter), Buchberger runs on the specialized generators instead.
+which no element's leading coefficient in Q[T] vanishes.  Then G at
+T = t is a Groebner basis of I at T = t, and interreduction makes it the
+reduced one (``specialize_basis``, which sees a vanished coefficient in
+the image itself and returns None).  The ideal at T = t records I as its
+root, and I caches G; where a leading coefficient vanishes (a
+hypersurface of parameter values; finitely many t for one parameter),
+Buchberger runs on the specialized generators instead.  The leads on a
+part of the variables, under (part | rest), are read from the root's
+basis the same way; ``Ideal.lifted`` alone decides when.
 
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
@@ -32,8 +35,8 @@ of independent variables that positive-dimensional primality
 specializes; ``Ideal.independent_set`` caches it.  A fiber reads it from
 the leads of its root's basis under (Y | T), which project onto its own
 leads where no leading coefficient vanishes, so it builds no basis for
-it.  Saturation by a polynomial is an elimination (the Rabinowitsch
-trick).
+it; ``fiber_dimension`` of the root over T is the same set, cached once.
+Saturation by a polynomial is an elimination (the Rabinowitsch trick).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from operator import itemgetter, le
 
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
-from .orders import BLOCK, GREVLEX, MonomialOrder, block_order, elimination_order, grevlex
+from .orders import MonomialOrder, elimination_order, grevlex, target_first
 from .poly import Exponent, Polynomial, integer_primitive
 
 
@@ -355,7 +358,7 @@ def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
     """Each monic element's coefficient of the ``part`` of its lead, at ``values``.
 
     ``basis.order`` must compare the ``part`` variables first
-    (``_target_first``): an element's leading coefficient is then the
+    (``target_first``): an element's leading coefficient is then the
     polynomial in the other variables in front of the ``part`` of its lead.
     ``values`` binds the variables of ``basis.context`` outside ``target``
     to ints or ``Fraction``s; each result is a term map over ``target``
@@ -363,6 +366,8 @@ def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
     ``values``.
     """
     ctx = basis.context
+    if part == ctx:
+        return [{(0,) * len(target): 1} for _ in basis._reducers]  # monic, nothing to bind
     positions = ctx.indices_of(part.names)
     project = _projection(ctx, part)
     keep = [None if i in positions else i for i in ctx.indices_of(target.names)]
@@ -384,34 +389,25 @@ def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
     return coefficients
 
 
-def lead_vanishes(basis: GroebnerBasis, values, target: VariableContext) -> bool:
-    """True when some element's leading coefficient vanishes at ``values``.
-
-    ``values`` binds every variable of ``basis.context`` outside ``target``,
-    and ``basis.order`` compares the ``target`` part first, as in
-    ``leading_coefficients`` with ``part`` = ``target``.
-    """
-    return bool(values) and not all(leading_coefficients(basis, target, values, target))
-
-
 def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
                      order: MonomialOrder, limits=DEFAULT_LIMITS) -> GroebnerBasis | None:
     """Reduced basis of the ideal at ``values`` from a basis of the ideal; None if a lead vanishes.
 
-    ``values``, ``target`` and ``basis.order`` are as in ``lead_vanishes``,
-    with ``order`` the order on ``target`` that ``basis.order`` compares
-    first.  When no leading coefficient vanishes at ``values``, the images
-    form a Groebner basis of the specialized ideal (Kalkbrener);
-    interreduction makes it the reduced basis, which is unique, so it
-    equals the one ``buchberger`` returns.
+    ``values`` binds every variable of ``basis.context`` outside ``target``,
+    and ``basis.order`` is ``target_first(order, target, basis.context)``.
+    When no leading coefficient vanishes at ``values``, the images form a
+    Groebner basis of the specialized ideal (Kalkbrener); interreduction
+    makes it the reduced basis, which is unique, so it equals the one
+    ``buchberger`` returns.  An element's leading coefficient is the sum of
+    its terms over the ``target`` part of its lead, so its image's
+    coefficient at that part is the coefficient at ``values`` times a power
+    of the denominators, and vanishes exactly when the coefficient does.
     """
-    if lead_vanishes(basis, values, target):
-        return None
     ctx = basis.context
     project = _projection(ctx, target)
     bound = [(ctx.index[name], Fraction(value)) for name, value in values.items()]
     reducers = []
-    for _, _, terms in basis._reducers:
+    for lead, _, terms in basis._reducers:
         limits.check_deadline()
         # value = p/q: scaling the element by q^d, d its degree in the
         # variable, keeps every image an integer
@@ -425,26 +421,12 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
             projected = project(e)
             image[projected] = image.get(projected, 0) + c
         image = {e: c for e, c in image.items() if c}
+        if project(lead) not in image:
+            return None
         if len(image) > limits.max_term_count:
             raise BudgetExceededError("specialized polynomial exceeds term budget")
         reducers.append(_primitive(image, order))
     return GroebnerBasis(target, order, _interreduce(reducers, order, limits))
-
-
-def _target_first(order: MonomialOrder, target: VariableContext, context) -> MonomialOrder:
-    """The order on ``context`` comparing ``target``'s variables by ``order``, then the rest.
-
-    The rest are compared by grevlex, so for grevlex on the ambient
-    variables this is ``elimination_order(context, param_names)``; with no
-    rest it is ``order`` itself.
-    """
-    if target == context:
-        return order
-    positions = context.indices_of(target.names)
-    rest = tuple(i for i in range(len(context)) if i not in positions)
-    groups = order.groups if order.kind == BLOCK else ((tuple(range(len(target))), order.kind),)
-    return MonomialOrder(BLOCK, tuple((tuple(positions[i] for i in idx), inner)
-                                      for idx, inner in groups) + ((rest, GREVLEX),))
 
 
 # -- ideals -------------------------------------------------------------------
@@ -460,8 +442,9 @@ class Ideal:
     ``origin`` = (base ideal, {parameter: value}) marks an ideal built by
     scalar specialization; the base is its root, and every other ideal is
     its own root (``root``).  Its bases are specialized from the root's
-    basis under ``_target_first`` (cached on the root); Buchberger runs on
-    the generators only where a leading coefficient vanishes.
+    basis under ``target_first`` (cached on the root); Buchberger runs on
+    the generators only where a leading coefficient vanishes, a choice
+    ``lifted`` makes for the leads on a part of the variables.
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
@@ -474,7 +457,7 @@ class Ideal:
         self.context = context
         self.generators = tuple(gens)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        # target context -> independent set of the grevlex-first leads projected onto it
+        # part -> independent set of the (part | rest) leads projected onto it
         self._free: dict[VariableContext, tuple[int, ...] | None] = {}
         self._origin = origin
 
@@ -491,42 +474,60 @@ class Ideal:
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal<{gens}>"
 
-    def adjoin(self, extra) -> Ideal:
-        return Ideal(self.context, self.generators + tuple(extra))
-
     def groebner(self, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:
         basis = self._cache.get(order)
         if basis is None:
             if self._origin is not None:
                 base, values = self._origin
-                lifted = base.groebner(_target_first(order, self.context, base.context), limits)
-                basis = specialize_basis(lifted, values, self.context, order, limits)
+                above = base.groebner(target_first(order, self.context, base.context), limits)
+                basis = specialize_basis(above, values, self.context, order, limits)
             if basis is None:
                 reducers = buchberger(self.generators, order, limits)
                 basis = GroebnerBasis(self.context, order, reducers)
             self._cache[order] = basis
         return basis
 
-    def independent_set(self, limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
-        """The first largest set of variables free of every grevlex lead; None for the unit ideal.
+    def lifted(self, part: VariableContext, limits=DEFAULT_LIMITS):
+        """(basis, values, leading) to read this ideal's leads on ``part`` from.
 
-        Read from the root's basis under (Y | T) when no leading coefficient
-        vanishes at the origin's values: the grevlex leads are then the
-        projections of the root's, so the set is cached on the root and
-        shared by every such fiber, and no basis of this ideal is built.
+        The root's basis under (part | rest) and the root values when no
+        element's ``part``-leading coefficient vanishes at them: at
+        ``values`` it is then a Groebner basis of this ideal over the
+        rational functions in the rest (Kalkbrener).  Otherwise this
+        ideal's own basis under (part | rest) and no values.  ``leading``
+        holds those coefficients at ``values`` (``leading_coefficients``).
         """
-        target = self.context
-        if target not in self._free:
-            root, values = self.root
-            lifted = root.groebner(_target_first(grevlex, target, root.context), limits)
-            if lead_vanishes(lifted, values, target):
-                root, lifted = self, self.groebner(grevlex, limits)
-            if target not in root._free:
-                project = _projection(root.context, target)
-                leads = [project(lead) for lead in lifted.leading_exponents()]
-                root._free[target] = _max_independent_set(leads, len(target), limits)
-            self._free[target] = root._free[target]
-        return self._free[target]
+        root, values = self.root
+        basis = root.groebner(target_first(grevlex, part, root.context), limits)
+        leading = leading_coefficients(basis, part, values, self.context)
+        if not all(leading):
+            values = {}
+            basis = self.groebner(target_first(grevlex, part, self.context), limits)
+            leading = leading_coefficients(basis, part, values, self.context)
+        return basis, values, leading
+
+    def independent_set(self, part: VariableContext | None = None,
+                        limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
+        """The first largest set of ``part``'s variables free of every lead; None for the unit ideal.
+
+        ``part`` defaults to all variables, whose leads are the grevlex
+        ones; otherwise they are the leads under (part | rest) projected
+        onto ``part``, those of the ideal over the rational functions in the
+        rest.  Indices are into ``part``.  Read from ``lifted``'s basis:
+        where that is the root's, the set is cached on the root and shared
+        by every fiber, and no basis of this ideal is built.
+        """
+        if part is None:
+            part = self.context
+        if part not in self._free:
+            basis, values, _ = self.lifted(part, limits)
+            owner = self.root[0] if values else self
+            if part not in owner._free:
+                project = _projection(basis.context, part)
+                leads = [project(lead) for lead in basis.leading_exponents()]
+                owner._free[part] = _max_independent_set(leads, len(part), limits)
+            self._free[part] = owner._free[part]
+        return self._free[part]
 
     def dimension(self, limits=DEFAULT_LIMITS) -> int:
         return ideal_dimension(self, limits)
@@ -553,7 +554,7 @@ def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...]
 
 def ideal_dimension(ideal: Ideal, limits=DEFAULT_LIMITS) -> int:
     """Krull dimension of the quotient ring; -1 for the unit ideal."""
-    free = ideal.independent_set(limits)
+    free = ideal.independent_set(limits=limits)
     return -1 if free is None else len(free)
 
 
@@ -593,20 +594,13 @@ def saturation(ideal: Ideal, h: Polynomial, limits=DEFAULT_LIMITS) -> Ideal:
 def fiber_dimension(ideal: Ideal, coefficient_names, limits=DEFAULT_LIMITS) -> int:
     """Dimension of the quotient after inverting the named variables.
 
-    Uses a block order with the remaining variables in the leading
-    group: the leading exponents projected onto those variables generate
+    The leads under (rest | inverted), projected onto the rest, generate
     the leading-term ideal over the fraction field of the inverted
-    block, and the staircase search runs there.
+    variables, and ``Ideal.independent_set`` searches that staircase.  It
+    caches the set on the ideal, where the fibers over the inverted
+    parameters read it.  At least one variable must stay.
     """
     coeff = set(coefficient_names)
-    main = tuple(n for n in ideal.context.names if n not in coeff)
-    inverted = tuple(n for n in ideal.context.names if n in coeff)
-    if not inverted:
-        return ideal.dimension(limits)
-    order = block_order(ideal.context, (main, inverted))
-    main_idx = ideal.context.indices_of(main)
-    leads = [tuple(exp[i] for i in main_idx)
-             for exp in ideal.groebner(order, limits).leading_exponents()]
-    # a lead inside the inverted block makes the ideal the unit ideal there
-    free = _max_independent_set(leads, len(main), limits)
+    main = ideal.context.keep(n for n in ideal.context.names if n not in coeff)
+    free = ideal.independent_set(main, limits)
     return -1 if free is None else len(free)

@@ -22,15 +22,15 @@ a Groebner basis of the fiber (Kalkbrener): ``specialize_basis``
 evaluates and interreduces it, and returns None, so u is redrawn, exactly
 when h(u) = 0.
 
-G comes from the ideal's root (``Ideal.root``).  A scalar fiber I_t of a
-base P is certified from P's basis under (V | T, U), cached on P: where
-no V-leading coefficient vanishes identically at T = t, that basis at
-T = t is a Groebner basis of I_t Q(U)[V] inside I_t, h is the product of
-those coefficients at t, and the basis at u is P's basis evaluated at
-(t, u) in one step.  The fiber builds a basis of its own only for a
-zero-dimensional quotient, for the membership tests of a saturation
-certificate, or where such a coefficient vanishes at t; an ideal that is
-not a fiber is its own root.
+G, and the V-leading coefficients that make h, come from
+``Ideal.lifted(V)``.  A scalar fiber I_t of a base P is certified from
+P's basis under (V | T, U), cached on P: where no V-leading coefficient
+vanishes identically at T = t, that basis at T = t is a Groebner basis
+of I_t Q(U)[V] inside I_t, h is the product of those coefficients at t,
+and the basis at u is P's basis evaluated at (t, u) in one step.  The
+fiber builds a basis of its own only for a zero-dimensional quotient,
+for the membership tests of a saturation certificate, or where such a
+coefficient vanishes at t; an ideal that is not a fiber is its own root.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -48,8 +48,8 @@ from fractions import Fraction
 from .context import context as make_context
 from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
-from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul, _target_first,
-                       leading_coefficients, saturation, specialize_basis)
+from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul, saturation,
+                       specialize_basis)
 from .orders import grevlex
 from .poly import Exponent, Polynomial, integer_primitive
 
@@ -311,7 +311,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     variable = _MINPOLY_VARIABLE  # Z, or Z_, Z__, ... when the ideal has a Z
     while variable in ideal.context:
         variable += "_"
-    independent = ideal.independent_set(limits)
+    independent = ideal.independent_set(limits=limits)
     if independent is None:
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
     ctx = ideal.context
@@ -323,14 +323,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
 
     free = tuple(ctx.names[i] for i in independent)
     bound = make_context(tuple(n for n in ctx.names if n not in free))
-    root, values = ideal.root
-    block = root.groebner(_target_first(grevlex, bound, root.context), limits)
-    leading = leading_coefficients(block, bound, values, ctx)
-    if not all(leading):
-        # some lc_V(g)(t, U) is 0: the fiber is its own root
-        values = {}
-        block = ideal.groebner(_target_first(grevlex, bound, ctx), limits)
-        leading = leading_coefficients(block, bound, values, ctx)
+    block, values, leading = ideal.lifted(bound, limits)
     positions = block.context.indices_of(bound.names)
     v_leads = {tuple(exp[i] for i in positions) for exp in block.leading_exponents()}
     # the leads of the reduced basis at every u with h(u) != 0

@@ -100,5 +100,5 @@ def intersect_generic(ideal: Ideal, degrees, blocks) -> Ideal:
     s = ideal.context.s
     extra = [generic_form(ideal.context, monomials_upto(s, degree), block)
              for degree, block in zip(degrees, blocks, strict=True)]
-    return ideal.adjoin(extra)
+    return Ideal(ideal.context, ideal.generators + tuple(extra))
 

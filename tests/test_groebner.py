@@ -9,8 +9,8 @@ from primespec import (BudgetExceededError, GBLimits, GroebnerBasis, Ideal, Poly
                        buchberger, context, eliminate, elimination_order, fiber_dimension,
                        grevlex, lex, parse_polynomial, specialize_scalar)
 from primespec import groebner
-from primespec.groebner import _target_first, ideal_dimension, saturation, specialize_basis
-from primespec.orders import block_order
+from primespec.groebner import ideal_dimension, saturation, specialize_basis
+from primespec.orders import target_first
 
 from conftest import make_ideal, random_polynomial, seeded, suite_proper_ideals
 
@@ -221,7 +221,7 @@ def _rational_ideal(gens):
 
 
 def _three_orders(ctx):
-    return [grevlex, lex, block_order(ctx, (("Y1",), ("Y2", "Y3")))]
+    return [grevlex, lex, target_first(grevlex, ctx.keep(("Y1",)), ctx)]
 
 
 def test_buchberger_rational_generators_golden():
@@ -276,7 +276,7 @@ def test_normal_form_matches_fraction_division():
         params = ideal.context.param_names
         if params:
             main = tuple(n for n in ideal.context.names if n not in params)
-            cases.append((ideal, block_order(ideal.context, (main, params))))
+            cases.append((ideal, target_first(grevlex, ideal.context.keep(main), ideal.context)))
     for gens in RATIONAL_GENERATORS:
         ideal = _rational_ideal(gens)
         cases += [(ideal, order) for order in _three_orders(ideal.context)]
@@ -299,7 +299,7 @@ def test_expired_deadline_stops_dimension_search():
     ideal = make_ideal(("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"], params=("T",))
     main = ("Y1", "Y2", "Y3")
     ideal.groebner(grevlex)
-    ideal.groebner(block_order(ideal.context, (main, ("T",))))
+    ideal.groebner(target_first(grevlex, ideal.context.keep(main), ideal.context))
     expired = GBLimits(deadline=time.monotonic() - 1)
     with pytest.raises(BudgetExceededError):
         ideal_dimension(ideal, expired)
@@ -315,29 +315,55 @@ POINTS_FAMILY = ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"]
 def test_specialized_basis_matches_buchberger():
     # Kalkbrener: where every leading coefficient survives, the specialized
     # basis of the family is the basis of the fiber; elsewhere (t = 0 for
-    # T*Y1^2 - Y2) Ideal.groebner falls back to Buchberger.
+    # T*Y1^2 - Y2, t = 1/3 for (3*T - 1)*Y1^2 - Y2) Ideal.groebner falls
+    # back to Buchberger.  At t = p/q the image of an element is scaled by a
+    # power of q, and a vanished lead must still show through that scaling.
+    fractions = [Fraction(1, 3), Fraction(-7, 2)]
     families = {
-        "cubic_fiber": (("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"], range(-100, 101)),
-        "parabola": (("Y",), ["Y^2 - T"], range(-20, 21)),
-        "points": (("Y1", "Y2", "Y3"), POINTS_FAMILY, range(-10, 11)),
+        "cubic_fiber": (("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"],
+                        [*range(-100, 101), *fractions], [0]),
+        "parabola": (("Y",), ["Y^2 - T"], [*range(-20, 21), *fractions], None),
+        "points": (("Y1", "Y2", "Y3"), POINTS_FAMILY, [*range(-10, 11), *fractions], None),
+        "rational lead root": (("Y1", "Y2", "Y3"), ["(3*T - 1)*Y1^2 - Y2", "Y3 - Y1*Y2"],
+                               [*range(-5, 6), Fraction(1, 2), Fraction(-7, 3), Fraction(1, 3)],
+                               [Fraction(1, 3)]),
     }
-    for name, (variables, gens, values) in families.items():
+    for name, (variables, gens, values, vanishing) in families.items():
         family = make_ideal(variables, gens, params=("T",))
         target = family.context.without_params()
         orders = [grevlex, lex]
         if target.s > 1:
-            orders.append(block_order(target, (target.var_names[:1], target.var_names[1:])))
+            orders.append(target_first(grevlex, target.keep(target.var_names[:1]), target))
         for order in orders:
-            lifted = family.groebner(_target_first(order, target, family.context))
+            lifted = family.groebner(target_first(order, target, family.context))
             fallbacks = []
-            for t in [*values, Fraction(1, 3), Fraction(-7, 2)]:
+            for t in values:
                 fiber = specialize_scalar(family, [t])
                 expected = GroebnerBasis(target, order, buchberger(fiber.generators, order))
                 if specialize_basis(lifted, {"T": t}, target, order) is None:
                     fallbacks.append(t)
                 assert fiber.groebner(order) == expected, (name, order, t)
-            if name == "cubic_fiber":
-                assert fallbacks == [0], order
+            if vanishing is not None:
+                assert fallbacks == vanishing, (name, order)
+
+
+def test_fibers_read_the_set_fiber_dimension_caches(cubic_fiber_family, monkeypatch):
+    # fiber_dimension over T searches the leads of the root's basis under
+    # (Y | T) once; every fiber whose leading coefficients survive reads that
+    # same set from the root instead of searching again.
+    calls = []
+    search = groebner._max_independent_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_max_independent_set", counted)
+    assert fiber_dimension(cubic_fiber_family, ("T",)) == 1
+    assert len(calls) == 1
+    sets = {specialize_scalar(cubic_fiber_family, [t]).independent_set() for t in range(1, 21)}
+    assert sets == {(2,)}
+    assert len(calls) == 1
 
 
 def test_budgets_bind_on_the_specialized_basis(cubic_fiber_family, monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from primespec import block_order, context, elimination_order, grevlex, lex
+from primespec import context, elimination_order, grevlex, lex, target_first
 
 from conftest import seeded
 
@@ -21,7 +21,7 @@ def test_total_order_laws(order_name):
     elif order_name == "grevlex":
         order = grevlex
     else:
-        order = block_order(ctx, (("T",), ("Y1", "Y2")))
+        order = target_first(grevlex, ctx.keep(("T",)), ctx)
     rng = seeded(11)
     for _ in range(200):
         a = random_exponent(rng, 3)
@@ -56,12 +56,6 @@ def test_block_order_eliminates_leading_group():
     for exp in itertools.product(range(3), repeat=3):
         if exp[0] > 0:
             assert order.key(exp) > order.key((0, 2, 2))
-
-
-def test_block_order_requires_partition():
-    ctx = context(("Y1", "Y2"), params=("T",))
-    with pytest.raises(ValueError):
-        block_order(ctx, (("T",), ("Y1",)))
 
 
 def test_elimination_keeping_everything_is_grevlex():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, block_order, buchberger,
-                       context, factor_univariate, grevlex, is_prime, minimal_polynomial,
-                       parse_polynomial)
+from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchberger, context,
+                       factor_univariate, grevlex, is_prime, minimal_polynomial, parse_polynomial,
+                       target_first)
 from primespec import BudgetExceededError, GBLimits, specialize_scalar
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
@@ -162,7 +162,7 @@ def test_basis_at_u_matches_buchberger(case):
         assert verdict.status == PRIME, seed
         for field in verdict.sections:
             bound = context(tuple(n for n in ideal.context.names if n not in field.independent))
-            block = ideal.groebner(block_order(ideal.context, (bound.names, field.independent)))
+            block = ideal.groebner(target_first(grevlex, bound, ideal.context))
             at = dict(zip(field.independent, field.point))
             cut = specialize_basis(block, at, bound, grevlex)
             substituted = [g.substitute(at, bound) for g in block]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (ContextMismatchError, Polynomial, context, eliminate, generic_form,
+from primespec import (ContextMismatchError, Ideal, Polynomial, context, eliminate, generic_form,
                        grevlex, intersect_generic, is_prime, monomials_upto, parse_polynomial,
                        specialize_polynomial, specialize_scalar)
 from primespec.primality import NOT_PRIME, PRIME
@@ -169,7 +169,7 @@ def test_parametric_pointwise_commutation(parabola_family):
         b = Fraction(rng.randint(-20, 20))
         u = Polynomial.constant(y_ctx, a) + Polynomial.variable(y_ctx, "Y") * b
         direct = specialize_polynomial(parabola_family, (u,))
-        graph = parabola_family.adjoin([Polynomial.variable(ctx, "T") - u.embed(ctx)])
+        graph = Ideal(ctx, [*parabola_family.generators, Polynomial.variable(ctx, "T") - u.embed(ctx)])
         eliminated = eliminate(graph, ("Y",))
         assert eliminated.groebner(grevlex).polys == direct.groebner(grevlex).polys
 

@@ -433,10 +433,18 @@ def emit_report(report: dict, fmt: str, path) -> None:
 def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | None:
     """Rebuild a sample's specialized ideal; replay the failure witness of a bad one.
 
-    Returns None for a sample that is not bad.
+    The optional fields must be what ``run_sample`` writes: the degeneracy
+    flag exactly where the point is degenerate, a reason only on an
+    inconclusive sample.  Returns None for a sample that is not bad.
     """
     try:
         specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
+        degenerate = _is_degenerate(config["kind"], sample["point"], specialized)
+        if sample.get("degenerate_specialization") != (degenerate or None):
+            raise PrimespecError(f"sample {position}: degenerate_specialization should be "
+                                 f"{'true' if degenerate else 'absent'}")
+        if "reason" in sample and sample["verdict"] != INCONCLUSIVE:
+            raise PrimespecError(f"sample {position}: a {sample['verdict']} sample has a reason")
         if classify(sample) != "bad":
             return None
         index, verdict, dimension = sample["index"], sample["verdict"], sample["dimension"]
@@ -474,7 +482,8 @@ def verify_report(report: dict) -> list[str]:
     outside), every unit-ideal collapse, every dimension mismatch, every
     consistency failure, and then the whole ``aggregate`` against the one
     ``run_experiment`` computes.  A report or sample record with a missing
-    or mistyped field, or a sample with an unknown verdict, fails
+    or mistyped field, a sample with an unknown verdict, a degeneracy flag
+    that the point does not give, or a reason on a decided sample fails
     verification.  Returns one accounting message and one message per
     replayed check.
     """

@@ -325,6 +325,10 @@ def buchberger(generators, order: MonomialOrder, limits=DEFAULT_LIMITS) -> list[
 
 
 def _interreduce(basis, order, limits):
+    # Already reduced when no lead divides a term other than its own element's lead.
+    if not any(_divides(other, e) for i, (lead, _, terms) in enumerate(basis) for e in terms
+               for j, (other, _, _) in enumerate(basis) if j != i or e != lead):
+        return sorted(basis, key=lambda g: order.key(g[0]), reverse=True)
     # Minimal basis: drop elements whose lead is divisible by another lead.
     minimal = []
     for i, (lead, _, _) in enumerate(basis):

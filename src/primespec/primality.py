@@ -1,10 +1,14 @@
 """Primality verdicts for ideals via zero-dimensional quotient algebra.
 
 For a zero-dimensional ideal the quotient is a finite-dimensional
-vector space with the staircase monomials as basis.  A random linear
-form whose minimal polynomial is irreducible of full degree certifies
-the quotient is a field (Prime); a reducible minimal polynomial yields a
-product pair lying in the ideal with both factors outside it (NotPrime).
+vector space with the staircase monomials as basis.  A linear form whose
+minimal polynomial is irreducible of full degree certifies the quotient
+is a field (Prime); a reducible minimal polynomial yields a product pair
+lying in the ideal with both factors outside it (NotPrime).  The forms
+tried are the coordinates, last first, then random ones: by the shape
+lemma the last coordinate alone generates the quotient of an ideal in
+general position (Gianni-Mora), with a minimal polynomial of small
+coefficients.
 
 In positive dimension the independent variables U are specialized, as
 the paper specializes parameters (Gianni-Trager-Zacharias); U is the
@@ -224,10 +228,15 @@ def not_prime_verdict(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
     return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=tuple(sections))
 
 
-def _random_linear_form(ctx, rng, box):
-    coeffs = [rng.randint(-box, box) for _ in ctx.names]
-    return Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
-                            for i, c in enumerate(coeffs) if c})
+def _linear_forms(ctx, rng, trials, box, box_cap):
+    """The coordinates, last first, then ``trials`` random forms from doubling boxes."""
+    for name in reversed(ctx.names):
+        yield Polynomial.variable(ctx, name)
+    for _ in range(trials):
+        coeffs = [rng.randint(-box, box) for _ in ctx.names]
+        yield Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
+                               for i, c in enumerate(coeffs) if c})
+        box = min(2 * box, box_cap)
 
 
 def _split_minimal_poly(m: Polynomial, limits):
@@ -264,15 +273,15 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
                 variable) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
 
+    The forms tried are the coordinates, last first (module docstring),
+    then ``trials`` random forms; coordinates draw nothing from ``rng``.
     Minimal polynomials are written in ``variable``.  ``sections`` holds
-    one ``SectionData`` per nonzero form drawn, the deciding one last.
+    one ``SectionData`` per nonzero form tried, the deciding one last.
     """
-    box = box_start
+    ctx = quotient.basis.context
     zero = 0
     sections = []
-    for _ in range(trials):
-        u = _random_linear_form(quotient.basis.context, rng, box)
-        box = min(2 * box, box_cap)
+    for u in _linear_forms(ctx, rng, trials, box_start, box_cap):
         if u.is_zero:
             zero += 1
             continue
@@ -282,7 +291,7 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
         if split is None:
             if m.total_degree() == quotient.vector_dim:
                 return PrimalityVerdict(PRIME, sections=tuple(sections))
-            continue  # u generates a proper subfield: retry
+            continue  # u generates a proper subfield: next form
         f_z, g_z = split
         # The reduced images are the certificate: F*G = m(u) = 0 holds in
         # the quotient and minimality of m keeps both factors nonzero.
@@ -291,8 +300,9 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
         g = _evaluate_in_quotient(quotient, g_z, reduced_u)
         return not_prime_verdict(quotient.basis, f, g, limits, sections=sections)
     return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections), reason=(
-        f"no field certificate from {trials} linear form(s): {zero} zero, {len(sections)} with "
-        f"an irreducible minimal polynomial of degree below {quotient.vector_dim}"))
+        f"no field certificate from {len(ctx)} coordinate(s) and {trials} random linear "
+        f"form(s): {zero} zero, {len(sections)} with an irreducible minimal polynomial of "
+        f"degree below {quotient.vector_dim}"))
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -300,10 +310,10 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
              limits=DEFAULT_LIMITS) -> PrimalityVerdict:
     """Certified primality verdict for an ideal over the rationals (module docstring).
 
-    ``trials`` bounds the linear forms per field test and, in positive
-    dimension, the points u; ``sections`` holds one ``SectionData`` per
-    nonzero form drawn, the certifying one last.  Fixed seeds give
-    identical verdicts.
+    ``trials`` bounds the random linear forms after the coordinates per
+    field test and, in positive dimension, the points u; ``sections``
+    holds one ``SectionData`` per nonzero form tried, the certifying one
+    last.  Fixed seeds give identical verdicts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

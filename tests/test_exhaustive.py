@@ -6,13 +6,19 @@ and ``is_prime`` and compares the verdict with an exact oracle, so a wrong
 The oracles are discriminant rules: a quadratic over Q splits, or has a
 double root, exactly when its discriminant is a perfect square.  The
 cubic fibers need none: each is parametrized by a line, so it is prime.
+The same oracles judge every sample of the shipped configs whose fibers
+are circle cuts or parabola fibers.
 """
 
+import collections
 import itertools
 import math
+import os
 
-from primespec import is_prime
-from primespec.experiments import specialize_point
+import pytest
+
+from primespec import context, is_prime, parse_polynomial
+from primespec.experiments import read_experiment_config, run_experiment, specialize_point
 from primespec.primality import NOT_PRIME, PRIME, UNIT_IDEAL
 
 
@@ -76,3 +82,39 @@ def test_cubic_fiber_box(cubic_fiber_family):
         specialized = specialize_point(cubic_fiber_family, "ScalarSpec", (), point)
         assert specialized.dimension() == 1, t
         assert is_prime(specialized, seed=0).status == PRIME, t
+
+
+def parabola_oracle(value):
+    """Verdict for Y^2 - p(Y), p = a + b*Y + c*Y^2 given as text (a constant t included).
+
+    For c != 1 the quadratic (1 - c)*Y^2 - b*Y - a splits, or has a double
+    root, exactly when b^2 + 4*(1 - c)*a is a square.
+    """
+    p = parse_polynomial(value, context(("Y",)))
+    a, b, c = (int(p.terms.get((k,), 0)) for k in range(3))
+    if c == 1:
+        return UNIT_IDEAL if a and not b else PRIME
+    return NOT_PRIME if is_square(b * b + 4 * (1 - c) * a) else PRIME
+
+
+def shipped_sample_oracle(point):
+    if point["kind"] == "lambda":
+        [line] = point["blocks"]
+        return circle_line_oracle(*map(int, line))
+    [value] = point["values"]
+    return parabola_oracle(value)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("circle_cut", {PRIME: 468, NOT_PRIME: 32}),
+    ("polyspec_quadric", {PRIME: 454, NOT_PRIME: 46}),
+    ("scalar_parabola", {PRIME: 1998, NOT_PRIME: 2}),
+])
+def test_shipped_config_verdicts_match_the_oracles(name, counts, monkeypatch):
+    # the report_hash pins also cover the certificates, which may change;
+    # the verdicts must always agree with an oracle independent of is_prime
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    report = run_experiment(read_experiment_config(f"configs/{name}.conf"))
+    for sample in report["samples"]:
+        assert sample["verdict"] == shipped_sample_oracle(sample["point"]), sample
+    assert collections.Counter(s["verdict"] for s in report["samples"]) == counts

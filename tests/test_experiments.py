@@ -245,6 +245,27 @@ def test_verify_report_detects_tampering(parabola_path):
         verify_report(counted)
 
 
+SPHERE = "vars: Y1, Y2, Y3\ngens:\nY1^2 + Y2^2 + Y3^2 - 1\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("degenerate_specialization", True, "degenerate_specialization should be absent"),
+    ("reason", "made up", "a prime sample has a reason"),
+])
+def test_verify_report_checks_optional_sample_fields(field, value, message, tmp_path):
+    # both fields enter report_hash, and the point and the verdict fix them
+    path = tmp_path / "sphere.ideal"
+    path.write_text(SPHERE)
+    report = run_experiment(ExperimentConfig(kind="GenericIntersect", ideal_path=str(path),
+                                             box=20, samples=40, seed=5, degrees=(1,)))
+    verify_report(report)
+    sample = next(s for s in report["samples"] if s["verdict"] == "prime")
+    assert field not in sample
+    sample[field] = value
+    with pytest.raises(PrimespecError, match=rf"^sample \d+: {re.escape(message)}$"):
+        verify_report(json.loads(json.dumps(report)))
+
+
 def _tampered(value):
     if isinstance(value, int):
         return value + 1
@@ -386,11 +407,11 @@ def test_two_parameter_polynomial_values(tmp_path):
 
 
 SHIPPED_CONFIG_HASHES = {
-    "circle_cut": "2c76061d48ab30c7",
+    "circle_cut": "0959bd2a82ad78a2",
     "consistency": "b96b0807a3d870c3",
     "cubic_fibers": "8ac64c44da4f247f",
-    "polyspec_quadric": "9167889f097c7699",
-    "scalar_parabola": "f5d7460a4ce53973",
+    "polyspec_quadric": "ef1fbfa2b8f51fc7",
+    "scalar_parabola": "62b912e2ac7b6732",
 }
 
 

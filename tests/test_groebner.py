@@ -35,6 +35,13 @@ def test_unit_ideal_normalizes_to_one():
     assert basis.is_unit
 
 
+def test_reduced_basis_reduces_tails_under_coprime_leads():
+    # no lead divides another, but the tail X of Y^2 + X is the lead of X
+    ideal = make_ideal(("X", "Y"), ["Y^2 + X", "X"])
+    assert ideal.groebner(grevlex).polys == tuple(
+        parse_polynomial(g, ideal.context) for g in ("Y^2", "X"))
+
+
 def test_normal_form_witnesses_membership(two_points):
     # X^2 - X = (Y - X^2) * (-1) + (Y - X) lies in the ideal
     basis = two_points.groebner(lex)

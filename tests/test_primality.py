@@ -188,22 +188,62 @@ def test_split_at_every_point_is_inconclusive_with_reason(case):
 
 
 def test_inconclusive_reason_counts_zero_and_subfield_forms():
-    # seed 7 draws -6*Y: Z^2 - 108 is irreducible, but Q(sqrt 3) is a proper
+    # The coordinates Y and X come first, then seed 7 draws -6*Y: each of
+    # Z^2 - 3, Z^2 - 2 and Z^2 - 108 is irreducible, but generates a proper
     # subfield of the degree-4 quotient Q(sqrt 2, sqrt 3)
     ideal = make_ideal(("X", "Y"), ["X^2 - 2", "Y^2 - 3"])
     verdict = is_prime(ideal, trials=1, seed=7)
     assert verdict.status == INCONCLUSIVE
-    # the rejected form stays on the verdict with its minimal polynomial
-    [rejected] = verdict.sections
-    assert (str(rejected.linear_form), str(rejected.minimal_poly)) == ("-6*Y", "Z^2 - 108")
-    assert (rejected.independent, rejected.point, rejected.quotient_dim) == ((), (), 4)
-    assert verdict.reason == ("no field certificate from 1 linear form(s): 0 zero, "
-                              "1 with an irreducible minimal polynomial of degree below 4")
-    # a box of radius 0 draws only the zero form
+    # the rejected forms stay on the verdict with their minimal polynomials
+    assert [(str(s.linear_form), str(s.minimal_poly)) for s in verdict.sections] == [
+        ("Y", "Z^2 - 3"), ("X", "Z^2 - 2"), ("-6*Y", "Z^2 - 108")]
+    for rejected in verdict.sections:
+        assert (rejected.independent, rejected.point, rejected.quotient_dim) == ((), (), 4)
+    assert verdict.reason == ("no field certificate from 2 coordinate(s) and 1 random linear "
+                              "form(s): 0 zero, 3 with an irreducible minimal polynomial of "
+                              "degree below 4")
+    # a box of radius 0 draws only the zero form after the coordinates
     verdict = is_prime(ideal, trials=3, seed=7, box_start=0)
-    assert verdict.sections == ()
-    assert verdict.reason == ("no field certificate from 3 linear form(s): 3 zero, "
-                              "0 with an irreducible minimal polynomial of degree below 4")
+    assert [str(s.linear_form) for s in verdict.sections] == ["Y", "X"]
+    assert verdict.reason == ("no field certificate from 2 coordinate(s) and 3 random linear "
+                              "form(s): 3 zero, 2 with an irreducible minimal polynomial of "
+                              "degree below 4")
+
+
+def test_biquadratic_field_certified_by_a_random_form_after_the_coordinates():
+    # neither coordinate generates Q(sqrt 2, sqrt 3); the first random form does
+    verdict = is_prime(make_ideal(("X", "Y"), ["X^2 - 2", "Y^2 - 3"]), seed=0)
+    assert verdict.status == PRIME
+    assert [str(s.linear_form) for s in verdict.sections[:2]] == ["Y", "X"]
+    field = verdict.sections[-1]
+    assert len(verdict.sections) == 3 and len(field.linear_form.terms) == 2
+    assert field.minimal_poly.total_degree() == field.quotient_dim == 4
+
+
+def test_points_fibers_certified_by_the_last_coordinate():
+    # the fibers of perfbench/ideals/points.ideal are in shape position: Y3 generates
+    family = make_ideal(("Y1", "Y2", "Y3"),
+                        ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"],
+                        params=("T",))
+    for t in (2, 5, 7):
+        verdict = is_prime(specialize_scalar(family, [t]), seed=t)
+        assert verdict.status == PRIME, t
+        [field] = verdict.sections
+        assert field.linear_form == Polynomial.variable(field.linear_form.context, "Y3"), t
+        assert field.minimal_poly.total_degree() == field.quotient_dim == 12, t
+
+
+def test_split_coordinate_certifies_not_prime():
+    # Y reduces to 0, so its minimal polynomial Z has degree 1 < 2 and the
+    # test moves on; X has Z^2 - 1 = (Z - 1)(Z + 1)
+    ideal = make_ideal(("X", "Y"), ["X^2 - 1", "Y"])
+    verdict = is_prime(ideal, seed=0)
+    assert verdict.status == NOT_PRIME
+    assert [(str(s.linear_form), str(s.minimal_poly)) for s in verdict.sections] == [
+        ("Y", "Z"), ("X", "Z^2 - 1")]
+    f, g = verdict.certificate
+    assert (str(f), str(g)) == ("X - 1", "X + 1")
+    assert _certificate_error(ideal.groebner(), f, g) is None
 
 
 def _largest_free_sets(ideal):

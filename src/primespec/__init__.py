@@ -9,7 +9,7 @@ from .errors import (BudgetExceededError, ConfigError, ContextMismatchError,
 from .factor import factor_univariate
 from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, eliminate,
                        fiber_dimension, ideal_dimension)
-from .orders import MonomialOrder, elimination_order, grevlex, lex, target_first
+from .orders import MonomialOrder, grevlex, lex, target_first
 from .parse import parse_ideal_source, parse_polynomial, read_ideal_file
 from .poly import Polynomial, monomials_upto
 from .primality import PrimalityVerdict, ZeroDimQuotient, is_prime, minimal_polynomial
@@ -23,7 +23,7 @@ __all__ = [
     "ConfigError",
     "Polynomial", "monomials_upto",
     "parse_polynomial", "parse_ideal_source", "read_ideal_file",
-    "MonomialOrder", "lex", "grevlex", "target_first", "elimination_order",
+    "MonomialOrder", "lex", "grevlex", "target_first",
     "GBLimits", "GroebnerBasis", "Ideal", "buchberger",
     "ideal_dimension", "eliminate", "fiber_dimension",
     "factor_univariate",

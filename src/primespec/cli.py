@@ -20,7 +20,7 @@ from .factor import factor_univariate
 from .groebner import Ideal
 from .orders import grevlex, lex
 from .parse import parse_polynomial, read_ideal_file
-from .primality import is_prime
+from .primality import DEFAULT_TRIALS, is_prime
 from .specialize import specialize_polynomial, specialize_scalar
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prime", help="primality verdict for an ideal")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_prime)
 

@@ -33,13 +33,12 @@ from random import Random
 from . import __version__
 from .context import context as make_context
 from .errors import BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError
-from .groebner import DEFAULT_LIMITS, GBLimits, Ideal, eliminate
+from .groebner import DEFAULT_LIMITS, GBLimits, Ideal, eliminate, fiber_dimension
 from .orders import grevlex
 from .parse import parse_ideal_source, parse_polynomial
 from .poly import Polynomial, monomials_upto
-from .primality import (DEFAULT_BOX_CAP, DEFAULT_BOX_START, DEFAULT_TRIALS,
-                        INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, _certificate_error,
-                        is_prime)
+from .primality import (DEFAULT_TRIALS, INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL,
+                        _certificate_error, is_prime)
 from .specialize import (generic_form, intersect_generic, specialize_polynomial,
                          specialize_scalar)
 
@@ -59,20 +58,19 @@ def _require_at_least(key: str, value: int, least: int) -> None:
         raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
 
 
+_BUDGET_FIELDS = {"gb.max_pairs": "gb_max_pairs", "gb.max_term_count": "gb_max_term_count",
+                "sample.timeout_ms": "sample_timeout_ms"}
+
+
 @dataclass(frozen=True)
 class Budgets:
-    gb_max_pairs: int = 50_000
-    gb_max_term_count: int = 200_000
-    primality_box_start: int = DEFAULT_BOX_START
-    primality_box_cap: int = DEFAULT_BOX_CAP
+    gb_max_pairs: int = GBLimits.max_pairs
+    gb_max_term_count: int = GBLimits.max_term_count
     sample_timeout_ms: int = 20_000
 
     def __post_init__(self):
-        _require_at_least("gb.max_pairs", self.gb_max_pairs, 1)
-        _require_at_least("gb.max_term_count", self.gb_max_term_count, 1)
-        _require_at_least("primality.box_start", self.primality_box_start, 1)
-        _require_at_least("primality.box_cap", self.primality_box_cap, self.primality_box_start)
-        _require_at_least("sample.timeout_ms", self.sample_timeout_ms, 1)
+        for key, name in _BUDGET_FIELDS.items():
+            _require_at_least(key, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -98,15 +96,12 @@ class ExperimentConfig:
             raise ConfigError("GenericIntersect needs a degrees list")
 
 
-_CONFIG_KEYS = {
-    "kind", "ideal", "H", "n", "seed", "trials", "degrees", "workers",
-    "gb.max_pairs", "gb.max_term_count",
-    "primality.box_start", "primality.box_cap", "sample.timeout_ms",
-}
+_INT_FIELDS = {"H": "box", "n": "samples", "seed": "seed", "trials": "trials", "workers": "workers"}
+_CONFIG_KEYS = {"kind", "ideal", "degrees", *_INT_FIELDS, *_BUDGET_FIELDS}
 
 
 def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
-    """Read ``key = value`` lines; unknown keys are errors."""
+    """Read ``key = value`` lines; unknown keys are errors, absent ones take the defaults."""
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,15 +119,17 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         if required not in data:
             raise ConfigError(f"missing required key {required!r}")
 
-    def as_int(key, default=None):
-        if key not in data:
-            return default
+    def ints(keys):
+        """{field: value} of the integer keys (config key -> field) that the config sets."""
+        return {name: as_int(key) for key, name in keys.items() if key in data}
+
+    def as_int(key):
         try:
             return int(data[key])
         except ValueError as exc:
             raise ConfigError(f"key {key!r} must be an integer") from exc
 
-    degrees = ()
+    fields = {}
     if "degrees" in data:
         try:
             degrees = tuple(int(part) for part in data["degrees"].split(",") if part.strip())
@@ -140,25 +137,10 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
             raise ConfigError("degrees must be a comma-separated integer list") from exc
         if any(d < 0 for d in degrees):
             raise ConfigError("degrees must be non-negative")
-
-    budgets = Budgets(
-        gb_max_pairs=as_int("gb.max_pairs", Budgets.gb_max_pairs),
-        gb_max_term_count=as_int("gb.max_term_count", Budgets.gb_max_term_count),
-        primality_box_start=as_int("primality.box_start", Budgets.primality_box_start),
-        primality_box_cap=as_int("primality.box_cap", Budgets.primality_box_cap),
-        sample_timeout_ms=as_int("sample.timeout_ms", Budgets.sample_timeout_ms),
-    )
-    return ExperimentConfig(
-        kind=data["kind"],
-        ideal_path=os.path.normpath(os.path.join(base_dir, data["ideal"])),
-        box=as_int("H"),
-        samples=as_int("n"),
-        seed=as_int("seed", 0),
-        trials=as_int("trials", DEFAULT_TRIALS),
-        degrees=degrees,
-        workers=as_int("workers", 1),
-        budgets=budgets,
-    )
+        fields["degrees"] = degrees
+    return ExperimentConfig(kind=data["kind"],
+                            ideal_path=os.path.normpath(os.path.join(base_dir, data["ideal"])),
+                            budgets=Budgets(**ints(_BUDGET_FIELDS)), **fields, **ints(_INT_FIELDS))
 
 
 def read_experiment_config(path) -> ExperimentConfig:
@@ -270,9 +252,7 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
         else:
             record["dimension"] = specialized.dimension(limits)
             verdict = is_prime(specialized, trials=config.trials,
-                               seed=derive_seed(config.seed, index, "prime"),
-                               box_start=budgets.primality_box_start,
-                               box_cap=budgets.primality_box_cap, limits=limits)
+                               seed=derive_seed(config.seed, index, "prime"), limits=limits)
             record["verdict"] = verdict.status
             if verdict.certificate is not None:
                 f, g = verdict.certificate
@@ -320,8 +300,8 @@ def _aggregate(records) -> dict:
 # -- the experiment -----------------------------------------------------------
 
 
-def _baseline(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) -> int:
-    """Hypothesis gate plus the expected dimension of good specializations."""
+def _check_hypotheses(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) -> None:
+    """Refuse an ideal or config that the experiment kind does not apply to."""
     ctx = ideal.context
     if config.kind in (SCALAR_SPEC, POLY_SPEC, CONSISTENCY):
         if ctx.r == 0:
@@ -331,14 +311,23 @@ def _baseline(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) -> int:
         meet = eliminate(ideal, ctx.param_names, limits)
         if not meet.is_zero:
             raise HypothesisViolationError(meet.generators[0])
-        return ideal.dimension(limits) - ctx.r
+        return
     if ctx.r:
         raise ConfigError("GenericIntersect expects an ideal without parameters")
     d = ideal.dimension(limits)
-    rho = len(config.degrees)
-    if not 0 < rho <= d:
-        raise ConfigError(f"need 0 < rho <= dim = {d}, got rho = {rho}")
-    return d - rho
+    if not 0 < len(config.degrees) <= d:
+        raise ConfigError(f"need 0 < rho <= dim = {d}, got rho = {len(config.degrees)}")
+
+
+def _expected_dimension(ideal: Ideal, kind: str, degrees, limits: GBLimits) -> int:
+    """Dimension of a good specialization: dim - rho for GenericIntersect, else the generic fiber's.
+
+    The generic fiber of a base P in Q[T, Y] is P over Q(T); for a prime P
+    meeting Q[T] only in 0 its dimension is dim P - r.
+    """
+    if kind == GENERIC_INTERSECT:
+        return ideal.dimension(limits) - len(degrees)
+    return fiber_dimension(ideal, ideal.context.param_names, limits)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -348,7 +337,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ctx, gens = parse_ideal_source(ideal_text)
     ideal = Ideal(ctx, gens)
     limits = GBLimits(config.budgets.gb_max_pairs, config.budgets.gb_max_term_count)
-    expected = _baseline(ideal, config, limits)
+    _check_hypotheses(ideal, config, limits)
+    expected = _expected_dimension(ideal, config.kind, config.degrees, limits)
 
     task = functools.partial(run_sample, ideal, config, expected)
     indices = range(config.samples)
@@ -430,14 +420,18 @@ def emit_report(report: dict, fmt: str, path) -> None:
             ])
 
 
-def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | None:
+def _replay(ideal: Ideal, config: dict, expected: int, position: int, sample: dict) -> str | None:
     """Rebuild a sample's specialized ideal; replay the failure witness of a bad one.
 
-    The optional fields must be what ``run_sample`` writes: the degeneracy
-    flag exactly where the point is degenerate, a reason only on an
-    inconclusive sample.  Returns None for a sample that is not bad.
+    The sample's expected dimension must be ``expected``, and the optional
+    fields what ``run_sample`` writes: the degeneracy flag exactly where
+    the point is degenerate, a reason only on an inconclusive sample.
+    Returns None for a sample that is not bad.
     """
     try:
+        if sample["expected_dimension"] != expected:
+            raise PrimespecError(f"sample {position}: expected dimension "
+                                 f"{sample['expected_dimension']}, recomputed {expected}")
         specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
         degenerate = _is_degenerate(config["kind"], sample["point"], specialized)
         if sample.get("degenerate_specialization") != (degenerate or None):
@@ -469,7 +463,7 @@ def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | No
     dim = specialized.dimension()
     if dim != dimension:
         raise PrimespecError(f"sample {index}: recorded dimension {dimension}, recomputed {dim}")
-    if dim == sample["expected_dimension"]:
+    if dim == expected:
         raise PrimespecError(f"sample {index}: classified bad but replay looks good")
     return f"sample {index}: dimension mismatch confirmed ({dim})"
 
@@ -477,11 +471,13 @@ def _replay(ideal: Ideal, config: dict, position: int, sample: dict) -> str | No
 def verify_report(report: dict) -> list[str]:
     """Replay every failure witness in a report; raises on any mismatch.
 
-    Rebuilds the specialized ideal of every sample from its point, then
-    confirms every NotPrime certificate (product in the ideal, factors
-    outside), every unit-ideal collapse, every dimension mismatch, every
-    consistency failure, and then the whole ``aggregate`` against the one
-    ``run_experiment`` computes.  A report or sample record with a missing
+    Recomputes the expected dimension from the echoed ideal, which the
+    config and every sample must state, and rebuilds the specialized ideal
+    of every sample from its point.  Then confirms every NotPrime
+    certificate (product in the ideal, factors outside), every unit-ideal
+    collapse, every dimension mismatch, every consistency failure, and
+    then the whole ``aggregate`` against the one ``run_experiment``
+    computes.  A report or sample record with a missing
     or mistyped field, a sample with an unknown verdict, a degeneracy flag
     that the point does not give, or a reason on a decided sample fails
     verification.  Returns one accounting message and one message per
@@ -492,12 +488,16 @@ def verify_report(report: dict) -> list[str]:
         configured_n, source = config["n"], config["ideal_source"]
         ctx = make_context(source["vars"], params=source["params"])
         ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
+        stated = config["expected_dimension"]
+        expected = _expected_dimension(ideal, config["kind"], config["degrees"], DEFAULT_LIMITS)
     except (KeyError, TypeError) as exc:
         raise PrimespecError(f"malformed report: {exc!r}") from exc
+    if stated != expected:
+        raise PrimespecError(f"expected dimension {stated} differs from the recomputed {expected}")
     n = len(samples)
     if n != configured_n:
         raise PrimespecError(f"sample count {n} differs from configured n")
-    replays = [_replay(ideal, config, position, sample) for position, sample in enumerate(samples)]
+    replays = [_replay(ideal, config, expected, i, sample) for i, sample in enumerate(samples)]
     recomputed = _aggregate(samples)
     if recorded != recomputed:
         missing = object()

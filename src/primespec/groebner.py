@@ -50,7 +50,7 @@ from operator import itemgetter, le
 
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
-from .orders import MonomialOrder, elimination_order, grevlex, target_first
+from .orders import MonomialOrder, grevlex, target_first
 from .poly import Exponent, Polynomial, integer_primitive
 
 
@@ -190,9 +190,6 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.polys)
-
-    def __len__(self):
-        return len(self._reducers)
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
@@ -569,13 +566,15 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
     variables; basis elements supported on the kept variables generate
     the elimination ideal.
     """
+    ctx = ideal.context
     keep = tuple(keep_names)
-    target = ideal.context.keep(keep)
+    target = ctx.keep(keep)
     if ideal.is_zero:
         return Ideal(target, ())
-    order = elimination_order(ideal.context, keep)
+    eliminated = [name for name in ctx.names if name not in keep]
+    order = target_first(grevlex, ctx.keep(eliminated), ctx) if eliminated else grevlex
     basis = ideal.groebner(order, limits)
-    keep_set = set(ideal.context.indices_of(keep))
+    keep_set = set(ctx.indices_of(keep))
     selected = []
     for p in basis:
         if all(all(e == 0 or i in keep_set for i, e in enumerate(exp)) for exp in p.terms):

@@ -79,14 +79,3 @@ def target_first(order: MonomialOrder, target, context) -> MonomialOrder:
     groups = order.groups if order.kind == BLOCK else ((tuple(range(len(target))), order.kind),)
     return MonomialOrder(BLOCK, tuple((tuple(positions[i] for i in idx), inner)
                                       for idx, inner in groups) + ((rest, GREVLEX),))
-
-
-def elimination_order(context, keep_names) -> MonomialOrder:
-    """Order that eliminates every variable outside ``keep_names``."""
-    keep = set(keep_names)
-    eliminated = tuple(n for n in context.names if n not in keep)
-    if not eliminated:
-        return grevlex
-    if len(eliminated) == len(context):
-        raise ValueError("elimination order must keep at least one variable")
-    return target_first(grevlex, context.keep(eliminated), context)

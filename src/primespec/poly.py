@@ -91,10 +91,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -108,9 +104,6 @@ class Polynomial:
                 if e:
                     used.add(i)
         return tuple(self.context.names[i] for i in sorted(used))
-
-    def sorted_terms(self, order=grevlex) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -262,7 +255,7 @@ class Polynomial:
             return "0"
         names = self.context.names
         pieces = []
-        for exp, coeff in self.sorted_terms(order):
+        for exp, coeff in sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True):
             factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                        for i, e in enumerate(exp) if e]
             mag = abs(coeff)

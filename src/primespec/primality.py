@@ -63,8 +63,7 @@ UNIT_IDEAL = "unit_ideal"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_TRIALS = 5
-DEFAULT_BOX_START = 10
-DEFAULT_BOX_CAP = 1 << 16
+BOX_START = 10  # random draws come from [-box, box], box doubling from this per draw
 
 _MINPOLY_VARIABLE = "Z"
 
@@ -228,15 +227,16 @@ def not_prime_verdict(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
     return PrimalityVerdict(NOT_PRIME, certificate=(f, g), sections=tuple(sections))
 
 
-def _linear_forms(ctx, rng, trials, box, box_cap):
-    """The coordinates, last first, then ``trials`` random forms from doubling boxes."""
+def _linear_forms(ctx, rng, trials):
+    """The coordinates, last first, then ``trials`` random forms: the k-th from BOX_START * 2^k."""
+    box = BOX_START
     for name in reversed(ctx.names):
         yield Polynomial.variable(ctx, name)
     for _ in range(trials):
         coeffs = [rng.randint(-box, box) for _ in ctx.names]
         yield Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
                                for i, c in enumerate(coeffs) if c})
-        box = min(2 * box, box_cap)
+        box *= 2
 
 
 def _split_minimal_poly(m: Polynomial, limits):
@@ -269,8 +269,7 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
     return acc
 
 
-def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limits,
-                variable) -> PrimalityVerdict:
+def _field_test(quotient: ZeroDimQuotient, rng, trials, limits, variable) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
 
     The forms tried are the coordinates, last first (module docstring),
@@ -281,7 +280,7 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
     ctx = quotient.basis.context
     zero = 0
     sections = []
-    for u in _linear_forms(ctx, rng, trials, box_start, box_cap):
+    for u in _linear_forms(ctx, rng, trials):
         if u.is_zero:
             zero += 1
             continue
@@ -306,12 +305,12 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, box_start, box_cap, limi
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
-             box_start: int = DEFAULT_BOX_START, box_cap: int = DEFAULT_BOX_CAP,
              limits=DEFAULT_LIMITS) -> PrimalityVerdict:
     """Certified primality verdict for an ideal over the rationals (module docstring).
 
     ``trials`` bounds the random linear forms after the coordinates per
-    field test and, in positive dimension, the points u; ``sections``
+    field test and, in positive dimension, the points u; both draw from
+    boxes that start at ``BOX_START`` and double per draw.  ``sections``
     holds one ``SectionData`` per nonzero form tried, the certifying one
     last.  Fixed seeds give identical verdicts.
     """
@@ -327,7 +326,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     ctx = ideal.context
     if not independent:
         return _field_test(ZeroDimQuotient(ideal.groebner(grevlex, limits), limits), rng, trials,
-                           box_start, box_cap, limits, variable)
+                           limits, variable)
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
@@ -350,15 +349,14 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
                 return not_prime_verdict(basis, g, power, limits)
 
     sections = []
-    box = box_start
+    box = BOX_START
     for _ in range(trials):
         point = tuple(rng.randint(-box, box) for _ in free)
-        box = min(2 * box, box_cap)
+        box *= 2
         cut = specialize_basis(block, {**values, **dict(zip(free, point))}, bound, grevlex, limits)
         if cut is None or set(cut.leading_exponents()) != cut_leads:
             continue  # h(u) = 0; the lead comparison is a guard
-        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, box_start, box_cap, limits,
-                            variable)
+        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, limits, variable)
         sections += [replace(data, independent=free, point=point) for data in inner.sections]
         if inner.status == PRIME:
             return PrimalityVerdict(PRIME, sections=tuple(sections))

@@ -56,11 +56,7 @@ def specialize_polynomial(ideal: Ideal, values) -> Ideal:
     if len(values) != len(params):
         raise ValueError(f"expected {len(params)} polynomial values, got {len(values)}")
     target = _target_without_params(ideal)
-    images = []
-    for value in values:
-        image = value if value.context == target else value.embed(target)
-        images.append(image)
-    bindings = dict(zip(params, images))
+    bindings = dict(zip(params, values))
     return Ideal(target, (g.substitute(bindings, target) for g in ideal.generators))
 
 

@@ -16,7 +16,7 @@ from primespec.factor import (_from_dense, _to_dense, _zx_content, _zx_degree,
 
 def is_irreducible_univariate(p: Polynomial) -> bool:
     """True when p has degree >= 1 and is irreducible over the rationals."""
-    if p.is_zero or p.is_constant:
+    if p.total_degree() <= 0:
         return False
     _, factors = factor_univariate(p)
     return len(factors) == 1 and factors[0][1] == 1

@@ -158,7 +158,7 @@ def test_criterion_5_polynomial_specialization_of_quadric(ideal_file):
             continue
         u = parse_polynomial(sample["point"]["values"][0], y_ctx)
         substituted = y_squared - u
-        if substituted.is_zero or substituted.is_constant:
+        if substituted.total_degree() <= 0:
             expect_good = False
         else:
             _, factors = factor_univariate(substituted)

@@ -1,5 +1,6 @@
 """Experiment configs, sampling, reports, replay verification."""
 
+import functools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from primespec import ConfigError, HypothesisViolationError, PrimespecError, context
 from primespec.cli import main
-from primespec.experiments import (Budgets, ExperimentConfig, classify, derive_seed,
+from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
                                    emit_report, parse_experiment_config,
                                    read_experiment_config, report_hash, run_experiment,
                                    sample_point, verify_report)
@@ -64,7 +65,8 @@ def test_config_parsing(tmp_path):
 
 
 def test_config_rejects_unknown_keys():
-    for line in ("foo = 2", "rho = 1", "primality.trials = 5"):
+    for line in ("foo = 2", "rho = 1", "primality.trials = 5", "primality.box_start = 10",
+                 "primality.box_cap = 65536"):
         with pytest.raises(ConfigError):
             parse_experiment_config(f"kind = ScalarSpec\nideal = x\nH = 1\nn = 1\n{line}\n")
 
@@ -81,8 +83,6 @@ def test_config_requires_fields():
 @pytest.mark.parametrize("line, key", [
     ("workers = 0", "workers"),
     ("workers = -3", "workers"),
-    ("primality.box_start = 0", "primality.box_start"),
-    ("primality.box_start = 5\nprimality.box_cap = 4", "primality.box_cap"),
     ("sample.timeout_ms = 0", "sample.timeout_ms"),
     ("gb.max_pairs = 0", "gb.max_pairs"),
     ("gb.max_term_count = -1", "gb.max_term_count"),
@@ -96,7 +96,6 @@ def test_config_rejects_invalid_budgets(line, key):
     (lambda: ExperimentConfig(kind="ScalarSpec", ideal_path="x", box=1, samples=1,
                               workers=-3), "workers"),
     (lambda: Budgets(sample_timeout_ms=0), "sample.timeout_ms"),
-    (lambda: Budgets(primality_box_start=5, primality_box_cap=4), "primality.box_cap"),
 ])
 def test_direct_construction_rejects_invalid_budgets(build, key):
     with pytest.raises(ConfigError, match=re.escape(repr(key))):
@@ -105,11 +104,10 @@ def test_direct_construction_rejects_invalid_budgets(build, key):
 
 def test_config_accepts_smallest_budgets():
     config = parse_experiment_config(
-        "kind = ScalarSpec\nideal = x\nH = 1\nn = 1\nworkers = 1\n"
-        "primality.box_start = 1\nprimality.box_cap = 1\nsample.timeout_ms = 1\n"
+        "kind = ScalarSpec\nideal = x\nH = 1\nn = 1\nworkers = 1\nsample.timeout_ms = 1\n"
         "gb.max_pairs = 1\ngb.max_term_count = 1\n")
     assert config.workers == 1
-    assert config.budgets == Budgets(1, 1, 1, 1, 1)
+    assert config.budgets == Budgets(1, 1, 1)
 
 
 def test_serial_import_skips_multiprocessing():
@@ -403,15 +401,15 @@ def test_two_parameter_polynomial_values(tmp_path):
     y_ctx = context(("Y1", "Y2"))
     for sample in report["samples"]:
         second = parse_polynomial(sample["point"]["values"][1], y_ctx)
-        assert second.is_constant
+        assert second.total_degree() <= 0
 
 
 SHIPPED_CONFIG_HASHES = {
-    "circle_cut": "0959bd2a82ad78a2",
-    "consistency": "b96b0807a3d870c3",
-    "cubic_fibers": "8ac64c44da4f247f",
-    "polyspec_quadric": "ef1fbfa2b8f51fc7",
-    "scalar_parabola": "62b912e2ac7b6732",
+    "circle_cut": "194ae3fbf574570f",
+    "consistency": "281da058afc666f2",
+    "cubic_fibers": "fc9210c6e75febda",
+    "polyspec_quadric": "a656bdafeb19984a",
+    "scalar_parabola": "b66fd55b0c76ae8c",
 }
 
 
@@ -426,3 +424,60 @@ def test_shipped_config_report_hash(name, monkeypatch):
     reloaded = json.loads(json.dumps(report))
     assert report_hash(reloaded) == report_hash(report)
     verify_report(reloaded)
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_report(name):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    report = run_experiment(read_experiment_config(os.path.join(repo, "configs", f"{name}.conf")))
+    return json.dumps(report)
+
+
+TAMPERED_DIMENSIONS = {
+    # 100 good -> 0 good
+    "cubic_fibers, every expected dimension 2": (
+        "cubic_fibers", 2, None, "expected dimension 2 differs from the recomputed 1"),
+    "cubic_fibers, sample 3 expects 0": (
+        "cubic_fibers", 0, 3, "sample 3: expected dimension 0, recomputed 1"),
+    "circle_cut, every expected dimension raised by 1": (
+        "circle_cut", 1, None, "expected dimension 1 differs from the recomputed 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_DIMENSIONS))
+def test_verify_report_recomputes_the_expected_dimension(case):
+    # With the aggregate recomputed, a rewritten expected dimension moves the
+    # density while every replayed witness still holds.
+    name, dimension, position, message = TAMPERED_DIMENSIONS[case]
+    report = json.loads(_shipped_report(name))
+    verify_report(report)
+    if position is None:
+        targets = [report["config"], *report["samples"]]
+    else:
+        targets = [report["samples"][position]]
+    for target in targets:
+        target["expected_dimension"] = dimension
+    report["aggregate"] = _aggregate(report["samples"])
+    with pytest.raises(PrimespecError, match=rf"^{re.escape(message)}$"):
+        verify_report(report)
+
+
+def test_verify_report_requires_the_expected_dimension():
+    report = json.loads(_shipped_report("circle_cut"))
+    del report["config"]["expected_dimension"]
+    with pytest.raises(PrimespecError, match=r"^malformed report: KeyError"):
+        verify_report(report)
+
+
+def test_expected_dimension_is_that_of_the_generic_fiber(tmp_path):
+    # (T*Y1, T*Y2) meets Q[T] only in 0 and has dimension 2 = r + 1, but its
+    # generic fiber (Y1, Y2) is a point: every fiber at t != 0 is good.
+    path = tmp_path / "lines.ideal"
+    path.write_text("params: T\nvars: Y1, Y2\ngens:\nT*Y1\nT*Y2\n")
+    report = run_experiment(scalar_config(str(path), n=20, box=3, seed=1))
+    assert report["config"]["expected_dimension"] == 0
+    # at t = 0 the ideal is zero: the plane, of dimension 2
+    degenerate = [s["point"]["values"] == ["0"] for s in report["samples"]]
+    assert 0 < sum(degenerate) < 20
+    assert [classify(s) for s in report["samples"]] == ["bad" if d else "good" for d in degenerate]
+    verify_report(report)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from primespec import (BudgetExceededError, GBLimits, GroebnerBasis, Ideal, Polynomial,
-                       buchberger, context, eliminate, elimination_order, fiber_dimension,
+                       buchberger, context, eliminate, fiber_dimension,
                        grevlex, lex, parse_polynomial, specialize_scalar)
 from primespec import groebner
 from primespec.groebner import ideal_dimension, saturation, specialize_basis
@@ -375,7 +375,7 @@ def test_fibers_read_the_set_fiber_dimension_caches(cubic_fiber_family, monkeypa
 
 def test_budgets_bind_on_the_specialized_basis(cubic_fiber_family, monkeypatch):
     base = cubic_fiber_family
-    base.groebner(elimination_order(base.context, base.context.param_names))
+    eliminate(base, base.context.param_names)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the cached base basis specializes at t = 2")

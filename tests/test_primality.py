@@ -8,7 +8,7 @@ import pytest
 from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchberger, context,
                        factor_univariate, grevlex, is_prime, minimal_polynomial, parse_polynomial,
                        target_first)
-from primespec import BudgetExceededError, GBLimits, specialize_scalar
+from primespec import BudgetExceededError, GBLimits, primality, specialize_scalar
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
@@ -187,7 +187,7 @@ def test_split_at_every_point_is_inconclusive_with_reason(case):
         assert verdict.reason
 
 
-def test_inconclusive_reason_counts_zero_and_subfield_forms():
+def test_inconclusive_reason_counts_zero_and_subfield_forms(monkeypatch):
     # The coordinates Y and X come first, then seed 7 draws -6*Y: each of
     # Z^2 - 3, Z^2 - 2 and Z^2 - 108 is irreducible, but generates a proper
     # subfield of the degree-4 quotient Q(sqrt 2, sqrt 3)
@@ -203,7 +203,8 @@ def test_inconclusive_reason_counts_zero_and_subfield_forms():
                               "form(s): 0 zero, 3 with an irreducible minimal polynomial of "
                               "degree below 4")
     # a box of radius 0 draws only the zero form after the coordinates
-    verdict = is_prime(ideal, trials=3, seed=7, box_start=0)
+    monkeypatch.setattr(primality, "BOX_START", 0)
+    verdict = is_prime(ideal, trials=3, seed=7)
     assert [str(s.linear_form) for s in verdict.sections] == ["Y", "X"]
     assert verdict.reason == ("no field certificate from 2 coordinate(s) and 3 random linear "
                               "form(s): 3 zero, 2 with an irreducible minimal polynomial of "

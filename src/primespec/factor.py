@@ -2,10 +2,13 @@
 
 Pipeline: strip the rational content, split into squarefree parts with
 Yun's algorithm (its gcds are primitive remainder sequences over Z), and
-factor each part.  A quadratic a*z^2 + b*z + c splits exactly when its
-discriminant d = b^2 - 4ac is a square, into the primitive parts of
-2a*z + b -+ sqrt(d).  Higher degrees are factored modulo a good odd prime
-p by a distinct-degree split followed by a Cantor-Zassenhaus
+factor each part.  A quadratic or a cubic with a nonzero discriminant is
+squarefree without a gcd.  A quadratic a*z^2 + b*z + c splits exactly when
+its discriminant d = b^2 - 4ac is a square, into the primitive parts of
+2a*z + b -+ sqrt(d).  A cubic splits exactly when it has a rational root,
+found by bisection on the pieces where it is monotone; the quotient then
+goes through the quadratic rule.  Degrees 4 and up are factored modulo a
+good odd prime p by a distinct-degree split followed by a Cantor-Zassenhaus
 equal-degree split; the modular factors are lifted with quadratic
 multifactor Hensel steps to p^l, the least power of p above twice the
 Landau-Mignotte coefficient bound (the last step stops at p^l rather
@@ -140,13 +143,23 @@ def _zx_gcd(f, g):
     return _zx_primitive(f) if f else []
 
 
+def _discriminant(f):
+    """Discriminant of a quadratic or a cubic."""
+    if len(f) == 3:
+        c, b, a = f
+        return b * b - 4 * a * c
+    d, c, b, a = f
+    return (b * b * c * c - 4 * a * c * c * c - 4 * b * b * b * d - 27 * a * a * d * d
+            + 18 * a * b * c * d)
+
+
 def _yun_squarefree(f):
     """Squarefree decomposition of a primitive integer polynomial.
 
     Returns [(part, multiplicity)] with pairwise-coprime primitive
     squarefree parts whose weighted product is f.
     """
-    if len(f) == 3 and f[1] * f[1] != 4 * f[0] * f[2]:
+    if len(f) in (3, 4) and _discriminant(f):
         return [(f, 1)]  # a nonzero discriminant: no repeated root
     d = _zx_gcd(f, _zx_derivative(f))
     if len(d) == 1:
@@ -347,18 +360,64 @@ def mignotte_factor_height(coeffs, factor_degree) -> int:
     return (1 << factor_degree) * (math.isqrt(norm_sq) + 1)
 
 
+def _quadratic_factors(f):
+    """Factors of a primitive squarefree quadratic, split by its discriminant."""
+    c, b, a = f
+    disc = _discriminant(f)
+    root = math.isqrt(disc) if disc > 0 else -1
+    if root * root != disc:
+        return [list(f)]
+    return [_zx_primitive([b - root, 2 * a]), _zx_primitive([b + root, 2 * a])]
+
+
+def _cubic_factors(f):
+    """Factors of a primitive squarefree cubic, split at its rational root.
+
+    A cubic is reducible over Q exactly when it has a rational root.  With
+    z = y/a, a^2 f(z) is the monic g(y) = y^3 + b y^2 + ac y + a^2 d, whose
+    rational roots are integers below its Cauchy bound 1 + max |g_i| in
+    absolute value.  The critical points (-b -+ sqrt(b^2 - 3ac))/3 lie
+    inside that bound too and cut it into at most three integer pieces on
+    which g is monotone, so a bisection on each finds the root if there is
+    one.
+    """
+    d, c, b, a = f
+    ac, aad = a * c, a * a * d
+
+    def g(y):
+        return ((y + b) * y + ac) * y + aad
+
+    bound = 1 + max(abs(b), abs(ac), abs(aad))
+    edges = [-bound - 1]  # the pieces are (edges[i], edges[i + 1]]
+    crit = b * b - 3 * ac
+    if crit > 0:
+        s = math.isqrt(crit)
+        edges += [(-b - s - (s * s != crit)) // 3, (-b + s) // 3]  # the floors, exactly
+    edges.append(bound)
+    for sign, lo, hi in zip((1, -1, 1), edges, edges[1:]):  # sign * g increases on the piece
+        if sign * g(hi) < 0:
+            continue
+        while hi - lo > 1:  # sign * g(hi) >= 0, and lo is the edge or sign * g(lo) < 0
+            mid = (lo + hi) // 2
+            if sign * g(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid
+        if g(hi) == 0:
+            linear = _zx_primitive([-hi, a])
+            return [linear] + _quadratic_factors(_zx_div_exact(f, linear))
+    return [list(f)]
+
+
 def _zassenhaus(f, limits):
     """Irreducible factors of a primitive squarefree integer polynomial."""
     n = _zx_degree(f)
     if n == 1:
         return [list(f)]
     if n == 2:
-        c, b, a = f
-        disc = b * b - 4 * a * c
-        root = math.isqrt(disc) if disc > 0 else -1
-        if root * root != disc:
-            return [list(f)]
-        return [_zx_primitive([b - root, 2 * a]), _zx_primitive([b + root, 2 * a])]
+        return _quadratic_factors(f)
+    if n == 3:
+        return _cubic_factors(f)
     p = _choose_prime(f)
     modular = _modular_factors(_mod_monic(f, p), p, limits)
     if len(modular) == 1:
@@ -436,7 +495,9 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
     integer factors; unit * prod(factor^multiplicity) reconstructs the
     input exactly.  Degree-zero input yields (value, []).  The deadline of
     ``limits`` is checked at every step of the modular split, every Hensel
-    step and every recombination subset.
+    step and every recombination subset.  The quadratic and cubic rules
+    check none: one takes a square root, the other makes O(log height)
+    evaluations of the cubic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")

@@ -1,5 +1,6 @@
 """Univariate factorization over Q and the brute-force divisor oracle."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -203,38 +204,39 @@ def test_irreducible_quadratics_stay_one_factor(y):
 
 
 def test_yun_decides_quadratics_by_their_discriminant(y, monkeypatch):
-    # A nonzero discriminant already proves a quadratic squarefree.
+    # A nonzero discriminant already proves a quadratic or a cubic squarefree.
     def no_gcd(f, g):
         raise AssertionError(f"gcd of {f} and {g}")
 
     monkeypatch.setattr(factor, "_zx_gcd", no_gcd)
     rng = seeded(64)
     bound = 1 << 40
-    checked = 0
-    while checked < 50:
-        c, b, a = (rng.randint(-bound, bound) for _ in range(3))
-        if a == 0 or b * b == 4 * a * c:
-            continue
-        f = _zx_primitive([c, b, a])
-        assert _yun_squarefree(f) == [(f, 1)]
-        p = Polynomial(y, {(i,): Fraction(v) for i, v in enumerate((c, b, a)) if v})
-        unit, factors = factor_univariate(p)
-        assert reassemble(y, unit, factors) == p
-        checked += 1
+    for degree in (2, 3):
+        checked = 0
+        while checked < 50:
+            coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+            if coeffs[-1] == 0 or _fraction_gcd(coeffs, _zx_derivative(coeffs)) != [1]:
+                continue
+            f = _zx_primitive(coeffs)
+            assert _yun_squarefree(f) == [(f, 1)]
+            p = Polynomial(y, {(i,): Fraction(v) for i, v in enumerate(coeffs) if v})
+            unit, factors = factor_univariate(p)
+            assert reassemble(y, unit, factors) == p
+            checked += 1
 
-    # Discriminant 0: 4z^2 + 4z + 1 = (2z + 1)^2 still runs the gcd.
-    calls = []
-    monkeypatch.setattr(factor, "_zx_gcd", lambda f, g: calls.append(f) or _zx_gcd(f, g))
-    _, factors = factor_univariate(parse_polynomial("4*Y^2 + 4*Y + 1", y))
-    assert [(str(f), m) for f, m in factors] == [("2*Y + 1", 2)]
-    assert calls
+    # Discriminant 0: (2z + 1)^2 and (z - 1)^2 (z + 2) still run the gcd.
+    for text, expected in (("4*Y^2 + 4*Y + 1", [("2*Y + 1", 2)]),
+                           ("(Y - 1)^2 (Y + 2)", [("Y - 1", 2), ("Y + 2", 1)])):
+        calls = []
+        monkeypatch.setattr(factor, "_zx_gcd", lambda f, g: calls.append(f) or _zx_gcd(f, g))
+        _, factors = factor_univariate(parse_polynomial(text, y))
+        assert [(str(f), m) for f, m in factors] == expected
+        assert calls
 
 
 def test_quadratics_agree_with_oracle(y):
     # Every quadratic of height <= 4: a linear factor of a primitive quadratic
     # has height at most that of the quadratic.
-    import itertools
-
     height = 4
     for a in (v for v in range(-height, height + 1) if v):
         for b, c in itertools.product(range(-height, height + 1), repeat=2):
@@ -245,6 +247,100 @@ def test_quadratics_agree_with_oracle(y):
             assert (found is not None) == reducible, str(p)
             if found is not None:
                 assert found in [f for f, _ in factors], str(p)
+
+
+def _cubic_inputs(ctx, height):
+    """Every cubic in ctx's one variable whose coefficients have height <= height."""
+    nonzero = [v for v in range(-height, height + 1) if v]
+    for a in nonzero:
+        for rest in itertools.product(range(-height, height + 1), repeat=3):
+            coeffs = list(rest) + [a]
+            yield Polynomial(ctx, {(i,): Fraction(v) for i, v in enumerate(coeffs) if v})
+
+
+def test_cubics_agree_with_oracle(y):
+    # Every cubic of height <= 3: a reducible cubic has a linear factor, whose
+    # height is at most that of the primitive cubic, so the search is complete.
+    height = 3
+    for p in _cubic_inputs(y, height):
+        unit, factors = factor_univariate(p)
+        assert reassemble(y, unit, factors) == p
+        reducible = sum(m for _, m in factors) > 1
+        found = brute_force_factor_oracle(p, 1, height)
+        assert (found is not None) == reducible, str(p)
+        if found is not None:
+            assert found in [f for f, _ in factors], str(p)
+
+
+def _cubic_products(rng, count):
+    """Seeded (product, primitive factors) pairs with coefficients up to 2^40.
+
+    Half are a linear times an irreducible quadratic, half three distinct
+    linears; every lead takes either sign.
+    """
+    bound = 1 << 40
+
+    def draw(degree):
+        lead = rng.choice((-1, 1)) * rng.randint(1, bound)
+        return [rng.randint(-bound, bound) for _ in range(degree)] + [lead]
+
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            c, b, a = quadratic = draw(2)
+            disc = b * b - 4 * a * c
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                continue
+            parts = [draw(1), quadratic]
+        else:
+            parts = [draw(1) for _ in range(3)]
+        expected = sorted(_zx_primitive(f) for f in parts)
+        if len(set(map(tuple, expected))) < len(expected):
+            continue
+        product = [1]
+        for f in parts:
+            product = _zx_mul(product, f)
+        out.append((product, expected))
+    return out
+
+
+def test_cubic_products_split_into_their_primitive_parts(y):
+    for product, expected in _cubic_products(seeded(65), 200):
+        p = Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(product) if c})
+        unit, factors = factor_univariate(p)
+        assert sorted(_dense(f) for f, _ in factors) == expected
+        assert [m for _, m in factors] == [1] * len(expected)
+        assert reassemble(y, unit, factors) == p
+        assert sorted(_zassenhaus(_zx_primitive(product), DEFAULT_LIMITS)) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("Y^3 - 3*Y", ["Y", "Y^2 - 3"]),  # a zero root; integer critical points +-1
+    ("Y^3 - 3*Y^2 + 2*Y", ["Y", "Y - 2", "Y - 1"]),  # critical points 1 +- 1/sqrt 3
+    ("Y^3 - 3*Y + 1", ["Y^3 - 3*Y + 1"]),  # three real roots, none rational
+    ("Y^3 - 2", ["Y^3 - 2"]),  # increasing: one piece
+    ("-6*Y^3 + 11*Y^2 - 6*Y + 1", ["2*Y - 1", "3*Y - 1", "Y - 1"]),
+])
+def test_cubic_rule_edge_cases(y, text, expected):
+    p = parse_polynomial(text, y)
+    unit, factors = factor_univariate(p)
+    assert sorted(str(f) for f, _ in factors) == sorted(expected)
+    assert all(m == 1 for _, m in factors)
+    assert reassemble(y, unit, factors) == p
+
+
+def test_cubics_never_reach_the_modular_path(y, monkeypatch):
+    def modular(*args):
+        raise AssertionError(f"modular path on {args[0]}")
+
+    monkeypatch.setattr(factor, "_choose_prime", modular)
+    monkeypatch.setattr(factor, "_modular_factors", modular)
+    for p in _cubic_inputs(y, 2):
+        factor_univariate(p)
+    for product, expected in _cubic_products(seeded(66), 50):
+        assert sorted(_zassenhaus(_zx_primitive(product), DEFAULT_LIMITS)) == expected
+    with pytest.raises(AssertionError, match="modular path"):
+        factor_univariate(parse_polynomial("Y^4 + 1", y))
 
 
 def test_choose_prime_skips_bad_primes():
@@ -476,8 +572,6 @@ def test_oracle_rejects_non_integer_input(y):
 
 def test_oracle_agreement_small_family(y):
     # light version of the exhaustive acceptance check: degree <= 3, height <= 2
-    import itertools
-
     for degree in (2, 3):
         for lead in (c for c in range(-2, 3) if c):
             for rest in itertools.product(range(-2, 3), repeat=degree):

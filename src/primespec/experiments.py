@@ -7,9 +7,11 @@ dimension; *inconclusive* when ``is_prime`` finds no certificate within
 its trials (its reason is recorded) or a budget runs out.  Densities are reported both against all samples and
 against the decisive ones, always as exact fractions alongside floats.
 
-Each sample stores its point as JSON (``sample_point``); ``specialize_point``
-builds the specialized ideal from that point both when the sample runs and
-when ``verify_report`` replays the report, for every sample.
+Each sample stores its point as JSON (``sample_point``).  Its only reader,
+``specialize_point``, checks it against the experiment's kind and degree
+bounds and returns the specialized ideal and whether the point is
+degenerate, both when the sample runs and when ``verify_report`` replays
+the report, for every sample.
 
 Reports are deterministic for a fixed config and seed: every sample owns
 an independent random stream derived from (seed, index), so handing the
@@ -187,39 +189,41 @@ _POINT_KINDS = {SCALAR_SPEC: "scalar", CONSISTENCY: "scalar", POLY_SPEC: "poly",
                 GENERIC_INTERSECT: "lambda"}
 
 
-def specialize_point(ideal: Ideal, kind: str, degrees, point: dict) -> Ideal:
-    """The specialized ideal at a point in the form ``sample_point`` returns.
+def specialize_point(ideal: Ideal, kind: str, degrees, point: dict) -> tuple[Ideal, bool]:
+    """The specialized ideal at a point in the form ``sample_point`` returns, and its degeneracy.
 
-    Raises PrimespecError when the point's form does not fit the experiment
-    ``kind`` or a polynomial value exceeds its recorded degree bound,
-    ValueError on malformed numbers, counts or block sizes, and
-    ZeroDivisionError on a zero denominator.
+    A point is degenerate when one of its coefficient blocks is all zero,
+    or when it specializes every generator to zero.  Raises PrimespecError
+    when the point's form does not fit the experiment ``kind``, a poly
+    point's degree bounds differ from ``degrees`` or a polynomial value
+    exceeds its bound, ValueError on malformed numbers, counts or block
+    sizes, and ZeroDivisionError on a zero denominator.
     """
     if point["kind"] != _POINT_KINDS.get(kind):
         raise PrimespecError(f"a {point['kind']!r} point does not fit a {kind} experiment")
+    if point["kind"] == "lambda":
+        blocks = [[Fraction(v) for v in block] for block in point["blocks"]]
+        return intersect_generic(ideal, degrees, blocks), any(not any(block) for block in blocks)
     if point["kind"] == "scalar":
-        return specialize_scalar(ideal, [Fraction(v) for v in point["values"]])
-    if point["kind"] == "poly":
+        specialized = specialize_scalar(ideal, [Fraction(v) for v in point["values"]])
+    else:
+        if point["degrees"] != list(degrees):
+            raise PrimespecError(f"point degrees {point['degrees']} differ from the "
+                                 f"experiment's {list(degrees)}")
         y_ctx = ideal.context.without_params()
         values = [parse_polynomial(v, y_ctx) for v in point["values"]]
-        for value, bound in zip(values, point["degrees"], strict=True):
+        for value, bound in zip(values, degrees, strict=True):
             if value.total_degree() > bound:
                 raise PrimespecError(f"value {value} exceeds its degree bound {bound}")
-        return specialize_polynomial(ideal, values)
-    return intersect_generic(ideal, degrees,
-                             [[Fraction(v) for v in block] for block in point["blocks"]])
+        specialized = specialize_polynomial(ideal, values)
+    return specialized, specialized.is_zero
 
 
-def _is_degenerate(kind, point, specialized):
-    if kind == GENERIC_INTERSECT:
-        return any(all(Fraction(v) == 0 for v in block) for block in point["blocks"])
-    return specialized.is_zero
-
-
-def _consistent(ideal: Ideal, specialized: Ideal, point: dict, limits: GBLimits) -> bool:
-    """Scalar specialization equals specialization at the constant polynomials."""
+def _consistent(specialized: Ideal, limits: GBLimits) -> bool:
+    """A scalar fiber equals the specialization of its root at the constant polynomials."""
+    ideal, values = specialized.root
     twin = specialize_polynomial(
-        ideal, [Polynomial.constant(specialized.context, Fraction(v)) for v in point["values"]])
+        ideal, [Polynomial.constant(specialized.context, v) for v in values.values()])
     return (specialized.groebner(grevlex, limits).polys
             == twin.groebner(grevlex, limits).polys)
 
@@ -242,11 +246,11 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
         "elapsed_ms": 0.0,
     }
     try:
-        specialized = specialize_point(ideal, config.kind, config.degrees, point)
-        if _is_degenerate(config.kind, point, specialized):
+        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, point)
+        if degenerate:
             record["degenerate_specialization"] = True
         if config.kind == CONSISTENCY:
-            same = _consistent(ideal, specialized, point, limits)
+            same = _consistent(specialized, limits)
             record["verdict"] = CONSISTENT if same else INCONSISTENT
             record["dimension"] = specialized.dimension(limits)
         else:
@@ -330,6 +334,11 @@ def _expected_dimension(ideal: Ideal, kind: str, degrees, limits: GBLimits) -> i
     return fiber_dimension(ideal, ideal.context.param_names, limits)
 
 
+def _rho(kind: str, degrees):
+    """The echoed number of cutting hypersurfaces: len(degrees) for GenericIntersect, else None."""
+    return len(degrees) if kind == GENERIC_INTERSECT else None
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all samples and assemble the report dictionary."""
     with open(config.ideal_path, "r", encoding="ascii") as handle:
@@ -365,7 +374,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "trials": config.trials,
         "degrees": list(config.degrees),
-        "rho": len(config.degrees) if config.kind == GENERIC_INTERSECT else None,
+        "rho": _rho(config.kind, config.degrees),
         "budgets": asdict(config.budgets),
         "expected_dimension": expected,
     }
@@ -423,25 +432,35 @@ def emit_report(report: dict, fmt: str, path) -> None:
 def _replay(ideal: Ideal, config: dict, expected: int, position: int, sample: dict) -> str | None:
     """Rebuild a sample's specialized ideal; replay the failure witness of a bad one.
 
-    The sample's expected dimension must be ``expected``, and the optional
-    fields what ``run_sample`` writes: the degeneracy flag exactly where
-    the point is degenerate, a reason only on an inconclusive sample.
-    Returns None for a sample that is not bad.
+    The sample must be one that ``run_sample`` writes at ``position``: that
+    index, a verdict of the experiment kind, the expected dimension
+    ``expected``, the degeneracy flag exactly where the point is
+    degenerate, a certificate only on a not_prime sample and a reason only
+    on an inconclusive one.  Returns None for a sample that is not bad.
     """
     try:
+        kind, verdict = config["kind"], sample["verdict"]
+        if sample["index"] != position:
+            raise PrimespecError(f"sample {position}: index {sample['index']} is not its position")
+        decided = ((CONSISTENT, INCONSISTENT) if kind == CONSISTENCY
+                   else (PRIME, NOT_PRIME, UNIT_IDEAL))
+        if verdict not in (*decided, INCONCLUSIVE):
+            raise PrimespecError(f"sample {position}: verdict {verdict!r} does not fit a "
+                                 f"{kind} experiment")
         if sample["expected_dimension"] != expected:
             raise PrimespecError(f"sample {position}: expected dimension "
                                  f"{sample['expected_dimension']}, recomputed {expected}")
-        specialized = specialize_point(ideal, config["kind"], config["degrees"], sample["point"])
-        degenerate = _is_degenerate(config["kind"], sample["point"], specialized)
+        specialized, degenerate = specialize_point(ideal, kind, config["degrees"], sample["point"])
         if sample.get("degenerate_specialization") != (degenerate or None):
             raise PrimespecError(f"sample {position}: degenerate_specialization should be "
                                  f"{'true' if degenerate else 'absent'}")
-        if "reason" in sample and sample["verdict"] != INCONCLUSIVE:
-            raise PrimespecError(f"sample {position}: a {sample['verdict']} sample has a reason")
+        if "reason" in sample and verdict != INCONCLUSIVE:
+            raise PrimespecError(f"sample {position}: a {verdict} sample has a reason")
+        if sample["certificate"] is not None and verdict != NOT_PRIME:
+            raise PrimespecError(f"sample {position}: a {verdict} sample has a certificate")
         if classify(sample) != "bad":
             return None
-        index, verdict, dimension = sample["index"], sample["verdict"], sample["dimension"]
+        index, dimension = sample["index"], sample["dimension"]
         if verdict == NOT_PRIME:
             f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
                     for key in ("f", "g"))
@@ -457,14 +476,13 @@ def _replay(ideal: Ideal, config: dict, expected: int, position: int, sample: di
             raise PrimespecError(f"sample {index}: unit-ideal verdict does not replay")
         return f"sample {index}: unit ideal confirmed"
     if verdict == INCONSISTENT:
-        if _consistent(ideal, specialized, sample["point"], DEFAULT_LIMITS):
+        if _consistent(specialized, DEFAULT_LIMITS):
             raise PrimespecError(f"sample {index}: inconsistency does not replay")
         return f"sample {index}: inconsistency confirmed"
+    # A bad prime sample: its dimension differs from the expected one.
     dim = specialized.dimension()
     if dim != dimension:
         raise PrimespecError(f"sample {index}: recorded dimension {dimension}, recomputed {dim}")
-    if dim == expected:
-        raise PrimespecError(f"sample {index}: classified bad but replay looks good")
     return f"sample {index}: dimension mismatch confirmed ({dim})"
 
 
@@ -472,28 +490,30 @@ def verify_report(report: dict) -> list[str]:
     """Replay every failure witness in a report; raises on any mismatch.
 
     Recomputes the expected dimension from the echoed ideal, which the
-    config and every sample must state, and rebuilds the specialized ideal
-    of every sample from its point.  Then confirms every NotPrime
-    certificate (product in the ideal, factors outside), every unit-ideal
-    collapse, every dimension mismatch, every consistency failure, and
-    then the whole ``aggregate`` against the one ``run_experiment``
-    computes.  A report or sample record with a missing
-    or mistyped field, a sample with an unknown verdict, a degeneracy flag
-    that the point does not give, or a reason on a decided sample fails
-    verification.  Returns one accounting message and one message per
-    replayed check.
+    config and every sample must state, and the config's ``rho``, and
+    rebuilds the specialized ideal of every sample from its point.  Then
+    confirms every NotPrime certificate (product in the ideal, factors
+    outside), every unit-ideal collapse, every dimension mismatch, every
+    consistency failure, and then the whole ``aggregate`` against the one
+    ``run_experiment`` computes.  A report or sample record with a missing
+    or mistyped field, or a sample record that ``run_sample`` cannot write
+    (``_replay``), fails verification.  Returns one accounting message and
+    one message per replayed check.
     """
     try:
         samples, config, recorded = report["samples"], report["config"], report["aggregate"]
         configured_n, source = config["n"], config["ideal_source"]
         ctx = make_context(source["vars"], params=source["params"])
         ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
-        stated = config["expected_dimension"]
+        stated, stated_rho = config["expected_dimension"], config["rho"]
         expected = _expected_dimension(ideal, config["kind"], config["degrees"], DEFAULT_LIMITS)
+        rho = _rho(config["kind"], config["degrees"])
     except (KeyError, TypeError) as exc:
         raise PrimespecError(f"malformed report: {exc!r}") from exc
     if stated != expected:
         raise PrimespecError(f"expected dimension {stated} differs from the recomputed {expected}")
+    if stated_rho != rho:
+        raise PrimespecError(f"rho {stated_rho} differs from the recomputed {rho}")
     n = len(samples)
     if n != configured_n:
         raise PrimespecError(f"sample count {n} differs from configured n")

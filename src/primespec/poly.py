@@ -23,10 +23,6 @@ from .orders import grevlex
 
 Exponent = tuple[int, ...]
 
-# Test hook: when True, every constructed polynomial is audited for
-# canonical form (no zero coefficients, consistent exponent lengths).
-AUDIT = False
-
 
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -52,20 +48,12 @@ class Polynomial:
                     canonical[tuple(exp)] = coeff
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", canonical)
-        if AUDIT:
-            self._audit()
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
         return Polynomial, (self.context, self.terms)
-
-    def _audit(self):
-        width = len(self.context)
-        for exp, coeff in self.terms.items():
-            assert coeff != 0, f"zero coefficient stored at {exp}"
-            assert len(exp) == width and all(e >= 0 for e in exp), f"bad exponent {exp}"
 
     # -- constructors -------------------------------------------------------
 

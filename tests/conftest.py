@@ -6,15 +6,21 @@ from fractions import Fraction
 import pytest
 
 from primespec import Ideal, Polynomial, context, parse_polynomial
-from primespec import poly as poly_module
 
 
 @pytest.fixture(autouse=True)
-def audit_canonical_form():
+def audit_canonical_form(monkeypatch):
     """Every polynomial built during a test is audited for canonical form."""
-    poly_module.AUDIT = True
-    yield
-    poly_module.AUDIT = False
+    construct = Polynomial.__init__
+
+    def audited(self, context, terms=None):
+        construct(self, context, terms)
+        width = len(context)
+        for exp, coeff in self.terms.items():
+            assert coeff != 0, f"zero coefficient stored at {exp}"
+            assert len(exp) == width and all(e >= 0 for e in exp), f"bad exponent {exp}"
+
+    monkeypatch.setattr(Polynomial, "__init__", audited)
 
 
 def make_ideal(variables, gens, params=()):

@@ -264,6 +264,68 @@ def test_verify_report_checks_optional_sample_fields(field, value, message, tmp_
         verify_report(json.loads(json.dumps(report)))
 
 
+# Each tampering gives a sample record that run_sample cannot write, a
+# config field that run_experiment does not echo, or a bad-sample witness
+# that does not replay.  The aggregate is recomputed, so only the tampered
+# field can fail verification.
+TAMPERED_RECORDS = {
+    "index of another sample": (
+        "ScalarSpec", lambda report, sample: sample.update(index=(sample["index"] + 1) % 60),
+        r"^sample \d+: index \d+ is not its position$"),
+    "consistent verdict in a ScalarSpec report": (
+        "ScalarSpec", lambda report, sample: sample.update(verdict="consistent"),
+        "verdict 'consistent' does not fit a ScalarSpec experiment"),
+    "ScalarSpec report relabelled Consistency": (
+        "ScalarSpec", lambda report, sample: report["config"].update(kind="Consistency"),
+        "does not fit a Consistency experiment"),
+    "certificate on a prime sample": (
+        "ScalarSpec", lambda report, sample: sample.update(certificate={"f": "Y", "g": "Y"}),
+        "a prime sample has a certificate"),
+    "rho on a ScalarSpec report": (
+        "ScalarSpec", lambda report, sample: report["config"].update(rho=1),
+        "rho 1 differs from the recomputed None"),
+    "unit_ideal verdict that does not replay": (
+        "ScalarSpec", lambda report, sample: sample.update(verdict="unit_ideal"),
+        "unit-ideal verdict does not replay"),
+    "inconsistent verdict that does not replay": (
+        "Consistency", lambda report, sample: sample.update(verdict="inconsistent"),
+        "inconsistency does not replay"),
+    "prime sample of another dimension": (
+        "ScalarSpec", lambda report, sample: sample.update(dimension=1),
+        "recorded dimension 1, recomputed 0"),
+    "config n other than the sample count": (
+        "ScalarSpec", lambda report, sample: report["config"].update(n=61),
+        "sample count 60 differs from configured n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_RECORDS))
+def test_verify_report_rejects_tampered_records(case, parabola_path):
+    kind, tamper, message = TAMPERED_RECORDS[case]
+    report = run_experiment(ExperimentConfig(kind=kind, ideal_path=parabola_path, box=9,
+                                             samples=60, seed=2))
+    verify_report(report)
+    tamper(report, next(s for s in report["samples"] if classify(s) == "good"))
+    report["aggregate"] = _aggregate(report["samples"])
+    with pytest.raises(PrimespecError, match=message):
+        verify_report(report)
+
+
+def test_inconclusive_samples_record_the_field_test_reason(tmp_path):
+    # At t = 1 and t = 4 the fiber Y1^2 - t*Y2^2 is two rational lines: not
+    # prime, but every point u splits the cut and no certificate descends
+    # from a split yet, so run_sample writes is_prime's reason.
+    path = tmp_path / "cone.ideal"
+    path.write_text("params: T\nvars: Y1, Y2\ngens:\nY1^2 - T*Y2^2\n")
+    report = run_experiment(ExperimentConfig(kind="ScalarSpec", ideal_path=str(path), box=4,
+                                             samples=12, seed=1))
+    reasons = {(s["point"]["values"][0], s["reason"])
+               for s in report["samples"] if s["verdict"] == "inconclusive"}
+    assert reasons == {(t, "no field certificate at 5 specialization points u")
+                       for t in ("1", "4")}
+    verify_report(report)
+
+
 def _tampered(value):
     if isinstance(value, int):
         return value + 1
@@ -292,6 +354,9 @@ TAMPERED_POINTS = {
     "lambda block of the wrong length": (
         "GenericIntersect", (1,), 3, lambda point: {**point, "blocks": [point["blocks"][0][:-1]]},
         ValueError, "shorter than argument", 2),
+    "PolySpec point degrees differ from the config": (
+        "PolySpec", (1,), 3, lambda point: {**point, "degrees": [7]},
+        PrimespecError, "point degrees [7] differ from the experiment's [1]", 1),
 }
 
 

@@ -282,7 +282,7 @@ def test_polyspec_cubic_fibers_specialize_the_first_candidate(cubic_fiber_family
     for index in range(8):
         point = sample_point("PolySpec", cubic_fiber_family, (2,), 20,
                              seeded(derive_seed(3, index)))
-        fiber = specialize_point(cubic_fiber_family, "PolySpec", (2,), point)
+        fiber, _ = specialize_point(cubic_fiber_family, "PolySpec", (2,), point)
         field = _assert_prime_at_first_of_two_candidates(fiber, derive_seed(3, index, "prime"),
                                                          ("Y2",))
         assert field.minimal_poly.total_degree() == field.quotient_dim == 4
@@ -322,6 +322,18 @@ def test_hyperbola_fibers_saturate_and_split_only_at_zero():
     f, g = is_prime(zero).certificate
     assert (str(f), str(g)) == ("Y2", "Y1")
     assert _certificate_error(zero.groebner(), f, g) is None
+
+
+def test_saturation_certificate_needs_a_power_of_h():
+    # (Z + X^2*Y, Z^2) : h^oo contains g = Y^2 for h = X^2, but g*h does not
+    # lie in the ideal; g*h^2 = X^4*Y^2 = Z^2 - (Z - X^2*Y)*(Z + X^2*Y) does
+    ideal = make_ideal(("X", "Y", "Z"), ["Z + X^2*Y", "Z^2"])
+    verdict = is_prime(ideal)
+    assert verdict.status == NOT_PRIME
+    f, g = verdict.certificate
+    assert (str(f), str(g)) == ("Y^2", "X^4")
+    assert not ideal.groebner().contains(f * parse_polynomial("X^2", ideal.context))
+    assert _certificate_error(ideal.groebner(), f, g) is None
 
 
 def test_block_basis_falls_back_where_lc_v_vanishes():

@@ -7,11 +7,11 @@ dimension; *inconclusive* when ``is_prime`` finds no certificate within
 its trials (its reason is recorded) or a budget runs out.  Densities are reported both against all samples and
 against the decisive ones, always as exact fractions alongside floats.
 
-Each sample stores its point as JSON (``sample_point``).  Its only reader,
-``specialize_point``, checks it against the experiment's kind and degree
-bounds and returns the specialized ideal and whether the point is
-degenerate, both when the sample runs and when ``verify_report`` replays
-the report, for every sample.
+Every point is drawn in one place, ``sample_point``, from the sample's own
+random stream.  It returns the point as the report stores it, which is
+never parsed back, and the drawn values that ``specialize_point`` turns
+into the specialized ideal.  ``verify_report`` re-draws every point from
+the echoed config and requires the stored one to equal it.
 
 Reports are deterministic for a fixed config and seed: every sample owns
 an independent random stream derived from (seed, index), so handing the
@@ -94,6 +94,7 @@ class ExperimentConfig:
         _require_at_least("H", self.box, 1)
         _require_at_least("trials", self.trials, 1)
         _require_at_least("workers", self.workers, 1)
+        _require_at_least("degrees", min(self.degrees, default=0), 0)
         if self.kind == GENERIC_INTERSECT and not self.degrees:
             raise ConfigError("GenericIntersect needs a degrees list")
 
@@ -137,8 +138,6 @@ def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
             degrees = tuple(int(part) for part in data["degrees"].split(",") if part.strip())
         except ValueError as exc:
             raise ConfigError("degrees must be a comma-separated integer list") from exc
-        if any(d < 0 for d in degrees):
-            raise ConfigError("degrees must be non-negative")
         fields["degrees"] = degrees
     return ExperimentConfig(kind=data["kind"],
                             ideal_path=os.path.normpath(os.path.join(base_dir, data["ideal"])),
@@ -159,63 +158,43 @@ def derive_seed(seed: int, index: int, purpose: str = "sample") -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random) -> dict:
+def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random) -> tuple[dict, list]:
     """Draw one specialization point, coordinates uniform on [-H, H].
 
-    Returns the point as the report stores it: scalar values, polynomial
-    values with their degree bounds, or one coefficient block per cutting
-    hypersurface, each number and polynomial as a string.
+    Returns the point as the report stores it, numbers and polynomials as
+    strings, and the values ``specialize_point`` takes: one int or one
+    degree-bounded polynomial per parameter, or one int block per cut.
     """
     ctx = ideal.context
     if kind in (SCALAR_SPEC, CONSISTENCY):
-        return {"kind": "scalar", "values": [str(rng.randint(-box, box)) for _ in range(ctx.r)]}
+        values = [rng.randint(-box, box) for _ in range(ctx.r)]
+        return {"kind": "scalar", "values": list(map(str, values))}, values
     if kind == POLY_SPEC:
         y_ctx = ctx.without_params()
         supports = [monomials_upto(y_ctx.s, degree) for degree in degrees]
-        values = [str(generic_form(y_ctx, support, [rng.randint(-box, box) for _ in support]))
+        values = [generic_form(y_ctx, support, [rng.randint(-box, box) for _ in support])
                   for support in supports]
-        return {"kind": "poly", "values": values, "degrees": list(degrees)}
+        return {"kind": "poly", "values": list(map(str, values)), "degrees": list(degrees)}, values
     if kind == GENERIC_INTERSECT:
-        return {"kind": "lambda",
-                "blocks": [[str(rng.randint(-box, box)) for _ in range(math.comb(ctx.s + d, d))]
-                           for d in degrees]}
+        blocks = [[rng.randint(-box, box) for _ in range(math.comb(ctx.s + d, d))]
+                  for d in degrees]
+        return {"kind": "lambda", "blocks": [list(map(str, block)) for block in blocks]}, blocks
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 
 # -- per-sample work ----------------------------------------------------------
 
 
-_POINT_KINDS = {SCALAR_SPEC: "scalar", CONSISTENCY: "scalar", POLY_SPEC: "poly",
-                GENERIC_INTERSECT: "lambda"}
-
-
-def specialize_point(ideal: Ideal, kind: str, degrees, point: dict) -> tuple[Ideal, bool]:
-    """The specialized ideal at a point in the form ``sample_point`` returns, and its degeneracy.
+def specialize_point(ideal: Ideal, kind: str, degrees, values) -> tuple[Ideal, bool]:
+    """The specialized ideal at the values ``sample_point`` draws, and its degeneracy.
 
     A point is degenerate when one of its coefficient blocks is all zero,
-    or when it specializes every generator to zero.  Raises PrimespecError
-    when the point's form does not fit the experiment ``kind``, a poly
-    point's degree bounds differ from ``degrees`` or a polynomial value
-    exceeds its bound, ValueError on malformed numbers, counts or block
-    sizes, and ZeroDivisionError on a zero denominator.
+    or when it specializes every generator to zero.
     """
-    if point["kind"] != _POINT_KINDS.get(kind):
-        raise PrimespecError(f"a {point['kind']!r} point does not fit a {kind} experiment")
-    if point["kind"] == "lambda":
-        blocks = [[Fraction(v) for v in block] for block in point["blocks"]]
-        return intersect_generic(ideal, degrees, blocks), any(not any(block) for block in blocks)
-    if point["kind"] == "scalar":
-        specialized = specialize_scalar(ideal, [Fraction(v) for v in point["values"]])
-    else:
-        if point["degrees"] != list(degrees):
-            raise PrimespecError(f"point degrees {point['degrees']} differ from the "
-                                 f"experiment's {list(degrees)}")
-        y_ctx = ideal.context.without_params()
-        values = [parse_polynomial(v, y_ctx) for v in point["values"]]
-        for value, bound in zip(values, degrees, strict=True):
-            if value.total_degree() > bound:
-                raise PrimespecError(f"value {value} exceeds its degree bound {bound}")
-        specialized = specialize_polynomial(ideal, values)
+    if kind == GENERIC_INTERSECT:
+        return intersect_generic(ideal, degrees, values), not all(map(any, values))
+    specialize = specialize_polynomial if kind == POLY_SPEC else specialize_scalar
+    specialized = specialize(ideal, values)
     return specialized, specialized.is_zero
 
 
@@ -231,7 +210,7 @@ def _consistent(specialized: Ideal, limits: GBLimits) -> bool:
 def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int) -> dict:
     """Process one sample; budget overruns record an inconclusive verdict."""
     rng = Random(derive_seed(config.seed, index))
-    point = sample_point(config.kind, ideal, config.degrees, config.box, rng)
+    point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
     budgets = config.budgets
     start = time.perf_counter()
     limits = GBLimits(budgets.gb_max_pairs, budgets.gb_max_term_count,
@@ -246,7 +225,7 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
         "elapsed_ms": 0.0,
     }
     try:
-        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, point)
+        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values)
         if degenerate:
             record["degenerate_specialization"] = True
         if config.kind == CONSISTENCY:
@@ -429,99 +408,117 @@ def emit_report(report: dict, fmt: str, path) -> None:
             ])
 
 
-def _replay(ideal: Ideal, config: dict, expected: int, position: int, sample: dict) -> str | None:
-    """Rebuild a sample's specialized ideal; replay the failure witness of a bad one.
+def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
+            sample: dict) -> str | None:
+    """Re-draw a sample's point; replay a bad one's witness and re-run an inconclusive one.
 
-    The sample must be one that ``run_sample`` writes at ``position``: that
-    index, a verdict of the experiment kind, the expected dimension
-    ``expected``, the degeneracy flag exactly where the point is
-    degenerate, a certificate only on a not_prime sample and a reason only
-    on an inconclusive one.  Returns None for a sample that is not bad.
+    The sample must be one that ``run_sample`` writes at ``index``: that
+    index, a verdict of the kind, the expected dimension ``expected``, the
+    point its seed draws, the degeneracy flag exactly where that point is
+    degenerate, a certificate only if not_prime and a reason only if
+    inconclusive.  An inconclusive sample that did not run out of time is
+    re-run and must end the same way.  Returns the replayed check, or None.
     """
-    try:
-        kind, verdict = config["kind"], sample["verdict"]
-        if sample["index"] != position:
-            raise PrimespecError(f"sample {position}: index {sample['index']} is not its position")
-        decided = ((CONSISTENT, INCONSISTENT) if kind == CONSISTENCY
-                   else (PRIME, NOT_PRIME, UNIT_IDEAL))
-        if verdict not in (*decided, INCONCLUSIVE):
-            raise PrimespecError(f"sample {position}: verdict {verdict!r} does not fit a "
-                                 f"{kind} experiment")
-        if sample["expected_dimension"] != expected:
-            raise PrimespecError(f"sample {position}: expected dimension "
-                                 f"{sample['expected_dimension']}, recomputed {expected}")
-        specialized, degenerate = specialize_point(ideal, kind, config["degrees"], sample["point"])
-        if sample.get("degenerate_specialization") != (degenerate or None):
-            raise PrimespecError(f"sample {position}: degenerate_specialization should be "
-                                 f"{'true' if degenerate else 'absent'}")
-        if "reason" in sample and verdict != INCONCLUSIVE:
-            raise PrimespecError(f"sample {position}: a {verdict} sample has a reason")
-        if sample["certificate"] is not None and verdict != NOT_PRIME:
-            raise PrimespecError(f"sample {position}: a {verdict} sample has a certificate")
-        if classify(sample) != "bad":
+    verdict = sample["verdict"]
+    if sample["index"] != index:
+        raise PrimespecError(f"index {sample['index']} is not its position")
+    decided = ((CONSISTENT, INCONSISTENT) if config.kind == CONSISTENCY
+               else (PRIME, NOT_PRIME, UNIT_IDEAL))
+    if verdict not in (*decided, INCONCLUSIVE):
+        raise PrimespecError(f"verdict {verdict!r} does not fit a {config.kind} experiment")
+    if sample["expected_dimension"] != expected:
+        raise PrimespecError(f"expected dimension {sample['expected_dimension']}, "
+                             f"recomputed {expected}")
+    rng = Random(derive_seed(config.seed, index))
+    point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
+    if sample["point"] != point:
+        raise PrimespecError("point differs from the one its seed draws")
+    specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values)
+    if sample.get("degenerate_specialization") != (degenerate or None):
+        raise PrimespecError(f"degenerate_specialization should be "
+                             f"{'true' if degenerate else 'absent'}")
+    if "reason" in sample and verdict != INCONCLUSIVE:
+        raise PrimespecError(f"a {verdict} sample has a reason")
+    if sample["certificate"] is not None and verdict != NOT_PRIME:
+        raise PrimespecError(f"a {verdict} sample has a certificate")
+    if verdict == INCONCLUSIVE:
+        # GBLimits.check_deadline's reason: a re-run may end otherwise
+        if sample.get("reason") == "budget: wall-clock budget exceeded":
             return None
-        index, dimension = sample["index"], sample["dimension"]
-        if verdict == NOT_PRIME:
-            f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
-                    for key in ("f", "g"))
-    except (KeyError, TypeError) as exc:
-        raise PrimespecError(f"sample {position}: malformed record: {exc!r}") from exc
+        rerun = run_sample(ideal, config, expected, index)
+        outcome = (rerun["verdict"], rerun.get("reason"), rerun["dimension"])
+        if outcome != (verdict, sample.get("reason"), sample["dimension"]):
+            raise PrimespecError(f"re-run gives (verdict, reason, dimension) = {outcome}")
+        return "inconclusive verdict re-run"
+    if classify(sample) != "bad":
+        return None
     if verdict == NOT_PRIME:
+        f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
+                for key in ("f", "g"))
         error = _certificate_error(specialized.groebner(), f, g)
         if error is not None:
-            raise PrimespecError(f"sample {index}: certificate invalid: {error}")
-        return f"sample {index}: NotPrime certificate replayed"
+            raise PrimespecError(f"certificate invalid: {error}")
+        return "NotPrime certificate replayed"
     if verdict == UNIT_IDEAL:
         if not specialized.groebner().is_unit:
-            raise PrimespecError(f"sample {index}: unit-ideal verdict does not replay")
-        return f"sample {index}: unit ideal confirmed"
+            raise PrimespecError("unit-ideal verdict does not replay")
+        return "unit ideal confirmed"
     if verdict == INCONSISTENT:
         if _consistent(specialized, DEFAULT_LIMITS):
-            raise PrimespecError(f"sample {index}: inconsistency does not replay")
-        return f"sample {index}: inconsistency confirmed"
+            raise PrimespecError("inconsistency does not replay")
+        return "inconsistency confirmed"
     # A bad prime sample: its dimension differs from the expected one.
     dim = specialized.dimension()
-    if dim != dimension:
-        raise PrimespecError(f"sample {index}: recorded dimension {dimension}, recomputed {dim}")
-    return f"sample {index}: dimension mismatch confirmed ({dim})"
+    if dim != sample["dimension"]:
+        raise PrimespecError(f"recorded dimension {sample['dimension']}, recomputed {dim}")
+    return f"dimension mismatch confirmed ({dim})"
 
 
 def verify_report(report: dict) -> list[str]:
     """Replay every failure witness in a report; raises on any mismatch.
 
-    Recomputes the expected dimension from the echoed ideal, which the
-    config and every sample must state, and the config's ``rho``, and
-    rebuilds the specialized ideal of every sample from its point.  Then
-    confirms every NotPrime certificate (product in the ideal, factors
-    outside), every unit-ideal collapse, every dimension mismatch, every
-    consistency failure, and then the whole ``aggregate`` against the one
-    ``run_experiment`` computes.  A report or sample record with a missing
-    or mistyped field, or a sample record that ``run_sample`` cannot write
-    (``_replay``), fails verification.  Returns one accounting message and
-    one message per replayed check.
+    Rebuilds the config from its echo, the expected dimension (which the
+    config and every sample must state) and ``rho``.  Replays every sample
+    (``_replay``), naming it in any error, and then compares the whole
+    ``aggregate`` with the one ``run_experiment`` computes.  An echo that
+    the config rejects, or a record with a missing or mistyped field, fails
+    verification.  Returns one accounting message and one per replay.
     """
     try:
-        samples, config, recorded = report["samples"], report["config"], report["aggregate"]
-        configured_n, source = config["n"], config["ideal_source"]
+        samples, echo, recorded = report["samples"], report["config"], report["aggregate"]
+        source = echo["ideal_source"]
         ctx = make_context(source["vars"], params=source["params"])
         ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
-        stated, stated_rho = config["expected_dimension"], config["rho"]
-        expected = _expected_dimension(ideal, config["kind"], config["degrees"], DEFAULT_LIMITS)
-        rho = _rho(config["kind"], config["degrees"])
-    except (KeyError, TypeError) as exc:
+        config = ExperimentConfig(kind=echo["kind"], ideal_path=echo["ideal"], box=echo["H"],
+                                  samples=echo["n"], seed=echo["seed"], trials=echo["trials"],
+                                  degrees=tuple(echo["degrees"]),
+                                  budgets=Budgets(**echo["budgets"]))
+        stated, stated_rho = echo["expected_dimension"], echo["rho"]
+        expected = _expected_dimension(ideal, config.kind, config.degrees, DEFAULT_LIMITS)
+        rho = _rho(config.kind, config.degrees)
+    except (KeyError, TypeError, ConfigError) as exc:
         raise PrimespecError(f"malformed report: {exc!r}") from exc
     if stated != expected:
         raise PrimespecError(f"expected dimension {stated} differs from the recomputed {expected}")
     if stated_rho != rho:
         raise PrimespecError(f"rho {stated_rho} differs from the recomputed {rho}")
     n = len(samples)
-    if n != configured_n:
+    if n != config.samples:
         raise PrimespecError(f"sample count {n} differs from configured n")
-    replays = [_replay(ideal, config, expected, i, sample) for i, sample in enumerate(samples)]
+    replays = []
+    for i, sample in enumerate(samples):
+        try:
+            message = _replay(ideal, config, expected, i, sample)
+        except (KeyError, TypeError) as exc:
+            raise PrimespecError(f"sample {i}: malformed record: {exc!r}") from exc
+        except (PrimespecError, ValueError, ArithmeticError) as exc:
+            raise PrimespecError(f"sample {i}: {exc}") from exc
+        if message is not None:
+            replays.append(f"sample {i}: {message}")
     recomputed = _aggregate(samples)
     if recorded != recomputed:
         missing = object()
         wrong = sorted(key for key in recorded.keys() | recomputed.keys()
                        if recorded.get(key, missing) != recomputed.get(key, missing))
         raise PrimespecError(f"aggregate {wrong} differs from the recomputed {recomputed}")
-    return [f"accounting confirmed for {n} samples"] + [m for m in replays if m is not None]
+    return [f"accounting confirmed for {n} samples"] + replays

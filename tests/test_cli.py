@@ -161,12 +161,12 @@ def test_verify_report_zero_denominator_exit_code(parabola, tmp_path, capsys):
     _first_not_prime(report)["point"]["values"] = ["1/0"]
     out_path.write_text(json.dumps(report))
     capsys.readouterr()
-    assert main(["verify-report", str(out_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["verify-report", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: sample ")
 
 
 def test_verify_report_decodes_good_sample_points(parabola, tmp_path, capsys):
-    # A good sample's point is rebuilt too, so "1/0" there fails like anywhere else.
+    # A good sample's point is re-drawn too, so "1/0" there fails like anywhere else.
     config = tmp_path / "exp.conf"
     config.write_text(
         f"kind = ScalarSpec\nideal = {parabola}\nH = 9\nn = 30\nseed = 2\n")
@@ -176,8 +176,8 @@ def test_verify_report_decodes_good_sample_points(parabola, tmp_path, capsys):
     next(s for s in report["samples"] if s["verdict"] == "prime")["point"]["values"] = ["1/0"]
     out_path.write_text(json.dumps(report))
     capsys.readouterr()
-    assert main(["verify-report", str(out_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["verify-report", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: sample ")
 
 
 def _first_not_prime(report):
@@ -205,6 +205,13 @@ MALFORMED_REPORTS = {
         lambda report: _first_not_prime(report)["point"].pop("values"), r"sample \d+: "),
     "not_prime sample with a null certificate": (
         lambda report: _first_not_prime(report).update(certificate=None), r"sample \d+: "),
+    "not_prime certificate that does not parse": (
+        lambda report: _first_not_prime(report)["certificate"].update(f="Y^"),
+        r"sample \d+: exponent must be an unsigned integer"),
+    "config with an unknown kind": (
+        lambda report: report["config"].update(kind="Bogus"), "malformed report: "),
+    "config with a negative degree": (
+        lambda report: report["config"].update(degrees=[-1]), "malformed report: "),
     "aggregate without good": (
         lambda report: report["aggregate"].pop("good"), "aggregate "),
     "prime sample with an unknown verdict": (_first_sample_made_unknown, "sample 0: "),

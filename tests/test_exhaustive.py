@@ -39,16 +39,14 @@ def circle_line_oracle(l0, l1, l2):
 
 
 def cut(ideal, line):
-    point = {"kind": "lambda", "blocks": [[str(c) for c in line]]}
-    specialized, _ = specialize_point(ideal, "GenericIntersect", (1,), point)
+    specialized, _ = specialize_point(ideal, "GenericIntersect", (1,), [line])
     return specialized
 
 
 def test_scalar_parabola_box(parabola_family):
     # Y^2 - t for every t in [-400, 400]: not prime exactly at the 21 squares.
     for t in range(-400, 401):
-        point = {"kind": "scalar", "values": [str(t)]}
-        specialized, _ = specialize_point(parabola_family, "ScalarSpec", (), point)
+        specialized, _ = specialize_point(parabola_family, "ScalarSpec", (), [t])
         expected = NOT_PRIME if is_square(t) else PRIME
         assert is_prime(specialized, seed=0).status == expected, t
 
@@ -69,9 +67,10 @@ def test_circle_zero_line_is_the_whole_circle(circle):
 
 def test_parabola_at_degree_one_values_box(parabola_family):
     # T -> a + b*Y gives Y^2 - b*Y - a: not prime exactly when b^2 + 4a is a square.
+    y_ctx = context(("Y",))
     for a, b in itertools.product(range(-15, 16), repeat=2):
-        point = {"kind": "poly", "values": [f"({a}) + ({b})*Y"], "degrees": [1]}
-        specialized, _ = specialize_point(parabola_family, "PolySpec", (1,), point)
+        value = parse_polynomial(f"({a}) + ({b})*Y", y_ctx)
+        specialized, _ = specialize_point(parabola_family, "PolySpec", (1,), [value])
         expected = NOT_PRIME if is_square(b * b + 4 * a) else PRIME
         assert is_prime(specialized, seed=0).status == expected, (a, b)
 
@@ -79,8 +78,7 @@ def test_parabola_at_degree_one_values_box(parabola_family):
 def test_cubic_fiber_box(cubic_fiber_family):
     # Y2 = t*Y1^2, Y3 = Y1*Y2 is the image of a line for every t: a prime curve.
     for t in range(-100, 101):
-        point = {"kind": "scalar", "values": [str(t)]}
-        specialized, _ = specialize_point(cubic_fiber_family, "ScalarSpec", (), point)
+        specialized, _ = specialize_point(cubic_fiber_family, "ScalarSpec", (), [t])
         assert specialized.dimension() == 1, t
         assert is_prime(specialized, seed=0).status == PRIME, t
 

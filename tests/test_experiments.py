@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import ConfigError, HypothesisViolationError, PrimespecError, context
+from primespec import ConfigError, HypothesisViolationError, PrimespecError, context, experiments
 from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
                                    emit_report, parse_experiment_config,
                                    read_experiment_config, report_hash, run_experiment,
                                    sample_point, verify_report)
-from primespec.groebner import Ideal
+from primespec.groebner import GBLimits, Ideal
 from primespec.parse import parse_polynomial
 
 from conftest import seeded
@@ -96,6 +96,8 @@ def test_config_rejects_invalid_budgets(line, key):
     (lambda: ExperimentConfig(kind="ScalarSpec", ideal_path="x", box=1, samples=1,
                               workers=-3), "workers"),
     (lambda: Budgets(sample_timeout_ms=0), "sample.timeout_ms"),
+    (lambda: ExperimentConfig(kind="GenericIntersect", ideal_path="x", box=1, samples=1,
+                              degrees=(1, -1)), "degrees"),
 ])
 def test_direct_construction_rejects_invalid_budgets(build, key):
     with pytest.raises(ConfigError, match=re.escape(repr(key))):
@@ -122,13 +124,13 @@ def test_serial_import_skips_multiprocessing():
 
 def test_sampling_is_deterministic():
     plane = Ideal(context(("Y1", "Y2"), params=("T1", "T2", "T3")), [])
-    a = sample_point("ScalarSpec", plane, (), 50, seeded(9))
-    b = sample_point("ScalarSpec", plane, (), 50, seeded(9))
+    a, _ = sample_point("ScalarSpec", plane, (), 50, seeded(9))
+    b, _ = sample_point("ScalarSpec", plane, (), 50, seeded(9))
     assert a == b
     assert all(-50 <= int(v) <= 50 for v in a["values"])
     circle = Ideal(context(("Y1", "Y2")), [])
-    la = sample_point("GenericIntersect", circle, (1, 2), 10, seeded(9))
-    lb = sample_point("GenericIntersect", circle, (1, 2), 10, seeded(9))
+    la, _ = sample_point("GenericIntersect", circle, (1, 2), 10, seeded(9))
+    lb, _ = sample_point("GenericIntersect", circle, (1, 2), 10, seeded(9))
     assert la == lb
     assert [len(block) for block in la["blocks"]] == [3, 6]
 
@@ -137,12 +139,12 @@ def test_poly_sampling_respects_degree_bounds():
     ideal_ctx = context(("Y",), params=("T",))
     ideal = Ideal(ideal_ctx, [])
     y_ctx = context(("Y",))
-    point = sample_point("PolySpec", ideal, (1,), 1, seeded(3))
+    point, _ = sample_point("PolySpec", ideal, (1,), 1, seeded(3))
     assert parse_polynomial(point["values"][0], y_ctx).total_degree() <= 1
     # box 1, degree 1: coefficients drawn from {-1,0,1}
     seen = set()
     for s in range(60):
-        value = sample_point("PolySpec", ideal, (1,), 1, seeded(s))["values"][0]
+        value = sample_point("PolySpec", ideal, (1,), 1, seeded(s))[0]["values"][0]
         for coeff in parse_polynomial(value, y_ctx).terms.values():
             assert coeff in (-1, 1)
         seen.add(value)
@@ -152,8 +154,8 @@ def test_poly_sampling_respects_degree_bounds():
 def test_sample_point_dispatch():
     ideal_ctx = context(("Y",), params=("T",))
     ideal = Ideal(ideal_ctx, [parse_polynomial("Y^2 - T", ideal_ctx)])
-    assert sample_point("ScalarSpec", ideal, (), 5, seeded(1))["kind"] == "scalar"
-    assert sample_point("PolySpec", ideal, (2,), 5, seeded(1))["kind"] == "poly"
+    assert sample_point("ScalarSpec", ideal, (), 5, seeded(1))[0]["kind"] == "scalar"
+    assert sample_point("PolySpec", ideal, (2,), 5, seeded(1))[0]["kind"] == "poly"
 
 
 def test_derived_seeds_differ():
@@ -264,9 +266,23 @@ def test_verify_report_checks_optional_sample_fields(field, value, message, tmp_
         verify_report(json.loads(json.dumps(report)))
 
 
+POINT_DIFFERS = "point differs from the one its seed draws"
+
+
+def _copy_over_a_bad_sample(report, good):
+    bad = next(s for s in report["samples"] if classify(s) == "bad")
+    report["samples"][bad["index"]] = {**good, "index": bad["index"]}
+
+
+def _not_prime_relabelled_inconclusive(report, good):
+    bad = next(s for s in report["samples"] if s["verdict"] == "not_prime")
+    bad.update(verdict="inconclusive", certificate=None,
+               reason="no field certificate at 5 specialization points u")
+
+
 # Each tampering gives a sample record that run_sample cannot write, a
-# config field that run_experiment does not echo, or a bad-sample witness
-# that does not replay.  The aggregate is recomputed, so only the tampered
+# config field that run_experiment does not echo with these samples, or a
+# witness that does not replay.  The aggregate is recomputed, so only the tampered
 # field can fail verification.
 TAMPERED_RECORDS = {
     "index of another sample": (
@@ -296,6 +312,19 @@ TAMPERED_RECORDS = {
     "config n other than the sample count": (
         "ScalarSpec", lambda report, sample: report["config"].update(n=61),
         "sample count 60 differs from configured n"),
+    "config seed changed": (
+        "ScalarSpec", lambda report, sample: report["config"].update(seed=43),
+        rf"^sample 0: {POINT_DIFFERS}$"),
+    "config H lowered below the points": (
+        "ScalarSpec", lambda report, sample: report["config"].update(H=5), POINT_DIFFERS),
+    "config H below 1": (
+        "ScalarSpec", lambda report, sample: report["config"].update(H=-5),
+        r"^malformed report: .*'H' must be >= 1, got -5"),
+    "bad sample replaced by a copy of a good one": (
+        "ScalarSpec", _copy_over_a_bad_sample, rf"^sample \d+: {POINT_DIFFERS}$"),
+    "not_prime sample relabelled inconclusive": (
+        "ScalarSpec", _not_prime_relabelled_inconclusive,
+        re.escape("re-run gives (verdict, reason, dimension) = ('not_prime', None, 0)")),
 }
 
 
@@ -326,6 +355,32 @@ def test_inconclusive_samples_record_the_field_test_reason(tmp_path):
     verify_report(report)
 
 
+def _past_deadline(max_pairs, max_term_count, deadline=None):
+    """GBLimits whose per-sample deadline, when it has one, has passed."""
+    return GBLimits(max_pairs, max_term_count, None if deadline is None else 0.0)
+
+
+def test_verify_report_does_not_rerun_samples_that_ran_out_of_time(monkeypatch, parabola_path):
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "GBLimits", _past_deadline)
+        report = run_experiment(scalar_config(parabola_path, n=5))
+    assert {s["reason"] for s in report["samples"]} == {"budget: wall-clock budget exceeded"}
+    assert verify_report(report) == ["accounting confirmed for 5 samples"]
+
+
+def test_verify_report_fails_a_rerun_that_runs_out_of_time(monkeypatch, tmp_path):
+    # The field-test inconclusives re-run with their deadline passed: a re-run
+    # that ends on the wall clock confirms nothing.
+    path = tmp_path / "cone.ideal"
+    path.write_text("params: T\nvars: Y1, Y2\ngens:\nY1^2 - T*Y2^2\n")
+    report = run_experiment(ExperimentConfig(kind="ScalarSpec", ideal_path=str(path), box=4,
+                                             samples=12, seed=1))
+    first = next(s["index"] for s in report["samples"] if s["verdict"] == "inconclusive")
+    monkeypatch.setattr(experiments, "GBLimits", _past_deadline)
+    with pytest.raises(PrimespecError, match=rf"^sample {first}: re-run gives .*wall-clock"):
+        verify_report(report)
+
+
 def _tampered(value):
     if isinstance(value, int):
         return value + 1
@@ -346,35 +401,31 @@ def test_verify_report_checks_every_aggregate_field(key, parabola_path):
 
 TAMPERED_POINTS = {
     "lambda point in a ScalarSpec report": (
-        "ScalarSpec", (), 9, lambda point: {"kind": "lambda", "blocks": [["1", "0", "1"]]},
-        PrimespecError, "does not fit a ScalarSpec experiment", 1),
+        "ScalarSpec", (), 9, lambda point: {"kind": "lambda", "blocks": [["1", "0", "1"]]}),
     "PolySpec value above its degree": (
-        "PolySpec", (1,), 3, lambda point: {**point, "values": ["Y^2 - 4"]},
-        PrimespecError, "exceeds its degree bound 1", 1),
+        "PolySpec", (1,), 3, lambda point: {**point, "values": ["Y^2 - 4"]}),
     "lambda block of the wrong length": (
-        "GenericIntersect", (1,), 3, lambda point: {**point, "blocks": [point["blocks"][0][:-1]]},
-        ValueError, "shorter than argument", 2),
+        "GenericIntersect", (1,), 3, lambda point: {**point, "blocks": [point["blocks"][0][:-1]]}),
     "PolySpec point degrees differ from the config": (
-        "PolySpec", (1,), 3, lambda point: {**point, "degrees": [7]},
-        PrimespecError, "point degrees [7] differ from the experiment's [1]", 1),
+        "PolySpec", (1,), 3, lambda point: {**point, "degrees": [7]}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_POINTS))
 def test_verify_report_rejects_tampered_points(case, parabola_path, circle_path, tmp_path):
-    kind, degrees, box, tamper, error, message, code = TAMPERED_POINTS[case]
+    kind, degrees, box, tamper = TAMPERED_POINTS[case]
     path = circle_path if kind == "GenericIntersect" else parabola_path
     report = run_experiment(ExperimentConfig(kind=kind, ideal_path=path, box=box, samples=60,
                                              seed=2, degrees=degrees))
-    # verify_report replays only bad samples, so the tampered point is a bad one
+    # every point is re-drawn, so a bad sample's fails like a good one's
     sample = next(s for s in report["samples"] if classify(s) == "bad")
     sample["point"] = tamper(sample["point"])
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(PrimespecError, match=rf"^sample \d+: {POINT_DIFFERS}$"):
         verify_report(json.loads(json.dumps(report)))
     # main returns the exit code only when it catches the error: no traceback
     report_path = tmp_path / "tampered.json"
     emit_report(report, "json", report_path)
-    assert main(["verify-report", str(report_path)]) == code
+    assert main(["verify-report", str(report_path)]) == 1
 
 
 def test_intersect_experiment_runs(circle_path):

@@ -280,9 +280,9 @@ def test_polyspec_cubic_fibers_specialize_the_first_candidate(cubic_fiber_family
     # degree-2 PolySpec fibers of cubic_fiber are curves with grevlex
     # candidates Y2 and Y3; U = Y2 and the fiber at Y2 = u has degree 4
     for index in range(8):
-        point = sample_point("PolySpec", cubic_fiber_family, (2,), 20,
-                             seeded(derive_seed(3, index)))
-        fiber, _ = specialize_point(cubic_fiber_family, "PolySpec", (2,), point)
+        _, values = sample_point("PolySpec", cubic_fiber_family, (2,), 20,
+                                 seeded(derive_seed(3, index)))
+        fiber, _ = specialize_point(cubic_fiber_family, "PolySpec", (2,), values)
         field = _assert_prime_at_first_of_two_candidates(fiber, derive_seed(3, index, "prime"),
                                                          ("Y2",))
         assert field.minimal_poly.total_degree() == field.quotient_dim == 4

@@ -74,6 +74,11 @@ class Budgets:
         for key, name in _BUDGET_FIELDS.items():
             _require_at_least(key, getattr(self, name), 1)
 
+    def limits(self) -> GBLimits:
+        """Limits for one sample: these budgets and a deadline ``sample.timeout_ms`` from now."""
+        return GBLimits(self.gb_max_pairs, self.gb_max_term_count,
+                        deadline=time.monotonic() + self.sample_timeout_ms / 1000.0)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -211,10 +216,8 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
     """Process one sample; budget overruns record an inconclusive verdict."""
     rng = Random(derive_seed(config.seed, index))
     point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
-    budgets = config.budgets
     start = time.perf_counter()
-    limits = GBLimits(budgets.gb_max_pairs, budgets.gb_max_term_count,
-                      deadline=time.monotonic() + budgets.sample_timeout_ms / 1000.0)
+    limits = config.budgets.limits()
     record = {
         "index": index,
         "point": point,
@@ -393,8 +396,8 @@ def emit_report(report: dict, fmt: str, path) -> None:
         raise ConfigError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="ascii", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["index", "point", "verdict", "dimension",
-                         "expected_dimension", "certificate", "elapsed_ms"])
+        writer.writerow(["index", "point", "verdict", "dimension", "expected_dimension",
+                         "certificate", "reason", "degenerate_specialization", "elapsed_ms"])
         for sample in report["samples"]:
             writer.writerow([
                 sample["index"],
@@ -404,20 +407,24 @@ def emit_report(report: dict, fmt: str, path) -> None:
                 sample["expected_dimension"],
                 json.dumps(sample["certificate"], sort_keys=True)
                 if sample["certificate"] else "",
+                sample.get("reason", ""),
+                "true" if sample.get("degenerate_specialization") else "",
                 sample["elapsed_ms"],
             ])
 
 
 def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
             sample: dict) -> str | None:
-    """Re-draw a sample's point; replay a bad one's witness and re-run an inconclusive one.
+    """Check one sample against what ``run_sample`` writes at ``index``.
 
-    The sample must be one that ``run_sample`` writes at ``index``: that
-    index, a verdict of the kind, the expected dimension ``expected``, the
-    point its seed draws, the degeneracy flag exactly where that point is
-    degenerate, a certificate only if not_prime and a reason only if
-    inconclusive.  An inconclusive sample that did not run out of time is
-    re-run and must end the same way.  Returns the replayed check, or None.
+    The record must have that index, a verdict of the kind, the expected
+    dimension ``expected``, the point its seed draws, the degeneracy flag
+    exactly where that point is degenerate, a certificate only if not_prime
+    and a reason only if inconclusive.  Then a not_prime sample replays its
+    certificate and recomputes its dimension, and every other sample that
+    is not good is re-run and must give the same verdict, reason and
+    dimension; both run under the sample's budgets.  An inconclusive sample
+    that ran out of time is not re-run.  Returns the check made, or None.
     """
     verdict = sample["verdict"]
     if sample["index"] != index:
@@ -441,45 +448,35 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
         raise PrimespecError(f"a {verdict} sample has a reason")
     if sample["certificate"] is not None and verdict != NOT_PRIME:
         raise PrimespecError(f"a {verdict} sample has a certificate")
-    if verdict == INCONCLUSIVE:
-        # GBLimits.check_deadline's reason: a re-run may end otherwise
-        if sample.get("reason") == "budget: wall-clock budget exceeded":
-            return None
-        rerun = run_sample(ideal, config, expected, index)
-        outcome = (rerun["verdict"], rerun.get("reason"), rerun["dimension"])
-        if outcome != (verdict, sample.get("reason"), sample["dimension"]):
-            raise PrimespecError(f"re-run gives (verdict, reason, dimension) = {outcome}")
-        return "inconclusive verdict re-run"
-    if classify(sample) != "bad":
+    if classify(sample) == "good":
         return None
     if verdict == NOT_PRIME:
+        limits = config.budgets.limits()
         f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
                 for key in ("f", "g"))
-        error = _certificate_error(specialized.groebner(), f, g)
+        error = _certificate_error(specialized.groebner(grevlex, limits), f, g, limits)
         if error is not None:
             raise PrimespecError(f"certificate invalid: {error}")
+        dim = specialized.dimension(limits)
+        if dim != sample["dimension"]:
+            raise PrimespecError(f"recorded dimension {sample['dimension']}, recomputed {dim}")
         return "NotPrime certificate replayed"
-    if verdict == UNIT_IDEAL:
-        if not specialized.groebner().is_unit:
-            raise PrimespecError("unit-ideal verdict does not replay")
-        return "unit ideal confirmed"
-    if verdict == INCONSISTENT:
-        if _consistent(specialized, DEFAULT_LIMITS):
-            raise PrimespecError("inconsistency does not replay")
-        return "inconsistency confirmed"
-    # A bad prime sample: its dimension differs from the expected one.
-    dim = specialized.dimension()
-    if dim != sample["dimension"]:
-        raise PrimespecError(f"recorded dimension {sample['dimension']}, recomputed {dim}")
-    return f"dimension mismatch confirmed ({dim})"
+    # GBLimits.check_deadline's reason: a re-run may end otherwise
+    if sample.get("reason") == "budget: wall-clock budget exceeded":
+        return None
+    rerun = run_sample(ideal, config, expected, index)
+    outcome = (rerun["verdict"], rerun.get("reason"), rerun["dimension"])
+    if outcome != (verdict, sample.get("reason"), sample["dimension"]):
+        raise PrimespecError(f"re-run gives (verdict, reason, dimension) = {outcome}")
+    return f"{verdict} verdict re-run"
 
 
 def verify_report(report: dict) -> list[str]:
-    """Replay every failure witness in a report; raises on any mismatch.
+    """Check every sample of a report; raises on any mismatch.
 
     Rebuilds the config from its echo, the expected dimension (which the
-    config and every sample must state) and ``rho``.  Replays every sample
-    (``_replay``), naming it in any error, and then compares the whole
+    config and every sample must state) and ``rho``.  Checks every sample
+    with ``_replay``, naming it in any error, and then compares the whole
     ``aggregate`` with the one ``run_experiment`` computes.  An echo that
     the config rejects, or a record with a missing or mistyped field, fails
     verification.  Returns one accounting message and one per replay.

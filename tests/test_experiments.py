@@ -1,11 +1,14 @@
 """Experiment configs, sampling, reports, replay verification."""
 
+import csv
 import functools
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -280,6 +283,10 @@ def _not_prime_relabelled_inconclusive(report, good):
                reason="no field certificate at 5 specialization points u")
 
 
+def _not_prime_of_another_dimension(report, good):
+    next(s for s in report["samples"] if s["verdict"] == "not_prime").update(dimension=7)
+
+
 # Each tampering gives a sample record that run_sample cannot write, a
 # config field that run_experiment does not echo with these samples, or a
 # witness that does not replay.  The aggregate is recomputed, so only the tampered
@@ -302,13 +309,13 @@ TAMPERED_RECORDS = {
         "rho 1 differs from the recomputed None"),
     "unit_ideal verdict that does not replay": (
         "ScalarSpec", lambda report, sample: sample.update(verdict="unit_ideal"),
-        "unit-ideal verdict does not replay"),
+        re.escape("re-run gives (verdict, reason, dimension) = ('prime', None, 0)")),
     "inconsistent verdict that does not replay": (
         "Consistency", lambda report, sample: sample.update(verdict="inconsistent"),
-        "inconsistency does not replay"),
+        re.escape("re-run gives (verdict, reason, dimension) = ('consistent', None, 0)")),
     "prime sample of another dimension": (
         "ScalarSpec", lambda report, sample: sample.update(dimension=1),
-        "recorded dimension 1, recomputed 0"),
+        re.escape("re-run gives (verdict, reason, dimension) = ('prime', None, 0)")),
     "config n other than the sample count": (
         "ScalarSpec", lambda report, sample: report["config"].update(n=61),
         "sample count 60 differs from configured n"),
@@ -325,6 +332,9 @@ TAMPERED_RECORDS = {
     "not_prime sample relabelled inconclusive": (
         "ScalarSpec", _not_prime_relabelled_inconclusive,
         re.escape("re-run gives (verdict, reason, dimension) = ('not_prime', None, 0)")),
+    "not_prime sample of another dimension": (
+        "ScalarSpec", _not_prime_of_another_dimension,
+        r"^sample \d+: recorded dimension 7, recomputed 0$"),
 }
 
 
@@ -379,6 +389,63 @@ def test_verify_report_fails_a_rerun_that_runs_out_of_time(monkeypatch, tmp_path
     monkeypatch.setattr(experiments, "GBLimits", _past_deadline)
     with pytest.raises(PrimespecError, match=rf"^sample {first}: re-run gives .*wall-clock"):
         verify_report(report)
+
+
+def _circle_cut_by_small_lines(circle_path):
+    # Lines a + b*Y1 + c*Y2 with a, b, c in [-1, 1]: a nonzero constant
+    # misses the circle (the unit ideal), and the zero line keeps all of it.
+    return run_experiment(ExperimentConfig(kind="GenericIntersect", ideal_path=circle_path,
+                                           box=1, samples=60, seed=0, degrees=(1,)))
+
+
+def test_verify_report_reruns_genuine_bad_samples(circle_path):
+    report = _circle_cut_by_small_lines(circle_path)
+    samples = report["samples"]
+    units = [s["index"] for s in samples if s["verdict"] == "unit_ideal"]
+    [line] = [s for s in samples if s.get("degenerate_specialization")]
+    assert len(units) == 4 and (line["verdict"], line["dimension"]) == ("prime", 1)
+    reruns = {m for m in verify_report(report) if m.endswith(" re-run")}
+    assert reruns == {f"sample {i}: unit_ideal verdict re-run" for i in units} | {
+        f"sample {line['index']}: prime verdict re-run"}
+
+
+def test_certificate_replay_past_its_deadline_fails(monkeypatch, parabola_path, tmp_path, capsys):
+    # The clock moves an hour per reading, so each replay is past its
+    # sample's deadline at its first check.
+    report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
+    first = next(s["index"] for s in report["samples"] if s["verdict"] == "not_prime")
+    path = tmp_path / "report.json"
+    emit_report(report, "json", path)
+    clock = itertools.count(step=3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    with pytest.raises(PrimespecError, match=rf"^sample {first}: wall-clock budget exceeded$"):
+        verify_report(report)
+    assert main(["verify-report", str(path)]) == 1
+    assert f"sample {first}: wall-clock budget exceeded" in capsys.readouterr().err
+
+
+def test_csv_rows_carry_the_reason(tmp_path):
+    path = tmp_path / "cone.ideal"
+    path.write_text("params: T\nvars: Y1, Y2\ngens:\nY1^2 - T*Y2^2\n")
+    report = run_experiment(ExperimentConfig(kind="ScalarSpec", ideal_path=str(path), box=4,
+                                             samples=12, seed=1))
+    emit_report(report, "csv", tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {(json.loads(row["point"])["values"][0], row["reason"])
+            for row in rows if row["verdict"] == "inconclusive"} == {
+        (t, "no field certificate at 5 specialization points u") for t in ("1", "4")}
+    assert {row["reason"] for row in rows if row["verdict"] != "inconclusive"} == {""}
+
+
+def test_csv_rows_flag_degenerate_specializations(circle_path, tmp_path):
+    report = _circle_cut_by_small_lines(circle_path)
+    emit_report(report, "csv", tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as handle:
+        flags = [row["degenerate_specialization"] for row in csv.DictReader(handle)]
+    assert "true" in flags
+    assert flags == ["true" if s.get("degenerate_specialization") else ""
+                     for s in report["samples"]]
 
 
 def _tampered(value):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse/config errors,
 3 hypothesis violation (the ideal meets the parameter ring), 4 budget
-exhaustion at the experiment level.
+exhaustion.  The one-shot commands run under the default ``Budgets`` of an
+experiment sample, its deadline included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from .context import context as make_context
 from .errors import (BudgetExceededError, ConfigError, HypothesisViolationError,
                      PolynomialSyntaxError, PrimespecError)
-from .experiments import emit_report, read_experiment_config, run_experiment, verify_report
+from .experiments import (Budgets, emit_report, read_experiment_config, run_experiment,
+                          verify_report)
 from .factor import factor_univariate
 from .groebner import Ideal
 from .orders import grevlex, lex
@@ -49,18 +51,19 @@ def _print_ideal(ideal: Ideal):
 def _cmd_gb(args):
     ideal = _load_ideal(args.file)
     order = lex if args.order == "lex" else grevlex
-    for p in ideal.groebner(order):
+    for p in ideal.groebner(order, Budgets().limits()):
         print(p.to_string(order))
     return EXIT_OK
 
 
 def _cmd_dim(args):
-    print(_load_ideal(args.file).dimension())
+    print(_load_ideal(args.file).dimension(Budgets().limits()))
     return EXIT_OK
 
 
 def _cmd_prime(args):
-    verdict = is_prime(_load_ideal(args.file), trials=args.trials, seed=args.seed)
+    verdict = is_prime(_load_ideal(args.file), trials=args.trials, seed=args.seed,
+                       limits=Budgets().limits())
     print(f"status: {verdict.status}")
     if verdict.certificate:
         f, g = verdict.certificate
@@ -96,13 +99,13 @@ def _cmd_specialize(args):
         from fractions import Fraction
 
         values = tuple(Fraction(part.strip()) for part in args.at.split(","))
-        result = specialize_scalar(ideal, values)
+        result = specialize_scalar(ideal, values, Budgets().limits())
     else:
         y_ctx = ideal.context.without_params()
         with open(args.poly_at, "r", encoding="ascii") as handle:
             lines = [line.split("#", 1)[0].strip() for line in handle]
         polys = tuple(parse_polynomial(line, y_ctx) for line in lines if line)
-        result = specialize_polynomial(ideal, polys)
+        result = specialize_polynomial(ideal, polys, Budgets().limits())
     _print_ideal(result)
     return EXIT_OK
 

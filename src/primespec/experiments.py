@@ -28,7 +28,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from random import Random
 
@@ -190,7 +190,8 @@ def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random) -> tup
 # -- per-sample work ----------------------------------------------------------
 
 
-def specialize_point(ideal: Ideal, kind: str, degrees, values) -> tuple[Ideal, bool]:
+def specialize_point(ideal: Ideal, kind: str, degrees, values,
+                     limits=DEFAULT_LIMITS) -> tuple[Ideal, bool]:
     """The specialized ideal at the values ``sample_point`` draws, and its degeneracy.
 
     A point is degenerate when one of its coefficient blocks is all zero,
@@ -199,7 +200,7 @@ def specialize_point(ideal: Ideal, kind: str, degrees, values) -> tuple[Ideal, b
     if kind == GENERIC_INTERSECT:
         return intersect_generic(ideal, degrees, values), not all(map(any, values))
     specialize = specialize_polynomial if kind == POLY_SPEC else specialize_scalar
-    specialized = specialize(ideal, values)
+    specialized = specialize(ideal, values, limits)
     return specialized, specialized.is_zero
 
 
@@ -228,7 +229,8 @@ def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int
         "elapsed_ms": 0.0,
     }
     try:
-        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values)
+        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values,
+                                                   limits)
         if degenerate:
             record["degenerate_specialization"] = True
         if config.kind == CONSISTENCY:
@@ -327,7 +329,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         ideal_text = handle.read()
     ctx, gens = parse_ideal_source(ideal_text)
     ideal = Ideal(ctx, gens)
-    limits = GBLimits(config.budgets.gb_max_pairs, config.budgets.gb_max_term_count)
+    limits = config.budgets.limits()
     _check_hypotheses(ideal, config, limits)
     expected = _expected_dimension(ideal, config.kind, config.degrees, limits)
 
@@ -486,15 +488,21 @@ def verify_report(report: dict) -> list[str]:
         source = echo["ideal_source"]
         ctx = make_context(source["vars"], params=source["params"])
         ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
+        budgets = Budgets(**echo["budgets"])
+        # a crafted timeout must not stall verification
+        budgets = replace(budgets, sample_timeout_ms=min(budgets.sample_timeout_ms,
+                                                         Budgets.sample_timeout_ms))
         config = ExperimentConfig(kind=echo["kind"], ideal_path=echo["ideal"], box=echo["H"],
                                   samples=echo["n"], seed=echo["seed"], trials=echo["trials"],
-                                  degrees=tuple(echo["degrees"]),
-                                  budgets=Budgets(**echo["budgets"]))
+                                  degrees=tuple(echo["degrees"]), budgets=budgets)
         stated, stated_rho = echo["expected_dimension"], echo["rho"]
-        expected = _expected_dimension(ideal, config.kind, config.degrees, DEFAULT_LIMITS)
         rho = _rho(config.kind, config.degrees)
     except (KeyError, TypeError, ConfigError) as exc:
         raise PrimespecError(f"malformed report: {exc!r}") from exc
+    try:
+        expected = _expected_dimension(ideal, config.kind, config.degrees, budgets.limits())
+    except BudgetExceededError as exc:
+        raise PrimespecError(f"expected dimension: {exc}") from exc
     if stated != expected:
         raise PrimespecError(f"expected dimension {stated} differs from the recomputed {expected}")
     if stated_rho != rho:

@@ -51,7 +51,7 @@ from operator import itemgetter, le
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
 from .orders import MonomialOrder, grevlex, target_first
-from .poly import Exponent, Polynomial, integer_primitive
+from .poly import Exponent, Polynomial, dense_table, integer_primitive
 
 
 @dataclass(frozen=True)
@@ -460,6 +460,10 @@ class Ideal:
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         # part -> independent set of the (part | rest) leads projected onto it
         self._free: dict[VariableContext, tuple[int, ...] | None] = {}
+        # (order, part) -> target_first(order, part, context)
+        self._orders: dict[tuple[MonomialOrder, VariableContext], MonomialOrder] = {}
+        # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
+        self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
         self._origin = origin
 
     @property
@@ -475,12 +479,20 @@ class Ideal:
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal<{gens}>"
 
+    def block_order(self, order: MonomialOrder, part: VariableContext) -> MonomialOrder:
+        """``target_first(order, part, self.context)``, built once per ideal."""
+        key = (order, part)
+        block = self._orders.get(key)
+        if block is None:
+            block = self._orders[key] = target_first(order, part, self.context)
+        return block
+
     def groebner(self, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:
         basis = self._cache.get(order)
         if basis is None:
             if self._origin is not None:
                 base, values = self._origin
-                above = base.groebner(target_first(order, self.context, base.context), limits)
+                above = base.groebner(base.block_order(order, self.context), limits)
                 basis = specialize_basis(above, values, self.context, order, limits)
             if basis is None:
                 reducers = buchberger(self.generators, order, limits)
@@ -499,11 +511,11 @@ class Ideal:
         holds those coefficients at ``values`` (``leading_coefficients``).
         """
         root, values = self.root
-        basis = root.groebner(target_first(grevlex, part, root.context), limits)
+        basis = root.groebner(root.block_order(grevlex, part), limits)
         leading = leading_coefficients(basis, part, values, self.context)
         if not all(leading):
             values = {}
-            basis = self.groebner(target_first(grevlex, part, self.context), limits)
+            basis = self.groebner(self.block_order(grevlex, part), limits)
             leading = leading_coefficients(basis, part, values, self.context)
         return basis, values, leading
 
@@ -532,6 +544,28 @@ class Ideal:
 
     def dimension(self, limits=DEFAULT_LIMITS) -> int:
         return ideal_dimension(self, limits)
+
+    def eliminant(self, name: str, free: tuple[str, ...], limits=DEFAULT_LIMITS):
+        """The root's eliminant of the coordinate ``name`` over (T, U), as integer rows; or None.
+
+        With P the root, U the variables ``free`` and W a fresh variable,
+        the eliminant chi(T, U, W) is the one generator of
+        (P + (W - name)) meet Q[T, U, W], so chi(T, U, name) lies in P.  Row
+        k holds the coefficient of W^k, a primitive integer ``dense_table``
+        over (T, U), W-degree ascending.  Built on first use and cached on
+        the root for every fiber; None when the elimination ideal has no
+        generator or more than one, or when a budget stops the build.  A
+        deadline that has passed is then raised, as the Krylov run would.
+        """
+        root = self.root[0]
+        key = (name, free)
+        if key not in root._chi:
+            try:
+                root._chi[key] = _eliminant_rows(root, name, free, limits)
+            except BudgetExceededError:
+                root._chi[key] = None
+                limits.check_deadline()
+        return root._chi[key]
 
 
 def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
@@ -572,7 +606,7 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
     if ideal.is_zero:
         return Ideal(target, ())
     eliminated = [name for name in ctx.names if name not in keep]
-    order = target_first(grevlex, ctx.keep(eliminated), ctx) if eliminated else grevlex
+    order = ideal.block_order(grevlex, ctx.keep(eliminated)) if eliminated else grevlex
     basis = ideal.groebner(order, limits)
     keep_set = set(ctx.indices_of(keep))
     selected = []
@@ -582,13 +616,35 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
     return Ideal(target, selected)
 
 
+def _widened(ctx: VariableContext, fresh: str) -> VariableContext:
+    """``ctx`` with one more variable after its own, named ``fresh`` plus underscores."""
+    while fresh in ctx:
+        fresh += "_"
+    return VariableContext(ctx.param_names, ctx.var_names + (fresh,))
+
+
+def _eliminant_rows(ideal: Ideal, name: str, free, limits) -> list | None:
+    """``Ideal.eliminant`` of ``ideal``, computed by ``eliminate``."""
+    ctx = ideal.context
+    wide = _widened(ctx, "W")
+    fresh = wide.var_names[-1]
+    shift = Polynomial.variable(wide, fresh) - Polynomial.variable(wide, name)
+    meet = eliminate(Ideal(wide, [g.embed(wide) for g in ideal.generators] + [shift]),
+                     ctx.param_names + tuple(free) + (fresh,), limits)
+    if len(meet.generators) != 1:
+        return None
+    _, ints = integer_primitive(meet.generators[0].terms)
+    rows = [{} for _ in range(1 + max(exp[-1] for exp in ints))]
+    for exp, c in ints.items():
+        rows[exp[-1]][exp[:-1]] = c
+    return [dense_table(row, len(ctx.param_names) + len(free)) for row in rows]
+
+
 def saturation(ideal: Ideal, h: Polynomial, limits=DEFAULT_LIMITS) -> Ideal:
     """The saturation I : h^oo, eliminating t from I + (1 - t*h) (Rabinowitsch)."""
     ctx = ideal.context
-    fresh = "_t"
-    while fresh in ctx:
-        fresh += "_"
-    wide = VariableContext(ctx.param_names, ctx.var_names + (fresh,))
+    wide = _widened(ctx, "_t")
+    fresh = wide.var_names[-1]
     inverse = 1 - Polynomial.variable(wide, fresh) * h.embed(wide)
     return eliminate(Ideal(wide, [g.embed(wide) for g in ideal.generators] + [inverse]),
                      ctx.names, limits)

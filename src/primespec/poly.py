@@ -288,6 +288,34 @@ def integer_primitive(terms) -> tuple[Fraction, dict[Exponent, int]]:
     return Fraction(num, den), ints
 
 
+def dense_table(terms, width: int):
+    """The int coefficients of an integer term map in ``width`` variables, as nested lists.
+
+    Entry i of the outer list is the table of the coefficient of x_1^i, a
+    term map in the other variables; an empty map is 0 and a map in no
+    variable its int.  ``horner`` evaluates it.
+    """
+    if not terms:
+        return 0
+    if not width:
+        return terms[()]
+    parts = [{} for _ in range(1 + max(exp[0] for exp in terms))]
+    for exp, c in terms.items():
+        parts[exp[0]][exp[1:]] = c
+    return [dense_table(part, width - 1) for part in parts]
+
+
+def horner(table, values):
+    """The value of a ``dense_table`` at a sequence of ints, by nested Horner steps."""
+    if not isinstance(table, list):
+        return table
+    x, rest = values[0], values[1:]
+    acc = 0
+    for part in reversed(table):
+        acc = acc * x + horner(part, rest)
+    return acc
+
+
 # -- monomial enumeration -------------------------------------------------
 
 

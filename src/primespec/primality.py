@@ -36,6 +36,19 @@ fiber builds a basis of its own only for a zero-dimensional quotient,
 for the membership tests of a saturation certificate, or where such a
 coefficient vanishes at t; an ideal that is not a fiber is its own root.
 
+A coordinate x of a scalar fiber at integer values t is first tried
+from its root P: chi(T, U, W), the one generator of
+(P + (W - x)) meet Q[T, U, W] (``Ideal.eliminant``, built on first use
+and cached on P), lies in P at W = x, so chi(t, u, x) lies in I_t at
+U = u, the ideal whose quotient is tested (h(u) != 0).  So the minimal
+polynomial m of x divides chi(t, u, W).  When chi(t, u, W) has W-degree
+the quotient dimension and is irreducible, equal degree and irreducibility
+force m = chi(t, u, W) made monic: the section, and the verdict prime, are
+those of the Krylov run, which is skipped.  chi is evaluated at (t, u) in
+integers, one Horner pass per W-degree.  Everything else (a lower
+degree, a split, a random form, an ideal that is no scalar fiber at
+integers, no principal generator, chi over budget) takes the Krylov path.
+
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
 coordinate vectors; ``Fraction``s appear only in the returned polynomials.
@@ -55,7 +68,7 @@ from .factor import factor_univariate
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul, saturation,
                        specialize_basis)
 from .orders import grevlex
-from .poly import Exponent, Polynomial, integer_primitive
+from .poly import Exponent, Polynomial, horner, integer_primitive
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -269,21 +282,68 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
     return acc
 
 
-def _field_test(quotient: ZeroDimQuotient, rng, trials, limits, variable) -> PrimalityVerdict:
+def _eliminant_at(ideal: Ideal, free, point, limits):
+    """name -> the integer coefficients of chi(t, u, W) for the coordinate ``name``.
+
+    chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, and
+    the coefficients run W-degree ascending; the map gives None where chi
+    is.  None unless ``ideal`` is a scalar fiber at integer values t.
+    """
+    root, values = ideal.root
+    if not values or any(v.denominator != 1 for v in values.values()):
+        return None
+    at = [v.numerator for v in values.values()] + list(point)
+
+    def coefficients(name):
+        rows = root.eliminant(name, free, limits)
+        limits.check_deadline()
+        return None if rows is None else [horner(row, at) for row in rows]
+
+    return coefficients
+
+
+def _eliminant_minimal_poly(coefficients, n, variable, limits) -> Polynomial | None:
+    """chi(t, u, W) made monic in ``variable`` when it is irreducible of degree ``n``, else None.
+
+    It is then the coordinate's minimal polynomial (module docstring).
+    """
+    if coefficients is None:
+        return None
+    while coefficients and not coefficients[-1]:
+        coefficients = coefficients[:-1]
+    if n < 1 or len(coefficients) != n + 1:
+        return None
+    lead = coefficients[-1]
+    m = Polynomial(make_context((variable,)),
+                   {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
+    return m if _split_minimal_poly(m, limits) is None else None
+
+
+def _field_test(quotient: ZeroDimQuotient, rng, trials, limits, variable,
+                eliminant=None) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
 
     The forms tried are the coordinates, last first (module docstring),
     then ``trials`` random forms; coordinates draw nothing from ``rng``.
     Minimal polynomials are written in ``variable``.  ``sections`` holds
     one ``SectionData`` per nonzero form tried, the deciding one last.
+    ``eliminant`` (``_eliminant_at``) may certify a coordinate without the
+    Krylov run; where it does not, the coordinate takes the Krylov path.
     """
     ctx = quotient.basis.context
+    names = ctx.names[::-1]
     zero = 0
     sections = []
-    for u in _linear_forms(ctx, rng, trials):
+    for i, u in enumerate(_linear_forms(ctx, rng, trials)):
         if u.is_zero:
             zero += 1
             continue
+        if eliminant is not None and i < len(names):
+            m = _eliminant_minimal_poly(eliminant(names[i]), quotient.vector_dim, variable,
+                                        limits)
+            if m is not None:
+                sections.append(SectionData((), (), u, m, quotient.vector_dim))
+                return PrimalityVerdict(PRIME, sections=tuple(sections))
         m = minimal_polynomial(quotient, u, variable)
         sections.append(SectionData((), (), u, m, quotient.vector_dim))
         split = _split_minimal_poly(m, limits)
@@ -326,7 +386,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     ctx = ideal.context
     if not independent:
         return _field_test(ZeroDimQuotient(ideal.groebner(grevlex, limits), limits), rng, trials,
-                           limits, variable)
+                           limits, variable, _eliminant_at(ideal, (), (), limits))
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
@@ -352,7 +412,8 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         cut = specialize_basis(block, {**values, **dict(zip(free, point))}, bound, grevlex, limits)
         if cut is None:
             continue  # h(u) = 0
-        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, limits, variable)
+        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, limits, variable,
+                            _eliminant_at(ideal, free, point, limits))
         sections += [replace(data, independent=free, point=point) for data in inner.sections]
         if inner.status == PRIME:
             return PrimalityVerdict(PRIME, sections=tuple(sections))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ContextMismatchError
-from .groebner import Ideal
+from .groebner import DEFAULT_LIMITS, Ideal
 from .poly import Polynomial, monomials_upto
 
 
@@ -29,7 +29,14 @@ def _target_without_params(ideal: Ideal):
     return ideal.context.without_params()
 
 
-def specialize_scalar(ideal: Ideal, values) -> Ideal:
+def _images(ideal: Ideal, bindings, target, limits):
+    """Each generator's image under ``bindings``; the deadline is checked before each."""
+    for g in ideal.generators:
+        limits.check_deadline()
+        yield g.substitute(bindings, target)
+
+
+def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     """Substitute the parameters by rational values; zero generators drop.
 
     The result remembers ``ideal`` and the values, so its Groebner bases
@@ -41,11 +48,10 @@ def specialize_scalar(ideal: Ideal, values) -> Ideal:
         raise ValueError(f"expected {len(params)} values, got {len(values)}")
     target = _target_without_params(ideal)
     bindings = dict(zip(params, values))
-    return Ideal(target, (g.substitute(bindings, target) for g in ideal.generators),
-                 origin=(ideal, bindings))
+    return Ideal(target, _images(ideal, bindings, target, limits), origin=(ideal, bindings))
 
 
-def specialize_polynomial(ideal: Ideal, values) -> Ideal:
+def specialize_polynomial(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     """Substitute each parameter by a polynomial in the ambient variables.
 
     With constant values this coincides exactly with scalar
@@ -57,7 +63,7 @@ def specialize_polynomial(ideal: Ideal, values) -> Ideal:
         raise ValueError(f"expected {len(params)} polynomial values, got {len(values)}")
     target = _target_without_params(ideal)
     bindings = dict(zip(params, values))
-    return Ideal(target, (g.substitute(bindings, target) for g in ideal.generators))
+    return Ideal(target, _images(ideal, bindings, target, limits))
 
 
 def generic_form(ctx, support, coefficients) -> Polynomial:

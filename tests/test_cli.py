@@ -1,7 +1,9 @@
 """CLI subcommands, output formats, and exit codes."""
 
+import itertools
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -237,3 +239,11 @@ def test_verify_report_rejects_malformed_reports(case, parabola, tmp_path, capsy
     # main returns the exit code only when it catches the error: no traceback
     assert main(["verify-report", str(out_path)]) == 1
     assert re.match("verification failed: " + reason, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["gb"], ["dim"], ["prime"], ["specialize", "--at", "2"]])
+def test_one_shot_commands_run_under_the_default_deadline(command, parabola, monkeypatch, capsys):
+    clock = itertools.count(step=3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    assert main([command[0], parabola, *command[1:]]) == 4
+    assert capsys.readouterr().err == "budget exhausted: wall-clock budget exceeded\n"

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import ConfigError, HypothesisViolationError, PrimespecError, context, experiments
+from primespec import (BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError,
+                       context, experiments)
 from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
                                    emit_report, parse_experiment_config,
@@ -370,9 +371,21 @@ def _past_deadline(max_pairs, max_term_count, deadline=None):
     return GBLimits(max_pairs, max_term_count, None if deadline is None else 0.0)
 
 
+def _samples_out_of_time(monkeypatch):
+    """Run every sample, and not the setup, under limits whose deadline has passed."""
+    run_sample = experiments.run_sample
+
+    def late(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "GBLimits", _past_deadline)
+            return run_sample(*args)
+
+    monkeypatch.setattr(experiments, "run_sample", late)
+
+
 def test_verify_report_does_not_rerun_samples_that_ran_out_of_time(monkeypatch, parabola_path):
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "GBLimits", _past_deadline)
+        _samples_out_of_time(patch)
         report = run_experiment(scalar_config(parabola_path, n=5))
     assert {s["reason"] for s in report["samples"]} == {"budget: wall-clock budget exceeded"}
     assert verify_report(report) == ["accounting confirmed for 5 samples"]
@@ -386,7 +399,7 @@ def test_verify_report_fails_a_rerun_that_runs_out_of_time(monkeypatch, tmp_path
     report = run_experiment(ExperimentConfig(kind="ScalarSpec", ideal_path=str(path), box=4,
                                              samples=12, seed=1))
     first = next(s["index"] for s in report["samples"] if s["verdict"] == "inconclusive")
-    monkeypatch.setattr(experiments, "GBLimits", _past_deadline)
+    _samples_out_of_time(monkeypatch)
     with pytest.raises(PrimespecError, match=rf"^sample {first}: re-run gives .*wall-clock"):
         verify_report(report)
 
@@ -410,18 +423,70 @@ def test_verify_report_reruns_genuine_bad_samples(circle_path):
 
 
 def test_certificate_replay_past_its_deadline_fails(monkeypatch, parabola_path, tmp_path, capsys):
-    # The clock moves an hour per reading, so each replay is past its
-    # sample's deadline at its first check.
+    # Inside a replay the clock moves an hour per reading, so each replay is
+    # past its sample's deadline at its first check.
     report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
     first = next(s["index"] for s in report["samples"] if s["verdict"] == "not_prime")
     path = tmp_path / "report.json"
     emit_report(report, "json", path)
-    clock = itertools.count(step=3600.0)
-    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    replay = experiments._replay
+
+    def late(*args):
+        clock = itertools.count(step=3600.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(time, "monotonic", lambda: next(clock))
+            return replay(*args)
+
+    monkeypatch.setattr(experiments, "_replay", late)
     with pytest.raises(PrimespecError, match=rf"^sample {first}: wall-clock budget exceeded$"):
         verify_report(report)
     assert main(["verify-report", str(path)]) == 1
     assert f"sample {first}: wall-clock budget exceeded" in capsys.readouterr().err
+
+
+def _hourly_clock(monkeypatch):
+    """Make time.monotonic move an hour per reading."""
+    clock = itertools.count(step=3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+
+
+def test_experiment_setup_runs_under_the_sample_deadline(monkeypatch, parabola_path, tmp_path,
+                                                         capsys):
+    config = tmp_path / "parabola.conf"
+    config.write_text(f"kind = ScalarSpec\nideal = {parabola_path}\nH = 9\nn = 3\n")
+    _hourly_clock(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="^wall-clock budget exceeded$"):
+        run_experiment(scalar_config(parabola_path, n=3))
+    assert main(["experiment", str(config)]) == 4
+    assert "budget exhausted: wall-clock budget exceeded" in capsys.readouterr().err
+
+
+def test_verify_report_recomputes_the_expected_dimension_under_a_deadline(monkeypatch,
+                                                                          parabola_path):
+    report = run_experiment(scalar_config(parabola_path, n=5))
+    _hourly_clock(monkeypatch)
+    with pytest.raises(PrimespecError, match="^expected dimension: wall-clock budget exceeded$"):
+        verify_report(report)
+
+
+def test_verify_report_caps_a_crafted_timeout(monkeypatch, parabola_path, tmp_path):
+    # A timeout of 10^12 s is echoed as it stands, but verification keeps the
+    # default deadline of 20 s: a clock that moves 100 s per reading passes it.
+    # The pair and term budgets stay as echoed: under a term budget of 1 every
+    # re-run ends on that budget again, as the samples did.
+    cubic_path = tmp_path / "cubic_fiber.ideal"
+    cubic_path.write_text(CUBIC_FIBER)
+    huge = 10**15
+    for path, budgets in ((parabola_path, Budgets()),
+                          (str(cubic_path), Budgets(gb_max_term_count=1))):
+        report = run_experiment(scalar_config(path, n=20, box=9, seed=2, budgets=budgets))
+        report["config"]["budgets"]["sample_timeout_ms"] = huge
+        assert verify_report(report)[0] == "accounting confirmed for 20 samples"
+    assert report["aggregate"]["inconclusive"] == 20
+    clock = itertools.count(step=100.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    with pytest.raises(PrimespecError, match="wall-clock budget exceeded$"):
+        verify_report(report)
 
 
 def test_csv_rows_carry_the_reason(tmp_path):
@@ -530,6 +595,20 @@ def test_worker_pool_matches_sequential(parabola_path, tmp_path):
         sequential = run_experiment(scalar_config(path, n=n, seed=4))
         parallel = run_experiment(scalar_config(path, n=n, seed=4, workers=2))
         assert report_hash(sequential) == report_hash(parallel)
+
+
+POINTS = "params: T\nvars: Y1, Y2, Y3\ngens:\nY1^3 + T*Y2 - 1\nY2^2 - Y1*Y3 - T\nY3^2 - Y1 - Y2 + T\n"
+
+
+def test_worker_pool_matches_sequential_on_zero_dimensional_fibers(tmp_path):
+    # Every fiber certifies from the root's eliminant of Y3, which each
+    # worker builds in its copy of the root
+    path = tmp_path / "points.ideal"
+    path.write_text(POINTS)
+    sequential = run_experiment(scalar_config(str(path), n=12, box=100, seed=1))
+    parallel = run_experiment(scalar_config(str(path), n=12, box=100, seed=1, workers=2))
+    assert report_hash(sequential) == report_hash(parallel)
+    assert sequential["aggregate"]["good"] >= 10
 
 
 def test_budget_errors_mark_samples_inconclusive(tmp_path):

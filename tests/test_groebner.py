@@ -7,7 +7,7 @@ import pytest
 
 from primespec import (BudgetExceededError, GBLimits, GroebnerBasis, Ideal, Polynomial,
                        buchberger, context, eliminate, fiber_dimension,
-                       grevlex, lex, parse_polynomial, specialize_scalar)
+                       grevlex, is_prime, lex, parse_polynomial, specialize_scalar)
 from primespec import groebner
 from primespec.groebner import ideal_dimension, saturation, specialize_basis
 from primespec.orders import target_first
@@ -371,6 +371,25 @@ def test_fibers_read_the_set_fiber_dimension_caches(cubic_fiber_family, monkeypa
     sets = {specialize_scalar(cubic_fiber_family, [t]).independent_set() for t in range(1, 21)}
     assert sets == {(2,)}
     assert len(calls) == 1
+
+
+def test_fibers_build_each_block_order_once(cubic_fiber_family, monkeypatch):
+    # the (Y | T) and (V | T, U) orders that fibers read their bases under
+    # are built once, on the root, and not again for each fiber
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return target_first(*args)
+
+    monkeypatch.setattr(groebner, "target_first", counted)
+    for t in range(1, 21):
+        fiber = specialize_scalar(cubic_fiber_family, [t])
+        assert (fiber.dimension(), is_prime(fiber).status) == (1, "prime")
+    assert built and len(built) == len(set(built))
+    order = cubic_fiber_family.block_order(grevlex, fiber.context)
+    assert order == target_first(grevlex, fiber.context, cubic_fiber_family.context)
+    assert cubic_fiber_family.block_order(grevlex, fiber.context) is order
 
 
 def test_budgets_bind_on_the_specialized_basis(cubic_fiber_family, monkeypatch):

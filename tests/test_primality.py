@@ -1,6 +1,8 @@
 """Zero-dimensional quotients, minimal polynomials, primality verdicts."""
 
 import itertools
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchberger, context,
                        factor_univariate, grevlex, is_prime, minimal_polynomial, parse_polynomial,
                        target_first)
-from primespec import BudgetExceededError, GBLimits, primality, specialize_scalar
+from primespec import BudgetExceededError, GBLimits, groebner, primality, specialize_scalar
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
@@ -536,3 +538,150 @@ def test_term_budget_binds_in_minimal_polynomial():
     with pytest.raises(BudgetExceededError):
         minimal_polynomial(tight, y)
     assert str(minimal_polynomial(ZeroDimQuotient(ideal.groebner()), y)) == "Z^2 - 2"
+
+
+# -- the root's eliminant ------------------------------------------------------
+
+POINTS_FAMILY = ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"]
+
+
+def _krylov_forms(monkeypatch):
+    """The forms whose minimal polynomial the Krylov path computes from now on, in order."""
+    forms = []
+    krylov = primality.minimal_polynomial
+
+    def counted(quotient, element, variable="Z"):
+        forms.append(element)
+        return krylov(quotient, element, variable)
+
+    monkeypatch.setattr(primality, "minimal_polynomial", counted)
+    return forms
+
+
+def _assert_same_as_krylov(fiber, seed, forms, limits=GBLimits()):
+    """The fiber's verdict and the forms its Krylov path took (``forms`` records them).
+
+    The same ideal without origin is its own root and takes the Krylov path
+    for every form: the verdict and the deciding section must be its own.
+    """
+    del forms[:]
+    verdict = is_prime(fiber, seed=seed, limits=limits)
+    reached = forms[:]
+    own = is_prime(Ideal(fiber.context, fiber.generators), seed=seed)
+    assert (verdict.status, verdict.certificate, verdict.reason) == \
+        (own.status, own.certificate, own.reason)
+    assert verdict.sections[-1:] == own.sections[-1:]
+    return verdict, reached
+
+
+def test_eliminant_gives_the_krylov_minimal_polynomial_on_points(monkeypatch):
+    # chi(T, W) of Y3 has W-degree 12; where chi(t, W) is irreducible it
+    # certifies the fiber with the section Krylov computes, and no Krylov run
+    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
+    forms = _krylov_forms(monkeypatch)
+    certified = 0
+    for t in range(-12, 13):
+        fiber = specialize_scalar(family, [t])
+        verdict, reached = _assert_same_as_krylov(fiber, t, forms)
+        if reached:
+            continue
+        field = verdict.sections[-1]
+        assert verdict.status == PRIME and len(verdict.sections) == 1, t
+        assert field.linear_form == Polynomial.variable(fiber.context, "Y3")
+        quotient = ZeroDimQuotient(fiber.groebner())
+        assert field.minimal_poly == minimal_polynomial(quotient, field.linear_form), t
+        assert field.minimal_poly.total_degree() == field.quotient_dim == 12
+        certified += 1
+    assert certified >= 20
+    assert list(family._chi) == [("Y3", ())]
+
+
+def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fiber_family,
+                                                                       monkeypatch):
+    # U = Y3 and chi = T*Y3^2 - W^3 for Y2: irreducible wherever t*u^2 is no cube
+    forms = _krylov_forms(monkeypatch)
+    pairs = set()
+    for t in range(-30, 31):
+        if t == 0:
+            continue
+        verdict, reached = _assert_same_as_krylov(specialize_scalar(cubic_fiber_family, [t]), t,
+                                                  forms)
+        field = verdict.sections[-1]
+        if reached:
+            continue
+        (u,) = field.point
+        assert field.independent == ("Y3",) and str(field.linear_form) == "Y2"
+        cut = make_ideal(("Y1", "Y2"), [f"Y2 - ({t})*Y1^2", f"Y1*Y2 - ({u})"])
+        krylov = minimal_polynomial(ZeroDimQuotient(cut.groebner()), field.linear_form)
+        assert field.minimal_poly == krylov == parse_polynomial(f"Z^3 - ({t * u * u})",
+                                                                 krylov.context)
+        pairs.add((t, u))
+    assert len(pairs) >= 20
+    assert cubic_fiber_family._chi[("Y2", ("Y3",))] is not None
+
+
+def test_eliminant_of_lower_degree_falls_back_to_krylov(monkeypatch):
+    # chi of Y2 is W^2 - 2 and chi of Y1 is W^2 - T: neither reaches the
+    # quotient dimension 4 of Q(sqrt t, sqrt 2), so both take the Krylov path
+    family = make_ideal(("Y1", "Y2"), ["Y1^2 - T", "Y2^2 - 2"], params=("T",))
+    forms = _krylov_forms(monkeypatch)
+    for t in (3, 5, 7):
+        verdict, reached = _assert_same_as_krylov(specialize_scalar(family, [t]), t, forms)
+        assert verdict.status == PRIME and verdict.sections[-1].quotient_dim == 4
+        assert [str(f) for f in reached[:2]] == ["Y2", "Y1"]
+    assert [len(rows) for rows in family._chi.values()] == [3, 3]
+
+
+def test_eliminant_with_two_generators_falls_back_to_krylov(monkeypatch):
+    # (Y^2, T*Y) + (W - Y) meets Q[T, W] in (W^2, T*W), which is not principal
+    family = make_ideal(("Y",), ["Y^2", "T*Y"], params=("T",))
+    forms = _krylov_forms(monkeypatch)
+    verdict, reached = _assert_same_as_krylov(specialize_scalar(family, [2]), 0, forms)
+    assert verdict.status == PRIME
+    assert [str(f) for f in reached] == ["Y"]
+    assert family._chi == {("Y", ()): None}
+
+
+def test_split_eliminant_falls_back_to_krylov(cubic_fiber_family, monkeypatch):
+    # The first point u that is_prime draws, with t = u: chi(t, u, W) =
+    # W^3 - u^3 splits, and so does the cut; Krylov computes its minimal
+    # polynomial, is_prime redraws u, and the verdict is the one without chi.
+    seed = next(s for s in itertools.count() if random.Random(s).randint(-10, 10) not in (-1, 0, 1))
+    u = random.Random(seed).randint(-10, 10)
+    forms = _krylov_forms(monkeypatch)
+    verdict, reached = _assert_same_as_krylov(specialize_scalar(cubic_fiber_family, [u]), seed,
+                                              forms)
+    assert verdict.status == PRIME
+    first = verdict.sections[0]
+    assert (first.point, str(first.linear_form)) == ((u,), "Y2")
+    assert reached[0] == first.linear_form
+    assert first.minimal_poly == parse_polynomial(f"Z^3 - ({u ** 3})", first.minimal_poly.context)
+
+
+def test_pair_budget_that_stops_the_eliminant_falls_back_to_krylov(monkeypatch):
+    # The fiber's own bases come from the root's, which the first fiber
+    # builds; a pair budget of 1 then stops only the build of chi
+    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
+    assert specialize_scalar(family, [3]).dimension() == 0
+    forms = _krylov_forms(monkeypatch)
+    fiber = specialize_scalar(family, [2])
+    verdict, reached = _assert_same_as_krylov(fiber, 0, forms, GBLimits(max_pairs=1))
+    assert verdict.status == PRIME
+    assert [str(f) for f in reached[:1]] == ["Y3"]
+    assert family._chi == {("Y3", ()): None}
+
+
+def test_passed_deadline_stops_the_eliminant():
+    # the sample ends on its deadline, and later fibers take the Krylov path
+    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
+    with pytest.raises(BudgetExceededError, match="^wall-clock budget exceeded$"):
+        family.eliminant("Y3", (), GBLimits(deadline=0.0))
+    assert family._chi == {("Y3", ()): None}
+
+
+def test_eliminant_travels_with_the_pickled_root(cubic_fiber_family, monkeypatch):
+    rows = cubic_fiber_family.eliminant("Y2", ("Y3",))
+    copy = pickle.loads(pickle.dumps(cubic_fiber_family))
+    monkeypatch.setattr(groebner, "_eliminant_rows", None)  # a build would fail
+    assert copy.eliminant("Y2", ("Y3",)) == rows
+    assert is_prime(specialize_scalar(copy, [3])).status == PRIME

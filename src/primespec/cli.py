@@ -86,7 +86,7 @@ def _cmd_factor(args):
         raise ConfigError(f"factor expects a univariate polynomial, found variables {names}")
     ctx = make_context(tuple(names) or ("Y",))
     p = parse_polynomial(args.poly, ctx)
-    unit, factors = factor_univariate(p)
+    unit, factors = factor_univariate(p, Budgets().limits())
     print(f"unit: {unit}")
     for factor, multiplicity in factors:
         print(f"factor: {factor}  multiplicity: {multiplicity}")

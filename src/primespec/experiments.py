@@ -195,10 +195,17 @@ def specialize_point(ideal: Ideal, kind: str, degrees, values,
     """The specialized ideal at the values ``sample_point`` draws, and its degeneracy.
 
     A point is degenerate when one of its coefficient blocks is all zero,
-    or when it specializes every generator to zero.
+    or when it specializes every generator to zero.  One cut is the scalar
+    fiber of ``ideal.cutting_root`` at its block, and reads its bases from
+    that root; two or more cuts, or a root over budget, adjoin the forms
+    with ``intersect_generic``.  Either way the generators are the same.
     """
     if kind == GENERIC_INTERSECT:
-        return intersect_generic(ideal, degrees, values), not all(map(any, values))
+        degenerate = not all(map(any, values))
+        root = ideal.cutting_root(degrees[0], limits) if len(degrees) == 1 else None
+        if root is None:
+            return intersect_generic(ideal, degrees, values), degenerate
+        return specialize_scalar(root, values[0], limits), degenerate
     specialize = specialize_polynomial if kind == POLY_SPEC else specialize_scalar
     specialized = specialize(ideal, values, limits)
     return specialized, specialized.is_zero
@@ -422,11 +429,12 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     The record must have that index, a verdict of the kind, the expected
     dimension ``expected``, the point its seed draws, the degeneracy flag
     exactly where that point is degenerate, a certificate only if not_prime
-    and a reason only if inconclusive.  Then a not_prime sample replays its
-    certificate and recomputes its dimension, and every other sample that
-    is not good is re-run and must give the same verdict, reason and
-    dimension; both run under the sample's budgets.  An inconclusive sample
-    that ran out of time is not re-run.  Returns the check made, or None.
+    and a reason only if inconclusive.  Then a good sample recomputes its
+    dimension, a not_prime sample replays its certificate and recomputes its
+    dimension, and every other sample is re-run and must give the same
+    verdict, reason and dimension; all run under the sample's budgets.  An
+    inconclusive sample that ran out of time is not re-run.  Returns the
+    check made for a sample that is not good, or None.
     """
     verdict = sample["verdict"]
     if sample["index"] != index:
@@ -442,7 +450,11 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
     if sample["point"] != point:
         raise PrimespecError("point differs from the one its seed draws")
-    specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values)
+    # The pair and term budgets decide, as in run_sample, whether a cutting root is used.
+    budgets = config.budgets
+    specialized, degenerate = specialize_point(
+        ideal, config.kind, config.degrees, values,
+        GBLimits(budgets.gb_max_pairs, budgets.gb_max_term_count))
     if sample.get("degenerate_specialization") != (degenerate or None):
         raise PrimespecError(f"degenerate_specialization should be "
                              f"{'true' if degenerate else 'absent'}")
@@ -450,19 +462,19 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
         raise PrimespecError(f"a {verdict} sample has a reason")
     if sample["certificate"] is not None and verdict != NOT_PRIME:
         raise PrimespecError(f"a {verdict} sample has a certificate")
-    if classify(sample) == "good":
-        return None
-    if verdict == NOT_PRIME:
+    good = classify(sample) == "good"
+    if good or verdict == NOT_PRIME:
         limits = config.budgets.limits()
-        f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
-                for key in ("f", "g"))
-        error = _certificate_error(specialized.groebner(grevlex, limits), f, g, limits)
-        if error is not None:
-            raise PrimespecError(f"certificate invalid: {error}")
+        if not good:
+            f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
+                    for key in ("f", "g"))
+            error = _certificate_error(specialized.groebner(grevlex, limits), f, g, limits)
+            if error is not None:
+                raise PrimespecError(f"certificate invalid: {error}")
         dim = specialized.dimension(limits)
         if dim != sample["dimension"]:
             raise PrimespecError(f"recorded dimension {sample['dimension']}, recomputed {dim}")
-        return "NotPrime certificate replayed"
+        return None if good else "NotPrime certificate replayed"
     # GBLimits.check_deadline's reason: a re-run may end otherwise
     if sample.get("reason") == "budget: wall-clock budget exceeded":
         return None

@@ -44,14 +44,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter, le
 
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
 from .orders import MonomialOrder, grevlex, target_first
-from .poly import Exponent, Polynomial, dense_table, integer_primitive
+from .poly import Exponent, Polynomial, dense_table, integer_primitive, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,14 @@ class GBLimits:
 
 
 DEFAULT_LIMITS = GBLimits()
+
+# Term budget of an eliminant build, below the sample's when that is larger.
+# An eliminant only replaces Krylov runs, so stopping its build never moves a
+# verdict.  The eliminants that pay off stay far below it (at most 94 terms in
+# a reduction, for the sphere cut by a quadric); the cone over the twisted
+# cubic cut by a quadric, with 15 coefficient parameters, passed 7000 terms
+# and a 20 s deadline on the way to one it would evaluate at every fiber.
+ELIMINANT_TERMS = 1_000
 
 
 # -- exponent helpers -------------------------------------------------------
@@ -172,13 +180,14 @@ class GroebnerBasis:
     polynomials over Q, are built from them on first use.
     """
 
-    __slots__ = ("context", "order", "_reducers", "_polys")
+    __slots__ = ("context", "order", "_reducers", "_polys", "_staircases")
 
     def __init__(self, context, order, reducers):
         self.context = context
         self.order = order
         self._reducers = tuple(reducers)
         self._polys = None
+        self._staircases = {}
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -204,6 +213,18 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[Exponent]:
         return [lead for lead, _, _ in self._reducers]
 
+    def staircase(self, part: VariableContext) -> tuple[Exponent, ...] | None:
+        """The monomials in ``part`` below the leads projected onto it; None if infinite.
+
+        Grevlex-increasing (``_staircase``).  ``part`` is the context or,
+        under (part | rest), the part compared first.  Cached per part, so
+        the fibers that read a root's basis share one staircase.
+        """
+        if part not in self._staircases:
+            leads = map(_projection(self.context, part), self.leading_exponents())
+            self._staircases[part] = _staircase(list(leads), len(part))
+        return self._staircases[part]
+
     def pseudo_normal_form(self, terms, limits=DEFAULT_LIMITS):
         """(remainder, scale) of an integer term map; remainder == scale * NF."""
         return _normal_form_terms(terms, self._reducers, self.order, limits)
@@ -218,6 +239,22 @@ class GroebnerBasis:
 
     def contains(self, p: Polynomial, limits=DEFAULT_LIMITS) -> bool:
         return self.normal_form(p, limits).is_zero
+
+
+def _staircase(leads, width):
+    """Monomials outside the monomial ideal of ``leads``, grevlex-increasing; None if infinite."""
+    bounds = {}
+    for exp in leads:
+        support = [i for i, e in enumerate(exp) if e]
+        if len(support) == 1:
+            bounds[support[0]] = min(exp[support[0]], bounds.get(support[0], exp[support[0]]))
+    if len(bounds) < width:
+        return None
+    box = [()]
+    for i in range(width):
+        box = [e + (k,) for e in box for k in range(bounds[i])]
+    staircase = [exp for exp in box if not any(_divides(lead, exp) for lead in leads)]
+    return tuple(sorted(staircase, key=grevlex.key))
 
 
 # -- Buchberger ---------------------------------------------------------------
@@ -436,7 +473,9 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
 class Ideal:
     """Generator list plus cached Groebner bases and independent sets.
 
-    Zero generators are dropped at construction.  The cache maps each
+    Zero generators are dropped when the generators are first read: at
+    construction, or, when they are given as a function returning them, at
+    the first read of ``generators`` or ``is_zero``.  The cache maps each
     monomial order to its reduced basis; it travels with the ideal when
     the ideal is pickled, so pool workers start from the parent's bases.
 
@@ -445,26 +484,42 @@ class Ideal:
     its own root (``root``).  Its bases are specialized from the root's
     basis under ``target_first`` (cached on the root); Buchberger runs on
     the generators only where a leading coefficient vanishes, a choice
-    ``lifted`` makes for the leads on a part of the variables.
+    ``lifted`` makes for the leads on a part of the variables.  An ideal in
+    the variables Y alone caches, per degree, the root whose scalar fibers
+    are its cuts by one form of that degree (``cutting_root``).
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
-        gens = []
-        for g in generators:
-            if g.context != context:
-                raise ContextMismatchError("generator context differs from ideal context")
-            if not g.is_zero:
-                gens.append(g)
         self.context = context
-        self.generators = tuple(gens)
+        # a tuple, or the function that returns them on first read (``generators``)
+        self._generators = generators if callable(generators) else self._accept(generators)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         # part -> independent set of the (part | rest) leads projected onto it
         self._free: dict[VariableContext, tuple[int, ...] | None] = {}
+        # part -> ``lifted(part)``
+        self._lifted: dict[VariableContext, tuple] = {}
         # (order, part) -> target_first(order, part, context)
         self._orders: dict[tuple[MonomialOrder, VariableContext], MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
+        # degree -> this ideal cut by a generic form of that degree, or None (``cutting_root``)
+        self._roots: dict[int, Ideal | None] = {}
         self._origin = origin
+
+    def _accept(self, generators) -> tuple[Polynomial, ...]:
+        gens = []
+        for g in generators:
+            if g.context != self.context:
+                raise ContextMismatchError("generator context differs from ideal context")
+            if not g.is_zero:
+                gens.append(g)
+        return tuple(gens)
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        if callable(self._generators):
+            self._generators = self._accept(self._generators())
+        return self._generators
 
     @property
     def is_zero(self) -> bool:
@@ -509,15 +564,18 @@ class Ideal:
         rational functions in the rest (Kalkbrener).  Otherwise this
         ideal's own basis under (part | rest) and no values.  ``leading``
         holds those coefficients at ``values`` (``leading_coefficients``).
+        Cached per part.
         """
-        root, values = self.root
-        basis = root.groebner(root.block_order(grevlex, part), limits)
-        leading = leading_coefficients(basis, part, values, self.context)
-        if not all(leading):
-            values = {}
-            basis = self.groebner(self.block_order(grevlex, part), limits)
+        if part not in self._lifted:
+            root, values = self.root
+            basis = root.groebner(root.block_order(grevlex, part), limits)
             leading = leading_coefficients(basis, part, values, self.context)
-        return basis, values, leading
+            if not all(leading):
+                values = {}
+                basis = self.groebner(self.block_order(grevlex, part), limits)
+                leading = leading_coefficients(basis, part, values, self.context)
+            self._lifted[part] = basis, values, leading
+        return self._lifted[part]
 
     def independent_set(self, part: VariableContext | None = None,
                         limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
@@ -554,18 +612,60 @@ class Ideal:
         k holds the coefficient of W^k, a primitive integer ``dense_table``
         over (T, U), W-degree ascending.  Built on first use and cached on
         the root for every fiber; None when the elimination ideal has no
-        generator or more than one, or when a budget stops the build.  A
-        deadline that has passed is then raised, as the Krylov run would.
+        generator or more than one, or when a budget stops the build; its
+        term budget is at most ``ELIMINANT_TERMS``.  A deadline that has
+        passed is then raised, as the Krylov run would.
         """
         root = self.root[0]
         key = (name, free)
         if key not in root._chi:
+            capped = replace(limits, max_term_count=min(limits.max_term_count, ELIMINANT_TERMS))
             try:
-                root._chi[key] = _eliminant_rows(root, name, free, limits)
+                root._chi[key] = _eliminant_rows(root, name, free, capped)
             except BudgetExceededError:
                 root._chi[key] = None
                 limits.check_deadline()
         return root._chi[key]
+
+    def cutting_root(self, degree: int, limits=DEFAULT_LIMITS) -> Ideal | None:
+        """This ideal cut by the generic form of ``degree``, its coefficients parameters; or None.
+
+        With P this ideal in Q[Y] and Y^e_0, Y^e_1, ... the ``monomials_upto``
+        monomials of ``degree``, the root is R = P + (sum L_j * Y^e_j) in
+        Q[L, Y]: its scalar fiber at a coefficient block c has the
+        generators of P cut by the form with coefficients c, in the order
+        ``intersect_generic`` gives them.  Built on first use together with
+        its (Y | L) block basis, which every fiber reads, and cached here by
+        degree; None when a pair or term budget stops that basis.  A
+        deadline that has passed is raised and nothing is cached.
+        """
+        if degree not in self._roots:
+            if self.context.r:
+                raise ContextMismatchError("a cut expects an ideal in the Y-variables only")
+            d = self.dimension(limits)
+            if d < 1:
+                raise ValueError(f"cannot cut once: dimension is {d}")
+            root = _cutting_root(self, degree)
+            try:
+                root.groebner(root.block_order(grevlex, self.context), limits)
+            except BudgetExceededError:
+                limits.check_deadline()
+                root = None
+            self._roots[degree] = root
+        return self._roots[degree]
+
+
+def _cutting_root(ideal: Ideal, degree: int) -> Ideal:
+    """``Ideal.cutting_root`` of ``ideal``, without its basis; the parameters are L0, L1, ..."""
+    ctx = ideal.context
+    support = monomials_upto(ctx.s, degree)
+    stem = "L"
+    while any(f"{stem}{j}" in ctx for j in range(len(support))):
+        stem += "_"
+    wide = VariableContext(tuple(f"{stem}{j}" for j in range(len(support))), ctx.var_names)
+    form = {tuple(int(i == j) for i in range(len(support))) + exp: 1
+            for j, exp in enumerate(support)}
+    return Ideal(wide, [g.embed(wide) for g in ideal.generators] + [Polynomial(wide, form)])
 
 
 def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:

@@ -23,8 +23,12 @@ characteristic polynomial has coefficients in the integrally closed
 Q[U, 1/h], so a factorization over Q(U) would persist at u.  Points
 whose test splits are redrawn.  Because h(u) != 0, G at U = u is already
 a Groebner basis of the fiber (Kalkbrener): ``specialize_basis``
-evaluates and interreduces it, and returns None, so u is redrawn, exactly
-when h(u) = 0.
+evaluates and interreduces it, and returns None exactly when h(u) = 0.
+So u is redrawn where one of the V-leading coefficients vanishes at u,
+and the quotient's staircase is that of G's leads projected onto V, the
+same at every such u.  The field test reads its dimension from that
+staircase, and builds the basis at u, and the quotient, only when a
+Krylov run needs them.
 
 G, and the V-leading coefficients that make h, come from
 ``Ideal.lifted(V)``.  A scalar fiber I_t of a base P is certified from
@@ -32,9 +36,13 @@ P's basis under (V | T, U), cached on P: where no V-leading coefficient
 vanishes identically at T = t, that basis at T = t is a Groebner basis
 of I_t Q(U)[V] inside I_t, h is the product of those coefficients at t,
 and the basis at u is P's basis evaluated at (t, u) in one step.  The
-fiber builds a basis of its own only for a zero-dimensional quotient,
-for the membership tests of a saturation certificate, or where such a
-coefficient vanishes at t; an ideal that is not a fiber is its own root.
+fiber builds a basis of its own only for a Krylov run on a
+zero-dimensional quotient, for the membership tests of a saturation
+certificate, or where such a coefficient vanishes at t; an ideal that is
+not a fiber is its own root.  A generic intersection with one cut is
+such a fiber: its root is the base cut by the generic form whose
+coefficients are parameters (``Ideal.cutting_root``), and t is the
+sampled coefficient block.
 
 A coordinate x of a scalar fiber at integer values t is first tried
 from its root P: chi(T, U, W), the one generator of
@@ -47,7 +55,10 @@ force m = chi(t, u, W) made monic: the section, and the verdict prime, are
 those of the Krylov run, which is skipped.  chi is evaluated at (t, u) in
 integers, one Horner pass per W-degree.  Everything else (a lower
 degree, a split, a random form, an ideal that is no scalar fiber at
-integers, no principal generator, chi over budget) takes the Krylov path.
+integers, such as a PolySpec sample or a cut by two or more forms, no
+principal generator, chi over budget) takes the Krylov path.  Where chi
+of full degree splits, the Krylov run's m is chi made monic whenever
+their degrees agree, and chi's split is reused instead of factoring m.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -56,6 +67,7 @@ coordinate vectors; ``Fraction``s appear only in the returned polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -65,7 +77,7 @@ from fractions import Fraction
 from .context import context as make_context
 from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
-from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _divides, _mul, saturation,
+from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _mul, saturation,
                        specialize_basis)
 from .orders import grevlex
 from .poly import Exponent, Polynomial, horner, integer_primitive
@@ -85,13 +97,15 @@ class ZeroDimQuotient:
     """Vector-space view of K[vars]/I for a zero-dimensional ideal.
 
     ``staircase`` lists the monomials below the grevlex staircase in
-    increasing order.
+    increasing order: the basis' own, unless a caller that already read it
+    from the same leads passes it in.
     """
 
-    def __init__(self, basis: GroebnerBasis, limits=DEFAULT_LIMITS):
+    def __init__(self, basis: GroebnerBasis, limits=DEFAULT_LIMITS, staircase=None):
         self.basis = basis
         self.limits = limits
-        staircase = _staircase(basis.leading_exponents(), len(basis.context))
+        if staircase is None:
+            staircase = basis.staircase(basis.context)
         if staircase is None:
             raise ValueError("leading terms admit no finite staircase (dimension > 0)")
         self.staircase: tuple[Exponent, ...] = staircase
@@ -100,22 +114,6 @@ class ZeroDimQuotient:
 
     def reduce(self, p: Polynomial) -> Polynomial:
         return self.basis.normal_form(p, self.limits)
-
-
-def _staircase(leads, width):
-    """Monomials outside the monomial ideal of ``leads``, grevlex-increasing; None if infinite."""
-    bounds = {}
-    for exp in leads:
-        support = [i for i, e in enumerate(exp) if e]
-        if len(support) == 1:
-            bounds[support[0]] = min(exp[support[0]], bounds.get(support[0], exp[support[0]]))
-    if len(bounds) < width:
-        return None
-    box = [()]
-    for i in range(width):
-        box = [e + (k,) for e in box for k in range(bounds[i])]
-    staircase = [exp for exp in box if not any(_divides(lead, exp) for lead in leads)]
-    return tuple(sorted(staircase, key=grevlex.key))
 
 
 def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial,
@@ -302,10 +300,12 @@ def _eliminant_at(ideal: Ideal, free, point, limits):
     return coefficients
 
 
-def _eliminant_minimal_poly(coefficients, n, variable, limits) -> Polynomial | None:
-    """chi(t, u, W) made monic in ``variable`` when it is irreducible of degree ``n``, else None.
+def _eliminant_minimal_poly(coefficients, n, variable,
+                            limits) -> tuple[Polynomial, tuple | None] | None:
+    """(chi(t, u, W) made monic in ``variable``, its split) when its W-degree is ``n``; else None.
 
-    It is then the coordinate's minimal polynomial (module docstring).
+    The split is that of ``_split_minimal_poly``; where it is None, chi is
+    the coordinate's minimal polynomial (module docstring).
     """
     if coefficients is None:
         return None
@@ -314,41 +314,48 @@ def _eliminant_minimal_poly(coefficients, n, variable, limits) -> Polynomial | N
     if n < 1 or len(coefficients) != n + 1:
         return None
     lead = coefficients[-1]
-    m = Polynomial(make_context((variable,)),
-                   {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
-    return m if _split_minimal_poly(m, limits) is None else None
+    chi = Polynomial(make_context((variable,)),
+                     {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
+    return chi, _split_minimal_poly(chi, limits)
 
 
-def _field_test(quotient: ZeroDimQuotient, rng, trials, limits, variable,
+def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
                 eliminant=None) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
 
-    The forms tried are the coordinates, last first (module docstring),
-    then ``trials`` random forms; coordinates draw nothing from ``rng``.
-    Minimal polynomials are written in ``variable``.  ``sections`` holds
-    one ``SectionData`` per nonzero form tried, the deciding one last.
-    ``eliminant`` (``_eliminant_at``) may certify a coordinate without the
-    Krylov run; where it does not, the coordinate takes the Krylov path.
+    ``staircase`` is that of the ideal over ``ctx``, and ``basis()``
+    returns its reduced grevlex basis: the quotient is built from it only
+    when a Krylov run needs it.  The forms tried are the coordinates, last
+    first (module docstring), then ``trials`` random forms; coordinates draw
+    nothing from ``rng``.  Minimal polynomials are written in ``variable``.
+    ``sections`` holds one ``SectionData`` per nonzero form tried, the
+    deciding one last.  ``eliminant`` (``_eliminant_at``) may certify a
+    coordinate without the Krylov run; where it does not, the coordinate
+    takes the Krylov path, which reuses chi's split when the minimal
+    polynomial is chi made monic.
     """
-    ctx = quotient.basis.context
+    n = len(staircase)
     names = ctx.names[::-1]
+    quotient = None
     zero = 0
     sections = []
     for i, u in enumerate(_linear_forms(ctx, rng, trials)):
         if u.is_zero:
             zero += 1
             continue
+        chi = None
         if eliminant is not None and i < len(names):
-            m = _eliminant_minimal_poly(eliminant(names[i]), quotient.vector_dim, variable,
-                                        limits)
-            if m is not None:
-                sections.append(SectionData((), (), u, m, quotient.vector_dim))
+            chi = _eliminant_minimal_poly(eliminant(names[i]), n, variable, limits)
+            if chi is not None and chi[1] is None:
+                sections.append(SectionData((), (), u, chi[0], n))
                 return PrimalityVerdict(PRIME, sections=tuple(sections))
+        if quotient is None:
+            quotient = ZeroDimQuotient(basis(), limits, staircase)
         m = minimal_polynomial(quotient, u, variable)
-        sections.append(SectionData((), (), u, m, quotient.vector_dim))
-        split = _split_minimal_poly(m, limits)
+        sections.append(SectionData((), (), u, m, n))
+        split = chi[1] if chi is not None and m == chi[0] else _split_minimal_poly(m, limits)
         if split is None:
-            if m.total_degree() == quotient.vector_dim:
+            if m.total_degree() == n:
                 return PrimalityVerdict(PRIME, sections=tuple(sections))
             continue  # u generates a proper subfield: next form
         f_z, g_z = split
@@ -361,7 +368,17 @@ def _field_test(quotient: ZeroDimQuotient, rng, trials, limits, variable,
     return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections), reason=(
         f"no field certificate from {len(ctx)} coordinate(s) and {trials} random linear "
         f"form(s): {zero} zero, {len(sections)} with an irreducible minimal polynomial of "
-        f"degree below {quotient.vector_dim}"))
+        f"degree below {n}"))
+
+
+def _vanishes(coefficient, positions, point) -> bool:
+    """True when a ``leading_coefficients`` map is 0 at the values ``point`` of ``positions``."""
+    total = 0
+    for exp, c in coefficient.items():
+        for i, v in zip(positions, point):
+            c *= v ** exp[i]
+        total += c
+    return not total
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -385,7 +402,9 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
     ctx = ideal.context
     if not independent:
-        return _field_test(ZeroDimQuotient(ideal.groebner(grevlex, limits), limits), rng, trials,
+        block, _, _ = ideal.lifted(ctx, limits)
+        return _field_test(ctx, block.staircase(ctx),
+                           functools.partial(ideal.groebner, grevlex, limits), rng, trials,
                            limits, variable, _eliminant_at(ideal, (), (), limits))
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
@@ -404,15 +423,18 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
                     power = power * h
                 return not_prime_verdict(basis, g, power, limits)
 
+    staircase = block.staircase(bound)
+    positions = ctx.indices_of(free)
     sections = []
     box = BOX_START
     for _ in range(trials):
         point = tuple(rng.randint(-box, box) for _ in free)
         box *= 2
-        cut = specialize_basis(block, {**values, **dict(zip(free, point))}, bound, grevlex, limits)
-        if cut is None:
-            continue  # h(u) = 0
-        inner = _field_test(ZeroDimQuotient(cut, limits), rng, trials, limits, variable,
+        if any(_vanishes(lc, positions, point) for lc in leading):
+            continue  # h(u) = 0, where specialize_basis returns None
+        cut = functools.partial(specialize_basis, block, {**values, **dict(zip(free, point))},
+                                bound, grevlex, limits)
+        inner = _field_test(bound, staircase, cut, rng, trials, limits, variable,
                             _eliminant_at(ideal, free, point, limits))
         sections += [replace(data, independent=free, point=point) for data in inner.sections]
         if inner.status == PRIME:

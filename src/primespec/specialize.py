@@ -9,13 +9,21 @@
 
 Scalar and polynomial specialization take an ideal over the layout
 (T | Y) of ``context`` and return one over (Y); generic intersection
-works over (Y) alone.  ``generic_form`` builds every generic form, one
-rational coefficient per support monomial: the cutting hypersurfaces and
-the sampled polynomial values.
+works over (Y) alone.  ``generic_form`` builds every generic form with
+one rational coefficient per support monomial: the cutting hypersurfaces
+and the sampled polynomial values.
+
+One cut is also a scalar specialization: P cut by the form with
+coefficients c is the fiber at L = c of P plus the form whose
+coefficients are parameters L (``Ideal.cutting_root``), with the same
+generators as ``intersect_generic`` gives.  Experiments sample one cut
+that way (``experiments.specialize_point``), so that the cut reads its
+bases from the root's; two or more cuts are adjoined here.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import ContextMismatchError
@@ -40,7 +48,9 @@ def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     """Substitute the parameters by rational values; zero generators drop.
 
     The result remembers ``ideal`` and the values, so its Groebner bases
-    are specialized from ``ideal``'s instead of recomputed.
+    are specialized from ``ideal``'s instead of recomputed.  Its generators
+    are substituted when first read, under ``limits``: a fiber certified
+    from its root's bases never reads them.
     """
     params = ideal.context.param_names
     values = tuple(Fraction(v) for v in values)
@@ -48,7 +58,8 @@ def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
         raise ValueError(f"expected {len(params)} values, got {len(values)}")
     target = _target_without_params(ideal)
     bindings = dict(zip(params, values))
-    return Ideal(target, _images(ideal, bindings, target, limits), origin=(ideal, bindings))
+    return Ideal(target, functools.partial(_images, ideal, bindings, target, limits),
+                 origin=(ideal, bindings))
 
 
 def specialize_polynomial(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:

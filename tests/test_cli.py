@@ -247,3 +247,12 @@ def test_one_shot_commands_run_under_the_default_deadline(command, parabola, mon
     monkeypatch.setattr(time, "monotonic", lambda: next(clock))
     assert main([command[0], parabola, *command[1:]]) == 4
     assert capsys.readouterr().err == "budget exhausted: wall-clock budget exceeded\n"
+
+
+def test_factor_runs_under_the_default_deadline(monkeypatch, capsys):
+    # Y^4 + 1 splits modulo every prime, so it takes the modular path, which
+    # checks the deadline at every step.
+    clock = itertools.count(step=3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    assert main(["factor", "Y^4 + 1"]) == 4
+    assert capsys.readouterr().err == "budget exhausted: wall-clock budget exceeded\n"

@@ -9,25 +9,27 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from primespec import (BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError,
-                       context, experiments)
+                       context, experiments, intersect_generic, is_prime, primality)
 from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
                                    emit_report, parse_experiment_config,
                                    read_experiment_config, report_hash, run_experiment,
                                    sample_point, verify_report)
 from primespec.groebner import GBLimits, Ideal
-from primespec.parse import parse_polynomial
+from primespec.parse import parse_ideal_source, parse_polynomial
 
 from conftest import seeded
 
 PARABOLA = "params: T\nvars: Y\ngens:\nY^2 - T\n"
 CUBIC_FIBER = "params: T\nvars: Y1, Y2, Y3\ngens:\nY2 - T*Y1^2\nY3 - Y1*Y2\n"
 CIRCLE = "vars: Y1, Y2\ngens:\nY1^2 + Y2^2 - 1\n"
+SPHERE = "vars: Y1, Y2, Y3\ngens:\nY1^2 + Y2^2 + Y3^2 - 1\n"
 BAD = "params: T\nvars: Y\ngens:\nY - T\nY - 1\n"
 
 
@@ -422,6 +424,19 @@ def test_verify_report_reruns_genuine_bad_samples(circle_path):
         f"sample {line['index']}: prime verdict re-run"}
 
 
+def test_verify_report_recomputes_the_dimension_of_good_samples(circle_path):
+    # Sample 0 is a constant line, the unit ideal; relabelled prime of the
+    # expected dimension 0, with the aggregate recomputed, it raises good 8 -> 9.
+    report = _circle_cut_by_small_lines(circle_path)
+    sample = report["samples"][0]
+    assert (sample["verdict"], sample["dimension"]) == ("unit_ideal", -1)
+    sample.update(verdict="prime", dimension=0)
+    report["aggregate"] = _aggregate(report["samples"])
+    assert report["aggregate"]["good"] == 9
+    with pytest.raises(PrimespecError, match=r"^sample 0: recorded dimension 0, recomputed -1$"):
+        verify_report(report)
+
+
 def test_certificate_replay_past_its_deadline_fails(monkeypatch, parabola_path, tmp_path, capsys):
     # Inside a replay the clock moves an hour per reading, so each replay is
     # past its sample's deadline at its first check.
@@ -570,6 +585,73 @@ def test_intersect_experiment_runs(circle_path):
     verify_report(report)
 
 
+def _load(path):
+    with open(path) as handle:
+        return Ideal(*parse_ideal_source(handle.read()))
+
+
+def test_one_cut_samples_are_fibers_of_the_cutting_root(circle_path, monkeypatch):
+    # The line 3 + Y1 + 2*Y2 misses the real circle: a closed point of degree 2,
+    # certified from the root's eliminant, with no basis of the fiber built.
+    circle = _load(circle_path)
+    krylov = []
+    monkeypatch.setattr(primality, "minimal_polynomial", lambda *args: krylov.append(args))
+    fiber, degenerate = experiments.specialize_point(circle, "GenericIntersect", (1,),
+                                                     [[3, 1, 2]])
+    root, values = fiber.root
+    assert root is circle.cutting_root(1) and not degenerate
+    assert [str(g) for g in root.generators] == ["Y1^2 + Y2^2 - 1", "L1*Y1 + L2*Y2 + L0"]
+    assert values == {"L0": 3, "L1": 1, "L2": 2}
+    verdict = is_prime(fiber)
+    assert verdict.status == "prime" and not krylov
+    assert fiber._cache == {}
+    assert fiber.generators == intersect_generic(circle, (1,), [[3, 1, 2]]).generators
+
+
+def test_two_cuts_adjoin_their_forms(tmp_path):
+    path = tmp_path / "sphere.ideal"
+    path.write_text(SPHERE)
+    sphere = _load(str(path))
+    cut, _ = experiments.specialize_point(sphere, "GenericIntersect", (1, 1), [[0, 1, 0, 0],
+                                                                            [0, 0, 1, 0]])
+    assert cut.root == (cut, {}) and sphere._roots == {}
+    assert [str(g) for g in cut.generators] == ["Y1^2 + Y2^2 + Y3^2 - 1", "Y1", "Y2"]
+
+
+def test_root_over_budget_falls_back_to_the_adjoined_forms(circle_path, tmp_path, monkeypatch):
+    # The circle's root needs 4 pairs and 5 terms for its (Y | L) basis, the
+    # sphere's 11 terms.  Each budget below stops the root, and the samples
+    # come out as the adjoined forms decide them: the first three budgets
+    # stop no fiber, and under the last most fibers end inconclusive, and
+    # verification re-runs them under the same budgets, again without the root.
+    assert _load(circle_path).cutting_root(1, GBLimits(max_pairs=4)) is not None
+    circle = _load(circle_path)
+    assert circle.cutting_root(1, GBLimits(max_pairs=3)) is None and circle._roots == {1: None}
+    sphere_path = tmp_path / "sphere.ideal"
+    sphere_path.write_text(SPHERE)
+    runs = ((circle_path, Budgets(gb_max_pairs=3)), (circle_path, Budgets(gb_max_term_count=4)),
+            (str(sphere_path), Budgets(gb_max_term_count=8)),
+            (str(sphere_path), Budgets(gb_max_term_count=4)))
+    configs = [ExperimentConfig(kind="GenericIntersect", ideal_path=path, box=20, samples=40,
+                                seed=3, degrees=(1,), budgets=budgets) for path, budgets in runs]
+    reports = [run_experiment(config) for config in configs]
+    assert [report["aggregate"]["inconclusive"] for report in reports] == [0, 0, 0, 39]
+    for report in reports:
+        verify_report(report)
+    monkeypatch.setattr(Ideal, "cutting_root", lambda self, degree, limits: None)
+    for config, report in zip(configs, reports):
+        assert report_hash(report) == report_hash(run_experiment(config))
+
+
+def test_passed_deadline_stops_the_cutting_root(circle_path):
+    # The circle's own bases are built first, so only the root's sees the deadline.
+    circle = _load(circle_path)
+    assert circle.dimension() == 1
+    with pytest.raises(BudgetExceededError, match="^wall-clock budget exceeded$"):
+        circle.cutting_root(1, GBLimits(deadline=0.0))
+    assert circle._roots == {}
+
+
 def test_intersect_rho_validation(circle_path):
     config = ExperimentConfig(kind="GenericIntersect", ideal_path=circle_path,
                               box=10, samples=5, seed=1, degrees=(1, 1))
@@ -595,6 +677,15 @@ def test_worker_pool_matches_sequential(parabola_path, tmp_path):
         sequential = run_experiment(scalar_config(path, n=n, seed=4))
         parallel = run_experiment(scalar_config(path, n=n, seed=4, workers=2))
         assert report_hash(sequential) == report_hash(parallel)
+
+
+def test_worker_pool_matches_sequential_on_one_cut_intersections(circle_path):
+    # Each worker builds the cutting root in its copy of the circle.
+    config = ExperimentConfig(kind="GenericIntersect", ideal_path=circle_path, box=20,
+                              samples=24, seed=2, degrees=(1,))
+    parallel = run_experiment(replace(config, workers=2))
+    assert report_hash(run_experiment(config)) == report_hash(parallel)
+    assert parallel["aggregate"]["bad"] > 0 and parallel["aggregate"]["good"] > 0
 
 
 POINTS = "params: T\nvars: Y1, Y2, Y3\ngens:\nY1^3 + T*Y2 - 1\nY2^2 - Y1*Y3 - T\nY3^2 - Y1 - Y2 + T\n"
@@ -686,6 +777,24 @@ def test_shipped_config_report_hash(name, monkeypatch):
     reloaded = json.loads(json.dumps(report))
     assert report_hash(reloaded) == report_hash(report)
     verify_report(reloaded)
+
+
+SPHERE_CUT_HASHES = {
+    (1,): "99bb4ff2fbe1c7b9",  # curves, each a fiber of the cutting root
+    (1, 1): "50925a165aa344c8",  # points, cut by two adjoined planes
+}
+
+
+@pytest.mark.parametrize("degrees", sorted(SPHERE_CUT_HASHES))
+def test_sphere_cut_report_hash(degrees, tmp_path, monkeypatch):
+    # No shipped config cuts a surface; the path is relative, as the report echoes it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sphere.ideal").write_text(SPHERE)
+    report = run_experiment(ExperimentConfig(kind="GenericIntersect", ideal_path="sphere.ideal",
+                                             box=20, samples=40, seed=5, degrees=degrees))
+    assert report_hash(report)[:16] == SPHERE_CUT_HASHES[degrees]
+    assert report["aggregate"]["good"] == 40
+    verify_report(report)
 
 
 @functools.lru_cache(maxsize=None)

@@ -658,6 +658,42 @@ def test_split_eliminant_falls_back_to_krylov(cubic_fiber_family, monkeypatch):
     assert first.minimal_poly == parse_polynomial(f"Z^3 - ({u ** 3})", first.minimal_poly.context)
 
 
+def test_krylov_reuses_the_split_of_the_eliminant(monkeypatch):
+    # The line 3*Y1 + 4*Y2 meets the circle at +-(4/5, -3/5): chi(c, W) of Y2
+    # is 25*W^2 - 9, of full degree but split, and Krylov's minimal polynomial
+    # of Y2 is chi made monic, so it is factored once.
+    circle = make_ideal(("Y1", "Y2"), ["Y1^2 + Y2^2 - 1"])
+    fiber = specialize_scalar(circle.cutting_root(1), [0, 3, 4])
+    forms = _krylov_forms(monkeypatch)
+    factored = []
+    factor = primality.factor_univariate
+
+    def counted(p, limits):
+        factored.append(str(p))
+        return factor(p, limits)
+
+    monkeypatch.setattr(primality, "factor_univariate", counted)
+    verdict, reached = _assert_same_as_krylov(fiber, 0, forms)
+    assert verdict.status == NOT_PRIME and [str(f) for f in reached] == ["Y2"]
+    assert str(verdict.sections[-1].minimal_poly) == "Z^2 - 9/25"
+    assert factored[0] == "Z^2 - 9/25" and factored.count("Z^2 - 9/25") == 2  # chi, then own
+
+
+def test_certified_fibers_build_no_basis_of_their_own(cubic_fiber_family, monkeypatch):
+    # A curve fiber reads U, h(u) != 0 and its quotient's staircase from the
+    # root's bases; certified from chi, it specializes no basis at (t, u).
+    cubic_fiber_family.independent_set(cubic_fiber_family.context.keep(("Y1", "Y2", "Y3")))
+
+    def refuse(*args):
+        raise AssertionError("a certified fiber specializes no basis")
+
+    monkeypatch.setattr(primality, "specialize_basis", refuse)
+    for t in (3, 5, 7):  # the first u is 2, and 4*t is no cube
+        fiber = specialize_scalar(cubic_fiber_family, [t])
+        assert is_prime(fiber).status == PRIME
+        assert fiber._cache == {} and callable(fiber._generators)
+
+
 def test_pair_budget_that_stops_the_eliminant_falls_back_to_krylov(monkeypatch):
     # The fiber's own bases come from the root's, which the first fiber
     # builds; a pair budget of 1 then stops only the build of chi

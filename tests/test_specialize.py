@@ -4,12 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from primespec import (ContextMismatchError, Ideal, Polynomial, context, eliminate, generic_form,
-                       grevlex, intersect_generic, is_prime, monomials_upto, parse_polynomial,
-                       specialize_polynomial, specialize_scalar)
+from primespec import (BudgetExceededError, ContextMismatchError, GBLimits, Ideal, Polynomial,
+                       context, eliminate, generic_form, grevlex, intersect_generic, is_prime,
+                       monomials_upto, parse_polynomial, specialize_polynomial, specialize_scalar)
 from primespec.primality import NOT_PRIME, PRIME
 
 from conftest import make_ideal, seeded
+
+
+def test_scalar_fibers_substitute_their_generators_when_first_read(parabola_family):
+    # The deadline is checked before each generator at the first read, and a
+    # read it stops leaves nothing behind: the next read substitutes again.
+    fiber = specialize_scalar(parabola_family, [4], GBLimits(deadline=0.0))
+    assert fiber.root == (parabola_family, {"T": 4})
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="^wall-clock budget exceeded$"):
+            fiber.is_zero
+    fiber = specialize_scalar(parabola_family, [4])
+    assert str(fiber) == "Ideal<Y^2 - 4>" and not fiber.is_zero
 
 
 def test_scalar_specialization_substitutes(parabola_family):

@@ -422,6 +422,10 @@ def emit_report(report: dict, fmt: str, path) -> None:
             ])
 
 
+# What run_sample records when GBLimits.check_deadline stops a sample
+_OUT_OF_TIME = "budget: wall-clock budget exceeded"
+
+
 def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
             sample: dict) -> str | None:
     """Check one sample against what ``run_sample`` writes at ``index``.
@@ -432,9 +436,11 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     and a reason only if inconclusive.  Then a good sample recomputes its
     dimension, a not_prime sample replays its certificate and recomputes its
     dimension, and every other sample is re-run and must give the same
-    verdict, reason and dimension; all run under the sample's budgets.  An
-    inconclusive sample that ran out of time is not re-run.  Returns the
-    check made for a sample that is not good, or None.
+    verdict, reason and dimension; all of it, the specialization included,
+    runs under the sample's budgets.  An inconclusive sample that ran out
+    of time is not re-run, and passes if its deadline passes while it is
+    specialized; any other sample then fails.  Returns the check made for a
+    sample that is not good, or None.
     """
     verdict = sample["verdict"]
     if sample["index"] != index:
@@ -450,11 +456,15 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
     if sample["point"] != point:
         raise PrimespecError("point differs from the one its seed draws")
-    # The pair and term budgets decide, as in run_sample, whether a cutting root is used.
-    budgets = config.budgets
-    specialized, degenerate = specialize_point(
-        ideal, config.kind, config.degrees, values,
-        GBLimits(budgets.gb_max_pairs, budgets.gb_max_term_count))
+    # As in run_sample, the pair and term budgets decide whether a cutting root is used.
+    limits = config.budgets.limits()
+    try:
+        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values,
+                                                   limits)
+    except BudgetExceededError as exc:
+        if sample.get("reason") == _OUT_OF_TIME:
+            return None
+        raise PrimespecError(f"specialization: {exc}") from exc
     if sample.get("degenerate_specialization") != (degenerate or None):
         raise PrimespecError(f"degenerate_specialization should be "
                              f"{'true' if degenerate else 'absent'}")
@@ -464,7 +474,6 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
         raise PrimespecError(f"a {verdict} sample has a certificate")
     good = classify(sample) == "good"
     if good or verdict == NOT_PRIME:
-        limits = config.budgets.limits()
         if not good:
             f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
                     for key in ("f", "g"))
@@ -475,8 +484,7 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
         if dim != sample["dimension"]:
             raise PrimespecError(f"recorded dimension {sample['dimension']}, recomputed {dim}")
         return None if good else "NotPrime certificate replayed"
-    # GBLimits.check_deadline's reason: a re-run may end otherwise
-    if sample.get("reason") == "budget: wall-clock budget exceeded":
+    if sample.get("reason") == _OUT_OF_TIME:
         return None
     rerun = run_sample(ideal, config, expected, index)
     outcome = (rerun["verdict"], rerun.get("reason"), rerun["dimension"])

@@ -9,17 +9,32 @@ its discriminant d = b^2 - 4ac is a square, into the primitive parts of
 found by bisection on the pieces where it is monotone; the quotient then
 goes through the quadratic rule.  Degrees 4 and up are factored modulo a
 good odd prime p by a distinct-degree split followed by a Cantor-Zassenhaus
-equal-degree split; the modular factors are lifted with quadratic
-multifactor Hensel steps to p^l, the least power of p above twice the
-Landau-Mignotte coefficient bound (the last step stops at p^l rather
-than squaring past it), and recombined by exhaustive subset search up to
-half the modular factor count.
+equal-degree split.  The modular factors are lifted by a factor tree that
+takes one quadratic Hensel step per node and level, m = p^2, p^4, ...,
+up to p^l, the least power of p above twice the Landau-Mignotte
+coefficient bound (the last step stops at p^l rather than squaring past
+it).  At the first level m below p^l that is at least 2^12 times
+2 * lc * (n - 1) * B, for B a power of two above every root (Fujiwara),
+the trace test (Abbott-Shoup-Zimmermann) reads the lifted factors: a
+true factor made of a subset of them has lc times the sum of their
+subleading coefficients within lc * its degree * B, and where no subset
+of at most half of them does, the polynomial is irreducible and the lift
+stops there.  Otherwise the same lift goes on to p^l, and the factors are
+recombined by exhaustive subset search up to half the modular factor
+count.
+
+The modular split depends only on p and f/lc(f) mod p, so a caller that
+factors many congruent polynomials passes a dict that memoizes it
+(``factor_univariate``'s ``splits``): the scalar fibers of one root share
+one, held on the root, because chi(t, W) mod p depends on t mod p only.
+There is no module-level cache.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
 throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
 or built.  The modular split (m = p) and the Hensel lift (m = p^k) share
 one arithmetic modulo m, with residues in [0, m).  The symmetric
-representative in (-m/2, m/2] is taken in one place only: where the
+representative in (-m/2, m/2] is taken in two places only: where the
+trace test reads a sum of subleading coefficients, and where the
 recombination turns a product of lifted factors into an integer
 candidate.
 """
@@ -308,35 +323,68 @@ def _bezout_step(M, G, H, s, t):
     return _mod(_zx_sub(s, d), M), T
 
 
+def _lift_levels(p, f, modular_factors, pl, limits):
+    """Lift monic mod-p factors of f/lc(f) one quadratic level at a time, up to pl = p^l.
+
+    Yields (m, lifted) for m = p, p^2, p^4, ..., each m the least of the
+    square of the last and pl, and stops after m = pl: the monic factors
+    mod m, residues in [0, m), whose product times lc(f) is f mod m.  The
+    factor tree (von zur Gathen-Gerhard, Alg. 15.17) holds f at its root,
+    and each inner node splits its value into lc * (its left half of the
+    factors) and a monic right half.  A level takes one Hensel step at
+    every node, parents first.  The Bezout step that the next level needs
+    runs only when the generator is resumed, so a caller that stops at a
+    level never pays for it.
+    """
+    nodes = []  # [value source, g, h, s, t], parents first
+    leaves = []  # the value source of each leaf, in the order of the factors
+
+    def build(source, lead, factors):
+        if len(factors) == 1:
+            leaves.append(source)
+            return
+        k = len(factors) // 2
+        g = [lead]
+        for fac in factors[:k]:
+            g = _mod_mul(g, fac, p)
+        h = factors[k]
+        for fac in factors[k + 1:]:
+            h = _mod_mul(h, fac, p)
+        s, t, one = _mod_gcdex(g, h, p)
+        if one != [1]:
+            raise PrimespecError("mod-p factors are not coprime")
+        nodes.append([source, g, h, s, t])
+        here = len(nodes) - 1
+        build((here, 1), lead, factors[:k])
+        build((here, 2), 1, factors[k:])
+
+    def value(source):
+        return f if source is None else nodes[source[0]][source[1]]
+
+    build(None, f[-1] % p, modular_factors)
+    m = p
+    while True:
+        yield m, [_mod_monic(value(source), m) for source in leaves]
+        if m >= pl:
+            return
+        if m > p:  # the Bezout step of the last level, deferred to here
+            for node in nodes:
+                node[3], node[4] = _bezout_step(m, *node[1:])
+        m = min(m * m, pl)
+        for node in nodes:
+            limits.check_deadline()
+            node[1], node[2] = _hensel_step(m, value(node[0]), *node[1:])
+
+
 def _hensel_lift(p, f, modular_factors, l, limits):
     """Lift monic mod-p factors of f/lc(f) to monic factors mod p^l.
 
     The returned factors have residues in [0, p^l), and their product
     times lc(f) is congruent to f mod p^l.
     """
-    r = len(modular_factors)
-    pl = p ** l
-    if r == 1:
-        return [_mod_monic(f, pl)]
-    k = r // 2
-    g = [f[-1] % p]
-    for fac in modular_factors[:k]:
-        g = _mod_mul(g, fac, p)
-    h = modular_factors[k]
-    for fac in modular_factors[k + 1:]:
-        h = _mod_mul(h, fac, p)
-    s, t, one = _mod_gcdex(g, h, p)
-    if one != [1]:
-        raise PrimespecError("mod-p factors are not coprime")
-    m = p
-    while m < pl:
-        limits.check_deadline()
-        m = min(m * m, pl)
-        g, h = _hensel_step(m, f, g, h, s, t)
-        if m < pl:
-            s, t = _bezout_step(m, g, h, s, t)  # the last step needs no s, t
-    return (_hensel_lift(p, g, modular_factors[:k], l, limits)
-            + _hensel_lift(p, h, modular_factors[k:], l, limits))
+    for _, lifted in _lift_levels(p, f, modular_factors, p ** l, limits):
+        pass
+    return lifted
 
 
 # -- Zassenhaus ---------------------------------------------------------------
@@ -409,8 +457,75 @@ def _cubic_factors(f):
     return [list(f)]
 
 
-def _zassenhaus(f, limits):
-    """Irreducible factors of a primitive squarefree integer polynomial."""
+# The trace test runs at the first level m at least 2^TRACE_MARGIN_BITS times
+# twice lc * (n - 1) * the root bound, so that a residue that is no true
+# factor's trace passes it with a chance of about 2^-TRACE_MARGIN_BITS.
+TRACE_MARGIN_BITS = 12
+
+
+def _root_bound(f):
+    """A power of two B above |z| for every complex root z of f.
+
+    Fujiwara: |z| <= 2 * max(|a_(n-i) / a_n|^(1/i)), with a_0 / (2 a_n)
+    in place of a_0 / a_n.  Each term is bounded by a power of two read
+    from bit lengths (no floats, which overflow on large coefficients),
+    and B is at least 2.
+    """
+    n = len(f) - 1
+    lead = f[-1].bit_length()
+    e = 0
+    for i in range(1, n + 1):
+        if f[n - i]:
+            # |a_(n-i) / a_n| < 2^(bits(a_(n-i)) - bits(a_n) + 1), halved for a_0
+            e = max(e, -((lead - f[n - i].bit_length() - 1 + (i == n)) // i))
+    return 2 << e
+
+
+def _trace_test(lifted, m, lc, bound, limits):
+    """False when no subset of at most half the lifted factors can make a true factor.
+
+    For a true factor g whose factors mod m are the subset S, lc * the sum
+    of their subleading coefficients is lc(f)/lc(g) * g[deg g - 1], at most
+    lc * deg(S) * bound in absolute value (``bound`` above every root), so
+    where m exceeds twice lc * (deg f - 1) * bound its symmetric residue
+    mod m is that integer (Abbott-Shoup-Zimmermann's d-1 test).
+    """
+    traces = [u[-2] for u in lifted]
+    degrees = [len(u) - 1 for u in lifted]
+    for size in range(1, len(lifted) // 2 + 1):
+        limits.check_deadline()
+        for subset in itertools.combinations(range(len(lifted)), size):
+            trace = lc * sum(traces[i] for i in subset) % m
+            if 2 * trace > m:
+                trace -= m
+            if abs(trace) <= lc * bound * sum(degrees[i] for i in subset):
+                return True
+    return False
+
+
+def _split_mod(f, limits, splits):
+    """(p, the sorted monic factors of f mod p) for ``_choose_prime``'s p.
+
+    ``splits``, a dict or None, memoizes the split by (p, f/lc(f) mod p),
+    which alone decides it; a hit still checks the deadline.
+    """
+    p = _choose_prime(f)
+    monic = _mod_monic(f, p)
+    key = (p, tuple(monic))
+    if splits is not None and key in splits:
+        limits.check_deadline()
+        return p, splits[key]
+    modular = sorted(_modular_factors(monic, p, limits))
+    if splits is not None:
+        splits[key] = modular
+    return p, modular
+
+
+def _zassenhaus(f, limits, splits=None):
+    """Irreducible factors of a primitive squarefree integer polynomial.
+
+    ``splits`` memoizes the modular split (``_split_mod``).
+    """
     n = _zx_degree(f)
     if n == 1:
         return [list(f)]
@@ -418,17 +533,25 @@ def _zassenhaus(f, limits):
         return _quadratic_factors(f)
     if n == 3:
         return _cubic_factors(f)
-    p = _choose_prime(f)
-    modular = _modular_factors(_mod_monic(f, p), p, limits)
+    p, modular = _split_mod(f, limits, splits)
     if len(modular) == 1:
         return [list(f)]
-    modular.sort()
-    bound = 2 * mignotte_factor_height(f, n - 1) * abs(f[-1]) + 1
+    lc = abs(f[-1])
+    bound = 2 * mignotte_factor_height(f, n - 1) * lc + 1
     l = 1
     while p ** l < bound:
         l += 1
-    lifted = _hensel_lift(p, f, modular, l, limits)
     pl = p ** l
+    roots = _root_bound(f)
+    threshold = (2 * lc * (n - 1) * roots) << TRACE_MARGIN_BITS
+    levels = _lift_levels(p, f, modular, pl, limits)
+    for m, lifted in levels:
+        if m >= threshold:
+            if m < pl and not _trace_test(lifted, m, lc, roots, limits):
+                return [list(f)]
+            break
+    for m, lifted in levels:  # resume the lift up to p^l
+        pass
 
     result = []
     current = list(f)
@@ -487,17 +610,19 @@ def _from_dense(context, var, coeffs) -> Polynomial:
     return Polynomial(context, terms)
 
 
-def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
+def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
                       ) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     """Factor a univariate rational polynomial into irreducibles.
 
     Returns (unit, [(factor, multiplicity)]) with primitive positive-lead
     integer factors; unit * prod(factor^multiplicity) reconstructs the
-    input exactly.  Degree-zero input yields (value, []).  The deadline of
-    ``limits`` is checked at every step of the modular split, every Hensel
-    step and every recombination subset.  The quadratic and cubic rules
-    check none: one takes a square root, the other makes O(log height)
-    evaluations of the cubic.
+    input exactly.  Degree-zero input yields (value, []).  ``splits``, a
+    dict or None, memoizes the modular splits by (p, residues); the
+    caller owns it.  The deadline of ``limits`` is checked at every step
+    of the modular split and at every memo hit, every Hensel step, every
+    subset size of the trace test and every recombination subset.  The
+    quadratic and cubic rules check none: one takes a square root, the
+    other makes O(log height) evaluations of the cubic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -511,7 +636,7 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS
 
     factors = []
     for part, multiplicity in _yun_squarefree(primitive):
-        for irreducible in _zassenhaus(part, limits):
+        for irreducible in _zassenhaus(part, limits, splits):
             factors.append((irreducible, multiplicity))
     factors.sort(key=lambda item: (len(item[0]), item[0]))
     return unit, [(_from_dense(p.context, var, f), m) for f, m in factors]

@@ -486,7 +486,9 @@ class Ideal:
     the generators only where a leading coefficient vanishes, a choice
     ``lifted`` makes for the leads on a part of the variables.  An ideal in
     the variables Y alone caches, per degree, the root whose scalar fibers
-    are its cuts by one form of that degree (``cutting_root``).
+    are its cuts by one form of that degree (``cutting_root``).  A root
+    also holds the memo of the modular splits of its fibers' eliminants,
+    which ``primality`` passes to ``factor_univariate``.
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
@@ -502,6 +504,8 @@ class Ideal:
         self._orders: dict[tuple[MonomialOrder, VariableContext], MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
+        # (p, residues) -> the modular split of a fiber's chi (``factor_univariate``)
+        self._splits: dict[tuple[int, tuple[int, ...]], list] = {}
         # degree -> this ideal cut by a generic form of that degree, or None (``cutting_root``)
         self._roots: dict[int, Ideal | None] = {}
         self._origin = origin

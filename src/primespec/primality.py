@@ -53,7 +53,11 @@ polynomial m of x divides chi(t, u, W).  When chi(t, u, W) has W-degree
 the quotient dimension and is irreducible, equal degree and irreducibility
 force m = chi(t, u, W) made monic: the section, and the verdict prime, are
 those of the Krylov run, which is skipped.  chi is evaluated at (t, u) in
-integers, one Horner pass per W-degree.  Everything else (a lower
+integers, one Horner pass per W-degree.  Its factorization passes the
+root's memo of modular splits to ``factor_univariate``: chi(t, u, W) mod p
+depends on (t, u) mod p only, so fibers at congruent points split it mod
+p once.  The root owns the memo, as it owns chi; the Krylov path factors
+without it.  Everything else (a lower
 degree, a split, a random form, an ideal that is no scalar fiber at
 integers, such as a PolySpec sample or a cut by two or more forms, no
 principal generator, chi over budget) takes the Krylov path.  Where chi
@@ -250,9 +254,12 @@ def _linear_forms(ctx, rng, trials):
         box *= 2
 
 
-def _split_minimal_poly(m: Polynomial, limits):
-    """(f, g) with f*g = m, both of positive degree, or None if irreducible."""
-    unit, factors = factor_univariate(m, limits)
+def _split_minimal_poly(m: Polynomial, limits, splits=None):
+    """(f, g) with f*g = m, both of positive degree, or None if irreducible.
+
+    ``splits`` is ``factor_univariate``'s memo of modular splits.
+    """
+    unit, factors = factor_univariate(m, limits, splits)
     if len(factors) == 1 and factors[0][1] == 1:
         return None
     first, first_mult = factors[0]
@@ -281,34 +288,37 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
 
 
 def _eliminant_at(ideal: Ideal, free, point, limits):
-    """name -> the integer coefficients of chi(t, u, W) for the coordinate ``name``.
+    """(name, n, variable) -> ``_eliminant_minimal_poly`` of chi(t, u, W) for the coordinate ``name``.
 
     chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, and
-    the coefficients run W-degree ascending; the map gives None where chi
-    is.  None unless ``ideal`` is a scalar fiber at integer values t.
+    its split uses the root's memo of modular splits, which fibers at
+    congruent t share.  The map gives None where chi is.  None unless
+    ``ideal`` is a scalar fiber at integer values t.
     """
     root, values = ideal.root
     if not values or any(v.denominator != 1 for v in values.values()):
         return None
     at = [v.numerator for v in values.values()] + list(point)
 
-    def coefficients(name):
+    def minimal_poly(name, n, variable):
         rows = root.eliminant(name, free, limits)
         limits.check_deadline()
-        return None if rows is None else [horner(row, at) for row in rows]
+        if rows is None:
+            return None
+        return _eliminant_minimal_poly([horner(row, at) for row in rows], n, variable, limits,
+                                       root._splits)
 
-    return coefficients
+    return minimal_poly
 
 
-def _eliminant_minimal_poly(coefficients, n, variable,
-                            limits) -> tuple[Polynomial, tuple | None] | None:
+def _eliminant_minimal_poly(coefficients, n, variable, limits,
+                            splits) -> tuple[Polynomial, tuple | None] | None:
     """(chi(t, u, W) made monic in ``variable``, its split) when its W-degree is ``n``; else None.
 
-    The split is that of ``_split_minimal_poly``; where it is None, chi is
-    the coordinate's minimal polynomial (module docstring).
+    ``coefficients`` are chi's at (t, u), W-degree ascending.  The split
+    is that of ``_split_minimal_poly`` with the memo ``splits``; where it
+    is None, chi is the coordinate's minimal polynomial (module docstring).
     """
-    if coefficients is None:
-        return None
     while coefficients and not coefficients[-1]:
         coefficients = coefficients[:-1]
     if n < 1 or len(coefficients) != n + 1:
@@ -316,7 +326,7 @@ def _eliminant_minimal_poly(coefficients, n, variable,
     lead = coefficients[-1]
     chi = Polynomial(make_context((variable,)),
                      {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
-    return chi, _split_minimal_poly(chi, limits)
+    return chi, _split_minimal_poly(chi, limits, splits)
 
 
 def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
@@ -345,7 +355,7 @@ def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
             continue
         chi = None
         if eliminant is not None and i < len(names):
-            chi = _eliminant_minimal_poly(eliminant(names[i]), n, variable, limits)
+            chi = eliminant(names[i], n, variable)
             if chi is not None and chi[1] is None:
                 sections.append(SectionData((), (), u, chi[0], n))
                 return PrimalityVerdict(PRIME, sections=tuple(sections))

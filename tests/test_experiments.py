@@ -438,12 +438,47 @@ def test_verify_report_recomputes_the_dimension_of_good_samples(circle_path):
 
 
 def test_certificate_replay_past_its_deadline_fails(monkeypatch, parabola_path, tmp_path, capsys):
-    # Inside a replay the clock moves an hour per reading, so each replay is
-    # past its sample's deadline at its first check.
+    # Inside a certificate check the clock moves an hour per reading, so each
+    # check is past its sample's deadline at its first reading.
     report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
     first = next(s["index"] for s in report["samples"] if s["verdict"] == "not_prime")
     path = tmp_path / "report.json"
     emit_report(report, "json", path)
+    check = experiments._certificate_error
+
+    def late(*args):
+        clock = itertools.count(time.monotonic() + 3600.0, 3600.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(time, "monotonic", lambda: next(clock))
+            return check(*args)
+
+    monkeypatch.setattr(experiments, "_certificate_error", late)
+    with pytest.raises(PrimespecError, match=rf"^sample {first}: wall-clock budget exceeded$"):
+        verify_report(report)
+    assert main(["verify-report", str(path)]) == 1
+    assert f"sample {first}: wall-clock budget exceeded" in capsys.readouterr().err
+
+
+def test_verify_report_specializes_under_the_sample_budgets(monkeypatch, parabola_path):
+    report = run_experiment(scalar_config(parabola_path, n=5))
+    received = []
+    specialize = experiments.specialize_point
+
+    def recorded(*args):
+        received.append(args[-1])
+        return specialize(*args)
+
+    monkeypatch.setattr(experiments, "specialize_point", recorded)
+    verify_report(report)
+    budgets = Budgets()
+    assert len(received) == 5
+    assert all(limits.deadline is not None for limits in received)
+    assert {(limits.max_pairs, limits.max_term_count) for limits in received} == \
+        {(budgets.gb_max_pairs, budgets.gb_max_term_count)}
+
+
+def _late_replays(monkeypatch):
+    """Make the clock move an hour per reading inside every replay."""
     replay = experiments._replay
 
     def late(*args):
@@ -453,10 +488,25 @@ def test_certificate_replay_past_its_deadline_fails(monkeypatch, parabola_path, 
             return replay(*args)
 
     monkeypatch.setattr(experiments, "_replay", late)
-    with pytest.raises(PrimespecError, match=rf"^sample {first}: wall-clock budget exceeded$"):
-        verify_report(report)
-    assert main(["verify-report", str(path)]) == 1
-    assert f"sample {first}: wall-clock budget exceeded" in capsys.readouterr().err
+
+
+def test_a_specialization_past_its_deadline_passes_only_samples_out_of_time(monkeypatch,
+                                                                            parabola_path):
+    # A PolySpec point substitutes every generator under the deadline, so with
+    # the clock an hour on per reading each replay's specialization runs out.
+    config = ExperimentConfig(kind="PolySpec", ideal_path=parabola_path, box=3, samples=4,
+                              seed=1, degrees=(1,))
+    good = run_experiment(config)
+    assert good["aggregate"]["good"] == 4
+    with monkeypatch.context() as patch:
+        _samples_out_of_time(patch)
+        late = run_experiment(config)
+    assert {s["reason"] for s in late["samples"]} == {"budget: wall-clock budget exceeded"}
+    _late_replays(monkeypatch)
+    assert verify_report(late) == ["accounting confirmed for 4 samples"]
+    with pytest.raises(PrimespecError,
+                       match="^sample 0: specialization: wall-clock budget exceeded$"):
+        verify_report(good)
 
 
 def _hourly_clock(monkeypatch):

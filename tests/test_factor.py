@@ -11,9 +11,10 @@ from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError
                        factor_univariate, parse_polynomial)
 from primespec import factor
 from primespec.factor import (_choose_prime, _hensel_lift, _mod, _mod_divmod, _mod_gcd,
-                              _mod_monic, _mod_mul, _mod_pow, _modular_factors, _yun_squarefree,
-                              _zassenhaus, _zx_derivative, _zx_div_exact, _zx_gcd, _zx_mul,
-                              _zx_primitive, _zx_strip, mignotte_factor_height)
+                              _mod_monic, _mod_mul, _mod_pow, _modular_factors,
+                              _quadratic_factors, _yun_squarefree, _zassenhaus, _zx_add,
+                              _zx_derivative, _zx_div_exact, _zx_gcd, _zx_mul, _zx_primitive,
+                              _zx_strip, mignotte_factor_height)
 from primespec.groebner import DEFAULT_LIMITS
 from primespec.poly import integer_primitive
 
@@ -582,3 +583,186 @@ def test_oracle_agreement_small_family(y):
                 height = mignotte_factor_height(coeffs, degree // 2)
                 found = brute_force_factor_oracle(p, degree // 2, height)
                 assert (found is not None) == reducible, str(p)
+
+
+# -- the trace test and the memo of modular splits -----------------------------
+
+
+def _product(factors):
+    out = [1]
+    for f in factors:
+        out = _zx_mul(out, f)
+    return out
+
+
+def _eisenstein(rng, degree):
+    """(Y - q b_1) ... (Y - q b_degree) + q c for q in (2, 3, 5) and c prime to q.
+
+    Every coefficient below the lead is a multiple of q, and the constant
+    is q c mod q^2, so Eisenstein's criterion at q makes it irreducible.
+    Its coefficients are large against its roots, which brings the trace
+    test below p^l from degree 8 or so.
+    """
+    q = rng.choice((2, 3, 5))
+    f = _product([[-q * rng.randint(-4, 4), 1] for _ in range(degree)])
+    f[0] += q * rng.choice([c for c in range(-40, 41) if c % q])
+    return f
+
+
+def _trace_corpus(rng, count):
+    """Seeded (f, its irreducible factors) pairs of degree 4 to 16, a third irreducible.
+
+    The factors are distinct linears and ``_eisenstein`` polynomials, so the
+    factorization is known by construction.
+    """
+    out = []
+    while len(out) < count:
+        if len(out) % 3 == 0:
+            parts = [_eisenstein(rng, rng.randint(4, 16))]
+        else:
+            parts = []
+            while len(parts) < 2 or sum(len(f) - 1 for f in parts) < 4:
+                degree = rng.randint(1, 8)
+                parts.append([rng.randint(-30, 30), 1] if degree == 1
+                             else _eisenstein(rng, degree))
+        f = _product(parts)
+        if len(f) - 1 > 16 or len(_zx_gcd(f, _zx_derivative(f))) > 1:
+            continue
+        out.append((f, sorted(parts)))
+    return out
+
+
+def test_trace_test_agrees_with_the_full_lift_on_a_seeded_corpus(monkeypatch):
+    corpus = _trace_corpus(seeded(25), 150)
+    outcomes = []
+    trace_test = factor._trace_test
+
+    def recorded(*args):
+        outcomes.append(trace_test(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(factor, "_trace_test", recorded)
+    early = [sorted(_zassenhaus(f, DEFAULT_LIMITS)) for f, _ in corpus]
+    assert [factors for _, factors in corpus] == early
+    assert outcomes.count(False) >= 15 and outcomes.count(True) >= 15
+    monkeypatch.setattr(factor, "_trace_test", lambda *args: True)  # the full path
+    assert [sorted(_zassenhaus(f, DEFAULT_LIMITS)) for f, _ in corpus] == early
+
+
+def test_trace_test_agrees_with_the_oracle_on_small_quartics(y):
+    # Every irreducible quartic the modular path keeps whole has no quadratic
+    # or linear divisor within the Mignotte height.
+    rng = seeded(26)
+    checked = 0
+    while checked < 12:
+        coeffs = [rng.randint(-2, 2) for _ in range(4)] + [1]
+        if not coeffs[0] or len(_zx_gcd(coeffs, _zx_derivative(coeffs))) > 1:
+            continue
+        p = Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
+        found = brute_force_factor_oracle(p, 2, mignotte_factor_height(coeffs, 2))
+        assert (found is None) == (len(_zassenhaus(coeffs, DEFAULT_LIMITS)) == 1), coeffs
+        checked += 1
+
+
+@pytest.mark.parametrize("root", [7, -7])
+def test_trace_test_passes_a_true_factor_at_its_bound(root):
+    # f = (Y - root)(3Y^4 - 1000Y^3 + Y + 2) has lc 3 and splits in two mod 5.
+    # The leaf of Y - root has the trace 3 * root: at the bound 3 * 1 * B for
+    # B = 7, beyond it for B = 6.  The quartic's leaf, 3 * 1000/3, passes neither.
+    f = _zx_mul([-root, 1], [2, 1, 0, -1000, 3])
+    p = _choose_prime(f)
+    modular = sorted(_modular_factors(_mod_monic(f, p), p, DEFAULT_LIMITS))
+    assert (p, len(modular)) == (5, 2)
+    lifted = _hensel_lift(p, f, modular, 30, DEFAULT_LIMITS)
+    assert factor._trace_test(lifted, p ** 30, 3, 7, DEFAULT_LIMITS)
+    assert not factor._trace_test(lifted, p ** 30, 3, 6, DEFAULT_LIMITS)
+
+
+def _consecutive(first, last, shift):
+    """(Y - first) ... (Y - last) + shift."""
+    f = _product([[-i, 1] for i in range(first, last + 1)])
+    f[0] += shift
+    return f
+
+
+def _record_steps(monkeypatch):
+    """The moduli of every Hensel and every Bezout step taken."""
+    steps = {"hensel": [], "bezout": []}
+    for name, seen in steps.items():
+        step = getattr(factor, f"_{name}_step")
+
+        def recorded(M, *args, step=step, seen=seen):
+            seen.append(M)
+            return step(M, *args)
+
+        monkeypatch.setattr(factor, f"_{name}_step", recorded)
+    return steps
+
+
+def _lift_power(f, p):
+    """The l of the lift: the least power of p above twice lc * the Mignotte height."""
+    bound = 2 * mignotte_factor_height(f, len(f) - 2) * f[-1] + 1
+    return next(l for l in itertools.count(1) if p ** l >= bound)
+
+
+def test_irreducible_product_plus_one_stops_the_lift_early(monkeypatch):
+    # (Y - 1)...(Y - 12) + 1 splits in two sextics mod 3; the trace test at
+    # 3^16 (below p^l = 3^28) leaves no factor, so f is irreducible there,
+    # and that level's Bezout step is never taken.
+    f = _consecutive(1, 12, 1)
+    assert _choose_prime(f) == 3
+    assert len(_modular_factors(_mod_monic(f, 3), 3, DEFAULT_LIMITS)) == 2
+    steps = _record_steps(monkeypatch)
+    assert _zassenhaus(f, DEFAULT_LIMITS) == [f]
+    assert _lift_power(f, 3) == 28
+    assert steps["hensel"] == [3 ** 2, 3 ** 4, 3 ** 8, 3 ** 16]
+    assert steps["bezout"] == [3 ** 2, 3 ** 4, 3 ** 8]
+
+
+def test_product_of_two_factors_passes_the_trace_test_and_resumes(monkeypatch):
+    # (prod_{1..6} (Y - i) - 1)(prod_{7..12} (Y - i) - 1): four factors mod 5,
+    # a subset passes the trace test at 5^16, and the same lift goes on to 5^l.
+    g, h = _consecutive(1, 6, -1), _consecutive(7, 12, -1)
+    f = _zx_mul(g, h)
+    assert _choose_prime(f) == 5
+    steps = _record_steps(monkeypatch)
+    assert sorted(_zassenhaus(f, DEFAULT_LIMITS)) == sorted([g, h])
+    l = _lift_power(f, 5)
+    assert l > 16
+    assert sorted(set(steps["hensel"])) == [5 ** 2, 5 ** 4, 5 ** 8, 5 ** 16, 5 ** l]
+    assert sorted(set(steps["bezout"])) == [5 ** 2, 5 ** 4, 5 ** 8, 5 ** 16]
+
+
+def test_congruent_inputs_share_one_memo_entry(y):
+    # f and f + 3Y^5 agree mod 3, the prime both choose
+    f = _consecutive(1, 12, 1)
+    g = _zx_add(f, [0, 0, 0, 0, 0, 3])
+    assert _choose_prime(f) == _choose_prime(g) == 3
+    splits = {}
+    for h in (f, g):
+        assert _zassenhaus(h, DEFAULT_LIMITS, splits) == _zassenhaus(h, DEFAULT_LIMITS)
+    assert list(splits) == [(3, tuple(_mod_monic(f, 3)))]
+    assert splits[3, tuple(_mod_monic(f, 3))] == sorted(
+        _modular_factors(_mod_monic(f, 3), 3, DEFAULT_LIMITS))
+    polys = [Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(h) if c}) for h in (f, g)]
+    assert [factor_univariate(p, DEFAULT_LIMITS, splits) for p in polys] == \
+        [factor_univariate(p) for p in polys]
+    assert len(splits) == 1
+
+
+def test_memo_hit_checks_the_deadline(y, monkeypatch):
+    f = _consecutive(1, 12, 1)
+    splits = {}
+    _zassenhaus(f, DEFAULT_LIMITS, splits)
+
+    def refuse(*args):
+        raise AssertionError("a memo hit runs no modular split")
+
+    monkeypatch.setattr(factor, "_modular_factors", refuse)
+    assert _zassenhaus(f, DEFAULT_LIMITS, splits) == [f]
+    expired = GBLimits(deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceededError):
+        _zassenhaus(f, expired, splits)
+    p = Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(f) if c})
+    with pytest.raises(BudgetExceededError):
+        factor_univariate(p, expired, splits)

@@ -10,7 +10,8 @@ import pytest
 from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchberger, context,
                        factor_univariate, grevlex, is_prime, minimal_polynomial, parse_polynomial,
                        target_first)
-from primespec import BudgetExceededError, GBLimits, groebner, primality, specialize_scalar
+from primespec import (BudgetExceededError, GBLimits, factor, groebner, primality,
+                       specialize_scalar)
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
@@ -596,6 +597,28 @@ def test_eliminant_gives_the_krylov_minimal_polynomial_on_points(monkeypatch):
     assert list(family._chi) == [("Y3", ())]
 
 
+def test_points_fibers_fill_the_roots_memo_of_modular_splits(monkeypatch):
+    # chi(t, W) mod p depends on t mod p only, so the fiber at
+    # t = 2 + 3*5*7*11*13*17 chooses the prime of the fiber at 2 and reuses its split
+    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
+    assert is_prime(specialize_scalar(family, [2])).status == PRIME
+    [(p, residues)] = family._splits
+    assert p == 3 and len(residues) == 13
+    split = factor._modular_factors
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    calls = []
+    monkeypatch.setattr(factor, "_modular_factors", counted)
+    verdict = is_prime(specialize_scalar(family, [2 + 255255]))
+    assert verdict.status == PRIME and len(verdict.sections) == 1
+    assert calls == [] and list(family._splits) == [(p, residues)]
+    assert is_prime(specialize_scalar(family, [3])).status == PRIME
+    assert len(calls) == 1 and len(family._splits) == 2
+
+
 def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fiber_family,
                                                                        monkeypatch):
     # U = Y3 and chi = T*Y3^2 - W^3 for Y2: irreducible wherever t*u^2 is no cube
@@ -668,9 +691,9 @@ def test_krylov_reuses_the_split_of_the_eliminant(monkeypatch):
     factored = []
     factor = primality.factor_univariate
 
-    def counted(p, limits):
+    def counted(p, *args):
         factored.append(str(p))
-        return factor(p, limits)
+        return factor(p, *args)
 
     monkeypatch.setattr(primality, "factor_univariate", counted)
     verdict, reached = _assert_same_as_krylov(fiber, 0, forms)

@@ -104,7 +104,9 @@ class ExperimentConfig:
             raise ConfigError("GenericIntersect needs a degrees list")
 
 
-_INT_FIELDS = {"H": "box", "n": "samples", "seed": "seed", "trials": "trials", "workers": "workers"}
+# config key -> field of the integers a report echoes, in the echo's order
+_ECHOED_FIELDS = {"H": "box", "n": "samples", "seed": "seed", "trials": "trials"}
+_INT_FIELDS = {**_ECHOED_FIELDS, "workers": "workers"}
 _CONFIG_KEYS = {"kind", "ideal", "degrees", *_INT_FIELDS, *_BUDGET_FIELDS}
 
 
@@ -360,10 +362,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "vars": list(ctx.var_names),
             "gens": [str(g) for g in ideal.generators],
         },
-        "H": config.box,
-        "n": config.samples,
-        "seed": config.seed,
-        "trials": config.trials,
+        **{key: getattr(config, name) for key, name in _ECHOED_FIELDS.items()},
         "degrees": list(config.degrees),
         "rho": _rho(config.kind, config.degrees),
         "budgets": asdict(config.budgets),
@@ -512,9 +511,9 @@ def verify_report(report: dict) -> list[str]:
         # a crafted timeout must not stall verification
         budgets = replace(budgets, sample_timeout_ms=min(budgets.sample_timeout_ms,
                                                          Budgets.sample_timeout_ms))
-        config = ExperimentConfig(kind=echo["kind"], ideal_path=echo["ideal"], box=echo["H"],
-                                  samples=echo["n"], seed=echo["seed"], trials=echo["trials"],
-                                  degrees=tuple(echo["degrees"]), budgets=budgets)
+        config = ExperimentConfig(kind=echo["kind"], ideal_path=echo["ideal"],
+                                  degrees=tuple(echo["degrees"]), budgets=budgets,
+                                  **{name: echo[key] for key, name in _ECHOED_FIELDS.items()})
         stated, stated_rho = echo["expected_dimension"], echo["rho"]
         rho = _rho(config.kind, config.degrees)
     except (KeyError, TypeError, ConfigError) as exc:

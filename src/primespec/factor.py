@@ -376,17 +376,6 @@ def _lift_levels(p, f, modular_factors, pl, limits):
             node[1], node[2] = _hensel_step(m, value(node[0]), *node[1:])
 
 
-def _hensel_lift(p, f, modular_factors, l, limits):
-    """Lift monic mod-p factors of f/lc(f) to monic factors mod p^l.
-
-    The returned factors have residues in [0, p^l), and their product
-    times lc(f) is congruent to f mod p^l.
-    """
-    for _, lifted in _lift_levels(p, f, modular_factors, p ** l, limits):
-        pass
-    return lifted
-
-
 # -- Zassenhaus ---------------------------------------------------------------
 
 

@@ -20,10 +20,11 @@ I in Q[T, Y] under an order comparing the Y-part first, and t a point at
 which no element's leading coefficient in Q[T] vanishes.  Then G at
 T = t is a Groebner basis of I at T = t, and interreduction makes it the
 reduced one (``specialize_basis``, which sees a vanished coefficient in
-the image itself and returns None).  The ideal at T = t records I as its
-root, and I caches G; where a leading coefficient vanishes (a
-hypersurface of parameter values; finitely many t for one parameter),
-Buchberger runs on the specialized generators instead.  The leads on a
+the image itself and returns None).  The ideal at an integer point
+T = t records I as its root, and I caches G; where a leading coefficient
+vanishes (a hypersurface of parameter values; finitely many t for one
+parameter), and at any t that is not integral, Buchberger runs on the
+specialized generators instead.  The leads on a
 part of the variables, under (part | rest), are read from the root's
 basis the same way; ``Ideal.lifted`` alone decides when.
 
@@ -32,7 +33,7 @@ the quotient is the largest subset of variables meeting no leading-term
 support, searched exhaustively (inputs here stay below ~8 variables).
 The first largest subset in ``itertools.combinations`` order is the set
 of independent variables that positive-dimensional primality
-specializes; ``Ideal.independent_set`` caches it.  A fiber reads it from
+specializes; the basis it is read from caches it.  A fiber reads it from
 the leads of its root's basis under (Y | T), which project onto its own
 leads where no leading coefficient vanishes, so it builds no basis for
 it; ``fiber_dimension`` of the root over T is the same set, cached once.
@@ -180,7 +181,7 @@ class GroebnerBasis:
     polynomials over Q, are built from them on first use.
     """
 
-    __slots__ = ("context", "order", "_reducers", "_polys", "_staircases")
+    __slots__ = ("context", "order", "_reducers", "_polys", "_staircases", "_independent")
 
     def __init__(self, context, order, reducers):
         self.context = context
@@ -188,6 +189,7 @@ class GroebnerBasis:
         self._reducers = tuple(reducers)
         self._polys = None
         self._staircases = {}
+        self._independent = {}
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -206,10 +208,6 @@ class GroebnerBasis:
                 and self.order == other.order
                 and self._reducers == other._reducers)
 
-    @property
-    def is_unit(self) -> bool:
-        return len(self._reducers) == 1 and not any(self._reducers[0][0])
-
     def leading_exponents(self) -> list[Exponent]:
         return [lead for lead, _, _ in self._reducers]
 
@@ -224,6 +222,14 @@ class GroebnerBasis:
             leads = map(_projection(self.context, part), self.leading_exponents())
             self._staircases[part] = _staircase(list(leads), len(part))
         return self._staircases[part]
+
+    def independent_set(self, part: VariableContext,
+                        limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:
+        """``_max_independent_set`` of the leads projected onto ``part``; cached per part."""
+        if part not in self._independent:
+            leads = map(_projection(self.context, part), self.leading_exponents())
+            self._independent[part] = _max_independent_set(list(leads), len(part), limits)
+        return self._independent[part]
 
     def pseudo_normal_form(self, terms, limits=DEFAULT_LIMITS):
         """(remainder, scale) of an integer term map; remainder == scale * NF."""
@@ -399,9 +405,8 @@ def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
     (``target_first``): an element's leading coefficient is then the
     polynomial in the other variables in front of the ``part`` of its lead.
     ``values`` binds the variables of ``basis.context`` outside ``target``
-    to ints or ``Fraction``s; each result is a term map over ``target``
-    whose ``part`` exponents are 0, empty where the coefficient vanishes at
-    ``values``.
+    to ints; each result is a term map over ``target`` whose ``part``
+    exponents are 0, empty where the coefficient vanishes at ``values``.
     """
     ctx = basis.context
     if part == ctx:
@@ -409,9 +414,7 @@ def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
     positions = ctx.indices_of(part.names)
     project = _projection(ctx, part)
     keep = [None if i in positions else i for i in ctx.indices_of(target.names)]
-    # integer values stay ints, so the usual case runs in integer arithmetic
-    bound = [(ctx.index[name], value.numerator if value.denominator == 1 else value)
-             for name, value in values.items()]
+    bound = [(ctx.index[name], value) for name, value in values.items()]
     coefficients = []
     for lead, lc, terms in basis._reducers:
         lead_part = project(lead)
@@ -431,31 +434,24 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
                      order: MonomialOrder, limits=DEFAULT_LIMITS) -> GroebnerBasis | None:
     """Reduced basis of the ideal at ``values`` from a basis of the ideal; None if a lead vanishes.
 
-    ``values`` binds every variable of ``basis.context`` outside ``target``,
-    and ``basis.order`` is ``target_first(order, target, basis.context)``.
-    When no leading coefficient vanishes at ``values``, the images form a
-    Groebner basis of the specialized ideal (Kalkbrener); interreduction
-    makes it the reduced basis, which is unique, so it equals the one
-    ``buchberger`` returns.  An element's leading coefficient is the sum of
-    its terms over the ``target`` part of its lead, so its image's
-    coefficient at that part is the coefficient at ``values`` times a power
-    of the denominators, and vanishes exactly when the coefficient does.
+    ``values`` binds every variable of ``basis.context`` outside ``target``
+    to an int, and ``basis.order`` is ``target_first(order, target,
+    basis.context)``.  When no leading coefficient vanishes at ``values``,
+    the images form a Groebner basis of the specialized ideal (Kalkbrener);
+    interreduction makes it the reduced basis, which is unique, so it
+    equals the one ``buchberger`` returns.  An image's coefficient at the
+    ``target`` part of its lead is the leading coefficient at ``values``.
     """
     ctx = basis.context
     project = _projection(ctx, target)
-    bound = [(ctx.index[name], Fraction(value)) for name, value in values.items()]
+    bound = [(ctx.index[name], value) for name, value in values.items()]
     reducers = []
     for lead, _, terms in basis._reducers:
         limits.check_deadline()
-        # value = p/q: scaling the element by q^d, d its degree in the
-        # variable, keeps every image an integer
-        scales = [(i, value.numerator, value.denominator,
-                   max(e[i] for e in terms) if value.denominator != 1 else 0)
-                  for i, value in bound]
         image = {}
         for e, c in terms.items():
-            for i, p, q, d in scales:
-                c *= p ** e[i] if q == 1 else p ** e[i] * q ** (d - e[i])
+            for i, v in bound:
+                c *= v ** e[i]
             projected = project(e)
             image[projected] = image.get(projected, 0) + c
         image = {e: c for e, c in image.items() if c}
@@ -471,7 +467,7 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
 
 
 class Ideal:
-    """Generator list plus cached Groebner bases and independent sets.
+    """Generator list plus cached Groebner bases.
 
     Zero generators are dropped when the generators are first read: at
     construction, or, when they are given as a function returning them, at
@@ -479,16 +475,16 @@ class Ideal:
     monomial order to its reduced basis; it travels with the ideal when
     the ideal is pickled, so pool workers start from the parent's bases.
 
-    ``origin`` = (base ideal, {parameter: value}) marks an ideal built by
-    scalar specialization; the base is its root, and every other ideal is
-    its own root (``root``).  Its bases are specialized from the root's
-    basis under ``target_first`` (cached on the root); Buchberger runs on
-    the generators only where a leading coefficient vanishes, a choice
-    ``lifted`` makes for the leads on a part of the variables.  An ideal in
-    the variables Y alone caches, per degree, the root whose scalar fibers
-    are its cuts by one form of that degree (``cutting_root``).  A root
-    also holds the memo of the modular splits of its fibers' eliminants,
-    which ``primality`` passes to ``factor_univariate``.
+    ``origin`` = (base ideal, {parameter: int}) marks an ideal built by
+    scalar specialization at integers; the base is its root, and every
+    other ideal is its own root (``root``).  Its bases are specialized from
+    the root's basis under ``target_first`` (cached on the root); Buchberger
+    runs on the generators only where a leading coefficient vanishes, a
+    choice ``lifted`` makes for the leads on a part of the variables.  An
+    ideal in the variables Y alone caches, per degree, the root whose scalar
+    fibers are its cuts by one form of that degree (``cutting_root``).  A
+    root also holds the memo of the modular splits of its fibers'
+    eliminants, which ``primality`` passes to ``factor_univariate``.
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
@@ -496,8 +492,6 @@ class Ideal:
         # a tuple, or the function that returns them on first read (``generators``)
         self._generators = generators if callable(generators) else self._accept(generators)
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
-        # part -> independent set of the (part | rest) leads projected onto it
-        self._free: dict[VariableContext, tuple[int, ...] | None] = {}
         # part -> ``lifted(part)``
         self._lifted: dict[VariableContext, tuple] = {}
         # (order, part) -> target_first(order, part, context)
@@ -588,21 +582,14 @@ class Ideal:
         ``part`` defaults to all variables, whose leads are the grevlex
         ones; otherwise they are the leads under (part | rest) projected
         onto ``part``, those of the ideal over the rational functions in the
-        rest.  Indices are into ``part``.  Read from ``lifted``'s basis:
-        where that is the root's, the set is cached on the root and shared
-        by every fiber, and no basis of this ideal is built.
+        rest.  Indices are into ``part``.  Read from ``lifted``'s basis,
+        which caches it: where that is the root's, every fiber shares one
+        search, and no basis of this ideal is built.
         """
         if part is None:
             part = self.context
-        if part not in self._free:
-            basis, values, _ = self.lifted(part, limits)
-            owner = self.root[0] if values else self
-            if part not in owner._free:
-                project = _projection(basis.context, part)
-                leads = [project(lead) for lead in basis.leading_exponents()]
-                owner._free[part] = _max_independent_set(leads, len(part), limits)
-            self._free[part] = owner._free[part]
-        return self._free[part]
+        basis, _, _ = self.lifted(part, limits)
+        return basis.independent_set(part, limits)
 
     def dimension(self, limits=DEFAULT_LIMITS) -> int:
         return ideal_dimension(self, limits)

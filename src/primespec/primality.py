@@ -31,15 +31,15 @@ staircase, and builds the basis at u, and the quotient, only when a
 Krylov run needs them.
 
 G, and the V-leading coefficients that make h, come from
-``Ideal.lifted(V)``.  A scalar fiber I_t of a base P is certified from
-P's basis under (V | T, U), cached on P: where no V-leading coefficient
-vanishes identically at T = t, that basis at T = t is a Groebner basis
-of I_t Q(U)[V] inside I_t, h is the product of those coefficients at t,
-and the basis at u is P's basis evaluated at (t, u) in one step.  The
-fiber builds a basis of its own only for a Krylov run on a
-zero-dimensional quotient, for the membership tests of a saturation
+``Ideal.lifted(V)``.  A scalar fiber I_t of a base P at integers t is
+certified from P's basis under (V | T, U), cached on P: where no
+V-leading coefficient vanishes identically at T = t, that basis at T = t
+is a Groebner basis of I_t Q(U)[V] inside I_t, h is the product of those
+coefficients at t, and the basis at u is P's basis evaluated at (t, u)
+in one step.  The fiber builds a basis of its own only for a Krylov run
+on a zero-dimensional quotient, for the membership tests of a saturation
 certificate, or where such a coefficient vanishes at t; an ideal that is
-not a fiber is its own root.  A generic intersection with one cut is
+not such a fiber is its own root.  A generic intersection with one cut is
 such a fiber: its root is the base cut by the generic form whose
 coefficients are parameters (``Ideal.cutting_root``), and t is the
 sampled coefficient block.
@@ -57,10 +57,10 @@ integers, one Horner pass per W-degree.  Its factorization passes the
 root's memo of modular splits to ``factor_univariate``: chi(t, u, W) mod p
 depends on (t, u) mod p only, so fibers at congruent points split it mod
 p once.  The root owns the memo, as it owns chi; the Krylov path factors
-without it.  Everything else (a lower
-degree, a split, a random form, an ideal that is no scalar fiber at
-integers, such as a PolySpec sample or a cut by two or more forms, no
-principal generator, chi over budget) takes the Krylov path.  Where chi
+without it.  Everything else (a lower degree, a split, a random form, an
+ideal that is no scalar fiber, such as a PolySpec sample, a cut by two or
+more forms or a fiber at a t that is not integral, no principal
+generator, chi over budget) takes the Krylov path.  Where chi
 of full degree splits, the Krylov run's m is chi made monic whenever
 their degrees agree, and chi's split is reused instead of factoring m.
 
@@ -288,45 +288,37 @@ def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
 
 
 def _eliminant_at(ideal: Ideal, free, point, limits):
-    """(name, n, variable) -> ``_eliminant_minimal_poly`` of chi(t, u, W) for the coordinate ``name``.
+    """The map (name, n, variable) -> (chi, split) of the coordinate ``name``, or None.
 
-    chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, and
-    its split uses the root's memo of modular splits, which fibers at
-    congruent t share.  The map gives None where chi is.  None unless
-    ``ideal`` is a scalar fiber at integer values t.
+    chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, at
+    (t, u), made monic in ``variable``; the map gives None unless chi is
+    there and has W-degree ``n``.  The split is that of
+    ``_split_minimal_poly`` with the root's memo of modular splits, which
+    fibers at congruent t share; where it is None, chi is the coordinate's
+    minimal polynomial (module docstring).  None unless ``ideal`` is a
+    scalar fiber.
     """
     root, values = ideal.root
-    if not values or any(v.denominator != 1 for v in values.values()):
+    if not values:
         return None
-    at = [v.numerator for v in values.values()] + list(point)
+    at = [*values.values(), *point]
 
     def minimal_poly(name, n, variable):
         rows = root.eliminant(name, free, limits)
         limits.check_deadline()
         if rows is None:
             return None
-        return _eliminant_minimal_poly([horner(row, at) for row in rows], n, variable, limits,
-                                       root._splits)
+        coefficients = [horner(row, at) for row in rows]
+        while coefficients and not coefficients[-1]:
+            coefficients.pop()
+        if n < 1 or len(coefficients) != n + 1:
+            return None
+        lead = coefficients[-1]
+        chi = Polynomial(make_context((variable,)),
+                         {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
+        return chi, _split_minimal_poly(chi, limits, root._splits)
 
     return minimal_poly
-
-
-def _eliminant_minimal_poly(coefficients, n, variable, limits,
-                            splits) -> tuple[Polynomial, tuple | None] | None:
-    """(chi(t, u, W) made monic in ``variable``, its split) when its W-degree is ``n``; else None.
-
-    ``coefficients`` are chi's at (t, u), W-degree ascending.  The split
-    is that of ``_split_minimal_poly`` with the memo ``splits``; where it
-    is None, chi is the coordinate's minimal polynomial (module docstring).
-    """
-    while coefficients and not coefficients[-1]:
-        coefficients = coefficients[:-1]
-    if n < 1 or len(coefficients) != n + 1:
-        return None
-    lead = coefficients[-1]
-    chi = Polynomial(make_context((variable,)),
-                     {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
-    return chi, _split_minimal_poly(chi, limits, splits)
 
 
 def _field_test(ctx, staircase, basis, rng, trials, limits, variable,

@@ -47,10 +47,11 @@ def _images(ideal: Ideal, bindings, target, limits):
 def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     """Substitute the parameters by rational values; zero generators drop.
 
-    The result remembers ``ideal`` and the values, so its Groebner bases
-    are specialized from ``ideal``'s instead of recomputed.  Its generators
-    are substituted when first read, under ``limits``: a fiber certified
-    from its root's bases never reads them.
+    At integer values the result remembers ``ideal`` and the values, as
+    ints, so its Groebner bases are specialized from ``ideal``'s instead of
+    recomputed; at any other values it is its own root.  Its generators are
+    substituted when first read, under ``limits``: a fiber certified from
+    its root's bases never reads them.
     """
     params = ideal.context.param_names
     values = tuple(Fraction(v) for v in values)
@@ -58,8 +59,10 @@ def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
         raise ValueError(f"expected {len(params)} values, got {len(values)}")
     target = _target_without_params(ideal)
     bindings = dict(zip(params, values))
+    integral = all(v.denominator == 1 for v in values)
+    origin = (ideal, {name: v.numerator for name, v in bindings.items()}) if integral else None
     return Ideal(target, functools.partial(_images, ideal, bindings, target, limits),
-                 origin=(ideal, bindings))
+                 origin=origin)
 
 
 def specialize_polynomial(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:

@@ -10,7 +10,7 @@ import pytest
 from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError, context,
                        factor_univariate, parse_polynomial)
 from primespec import factor
-from primespec.factor import (_choose_prime, _hensel_lift, _mod, _mod_divmod, _mod_gcd,
+from primespec.factor import (_choose_prime, _lift_levels, _mod, _mod_divmod, _mod_gcd,
                               _mod_monic, _mod_mul, _mod_pow, _modular_factors,
                               _quadratic_factors, _yun_squarefree, _zassenhaus, _zx_add,
                               _zx_derivative, _zx_div_exact, _zx_gcd, _zx_mul, _zx_primitive,
@@ -508,6 +508,12 @@ def test_modular_powers_take_reduced_residues(monkeypatch):
     assert len(calls) > 1000
 
 
+def _lift_to(p, f, modular, l):
+    """The last level of ``_lift_levels``: the monic factors mod p^l."""
+    *_, (_, lifted) = _lift_levels(p, f, modular, p ** l, DEFAULT_LIMITS)
+    return lifted
+
+
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 13, 54])
 def test_hensel_lift_stops_at_the_requested_power(l):
     rng = seeded(63)
@@ -522,7 +528,7 @@ def test_hensel_lift_stops_at_the_requested_power(l):
         p = _choose_prime(f)
         modular = _modular_factors(_mod_monic(_mod(f, p), p), p, DEFAULT_LIMITS)
         pl = p ** l
-        lifted = _hensel_lift(p, f, modular, l, DEFAULT_LIMITS)
+        lifted = _lift_to(p, f, modular, l)
         assert len(lifted) == len(modular)
         for g, fac in zip(lifted, modular):
             assert g[-1] % pl == 1 and len(g) == len(fac)
@@ -540,7 +546,7 @@ def test_hensel_lift_rejects_non_coprime_factors():
     # (Y + 1)^2 modulo 5 with the repeated factor passed twice: a check
     # that must hold under python -O too.
     with pytest.raises(PrimespecError, match="not coprime"):
-        _hensel_lift(5, [1, 2, 1], [[1, 1], [1, 1]], 3, DEFAULT_LIMITS)
+        next(_lift_levels(5, [1, 2, 1], [[1, 1], [1, 1]], 5 ** 3, DEFAULT_LIMITS))
 
 
 def test_expired_deadline_stops_factorization(y):
@@ -673,7 +679,7 @@ def test_trace_test_passes_a_true_factor_at_its_bound(root):
     p = _choose_prime(f)
     modular = sorted(_modular_factors(_mod_monic(f, p), p, DEFAULT_LIMITS))
     assert (p, len(modular)) == (5, 2)
-    lifted = _hensel_lift(p, f, modular, 30, DEFAULT_LIMITS)
+    lifted = _lift_to(p, f, modular, 30)
     assert factor._trace_test(lifted, p ** 30, 3, 7, DEFAULT_LIMITS)
     assert not factor._trace_test(lifted, p ** 30, 3, 6, DEFAULT_LIMITS)
 

@@ -182,7 +182,7 @@ SPLIT_AT_EVERY_POINT = {
 @pytest.mark.parametrize("case", sorted(SPLIT_AT_EVERY_POINT))
 def test_split_at_every_point_is_inconclusive_with_reason(case):
     # Not prime, but every fiber splits and no certificate descends from a
-    # split yet (ROADMAP item 4): never prime, always a reason.
+    # split yet (ROADMAP item 5): never prime, always a reason.
     variables, gens = SPLIT_AT_EVERY_POINT[case]
     for seed in range(5):
         verdict = is_prime(make_ideal(variables, gens), seed=seed)
@@ -351,7 +351,7 @@ def test_block_basis_falls_back_where_lc_v_vanishes():
 
 
 def test_fiber_builds_no_basis_of_its_own(cubic_fiber_family):
-    for t in (-7, 3, Fraction(5, 2)):
+    for t in (-7, 3):
         fiber = specialize_scalar(cubic_fiber_family, [t])
         assert fiber.dimension() == 1
         assert is_prime(fiber).status == PRIME
@@ -361,6 +361,24 @@ def test_fiber_builds_no_basis_of_its_own(cubic_fiber_family):
     fiber = specialize_scalar(cubic_fiber_family, [0])
     assert (fiber.dimension(), is_prime(fiber).status) == (1, PRIME)
     assert list(fiber._cache) == [grevlex]
+
+
+def test_fiber_at_a_rational_point_is_its_own_root(parabola_family, cubic_fiber_family):
+    # Only integer values make a fiber of the root: at t = p/q with q > 1 the
+    # ideal substitutes its generators, runs Buchberger on them and decides
+    # as the same ideal built without an origin does.
+    cases = [(parabola_family, Fraction(9, 4), NOT_PRIME), (parabola_family, Fraction(1, 2), PRIME),
+             (cubic_fiber_family, Fraction(5, 2), PRIME),
+             (cubic_fiber_family, Fraction(-1, 3), PRIME)]
+    for k, (family, t, status) in enumerate(cases):
+        fiber = specialize_scalar(family, [t])
+        assert fiber.root == (fiber, {}), t
+        target = fiber.context
+        orders = [grevlex, target_first(grevlex, target.keep(target.var_names[:1]), target)]
+        for order in orders:
+            expected = GroebnerBasis(target, order, buchberger(fiber.generators, order))
+            assert fiber.groebner(order) == expected, (t, order)
+        assert _assert_root_and_own_verdicts_agree(fiber, seed=k).status == status, t
 
 
 def test_field_certificate_implies_integrality(two_points):

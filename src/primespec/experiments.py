@@ -35,8 +35,8 @@ from random import Random
 from . import __version__
 from .context import context as make_context
 from .errors import BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError
-from .groebner import DEFAULT_LIMITS, GBLimits, Ideal, eliminate, fiber_dimension
-from .orders import grevlex
+from .groebner import (DEFAULT_LIMITS, GBLimits, Ideal, eliminate, fiber_dimension,
+                       specialize_basis)
 from .parse import parse_ideal_source, parse_polynomial
 from .poly import Polynomial, monomials_upto
 from .primality import (DEFAULT_TRIALS, INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL,
@@ -214,12 +214,16 @@ def specialize_point(ideal: Ideal, kind: str, degrees, values,
 
 
 def _consistent(specialized: Ideal, limits: GBLimits) -> bool:
-    """A scalar fiber equals the specialization of its root at the constant polynomials."""
+    """A scalar fiber's specialized basis equals Buchberger's basis of its constant twin.
+
+    The fiber's basis is ``specialize_basis`` of its ``lifted`` block; the
+    twin specializes the root at the constant polynomials.
+    """
     ideal, values = specialized.root
-    twin = specialize_polynomial(
-        ideal, [Polynomial.constant(specialized.context, v) for v in values.values()])
-    return (specialized.groebner(grevlex, limits).polys
-            == twin.groebner(grevlex, limits).polys)
+    ctx = specialized.context
+    twin = specialize_polynomial(ideal, [Polynomial.constant(ctx, v) for v in values.values()])
+    block, at, _ = specialized.lifted(ctx, limits)
+    return specialize_basis(block, at, ctx, limits) == twin.groebner(limits=limits)
 
 
 def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int) -> dict:
@@ -433,13 +437,14 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     dimension ``expected``, the point its seed draws, the degeneracy flag
     exactly where that point is degenerate, a certificate only if not_prime
     and a reason only if inconclusive.  Then a good sample recomputes its
-    dimension, a not_prime sample replays its certificate and recomputes its
-    dimension, and every other sample is re-run and must give the same
-    verdict, reason and dimension; all of it, the specialization included,
-    runs under the sample's budgets.  An inconclusive sample that ran out
-    of time is not re-run, and passes if its deadline passes while it is
-    specialized; any other sample then fails.  Returns the check made for a
-    sample that is not good, or None.
+    dimension, a not_prime sample replays its certificate against
+    Buchberger's basis of its own generators and recomputes its dimension,
+    and every other sample is re-run and must give the same verdict, reason
+    and dimension; all of it, the specialization included, runs under the
+    sample's budgets.  An inconclusive sample that ran out of time is not
+    re-run, and passes if its deadline passes while it is specialized; any
+    other sample then fails.  Returns the check made for a sample that is
+    not good, or None.
     """
     verdict = sample["verdict"]
     if sample["index"] != index:
@@ -476,7 +481,7 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
         if not good:
             f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
                     for key in ("f", "g"))
-            error = _certificate_error(specialized.groebner(grevlex, limits), f, g, limits)
+            error = _certificate_error(specialized.groebner(limits=limits), f, g, limits)
             if error is not None:
                 raise PrimespecError(f"certificate invalid: {error}")
         dim = specialized.dimension(limits)

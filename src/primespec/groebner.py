@@ -14,19 +14,19 @@ budgets is the one division over Q would take.  A basis is held as its
 primitive integer reducers; ``Fraction``s appear only in returned
 polynomials: the monic ``polys`` and ``normal_form``.
 
-Bases of a scalar specialization are specialized, not recomputed
-(Kalkbrener, J. Symbolic Comput. 24, 1997): let G be a Groebner basis of
-I in Q[T, Y] under an order comparing the Y-part first, and t a point at
-which no element's leading coefficient in Q[T] vanishes.  Then G at
-T = t is a Groebner basis of I at T = t, and interreduction makes it the
-reduced one (``specialize_basis``, which sees a vanished coefficient in
-the image itself and returns None).  The ideal at an integer point
-T = t records I as its root, and I caches G; where a leading coefficient
-vanishes (a hypersurface of parameter values; finitely many t for one
-parameter), and at any t that is not integral, Buchberger runs on the
-specialized generators instead.  The leads on a
-part of the variables, under (part | rest), are read from the root's
-basis the same way; ``Ideal.lifted`` alone decides when.
+Bases of a scalar specialization are read from its root's basis, not
+recomputed (Kalkbrener, J. Symbolic Comput. 24, 1997): let G be a
+Groebner basis of I in Q[T, Y] under an order comparing the Y-part
+first, and t a point at which no element's leading coefficient in Q[T]
+vanishes.  Then G at T = t is a Groebner basis of I at T = t, and
+interreduction makes it the reduced one (``specialize_basis``).  The
+ideal at an integer point T = t records I as its root, and I caches G.
+The leads on a part of the variables, under (part | rest), are read the
+same way.  ``Ideal.lifted`` alone applies this rule: it returns the
+root's basis and t where no leading coefficient vanishes at t (a
+hypersurface of parameter values; finitely many t for one parameter),
+and the ideal's own basis otherwise.  ``Ideal.groebner`` always runs
+Buchberger on the ideal's own generators.
 
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
@@ -431,11 +431,11 @@ def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
 
 
 def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
-                     order: MonomialOrder, limits=DEFAULT_LIMITS) -> GroebnerBasis | None:
-    """Reduced basis of the ideal at ``values`` from a basis of the ideal; None if a lead vanishes.
+                     limits=DEFAULT_LIMITS) -> GroebnerBasis | None:
+    """Reduced grevlex basis of the ideal at ``values`` from its basis; None if a lead vanishes.
 
     ``values`` binds every variable of ``basis.context`` outside ``target``
-    to an int, and ``basis.order`` is ``target_first(order, target,
+    to an int, and ``basis.order`` is ``target_first(grevlex, target,
     basis.context)``.  When no leading coefficient vanishes at ``values``,
     the images form a Groebner basis of the specialized ideal (Kalkbrener);
     interreduction makes it the reduced basis, which is unique, so it
@@ -459,8 +459,8 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
             return None
         if len(image) > limits.max_term_count:
             raise BudgetExceededError("specialized polynomial exceeds term budget")
-        reducers.append(_primitive(image, order))
-    return GroebnerBasis(target, order, _interreduce(reducers, order, limits))
+        reducers.append(_primitive(image, grevlex))
+    return GroebnerBasis(target, grevlex, _interreduce(reducers, grevlex, limits))
 
 
 # -- ideals -------------------------------------------------------------------
@@ -477,14 +477,12 @@ class Ideal:
 
     ``origin`` = (base ideal, {parameter: int}) marks an ideal built by
     scalar specialization at integers; the base is its root, and every
-    other ideal is its own root (``root``).  Its bases are specialized from
-    the root's basis under ``target_first`` (cached on the root); Buchberger
-    runs on the generators only where a leading coefficient vanishes, a
-    choice ``lifted`` makes for the leads on a part of the variables.  An
-    ideal in the variables Y alone caches, per degree, the root whose scalar
-    fibers are its cuts by one form of that degree (``cutting_root``).  A
-    root also holds the memo of the modular splits of its fibers'
-    eliminants, which ``primality`` passes to ``factor_univariate``.
+    other ideal is its own root (``root``).  ``lifted`` reads the root's
+    bases by the rule of the module docstring.  An ideal in the variables
+    Y alone caches, per degree, the root whose scalar fibers are its cuts
+    by one form of that degree (``cutting_root``).  A root also holds the
+    memo of the modular splits of its fibers' eliminants, which
+    ``primality`` passes to ``factor_univariate``.
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
@@ -494,8 +492,8 @@ class Ideal:
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         # part -> ``lifted(part)``
         self._lifted: dict[VariableContext, tuple] = {}
-        # (order, part) -> target_first(order, part, context)
-        self._orders: dict[tuple[MonomialOrder, VariableContext], MonomialOrder] = {}
+        # part -> target_first(grevlex, part, context)
+        self._orders: dict[VariableContext, MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
         # (p, residues) -> the modular split of a fiber's chi (``factor_univariate``)
@@ -532,45 +530,39 @@ class Ideal:
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal<{gens}>"
 
-    def block_order(self, order: MonomialOrder, part: VariableContext) -> MonomialOrder:
-        """``target_first(order, part, self.context)``, built once per ideal."""
-        key = (order, part)
-        block = self._orders.get(key)
+    def block_order(self, part: VariableContext) -> MonomialOrder:
+        """``target_first(grevlex, part, self.context)``, built once per ideal."""
+        block = self._orders.get(part)
         if block is None:
-            block = self._orders[key] = target_first(order, part, self.context)
+            block = self._orders[part] = target_first(grevlex, part, self.context)
         return block
 
     def groebner(self, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:
+        """Buchberger's reduced basis of the generators under ``order``, cached per order."""
         basis = self._cache.get(order)
         if basis is None:
-            if self._origin is not None:
-                base, values = self._origin
-                above = base.groebner(base.block_order(order, self.context), limits)
-                basis = specialize_basis(above, values, self.context, order, limits)
-            if basis is None:
-                reducers = buchberger(self.generators, order, limits)
-                basis = GroebnerBasis(self.context, order, reducers)
-            self._cache[order] = basis
+            reducers = buchberger(self.generators, order, limits)
+            basis = self._cache[order] = GroebnerBasis(self.context, order, reducers)
         return basis
 
     def lifted(self, part: VariableContext, limits=DEFAULT_LIMITS):
         """(basis, values, leading) to read this ideal's leads on ``part`` from.
 
         The root's basis under (part | rest) and the root values when no
-        element's ``part``-leading coefficient vanishes at them: at
-        ``values`` it is then a Groebner basis of this ideal over the
-        rational functions in the rest (Kalkbrener).  Otherwise this
-        ideal's own basis under (part | rest) and no values.  ``leading``
-        holds those coefficients at ``values`` (``leading_coefficients``).
-        Cached per part.
+        element's ``part``-leading coefficient vanishes at them; otherwise
+        this ideal's own basis under (part | rest) and no values (the rule
+        of the module docstring).  ``leading`` holds those coefficients at
+        ``values`` (``leading_coefficients``).  At ``values`` and at values
+        of the rest where none of them vanishes, ``specialize_basis`` of the
+        basis is this ideal's reduced grevlex basis there.  Cached per part.
         """
         if part not in self._lifted:
             root, values = self.root
-            basis = root.groebner(root.block_order(grevlex, part), limits)
+            basis = root.groebner(root.block_order(part), limits)
             leading = leading_coefficients(basis, part, values, self.context)
             if not all(leading):
                 values = {}
-                basis = self.groebner(self.block_order(grevlex, part), limits)
+                basis = self.groebner(self.block_order(part), limits)
                 leading = leading_coefficients(basis, part, values, self.context)
             self._lifted[part] = basis, values, leading
         return self._lifted[part]
@@ -638,7 +630,7 @@ class Ideal:
                 raise ValueError(f"cannot cut once: dimension is {d}")
             root = _cutting_root(self, degree)
             try:
-                root.groebner(root.block_order(grevlex, self.context), limits)
+                root.groebner(root.block_order(self.context), limits)
             except BudgetExceededError:
                 limits.check_deadline()
                 root = None
@@ -694,10 +686,8 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
     ctx = ideal.context
     keep = tuple(keep_names)
     target = ctx.keep(keep)
-    if ideal.is_zero:
-        return Ideal(target, ())
     eliminated = [name for name in ctx.names if name not in keep]
-    order = ideal.block_order(grevlex, ctx.keep(eliminated)) if eliminated else grevlex
+    order = ideal.block_order(ctx.keep(eliminated)) if eliminated else grevlex
     basis = ideal.groebner(order, limits)
     keep_set = set(ctx.indices_of(keep))
     selected = []

@@ -21,28 +21,26 @@ so a larger saturation yields NotPrime (g, h^k); otherwise one field
 certificate at an integer u with h(u) != 0 proves I prime: the form's
 characteristic polynomial has coefficients in the integrally closed
 Q[U, 1/h], so a factorization over Q(U) would persist at u.  Points
-whose test splits are redrawn.  Because h(u) != 0, G at U = u is already
-a Groebner basis of the fiber (Kalkbrener): ``specialize_basis``
-evaluates and interreduces it, and returns None exactly when h(u) = 0.
-So u is redrawn where one of the V-leading coefficients vanishes at u,
-and the quotient's staircase is that of G's leads projected onto V, the
-same at every such u.  The field test reads its dimension from that
-staircase, and builds the basis at u, and the quotient, only when a
-Krylov run needs them.
+whose test splits are redrawn.  u is also redrawn where h(u) = 0; at
+every other u, G at U = u is a Groebner basis of the ideal there (the
+rule of the ``groebner`` module docstring, U in the place of T), which
+``specialize_basis`` builds.  So the quotient's staircase is that of G's
+leads projected onto V, the same at every such u.  The field test reads
+its dimension from that staircase, and builds the basis at u, and the
+quotient, only when a Krylov run needs them.
 
 G, and the V-leading coefficients that make h, come from
-``Ideal.lifted(V)``.  A scalar fiber I_t of a base P at integers t is
-certified from P's basis under (V | T, U), cached on P: where no
-V-leading coefficient vanishes identically at T = t, that basis at T = t
-is a Groebner basis of I_t Q(U)[V] inside I_t, h is the product of those
-coefficients at t, and the basis at u is P's basis evaluated at (t, u)
-in one step.  The fiber builds a basis of its own only for a Krylov run
-on a zero-dimensional quotient, for the membership tests of a saturation
-certificate, or where such a coefficient vanishes at t; an ideal that is
-not such a fiber is its own root.  A generic intersection with one cut is
-such a fiber: its root is the base cut by the generic form whose
-coefficients are parameters (``Ideal.cutting_root``), and t is the
-sampled coefficient block.
+``Ideal.lifted(V)``; in dimension 0 the basis of a Krylov run is
+``specialize_basis`` of ``lifted``'s block on all variables.  For a
+scalar fiber I_t of a base P at integers t that block is, where the rule
+allows, P's basis under (V | T, U), cached on P: h is the product of its
+V-leading coefficients at t, and the basis at u is P's basis evaluated
+at (t, u) in one step.  The fiber runs Buchberger on its own generators
+only for the membership tests of a saturation certificate, or where
+``lifted`` falls back; an ideal that is not such a fiber is its own
+root.  A generic intersection with one cut is such a fiber: its root is
+the base cut by the generic form whose coefficients are parameters
+(``Ideal.cutting_root``), and t is the sampled coefficient block.
 
 A coordinate x of a scalar fiber at integer values t is first tried
 from its root P: chi(T, U, W), the one generator of
@@ -83,7 +81,6 @@ from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _mul, saturation,
                        specialize_basis)
-from .orders import grevlex
 from .poly import Exponent, Polynomial, horner, integer_primitive
 
 PRIME = "prime"
@@ -311,7 +308,7 @@ def _eliminant_at(ideal: Ideal, free, point, limits):
         coefficients = [horner(row, at) for row in rows]
         while coefficients and not coefficients[-1]:
             coefficients.pop()
-        if n < 1 or len(coefficients) != n + 1:
+        if len(coefficients) != n + 1:
             return None
         lead = coefficients[-1]
         chi = Polynomial(make_context((variable,)),
@@ -322,7 +319,7 @@ def _eliminant_at(ideal: Ideal, free, point, limits):
 
 
 def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
-                eliminant=None) -> PrimalityVerdict:
+                eliminant) -> PrimalityVerdict:
     """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
 
     ``staircase`` is that of the ideal over ``ctx``, and ``basis()``
@@ -331,10 +328,10 @@ def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
     first (module docstring), then ``trials`` random forms; coordinates draw
     nothing from ``rng``.  Minimal polynomials are written in ``variable``.
     ``sections`` holds one ``SectionData`` per nonzero form tried, the
-    deciding one last.  ``eliminant`` (``_eliminant_at``) may certify a
-    coordinate without the Krylov run; where it does not, the coordinate
-    takes the Krylov path, which reuses chi's split when the minimal
-    polynomial is chi made monic.
+    deciding one last.  ``eliminant`` (``_eliminant_at``), unless None, may
+    certify a coordinate without the Krylov run; where it does not, the
+    coordinate takes the Krylov path, which reuses chi's split when the
+    minimal polynomial is chi made monic.
     """
     n = len(staircase)
     names = ctx.names[::-1]
@@ -404,10 +401,10 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
     ctx = ideal.context
     if not independent:
-        block, _, _ = ideal.lifted(ctx, limits)
+        block, values, _ = ideal.lifted(ctx, limits)
         return _field_test(ctx, block.staircase(ctx),
-                           functools.partial(ideal.groebner, grevlex, limits), rng, trials,
-                           limits, variable, _eliminant_at(ideal, (), (), limits))
+                           functools.partial(specialize_basis, block, values, ctx, limits), rng,
+                           trials, limits, variable, _eliminant_at(ideal, (), (), limits))
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
@@ -417,7 +414,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     constant = (0,) * len(ctx)
     if any(lc.keys() != {constant} for lc in leading):
         h = math.prod({Polynomial(ctx, lc) for lc in leading}, start=Polynomial.constant(ctx, 1))
-        basis = ideal.groebner(grevlex, limits)
+        basis = ideal.groebner(limits=limits)
         for g in saturation(ideal, h, limits).generators:
             if not basis.contains(g, limits):
                 power = h  # h^k lies outside I because I meets Q[U] only in 0
@@ -435,7 +432,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         if any(_vanishes(lc, positions, point) for lc in leading):
             continue  # h(u) = 0, where specialize_basis returns None
         cut = functools.partial(specialize_basis, block, {**values, **dict(zip(free, point))},
-                                bound, grevlex, limits)
+                                bound, limits)
         inner = _field_test(bound, staircase, cut, rng, trials, limits, variable,
                             _eliminant_at(ideal, free, point, limits))
         sections += [replace(data, independent=free, point=point) for data in inner.sections]

@@ -48,10 +48,10 @@ def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     """Substitute the parameters by rational values; zero generators drop.
 
     At integer values the result remembers ``ideal`` and the values, as
-    ints, so its Groebner bases are specialized from ``ideal``'s instead of
-    recomputed; at any other values it is its own root.  Its generators are
-    substituted when first read, under ``limits``: a fiber certified from
-    its root's bases never reads them.
+    ints, so that ``Ideal.lifted`` reads its bases from ``ideal``'s (the
+    ``groebner`` module docstring); at any other values it is its own
+    root.  Its generators are substituted when first read, under
+    ``limits``: a fiber certified from its root's bases never reads them.
     """
     params = ideal.context.param_names
     values = tuple(Fraction(v) for v in values)

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from primespec import (BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError,
-                       context, experiments, intersect_generic, is_prime, primality)
+                       context, experiments, groebner, intersect_generic, is_prime,
+                       primality, specialize_scalar)
 from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
                                    emit_report, parse_experiment_config,
@@ -229,6 +230,19 @@ def test_verify_report_confirms_certificates(parabola_path):
     # squares in a tiny box force NotPrime samples
     report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
     assert any(s["verdict"] == "not_prime" for s in report["samples"])
+    messages = verify_report(report)
+    assert any("NotPrime certificate replayed" in m for m in messages)
+
+
+def test_certificate_replay_shares_no_basis_with_the_root(monkeypatch, parabola_path):
+    # verify-report replays a NotPrime certificate against Buchberger's basis
+    # of the fiber's own generators; no basis is specialized from the root's.
+    report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate replay specializes no basis")
+
+    monkeypatch.setattr(groebner, "specialize_basis", refuse)
     messages = verify_report(report)
     assert any("NotPrime certificate replayed" in m for m in messages)
 
@@ -715,6 +729,18 @@ def test_consistency_experiment(parabola_path):
     report = run_experiment(config)
     assert report["aggregate"]["good"] == 20
     assert all(s["verdict"] == "consistent" for s in report["samples"])
+
+
+def test_consistency_compares_the_specialized_basis(parabola_path):
+    # With the root's (Y | T) basis replaced by that of another family, a
+    # fiber's specialized basis differs from Buchberger's on its twin.
+    parabola = _load(parabola_path)
+    fiber = specialize_scalar(parabola, [4])
+    assert experiments._consistent(fiber, GBLimits())
+    other = Ideal(*parse_ideal_source("params: T\nvars: Y\ngens:\nY^3 - T\n"))
+    order = parabola.block_order(fiber.context)
+    parabola._cache[order] = other.groebner(order)
+    assert not experiments._consistent(specialize_scalar(parabola, [4]), GBLimits())
 
 
 def test_worker_pool_matches_sequential(parabola_path, tmp_path):

@@ -319,9 +319,9 @@ POINTS_FAMILY = ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"]
 
 def test_specialized_basis_matches_buchberger():
     # Kalkbrener: where every leading coefficient survives, the specialized
-    # basis of the family is the basis of the fiber; elsewhere (t = 0 for
-    # T*Y1^2 - Y2, t = 2 for (T - 2)*Y1^2 - Y2) Ideal.groebner falls back
-    # to Buchberger.
+    # grevlex basis of the family is the basis of the fiber; elsewhere
+    # (t = 0 for T*Y1^2 - Y2, t = 2 for (T - 2)*Y1^2 - Y2) specialize_basis
+    # returns None and Ideal.lifted falls back to the fiber's own basis.
     families = {
         "cubic_fiber": (("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"], range(-100, 101), [0]),
         "parabola": (("Y",), ["Y^2 - T"], range(-20, 21), None),
@@ -332,20 +332,33 @@ def test_specialized_basis_matches_buchberger():
     for name, (variables, gens, values, vanishing) in families.items():
         family = make_ideal(variables, gens, params=("T",))
         target = family.context.without_params()
-        orders = [grevlex, lex]
-        if target.s > 1:
-            orders.append(target_first(grevlex, target.keep(target.var_names[:1]), target))
-        for order in orders:
-            lifted = family.groebner(target_first(order, target, family.context))
-            fallbacks = []
-            for t in values:
-                fiber = specialize_scalar(family, [t])
-                expected = GroebnerBasis(target, order, buchberger(fiber.generators, order))
-                if specialize_basis(lifted, {"T": t}, target, order) is None:
-                    fallbacks.append(t)
-                assert fiber.groebner(order) == expected, (name, order, t)
-            if vanishing is not None:
-                assert fallbacks == vanishing, (name, order)
+        block = family.groebner(family.block_order(target))
+        fallbacks = []
+        for t in values:
+            fiber = specialize_scalar(family, [t])
+            expected = GroebnerBasis(target, grevlex, buchberger(fiber.generators, grevlex))
+            if specialize_basis(block, {"T": t}, target) is None:
+                fallbacks.append(t)
+            lifted, at, _ = fiber.lifted(target)
+            assert (lifted is block) == bool(at), (name, t)
+            assert specialize_basis(lifted, at, target) == expected, (name, t)
+        if vanishing is not None:
+            assert fallbacks == vanishing, name
+
+
+def test_fiber_groebner_runs_buchberger_on_its_own_generators(cubic_fiber_family):
+    # Ideal.groebner never reads the root: with the root's cached (Y | T)
+    # basis replaced by that of another family, a fiber's bases are still
+    # Buchberger's on its own generators.
+    base = cubic_fiber_family
+    target = base.context.without_params()
+    order = base.block_order(target)
+    other = make_ideal(("Y1", "Y2", "Y3"), ["Y2 - T*Y1^3", "Y3 - Y1"], params=("T",))
+    base._cache[order] = other.groebner(order)
+    fiber = specialize_scalar(base, [3])
+    for order in (grevlex, lex, target_first(grevlex, target.keep(("Y1",)), target)):
+        expected = GroebnerBasis(target, order, buchberger(fiber.generators, order))
+        assert fiber.groebner(order) == expected, order
 
 
 def test_fibers_read_the_set_fiber_dimension_caches(cubic_fiber_family, monkeypatch):
@@ -381,22 +394,23 @@ def test_fibers_build_each_block_order_once(cubic_fiber_family, monkeypatch):
         fiber = specialize_scalar(cubic_fiber_family, [t])
         assert (fiber.dimension(), is_prime(fiber).status) == (1, "prime")
     assert built and len(built) == len(set(built))
-    order = cubic_fiber_family.block_order(grevlex, fiber.context)
+    order = cubic_fiber_family.block_order(fiber.context)
     assert order == target_first(grevlex, fiber.context, cubic_fiber_family.context)
-    assert cubic_fiber_family.block_order(grevlex, fiber.context) is order
+    assert cubic_fiber_family.block_order(fiber.context) is order
 
 
 def test_budgets_bind_on_the_specialized_basis(cubic_fiber_family, monkeypatch):
     base = cubic_fiber_family
-    eliminate(base, base.context.param_names)
+    fiber = specialize_scalar(base, [2])
+    block = base.groebner(base.block_order(fiber.context))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the cached base basis specializes at t = 2")
+        raise AssertionError("the root's block basis specializes at t = 2")
 
-    reference = buchberger(specialize_scalar(base, [2]).generators, grevlex)
+    reference = buchberger(fiber.generators, grevlex)
     monkeypatch.setattr(groebner, "buchberger", refuse)
     for limits in (GBLimits(deadline=time.monotonic() - 1), GBLimits(max_term_count=1)):
         with pytest.raises(BudgetExceededError):
-            specialize_scalar(base, [2]).groebner(grevlex, limits)
-    basis = specialize_scalar(base, [2]).groebner(grevlex)
-    assert basis == GroebnerBasis(basis.context, grevlex, reference)
+            specialize_basis(block, {"T": 2}, fiber.context, limits)
+    basis = specialize_basis(block, {"T": 2}, fiber.context)
+    assert basis == GroebnerBasis(fiber.context, grevlex, reference)

@@ -167,7 +167,7 @@ def test_basis_at_u_matches_buchberger(case):
             bound = context(tuple(n for n in ideal.context.names if n not in field.independent))
             block = ideal.groebner(target_first(grevlex, bound, ideal.context))
             at = dict(zip(field.independent, field.point))
-            cut = specialize_basis(block, at, bound, grevlex)
+            cut = specialize_basis(block, at, bound)
             substituted = [g.substitute(at, bound) for g in block]
             assert cut == GroebnerBasis(bound, grevlex, buchberger(substituted, grevlex)), seed
             assert ZeroDimQuotient(cut).vector_dim == field.quotient_dim

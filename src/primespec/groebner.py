@@ -28,6 +28,18 @@ hypersurface of parameter values; finitely many t for one parameter),
 and the ideal's own basis otherwise.  ``Ideal.groebner`` always runs
 Buchberger on the ideal's own generators.
 
+What a fiber reads from its root at every point is compiled once into
+integer tables (``poly.dense_table``), cached where it is read from, and
+evaluated at t by ``poly.horner``; no fiber walks the root's terms in
+``Fraction``s for it.  The root holds one table per Y-monomial coefficient
+of each generator, a polynomial in T: the fiber is the zero ideal exactly
+where all of them vanish (``Ideal.is_zero``), so its generators are not
+substituted for that.  A basis holds, per part, each element's
+``part``-leading coefficient as one table in T per monomial in the other
+variables (``GroebnerBasis.leading_coefficients``): ``lifted`` reads them at
+t, and the positive-dimensional primality test reads h from them.  The
+root's eliminants are rows of tables too (``Ideal.eliminant``).
+
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
 support, searched exhaustively (inputs here stay below ~8 variables).
@@ -52,7 +64,7 @@ from operator import itemgetter, le
 from .context import VariableContext
 from .errors import BudgetExceededError, ContextMismatchError
 from .orders import MonomialOrder, grevlex, target_first
-from .poly import Exponent, Polynomial, dense_table, integer_primitive, monomials_upto
+from .poly import Exponent, Polynomial, dense_table, horner, integer_primitive, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -181,7 +193,8 @@ class GroebnerBasis:
     polynomials over Q, are built from them on first use.
     """
 
-    __slots__ = ("context", "order", "_reducers", "_polys", "_staircases", "_independent")
+    __slots__ = ("context", "order", "_reducers", "_polys", "_staircases", "_independent",
+                 "_leading")
 
     def __init__(self, context, order, reducers):
         self.context = context
@@ -190,6 +203,7 @@ class GroebnerBasis:
         self._polys = None
         self._staircases = {}
         self._independent = {}
+        self._leading = {}
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -230,6 +244,33 @@ class GroebnerBasis:
             leads = map(_projection(self.context, part), self.leading_exponents())
             self._independent[part] = _max_independent_set(list(leads), len(part), limits)
         return self._independent[part]
+
+    def leading_coefficients(self, part: VariableContext, values) -> list[tuple[int, dict]]:
+        """Per element, its lead's coefficient lc and its ``part``-leading coefficient at ``values``.
+
+        ``self.order`` must compare the ``part`` variables first
+        (``target_first``): an element's ``part``-leading coefficient is then
+        the polynomial in the other variables in front of the ``part`` of its
+        lead.  ``values`` binds the first variables of the context (a root's
+        parameters) to ints, or none.  The coefficient is an int term map over
+        the other variables, with ``part`` exponents 0, empty where it
+        vanishes at ``values``; divided by lc it is the monic element's.
+        Compiled once per part and number of values (``_tables``, one table
+        over the bound variables per monomial in the others) and read by
+        ``horner``.
+        """
+        at = tuple(values.values())
+        key = (part, len(at))
+        if key not in self._leading:
+            project = _projection(self.context, part)
+            positions = self.context.indices_of(part.names)
+            self._leading[key] = [
+                (lc, tuple(_tables({tuple(0 if i in positions else x for i, x in enumerate(e)): c
+                                    for e, c in terms.items() if project(e) == project(lead)},
+                                   len(at)).items()))
+                for lead, lc, terms in self._reducers]
+        return [(lc, {e: c for e, table in tables if (c := horner(table, at))})
+                for lc, tables in self._leading[key]]
 
     def pseudo_normal_form(self, terms, limits=DEFAULT_LIMITS):
         """(remainder, scale) of an integer term map; remainder == scale * NF."""
@@ -397,37 +438,17 @@ def _projection(context: VariableContext, target: VariableContext):
     return itemgetter(*positions)
 
 
-def leading_coefficients(basis: GroebnerBasis, part: VariableContext, values,
-                         target: VariableContext) -> list[dict[Exponent, Fraction]]:
-    """Each monic element's coefficient of the ``part`` of its lead, at ``values``.
+def _tables(terms, r: int) -> dict[Exponent, object]:
+    """Each exponent after the first ``r`` entries -> the ``dense_table`` of its coefficient.
 
-    ``basis.order`` must compare the ``part`` variables first
-    (``target_first``): an element's leading coefficient is then the
-    polynomial in the other variables in front of the ``part`` of its lead.
-    ``values`` binds the variables of ``basis.context`` outside ``target``
-    to ints; each result is a term map over ``target`` whose ``part``
-    exponents are 0, empty where the coefficient vanishes at ``values``.
+    ``terms`` is an integer term map; the coefficient of a monomial in the
+    last variables is the term map in the first ``r`` variables in front
+    of it, so ``horner`` at ints for those gives it at that point.
     """
-    ctx = basis.context
-    if part == ctx:
-        return [{(0,) * len(target): 1} for _ in basis._reducers]  # monic, nothing to bind
-    positions = ctx.indices_of(part.names)
-    project = _projection(ctx, part)
-    keep = [None if i in positions else i for i in ctx.indices_of(target.names)]
-    bound = [(ctx.index[name], value) for name, value in values.items()]
-    coefficients = []
-    for lead, lc, terms in basis._reducers:
-        lead_part = project(lead)
-        coefficient = {}
-        for e, c in terms.items():
-            if project(e) == lead_part:
-                for i, v in bound:
-                    c *= v ** e[i]
-                rest = tuple(0 if i is None else e[i] for i in keep)
-                coefficient[rest] = coefficient.get(rest, 0) + c
-        coefficients.append({e: c if lc == 1 else Fraction(c, lc)
-                             for e, c in coefficient.items() if c})
-    return coefficients
+    groups = {}
+    for exp, c in terms.items():
+        groups.setdefault(exp[r:], {})[exp[:r]] = c
+    return {exp: dense_table(group, r) for exp, group in groups.items()}
 
 
 def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
@@ -441,7 +462,10 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
     interreduction makes it the reduced basis, which is unique, so it
     equals the one ``buchberger`` returns.  An image's coefficient at the
     ``target`` part of its lead is the leading coefficient at ``values``.
+    With no values ``basis`` is already that basis, and is returned.
     """
+    if not values:
+        return basis
     ctx = basis.context
     project = _projection(ctx, target)
     bound = [(ctx.index[name], value) for name, value in values.items()]
@@ -475,10 +499,12 @@ class Ideal:
     monomial order to its reduced basis; it travels with the ideal when
     the ideal is pickled, so pool workers start from the parent's bases.
 
-    ``origin`` = (base ideal, {parameter: int}) marks an ideal built by
-    scalar specialization at integers; the base is its root, and every
-    other ideal is its own root (``root``).  ``lifted`` reads the root's
-    bases by the rule of the module docstring.  An ideal in the variables
+    ``origin`` = (base ideal, {parameter: int}, limits) marks an ideal built
+    by scalar specialization at integers under ``limits``; the base is its
+    root, and every other ideal is its own root (``root``).  ``lifted``
+    reads the root's bases by the rule of the module docstring, and
+    ``is_zero`` reads the root's tables (module docstring) until the
+    generators are read.  An ideal in the variables
     Y alone caches, per degree, the root whose scalar fibers are its cuts
     by one form of that degree (``cutting_root``).  A root also holds the
     memo of the modular splits of its fibers' eliminants, which
@@ -496,6 +522,8 @@ class Ideal:
         self._orders: dict[VariableContext, MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
+        # per generator, the tables of its coefficients in T (``is_zero`` of a fiber)
+        self._fibers: list[tuple] | None = None
         # (p, residues) -> the modular split of a fiber's chi (``factor_univariate``)
         self._splits: dict[tuple[int, tuple[int, ...]], list] = {}
         # degree -> this ideal cut by a generic form of that degree, or None (``cutting_root``)
@@ -519,12 +547,31 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        """True when the ideal has no nonzero generator.
+
+        A scalar fiber whose generators are unread reads this from its root
+        instead, which holds one ``_tables`` entry per Y-monomial coefficient
+        of each generator: the fiber is 0 exactly where every one is 0 at
+        its values.  The deadline is checked before each generator.
+        """
+        if self._origin is None or not callable(self._generators):
+            return not self.generators
+        root, values, limits = self._origin
+        if root._fibers is None:
+            r = root.context.r
+            root._fibers = [tuple(_tables(integer_primitive(g.terms)[1], r).values())
+                            for g in root.generators]
+        at = tuple(values.values())
+        for tables in root._fibers:
+            limits.check_deadline()
+            if any(horner(table, at) for table in tables):
+                return False
+        return True
 
     @property
     def root(self) -> tuple[Ideal, dict]:
         """(root ideal, the values of its variables outside this ideal's context)."""
-        return self._origin or (self, {})
+        return self._origin[:2] if self._origin else (self, {})
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -551,19 +598,21 @@ class Ideal:
         The root's basis under (part | rest) and the root values when no
         element's ``part``-leading coefficient vanishes at them; otherwise
         this ideal's own basis under (part | rest) and no values (the rule
-        of the module docstring).  ``leading`` holds those coefficients at
-        ``values`` (``leading_coefficients``).  At ``values`` and at values
+        of the module docstring).  ``leading`` holds each element's lc and
+        those coefficients at ``values``, int term maps over this ideal's
+        variables read from the basis' tables
+        (``GroebnerBasis.leading_coefficients``).  At ``values`` and at values
         of the rest where none of them vanishes, ``specialize_basis`` of the
         basis is this ideal's reduced grevlex basis there.  Cached per part.
         """
         if part not in self._lifted:
             root, values = self.root
             basis = root.groebner(root.block_order(part), limits)
-            leading = leading_coefficients(basis, part, values, self.context)
-            if not all(leading):
+            leading = basis.leading_coefficients(part, values)
+            if not all(coefficient for _, coefficient in leading):
                 values = {}
                 basis = self.groebner(self.block_order(part), limits)
-                leading = leading_coefficients(basis, part, values, self.context)
+                leading = basis.leading_coefficients(part, values)
             self._lifted[part] = basis, values, leading
         return self._lifted[part]
 
@@ -715,10 +764,8 @@ def _eliminant_rows(ideal: Ideal, name: str, free, limits) -> list | None:
     if len(meet.generators) != 1:
         return None
     _, ints = integer_primitive(meet.generators[0].terms)
-    rows = [{} for _ in range(1 + max(exp[-1] for exp in ints))]
-    for exp, c in ints.items():
-        rows[exp[-1]][exp[:-1]] = c
-    return [dense_table(row, len(ctx.param_names) + len(free)) for row in rows]
+    rows = _tables(ints, len(ctx.param_names) + len(free))  # keyed by (W-degree,)
+    return [rows.get((k,), 0) for k in range(1 + max(rows)[0])]
 
 
 def saturation(ideal: Ideal, h: Polynomial, limits=DEFAULT_LIMITS) -> Ideal:

@@ -312,7 +312,7 @@ def horner(table, values):
     x, rest = values[0], values[1:]
     acc = 0
     for part in reversed(table):
-        acc = acc * x + horner(part, rest)
+        acc = acc * x + (horner(part, rest) if isinstance(part, list) else part)
     return acc
 
 

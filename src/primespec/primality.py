@@ -34,7 +34,10 @@ G, and the V-leading coefficients that make h, come from
 ``specialize_basis`` of ``lifted``'s block on all variables.  For a
 scalar fiber I_t of a base P at integers t that block is, where the rule
 allows, P's basis under (V | T, U), cached on P: h is the product of its
-V-leading coefficients at t, and the basis at u is P's basis evaluated
+V-leading coefficients at t, read from the integer tables the basis
+compiles once (the ``groebner`` module docstring), as is h(u); only a
+coefficient that is not constant can vanish at u, and h is built as a
+polynomial only when one is not.  The basis at u is P's basis evaluated
 at (t, u) in one step.  The fiber runs Buchberger on its own generators
 only for the membership tests of a saturation certificate, or where
 ``lifted`` falls back; an ideal that is not such a fiber is its own
@@ -371,13 +374,22 @@ def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
 
 
 def _vanishes(coefficient, positions, point) -> bool:
-    """True when a ``leading_coefficients`` map is 0 at the values ``point`` of ``positions``."""
-    total = 0
-    for exp, c in coefficient.items():
-        for i, v in zip(positions, point):
-            c *= v ** exp[i]
-        total += c
-    return not total
+    """True when a ``lifted`` int coefficient map is 0 at the values ``point`` of ``positions``."""
+    return not sum(c * math.prod(v ** exp[i] for i, v in zip(positions, point))
+                   for exp, c in coefficient.items())
+
+
+class _Draws:
+    """The draws of ``random.Random(seed)``, which is seeded on the first one."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.rng = None
+
+    def randint(self, a, b):
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+        return self.rng.randint(a, b)
 
 
 def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -392,7 +404,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
+    rng = _Draws(seed)
     variable = _MINPOLY_VARIABLE  # Z, or Z_, Z__, ... when the ideal has a Z
     while variable in ideal.context:
         variable += "_"
@@ -412,8 +424,11 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     bound = make_context(tuple(n for n in ctx.names if n not in free))
     block, values, leading = ideal.lifted(bound, limits)
     constant = (0,) * len(ctx)
-    if any(lc.keys() != {constant} for lc in leading):
-        h = math.prod({Polynomial(ctx, lc) for lc in leading}, start=Polynomial.constant(ctx, 1))
+    # the coefficients that can vanish at a point u: a constant one is a nonzero int
+    varying = [coefficient for _, coefficient in leading if coefficient.keys() != {constant}]
+    if varying:
+        h = math.prod({Polynomial(ctx, {e: Fraction(c, lc) for e, c in coefficient.items()})
+                       for lc, coefficient in leading}, start=Polynomial.constant(ctx, 1))
         basis = ideal.groebner(limits=limits)
         for g in saturation(ideal, h, limits).generators:
             if not basis.contains(g, limits):
@@ -429,7 +444,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     for _ in range(trials):
         point = tuple(rng.randint(-box, box) for _ in free)
         box *= 2
-        if any(_vanishes(lc, positions, point) for lc in leading):
+        if any(_vanishes(coefficient, positions, point) for coefficient in varying):
             continue  # h(u) = 0, where specialize_basis returns None
         cut = functools.partial(specialize_basis, block, {**values, **dict(zip(free, point))},
                                 bound, limits)

@@ -346,6 +346,15 @@ def test_specialized_basis_matches_buchberger():
             assert fallbacks == vanishing, name
 
 
+def test_specialize_basis_with_no_values_is_the_basis(cubic_fiber_family):
+    # With nothing to bind, the basis is already the ideal's reduced grevlex
+    # basis: no copy is projected or interreduced.
+    fiber = specialize_scalar(cubic_fiber_family, [0])
+    for ideal in (fiber, make_ideal(("Y1", "Y2"), ["Y1^2 + Y2^2 - 1"])):
+        basis = ideal.groebner(ideal.block_order(ideal.context))
+        assert specialize_basis(basis, {}, ideal.context) is basis
+
+
 def test_fiber_groebner_runs_buchberger_on_its_own_generators(cubic_fiber_family):
     # Ideal.groebner never reads the root: with the root's cached (Y | T)
     # basis replaced by that of another family, a fiber's bases are still

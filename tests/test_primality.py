@@ -1,6 +1,7 @@
 """Zero-dimensional quotients, minimal polynomials, primality verdicts."""
 
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -348,6 +349,60 @@ def test_block_basis_falls_back_where_lc_v_vanishes():
         fiber = specialize_scalar(family, [t])
         assert _assert_root_and_own_verdicts_agree(fiber, seed=t).status == PRIME, t
         assert bool(fiber._cache) == (t == 0), t
+
+
+def _walked_leading(basis, part, values, target):
+    """The part-leading coefficients at ``values``, by a walk over every term of every element."""
+    ctx = basis.context
+    positions = ctx.indices_of(part.names)
+    keep = [None if i in positions else i for i in ctx.indices_of(target.names)]
+    coefficients = []
+    for lead, lc, terms in basis._reducers:
+        coefficient = {}
+        for e, c in terms.items():
+            if all(e[i] == lead[i] for i in positions):
+                for name, v in values.items():
+                    c *= v ** e[ctx.index[name]]
+                rest = tuple(0 if i is None else e[i] for i in keep)
+                coefficient[rest] = coefficient.get(rest, 0) + Fraction(c, lc)
+        coefficients.append({e: c for e, c in coefficient.items() if c})
+    return coefficients
+
+
+def test_leading_coefficient_tables_agree_with_the_term_walk():
+    # Ideal.lifted reads the leading coefficients at t from tables compiled on
+    # the basis; it falls back exactly where a walked coefficient vanishes
+    # (t = 0 for cubic_fiber's grevlex lead T*Y1^2, t = 2 for (T - 2)*Y1^2),
+    # and h and the test h(u) = 0 are those of the walked coefficients.  The
+    # fiber Y1*Y2 - 1 at t = 0 of the last family has the coefficient Y1.
+    families = [(("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"]),
+                (("Y1", "Y2"), ["(T - 2)*Y1^2 - Y2"]),
+                (("Y1", "Y2"), ["T*Y2^2 + Y1*Y2 - 1"])]
+    rng = random.Random(5)
+    for variables, gens in families:
+        family = make_ideal(variables, gens, params=("T",))
+        for t in range(-5, 6):
+            fiber = specialize_scalar(family, [t])
+            ctx = fiber.context
+            free = tuple(ctx.names[i] for i in fiber.independent_set())
+            bound = context(tuple(n for n in ctx.names if n not in free))
+            for part in (ctx, bound):
+                root_basis = family.groebner(family.block_order(part))
+                walked = _walked_leading(root_basis, part, {"T": t}, ctx)
+                basis, values, leading = fiber.lifted(part)
+                assert (basis is root_basis) == all(walked), (gens, t, part)
+                if basis is not root_basis:
+                    walked = _walked_leading(basis, part, {}, ctx)
+                monic = [Polynomial(ctx, {e: Fraction(c, lc) for e, c in coefficient.items()})
+                         for lc, coefficient in leading]
+                assert monic == [Polynomial(ctx, w) for w in walked], (gens, t, part)
+                positions = ctx.indices_of(free)
+                for _ in range(20):
+                    u = tuple(rng.randint(-3, 3) for _ in free)
+                    for (_, coefficient), w in zip(leading, walked):
+                        total = sum(c * math.prod(v ** e[i] for i, v in zip(positions, u))
+                                    for e, c in w.items())
+                        assert primality._vanishes(coefficient, positions, u) == (total == 0)
 
 
 def test_fiber_builds_no_basis_of_its_own(cubic_fiber_family):

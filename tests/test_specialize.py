@@ -1,5 +1,6 @@
 """Scalar/polynomial specialization, generic forms and generic intersection."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,27 @@ def test_scalar_fibers_substitute_their_generators_when_first_read(parabola_fami
             fiber.is_zero
     fiber = specialize_scalar(parabola_family, [4])
     assert str(fiber) == "Ideal<Y^2 - 4>" and not fiber.is_zero
+
+
+def test_degeneracy_from_the_root_tables_equals_substitution():
+    # A fiber with unread generators decides is_zero from its root's tables
+    # of coefficients in T; it must agree with substituting every generator,
+    # and leave the generators unread.
+    families = [
+        (("Y",), ["T*Y"], ("T",)),
+        (("Y1", "Y2"), ["T*Y1", "T*Y2"], ("T",)),
+        (("Y1", "Y2"), ["(T - 2)*Y1^2 - (T^2 - 4)*Y2"], ("T",)),
+        (("Y1", "Y2"), ["T1*Y1 - T2*Y2", "T1*T2*Y2^2"], ("T1", "T2")),
+    ]
+    for variables, gens, params in families:
+        family = make_ideal(variables, gens, params=params)
+        target = family.context.without_params()
+        for values in itertools.product(range(-4, 5), repeat=len(params)):
+            fiber = specialize_scalar(family, values)
+            bindings = dict(zip(params, map(Fraction, values)))
+            substituted = [g.substitute(bindings, target) for g in family.generators]
+            assert fiber.is_zero == all(g.is_zero for g in substituted), (gens, values)
+            assert callable(fiber._generators), (gens, values)
 
 
 def test_scalar_specialization_substitutes(parabola_family):

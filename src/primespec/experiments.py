@@ -196,11 +196,16 @@ def specialize_point(ideal: Ideal, kind: str, degrees, values,
                      limits=DEFAULT_LIMITS) -> tuple[Ideal, bool]:
     """The specialized ideal at the values ``sample_point`` draws, and its degeneracy.
 
-    A point is degenerate when one of its coefficient blocks is all zero,
-    or when it specializes every generator to zero.  One cut is the scalar
-    fiber of ``ideal.cutting_root`` at its block, and reads its bases from
-    that root; two or more cuts, or a root over budget, adjoin the forms
-    with ``intersect_generic``.  Either way the generators are the same.
+    A cut is degenerate when one of its coefficient blocks is all zero.
+    Any other point is degenerate when it specializes every generator to
+    zero, that is when the specialized ideal's dimension is its number of
+    variables; a scalar fiber reads that dimension from its root's leads
+    without substituting its generators, and ``run_sample`` reads it
+    again from the cache.  The dimension runs under ``limits``, so a
+    budget can stop it here.  One cut is the scalar fiber of
+    ``ideal.cutting_root`` at its block, and reads its bases from that
+    root; two or more cuts, or a root over budget, adjoin the forms with
+    ``intersect_generic``.  Either way the generators are the same.
     """
     if kind == GENERIC_INTERSECT:
         degenerate = not all(map(any, values))
@@ -210,7 +215,7 @@ def specialize_point(ideal: Ideal, kind: str, degrees, values,
         return specialize_scalar(root, values[0], limits), degenerate
     specialize = specialize_polynomial if kind == POLY_SPEC else specialize_scalar
     specialized = specialize(ideal, values, limits)
-    return specialized, specialized.is_zero
+    return specialized, specialized.dimension(limits) == len(specialized.context)
 
 
 def _consistent(specialized: Ideal, limits: GBLimits) -> bool:
@@ -442,9 +447,13 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     and every other sample is re-run and must give the same verdict, reason
     and dimension; all of it, the specialization included, runs under the
     sample's budgets.  An inconclusive sample that ran out of time is not
-    re-run, and passes if its deadline passes while it is specialized; any
-    other sample then fails.  Returns the check made for a sample that is
-    not good, or None.
+    re-run, and passes if its deadline passes while it is specialized.
+    When a pair or term budget stops the specialization (the degeneracy
+    flag reads the dimension), the sample passes as re-run only if its
+    record is what ``run_sample`` writes then: inconclusive with that
+    budget as its reason, and no dimension, certificate or flag.  Any
+    other sample a budget stops there fails.  Returns the check made for a
+    sample that is not good, or None.
     """
     verdict = sample["verdict"]
     if sample["index"] != index:
@@ -468,6 +477,11 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     except BudgetExceededError as exc:
         if sample.get("reason") == _OUT_OF_TIME:
             return None
+        # what run_sample records when the same budget stops it here
+        stopped = (INCONCLUSIVE, f"budget: {exc}", None, None, None)
+        if (verdict, sample.get("reason"), sample["dimension"], sample["certificate"],
+                sample.get("degenerate_specialization")) == stopped:
+            return f"{verdict} verdict re-run"
         raise PrimespecError(f"specialization: {exc}") from exc
     if sample.get("degenerate_specialization") != (degenerate or None):
         raise PrimespecError(f"degenerate_specialization should be "

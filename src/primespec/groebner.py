@@ -31,14 +31,14 @@ Buchberger on the ideal's own generators.
 What a fiber reads from its root at every point is compiled once into
 integer tables (``poly.dense_table``), cached where it is read from, and
 evaluated at t by ``poly.horner``; no fiber walks the root's terms in
-``Fraction``s for it.  The root holds one table per Y-monomial coefficient
-of each generator, a polynomial in T: the fiber is the zero ideal exactly
-where all of them vanish (``Ideal.is_zero``), so its generators are not
-substituted for that.  A basis holds, per part, each element's
+``Fraction``s for it.  A basis holds, per part, each element's
 ``part``-leading coefficient as one table in T per monomial in the other
 variables (``GroebnerBasis.leading_coefficients``): ``lifted`` reads them at
 t, and the positive-dimensional primality test reads h from them.  The
-root's eliminants are rows of tables too (``Ideal.eliminant``).
+root's eliminants are rows of tables too (``Ideal.eliminant``).  A fiber
+substitutes its generators only where ``lifted`` falls back to its own
+basis: it is the zero ideal exactly when its dimension is its number of
+variables, and that dimension is read from the root's leads.
 
 Krull dimension is computed from the grevlex staircase: the dimension of
 the quotient is the largest subset of variables meeting no leading-term
@@ -456,13 +456,13 @@ def specialize_basis(basis: GroebnerBasis, values, target: VariableContext,
     """Reduced grevlex basis of the ideal at ``values`` from its basis; None if a lead vanishes.
 
     ``values`` binds every variable of ``basis.context`` outside ``target``
-    to an int, and ``basis.order`` is ``target_first(grevlex, target,
-    basis.context)``.  When no leading coefficient vanishes at ``values``,
-    the images form a Groebner basis of the specialized ideal (Kalkbrener);
-    interreduction makes it the reduced basis, which is unique, so it
-    equals the one ``buchberger`` returns.  An image's coefficient at the
-    ``target`` part of its lead is the leading coefficient at ``values``.
-    With no values ``basis`` is already that basis, and is returned.
+    to an int, and ``basis.order`` is ``target_first(target, basis.context)``.
+    When no leading coefficient vanishes at ``values``, the images form a
+    Groebner basis of the specialized ideal (Kalkbrener); interreduction
+    makes it the reduced basis, which is unique, so it equals the one
+    ``buchberger`` returns.  An image's coefficient at the ``target`` part
+    of its lead is the leading coefficient at ``values``.  With no values
+    ``basis`` is already that basis, and is returned.
     """
     if not values:
         return basis
@@ -499,12 +499,10 @@ class Ideal:
     monomial order to its reduced basis; it travels with the ideal when
     the ideal is pickled, so pool workers start from the parent's bases.
 
-    ``origin`` = (base ideal, {parameter: int}, limits) marks an ideal built
-    by scalar specialization at integers under ``limits``; the base is its
-    root, and every other ideal is its own root (``root``).  ``lifted``
-    reads the root's bases by the rule of the module docstring, and
-    ``is_zero`` reads the root's tables (module docstring) until the
-    generators are read.  An ideal in the variables
+    ``origin`` = (base ideal, {parameter: int}) marks an ideal built by
+    scalar specialization at integers; the base is its root, and every
+    other ideal is its own root (``root``).  ``lifted`` reads the root's
+    bases by the rule of the module docstring.  An ideal in the variables
     Y alone caches, per degree, the root whose scalar fibers are its cuts
     by one form of that degree (``cutting_root``).  A root also holds the
     memo of the modular splits of its fibers' eliminants, which
@@ -518,12 +516,10 @@ class Ideal:
         self._cache: dict[MonomialOrder, GroebnerBasis] = {}
         # part -> ``lifted(part)``
         self._lifted: dict[VariableContext, tuple] = {}
-        # part -> target_first(grevlex, part, context)
+        # part -> target_first(part, context)
         self._orders: dict[VariableContext, MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
-        # per generator, the tables of its coefficients in T (``is_zero`` of a fiber)
-        self._fibers: list[tuple] | None = None
         # (p, residues) -> the modular split of a fiber's chi (``factor_univariate``)
         self._splits: dict[tuple[int, tuple[int, ...]], list] = {}
         # degree -> this ideal cut by a generic form of that degree, or None (``cutting_root``)
@@ -547,41 +543,23 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        """True when the ideal has no nonzero generator.
-
-        A scalar fiber whose generators are unread reads this from its root
-        instead, which holds one ``_tables`` entry per Y-monomial coefficient
-        of each generator: the fiber is 0 exactly where every one is 0 at
-        its values.  The deadline is checked before each generator.
-        """
-        if self._origin is None or not callable(self._generators):
-            return not self.generators
-        root, values, limits = self._origin
-        if root._fibers is None:
-            r = root.context.r
-            root._fibers = [tuple(_tables(integer_primitive(g.terms)[1], r).values())
-                            for g in root.generators]
-        at = tuple(values.values())
-        for tables in root._fibers:
-            limits.check_deadline()
-            if any(horner(table, at) for table in tables):
-                return False
-        return True
+        """True when the ideal has no nonzero generator."""
+        return not self.generators
 
     @property
     def root(self) -> tuple[Ideal, dict]:
         """(root ideal, the values of its variables outside this ideal's context)."""
-        return self._origin[:2] if self._origin else (self, {})
+        return self._origin or (self, {})
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal<{gens}>"
 
     def block_order(self, part: VariableContext) -> MonomialOrder:
-        """``target_first(grevlex, part, self.context)``, built once per ideal."""
+        """``target_first(part, self.context)``, built once per ideal."""
         block = self._orders.get(part)
         if block is None:
-            block = self._orders[part] = target_first(grevlex, part, self.context)
+            block = self._orders[part] = target_first(part, self.context)
         return block
 
     def groebner(self, order: MonomialOrder = grevlex, limits=DEFAULT_LIMITS) -> GroebnerBasis:

@@ -7,7 +7,7 @@ variable in groups preceding the last one: if a polynomial's leading
 monomial avoids the leading groups, the whole polynomial does.
 
 ``target_first`` builds every block order: a chosen part of the
-variables under a given order, then the rest by grevlex.  Elimination
+variables, then the rest, each compared by grevlex.  Elimination
 orders, the (Y | T) orders that fibers read their bases from and the
 (V | U) block bases of primality are all of this form.  Equal groups
 give equal orders, so each is one cache key for ``Ideal.groebner``.
@@ -36,18 +36,15 @@ def _grevlex_key(exp):
 
 
 def _block_key(groups, exp):
-    parts = []
-    for indices, inner in groups:
-        sub = tuple(exp[i] for i in indices)
-        parts.append(_grevlex_key(sub) if inner == GREVLEX else _lex_key(sub))
-    return tuple(parts)
+    return tuple(_grevlex_key(tuple(exp[i] for i in indices)) for indices in groups)
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str
-    # For block orders: ((indices, inner_kind), ...) covering all variables.
-    groups: tuple[tuple[tuple[int, ...], str], ...] = ()
+    # For block orders: the index tuples of the groups, covering all
+    # variables; each group is compared by grevlex.
+    groups: tuple[tuple[int, ...], ...] = ()
     # key(exp), bound once when the order is built.
     key: Callable = field(init=False, repr=False, compare=False)
 
@@ -65,17 +62,14 @@ lex = MonomialOrder(LEX)
 grevlex = MonomialOrder(GREVLEX)
 
 
-def target_first(order: MonomialOrder, target, context) -> MonomialOrder:
-    """The order on ``context`` comparing ``target``'s variables by ``order``, then the rest.
+def target_first(target, context) -> MonomialOrder:
+    """The order on ``context`` comparing ``target``'s variables by grevlex, then the rest.
 
-    ``target`` is a context whose names lie in ``context``, and ``order``
-    an order on it.  The rest are compared by grevlex; with no rest this
-    is ``order`` itself.
+    ``target`` is a context whose names lie in ``context``.  The rest are
+    compared by grevlex too; with no rest this is grevlex itself.
     """
     if target == context:
-        return order
+        return grevlex
     positions = context.indices_of(target.names)
     rest = tuple(i for i in range(len(context)) if i not in positions)
-    groups = order.groups if order.kind == BLOCK else ((tuple(range(len(target))), order.kind),)
-    return MonomialOrder(BLOCK, tuple((tuple(positions[i] for i in idx), inner)
-                                      for idx, inner in groups) + ((rest, GREVLEX),))
+    return MonomialOrder(BLOCK, (positions, rest))

@@ -47,13 +47,11 @@ def _images(ideal: Ideal, bindings, target, limits):
 def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     """Substitute the parameters by rational values; zero generators drop.
 
-    At integer values the result remembers ``ideal``, the values, as ints,
-    and ``limits``, so that ``Ideal.lifted`` reads its bases from
-    ``ideal``'s and ``Ideal.is_zero`` its degeneracy from ``ideal``'s
-    tables (the ``groebner`` module docstring); at any other values it is
-    its own root.  Its generators are substituted when first read, under
-    ``limits``: a fiber certified from its root's bases and tables never
-    reads them.
+    At integer values the result remembers ``ideal`` and the values, as
+    ints, so that ``Ideal.lifted`` reads its bases from ``ideal``'s (the
+    ``groebner`` module docstring); at any other values it is its own root.
+    Its generators are substituted when first read, under ``limits``: a
+    fiber certified from its root's bases never reads them.
     """
     params = ideal.context.param_names
     values = tuple(Fraction(v) for v in values)
@@ -62,8 +60,7 @@ def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
     target = _target_without_params(ideal)
     bindings = dict(zip(params, values))
     integral = all(v.denominator == 1 for v in values)
-    origin = ((ideal, {name: v.numerator for name, v in bindings.items()}, limits)
-              if integral else None)
+    origin = (ideal, {name: v.numerator for name, v in bindings.items()}) if integral else None
     return Ideal(target, functools.partial(_images, ideal, bindings, target, limits),
                  origin=origin)
 

@@ -420,6 +420,30 @@ def test_verify_report_fails_a_rerun_that_runs_out_of_time(monkeypatch, tmp_path
         verify_report(report)
 
 
+def test_verify_report_accepts_samples_a_pair_budget_stops(tmp_path):
+    # The lead T vanishes at t = 0, so that fiber runs its own Buchberger,
+    # which one pair does not finish: run_sample records it inconclusive
+    # with no dimension, and verify-report must find the same outcome.
+    path = tmp_path / "pair_budget.ideal"
+    path.write_text("params: T\nvars: Y1, Y2\ngens:\nT*Y1^2 + Y1*Y2 - 1\nY2^3 - Y1\n")
+    report = run_experiment(ExperimentConfig(kind="ScalarSpec", ideal_path=str(path), box=2,
+                                             samples=15, budgets=Budgets(gb_max_pairs=1)))
+    stopped = [3, 4, 6, 9, 10]
+    for index, sample in enumerate(report["samples"]):
+        at_zero = sample["point"]["values"] == ["0"]
+        assert at_zero == (index in stopped)
+        assert (sample["verdict"] == "inconclusive") == at_zero
+        if at_zero:
+            assert sample["reason"] == "budget: pair budget 1 exceeded"
+            assert sample["dimension"] is None
+    assert verify_report(report) == (["accounting confirmed for 15 samples"]
+                                     + [f"sample {i}: inconclusive verdict re-run"
+                                        for i in stopped])
+    report["samples"][3]["reason"] = "budget: term budget exceeded"
+    with pytest.raises(PrimespecError, match="^sample 3: "):
+        verify_report(report)
+
+
 def _circle_cut_by_small_lines(circle_path):
     # Lines a + b*Y1 + c*Y2 with a, b, c in [-1, 1]: a nonzero constant
     # misses the circle (the unit ideal), and the zero line keeps all of it.

@@ -226,7 +226,7 @@ def _rational_ideal(gens):
 
 
 def _three_orders(ctx):
-    return [grevlex, lex, target_first(grevlex, ctx.keep(("Y1",)), ctx)]
+    return [grevlex, lex, target_first(ctx.keep(("Y1",)), ctx)]
 
 
 def test_buchberger_rational_generators_golden():
@@ -281,7 +281,7 @@ def test_normal_form_matches_fraction_division():
         params = ideal.context.param_names
         if params:
             main = tuple(n for n in ideal.context.names if n not in params)
-            cases.append((ideal, target_first(grevlex, ideal.context.keep(main), ideal.context)))
+            cases.append((ideal, target_first(ideal.context.keep(main), ideal.context)))
     for gens in RATIONAL_GENERATORS:
         ideal = _rational_ideal(gens)
         cases += [(ideal, order) for order in _three_orders(ideal.context)]
@@ -304,7 +304,7 @@ def test_expired_deadline_stops_dimension_search():
     ideal = make_ideal(("Y1", "Y2", "Y3"), ["Y2 - T*Y1^2", "Y3 - Y1*Y2"], params=("T",))
     main = ("Y1", "Y2", "Y3")
     ideal.groebner(grevlex)
-    ideal.groebner(target_first(grevlex, ideal.context.keep(main), ideal.context))
+    ideal.groebner(target_first(ideal.context.keep(main), ideal.context))
     expired = GBLimits(deadline=time.monotonic() - 1)
     with pytest.raises(BudgetExceededError):
         ideal_dimension(ideal, expired)
@@ -365,7 +365,7 @@ def test_fiber_groebner_runs_buchberger_on_its_own_generators(cubic_fiber_family
     other = make_ideal(("Y1", "Y2", "Y3"), ["Y2 - T*Y1^3", "Y3 - Y1"], params=("T",))
     base._cache[order] = other.groebner(order)
     fiber = specialize_scalar(base, [3])
-    for order in (grevlex, lex, target_first(grevlex, target.keep(("Y1",)), target)):
+    for order in (grevlex, lex, target_first(target.keep(("Y1",)), target)):
         expected = GroebnerBasis(target, order, buchberger(fiber.generators, order))
         assert fiber.groebner(order) == expected, order
 
@@ -404,7 +404,7 @@ def test_fibers_build_each_block_order_once(cubic_fiber_family, monkeypatch):
         assert (fiber.dimension(), is_prime(fiber).status) == (1, "prime")
     assert built and len(built) == len(set(built))
     order = cubic_fiber_family.block_order(fiber.context)
-    assert order == target_first(grevlex, fiber.context, cubic_fiber_family.context)
+    assert order == target_first(fiber.context, cubic_fiber_family.context)
     assert cubic_fiber_family.block_order(fiber.context) is order
 
 

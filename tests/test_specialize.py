@@ -8,6 +8,7 @@ import pytest
 from primespec import (BudgetExceededError, ContextMismatchError, GBLimits, Ideal, Polynomial,
                        context, eliminate, generic_form, grevlex, intersect_generic, is_prime,
                        monomials_upto, parse_polynomial, specialize_polynomial, specialize_scalar)
+from primespec.experiments import specialize_point
 from primespec.primality import NOT_PRIME, PRIME
 
 from conftest import make_ideal, seeded
@@ -25,10 +26,11 @@ def test_scalar_fibers_substitute_their_generators_when_first_read(parabola_fami
     assert str(fiber) == "Ideal<Y^2 - 4>" and not fiber.is_zero
 
 
-def test_degeneracy_from_the_root_tables_equals_substitution():
-    # A fiber with unread generators decides is_zero from its root's tables
-    # of coefficients in T; it must agree with substituting every generator,
-    # and leave the generators unread.
+def test_degeneracy_flag_equals_substitution(parabola_family):
+    # specialize_point flags a scalar fiber exactly where every generator
+    # substitutes to zero.  It reads that from the fiber's dimension, which
+    # comes from the root's leads, so the generators stay unread wherever
+    # lifted reads the root's basis at the fiber's values.
     families = [
         (("Y",), ["T*Y"], ("T",)),
         (("Y1", "Y2"), ["T*Y1", "T*Y2"], ("T",)),
@@ -39,11 +41,19 @@ def test_degeneracy_from_the_root_tables_equals_substitution():
         family = make_ideal(variables, gens, params=params)
         target = family.context.without_params()
         for values in itertools.product(range(-4, 5), repeat=len(params)):
-            fiber = specialize_scalar(family, values)
+            fiber, degenerate = specialize_point(family, "ScalarSpec", (), values)
             bindings = dict(zip(params, map(Fraction, values)))
             substituted = [g.substitute(bindings, target) for g in family.generators]
-            assert fiber.is_zero == all(g.is_zero for g in substituted), (gens, values)
-            assert callable(fiber._generators), (gens, values)
+            assert degenerate == all(g.is_zero for g in substituted), (gens, values)
+            unread = callable(fiber._generators)
+            _, at, _ = fiber.lifted(fiber.context)
+            assert unread == (at == fiber.root[1]), (gens, values)
+    # A polynomial value is flagged exactly where it cancels every generator.
+    y_ctx = parabola_family.context.without_params()
+    for value, flagged in (("Y^2", True), ("Y^2 + 1", False), ("Y", False), ("0", False)):
+        _, degenerate = specialize_point(parabola_family, "PolySpec", (2,),
+                                         [parse_polynomial(value, y_ctx)])
+        assert degenerate == flagged, value
 
 
 def test_scalar_specialization_substitutes(parabola_family):

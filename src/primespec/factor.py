@@ -1,14 +1,21 @@
 """Exact factorization of univariate polynomials over the rationals.
 
-Pipeline: strip the rational content, split into squarefree parts with
-Yun's algorithm (its gcds are primitive remainder sequences over Z), and
-factor each part.  A quadratic or a cubic with a nonzero discriminant is
-squarefree without a gcd.  A quadratic a*z^2 + b*z + c splits exactly when
+Pipeline: strip the rational content, prove the input squarefree, and
+factor it.  A quadratic or a cubic is squarefree where its discriminant
+is nonzero.  A degree 4 and up f is proved squarefree at the prime of its
+modular split: the scan takes the odd primes p that do not divide lc(f)
+in increasing order, and the first at which f mod p is squarefree both
+fixes p and proves f squarefree over Q, since disc(f) mod p =
+disc(f mod p) != 0 (von zur Gathen-Gerhard, 14.6 and 15.4).  Only where
+neither proof holds (a zero discriminant, or the first deg f primes of
+the scan all fail) does f go through Yun's squarefree decomposition, whose
+gcds are primitive remainder sequences over Z, and each part is factored
+on its own.  A quadratic a*z^2 + b*z + c splits exactly when
 its discriminant d = b^2 - 4ac is a square, into the primitive parts of
 2a*z + b -+ sqrt(d).  A cubic splits exactly when it has a rational root,
 found by bisection on the pieces where it is monotone; the quotient then
-goes through the quadratic rule.  Degrees 4 and up are factored modulo a
-good odd prime p by a distinct-degree split followed by a Cantor-Zassenhaus
+goes through the quadratic rule.  Degrees 4 and up are factored modulo the
+scan's p by a distinct-degree split followed by a Cantor-Zassenhaus
 equal-degree split.  The modular factors are lifted by a factor tree that
 takes one quadratic Hensel step per node and level, m = p^2, p^4, ...,
 up to p^l, the least power of p above twice the Landau-Mignotte
@@ -23,10 +30,11 @@ stops there.  Otherwise the same lift goes on to p^l, and the factors are
 recombined by exhaustive subset search up to half the modular factor
 count.
 
-The modular split depends only on p and f/lc(f) mod p, so a caller that
-factors many congruent polynomials passes a dict that memoizes it
-(``factor_univariate``'s ``splits``): the scalar fibers of one root share
-one, held on the root, because chi(t, W) mod p depends on t mod p only.
+Whether f mod p is squarefree, and its modular split, depend only on p
+and f/lc(f) mod p, so a caller that factors many congruent polynomials
+passes a dict that memoizes both per tried prime (``factor_univariate``'s
+``splits``): the scalar fibers of one root share one, held on the root,
+because chi(t, W) mod p depends on t mod p only.
 There is no module-level cache.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
@@ -379,18 +387,6 @@ def _lift_levels(p, f, modular_factors, pl, limits):
 # -- Zassenhaus ---------------------------------------------------------------
 
 
-def _choose_prime(f):
-    """Smallest odd prime keeping f squarefree with invertible lead."""
-    df = _zx_derivative(f)
-    candidate = 3
-    while True:
-        if f[-1] % candidate and all(candidate % q for q in range(3, math.isqrt(candidate) + 1, 2)):
-            db = _mod(df, candidate)
-            if db and _mod_gcd(_mod(f, candidate), db, candidate) == [1]:
-                return candidate
-        candidate += 2
-
-
 def mignotte_factor_height(coeffs, factor_degree) -> int:
     """Coefficient bound for any degree-bounded divisor of an integer polynomial."""
     norm_sq = sum(c * c for c in coeffs)
@@ -492,28 +488,45 @@ def _trace_test(lifted, m, lc, bound, limits):
     return False
 
 
-def _split_mod(f, limits, splits):
-    """(p, the sorted monic factors of f mod p) for ``_choose_prime``'s p.
+def _split_mod(f, limits, splits, candidates=None):
+    """(p, the sorted monic factors of f mod p) for the first good odd prime p, or None.
 
-    ``splits``, a dict or None, memoizes the split by (p, f/lc(f) mod p),
-    which alone decides it; a hit still checks the deadline.
+    The scan tries the odd primes p that do not divide lc(f) in increasing
+    order, the first ``candidates`` of them (all if None), and p is good
+    where f mod p is squarefree; then f is squarefree over Q, since
+    disc(f) mod p = disc(f mod p) != 0.  ``splits``, a dict or None,
+    memoizes each tried prime by (p, f/lc(f) mod p), which alone decides
+    the split, or None where f mod p is not squarefree; a hit still checks
+    the deadline.
     """
-    p = _choose_prime(f)
-    monic = _mod_monic(f, p)
-    key = (p, tuple(monic))
-    if splits is not None and key in splits:
-        limits.check_deadline()
-        return p, splits[key]
-    modular = sorted(_modular_factors(monic, p, limits))
-    if splits is not None:
-        splits[key] = modular
-    return p, modular
+    p = 3
+    while candidates != 0:
+        if f[-1] % p and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            monic = _mod_monic(f, p)
+            key = (p, tuple(monic))
+            if splits is not None and key in splits:
+                limits.check_deadline()
+                modular = splits[key]
+            else:
+                db = _mod(_zx_derivative(monic), p)
+                squarefree = db and _mod_gcd(monic, db, p) == [1]
+                modular = sorted(_modular_factors(monic, p, limits)) if squarefree else None
+                if splits is not None:
+                    splits[key] = modular
+            if modular is not None:
+                return p, modular
+            if candidates is not None:
+                candidates -= 1
+        p += 2
+    return None
 
 
-def _zassenhaus(f, limits, splits=None):
+def _zassenhaus(f, limits, splits=None, candidates=None):
     """Irreducible factors of a primitive squarefree integer polynomial.
 
-    ``splits`` memoizes the modular split (``_split_mod``).
+    ``splits`` and ``candidates`` go to the prime scan (``_split_mod``); a
+    degree 4 and up f that may not be squarefree passes a bound on the
+    candidates, and gets None where the scan fails.
     """
     n = _zx_degree(f)
     if n == 1:
@@ -522,7 +535,10 @@ def _zassenhaus(f, limits, splits=None):
         return _quadratic_factors(f)
     if n == 3:
         return _cubic_factors(f)
-    p, modular = _split_mod(f, limits, splits)
+    found = _split_mod(f, limits, splits, candidates)
+    if found is None:
+        return None
+    p, modular = found
     if len(modular) == 1:
         return [list(f)]
     lc = abs(f[-1])
@@ -605,13 +621,16 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
 
     Returns (unit, [(factor, multiplicity)]) with primitive positive-lead
     integer factors; unit * prod(factor^multiplicity) reconstructs the
-    input exactly.  Degree-zero input yields (value, []).  ``splits``, a
-    dict or None, memoizes the modular splits by (p, residues); the
-    caller owns it.  The deadline of ``limits`` is checked at every step
-    of the modular split and at every memo hit, every Hensel step, every
-    subset size of the trace test and every recombination subset.  The
-    quadratic and cubic rules check none: one takes a square root, the
-    other makes O(log height) evaluations of the cubic.
+    input exactly.  A degree 4 and up input is proved squarefree at the
+    prime its modular split is taken at, and Yun's decomposition runs only
+    where the first deg f primes of that scan fail (module docstring).
+    ``splits``, a dict or None, memoizes per (p, residues) the modular
+    split, or None where the residues are not squarefree; the caller owns
+    it.  The deadline of ``limits`` is checked at every step of the
+    modular split and at every memo hit, every Hensel step, every subset
+    size of the trace test and every recombination subset.  The quadratic
+    and cubic rules check none: one takes a square root, the other makes
+    O(log height) evaluations of the cubic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -623,9 +642,13 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
     if primitive[-1] < 0:
         unit, primitive = -unit, [-c for c in primitive]
 
-    factors = []
-    for part, multiplicity in _yun_squarefree(primitive):
-        for irreducible in _zassenhaus(part, limits, splits):
-            factors.append((irreducible, multiplicity))
+    n = _zx_degree(primitive)
+    found = _zassenhaus(primitive, limits, splits, n) if n >= 4 else None
+    if found is not None:
+        factors = [(irreducible, 1) for irreducible in found]
+    else:  # a cubic or below, or no squarefree reduction among the first n primes
+        factors = [(irreducible, multiplicity)
+                   for part, multiplicity in _yun_squarefree(primitive)
+                   for irreducible in _zassenhaus(part, limits, splits)]
     factors.sort(key=lambda item: (len(item[0]), item[0]))
     return unit, [(_from_dense(p.context, var, f), m) for f, m in factors]

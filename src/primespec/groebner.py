@@ -505,8 +505,9 @@ class Ideal:
     bases by the rule of the module docstring.  An ideal in the variables
     Y alone caches, per degree, the root whose scalar fibers are its cuts
     by one form of that degree (``cutting_root``).  A root also holds the
-    memo of the modular splits of its fibers' eliminants, which
-    ``primality`` passes to ``factor_univariate``.
+    memo that ``primality`` passes to ``factor_univariate`` for its fibers'
+    eliminants: per prime and residues, the modular split, or None where
+    the residues are not squarefree.
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
@@ -520,8 +521,9 @@ class Ideal:
         self._orders: dict[VariableContext, MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
-        # (p, residues) -> the modular split of a fiber's chi (``factor_univariate``)
-        self._splits: dict[tuple[int, tuple[int, ...]], list] = {}
+        # (p, residues) -> the modular split of a fiber's chi, or None where the
+        # residues are not squarefree (``factor_univariate``)
+        self._splits: dict[tuple[int, tuple[int, ...]], list | None] = {}
         # degree -> this ideal cut by a generic form of that degree, or None (``cutting_root``)
         self._roots: dict[int, Ideal | None] = {}
         self._origin = origin

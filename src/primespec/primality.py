@@ -56,8 +56,8 @@ force m = chi(t, u, W) made monic: the section, and the verdict prime, are
 those of the Krylov run, which is skipped.  chi is evaluated at (t, u) in
 integers, one Horner pass per W-degree.  Its factorization passes the
 root's memo of modular splits to ``factor_univariate``: chi(t, u, W) mod p
-depends on (t, u) mod p only, so fibers at congruent points split it mod
-p once.  The root owns the memo, as it owns chi; the Krylov path factors
+depends on (t, u) mod p only, so fibers at congruent points test it for
+a repeated factor and split it mod p once.  The root owns the memo, as it owns chi; the Krylov path factors
 without it.  Everything else (a lower degree, a split, a random form, an
 ideal that is no scalar fiber, such as a PolySpec sample, a cut by two or
 more forms or a fiber at a t that is not integral, no principal

@@ -10,9 +10,9 @@ import pytest
 from primespec import (BudgetExceededError, GBLimits, Polynomial, PrimespecError, context,
                        factor_univariate, parse_polynomial)
 from primespec import factor
-from primespec.factor import (_choose_prime, _lift_levels, _mod, _mod_divmod, _mod_gcd,
-                              _mod_monic, _mod_mul, _mod_pow, _modular_factors,
-                              _quadratic_factors, _yun_squarefree, _zassenhaus, _zx_add,
+from primespec.factor import (_lift_levels, _mod, _mod_divmod, _mod_gcd, _mod_monic,
+                              _mod_mul, _mod_pow, _modular_factors, _quadratic_factors,
+                              _split_mod, _yun_squarefree, _zassenhaus, _zx_add,
                               _zx_derivative, _zx_div_exact, _zx_gcd, _zx_mul, _zx_primitive,
                               _zx_strip, mignotte_factor_height)
 from primespec.groebner import DEFAULT_LIMITS
@@ -32,6 +32,11 @@ def reassemble(ctx, unit, factors):
     for factor, multiplicity in factors:
         product = product * factor ** multiplicity
     return product
+
+
+def _scan_prime(f):
+    """The prime that the scan of ``_split_mod`` fixes for a squarefree f."""
+    return _split_mod(f, DEFAULT_LIMITS, None)[0]
 
 
 def test_difference_of_squares(y):
@@ -334,7 +339,7 @@ def test_cubics_never_reach_the_modular_path(y, monkeypatch):
     def modular(*args):
         raise AssertionError(f"modular path on {args[0]}")
 
-    monkeypatch.setattr(factor, "_choose_prime", modular)
+    monkeypatch.setattr(factor, "_split_mod", modular)
     monkeypatch.setattr(factor, "_modular_factors", modular)
     for p in _cubic_inputs(y, 2):
         factor_univariate(p)
@@ -344,14 +349,104 @@ def test_cubics_never_reach_the_modular_path(y, monkeypatch):
         factor_univariate(parse_polynomial("Y^4 + 1", y))
 
 
-def test_choose_prime_skips_bad_primes():
+def test_prime_scan_skips_bad_primes():
     # 15Y^3 + 62Y^2 + 77Y + 77 is squarefree over Q, but 3 and 5 divide its
     # lead, and modulo 7 and 11 it is Y^2 (Y + 6) and Y^2 (4Y + 7): the first
-    # good prime is 13, and 9 is skipped as composite.
+    # good prime is 13, and 9 is skipped as composite.  Only 7 and 11 count
+    # as candidates, and the memo holds None for them.
     f = [77, 77, 62, 15]
     assert _zx_gcd(f, [77, 124, 45]) == [1]
     assert _mod(f, 7) == [0, 0, 6, 1] and _mod(f, 11) == [0, 0, 7, 4]
-    assert _choose_prime(f) == 13
+    assert _scan_prime(f) == 13
+    splits = {}
+    assert _split_mod(f, DEFAULT_LIMITS, splits, 2) is None
+    assert [(p, split) for (p, _), split in splits.items()] == [(7, None), (11, None)]
+    assert _split_mod(f, DEFAULT_LIMITS, splits, 3)[0] == 13
+
+
+def _yun_first(f):
+    """The factors of a primitive f the way ``factor_univariate`` took them before
+    the prime scan: Yun's decomposition first, then each part factored."""
+    factors = [(g, m) for part, m in _yun_squarefree(f) for g in _zassenhaus(part, DEFAULT_LIMITS)]
+    return sorted(factors, key=lambda item: (len(item[0]), item[0]))
+
+
+def _scan_corpus():
+    """Seeded primitive inputs of degrees 4-16, with a flag for a repeated factor.
+
+    Even entries are squarefree products of one to three random factors;
+    odd ones are g^m * h for m = 2 or 3.
+    """
+    rng = seeded(72)
+    corpus = []
+    while len(corpus) < 60:
+        degree = rng.randint(4, 16)
+        if len(corpus) % 2:
+            m = rng.randint(2, 3)
+            d = rng.randint(1, (degree - 1) // m)
+            g = _random_zx(rng, d, rng.randint(1, 4))
+            parts = [g] * m + [_random_zx(rng, degree - m * d, rng.randint(1, 6))]
+        else:
+            cuts = sorted(rng.sample(range(1, degree), rng.randint(0, 2)))
+            parts = [_random_zx(rng, b - a, rng.randint(1, 6))
+                     for a, b in zip([0] + cuts, cuts + [degree])]
+        f = _zx_primitive(_product(parts))
+        if len(corpus) % 2 or len(_zx_gcd(f, _zx_derivative(f))) == 1:
+            corpus.append((f, len(corpus) % 2 == 1))
+    return corpus
+
+
+def test_prime_scan_matches_yun_first_with_and_without_memos(y, monkeypatch):
+    corpus = _scan_corpus()
+    expected = [_yun_first(f) for f, _ in corpus]
+    assert sum(max(m for _, m in e) > 1 for e in expected) == 30
+    yun = []
+    squarefree = _yun_squarefree
+
+    def counted(f):
+        yun.append(f)
+        return squarefree(f)
+
+    monkeypatch.setattr(factor, "_yun_squarefree", counted)
+    shared = {}
+    for memo in ("none", "fresh", "shared"):
+        del yun[:]
+        for (f, repeated), reference in zip(corpus, expected):
+            p = Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(f) if c})
+            splits = {"none": None, "fresh": {}, "shared": shared}[memo]
+            unit, factors = factor_univariate(p, DEFAULT_LIMITS, splits)
+            assert (unit, [(_dense(g), m) for g, m in factors]) == (1, reference), (memo, f)
+            assert reassemble(y, unit, factors) == p
+        # Yun runs on exactly the inputs with a repeated factor
+        assert yun == [f for f, repeated in corpus if repeated], memo
+    assert None in shared.values()
+
+
+def test_prime_scan_falls_back_to_yun(y, monkeypatch):
+    # Y (Y - 1)(Y - 1155)(Y - 1156) is squarefree over Q, but 1155 = 3*5*7*11
+    # merges Y with Y - 1155 and Y - 1 with Y - 1156 modulo 3, 5, 7 and 11:
+    # the first deg f = 4 candidates fail, Yun runs once and returns f
+    # whole, and the scan of that part fixes p = 13.
+    yun = []
+    squarefree = _yun_squarefree
+
+    def counted(f):
+        yun.append(f)
+        return squarefree(f)
+
+    monkeypatch.setattr(factor, "_yun_squarefree", counted)
+    p = parse_polynomial("Y*(Y-1)*(Y-1155)*(Y-1156)", y)
+    expected = ["Y", "Y - 1", "Y - 1155", "Y - 1156"]
+    for splits in (None, {}):
+        del yun[:]
+        unit, factors = factor_univariate(p, DEFAULT_LIMITS, splits)
+        assert sorted(str(f) for f, _ in factors) == sorted(expected)
+        assert unit == 1 and all(m == 1 for _, m in factors)
+        assert len(yun) == 1
+    assert [(q, split is None) for (q, _), split in splits.items()] == \
+        [(3, True), (5, True), (7, True), (11, True), (13, False)]
+    [(_, residues)] = [key for key, split in splits.items() if split is not None]
+    assert residues == tuple(_mod(_dense(p), 13))
 
 
 def _reference_nullspace(matrix, p):
@@ -456,11 +551,11 @@ def _modular_inputs():
     # Y^4 + 1, Y^4 - 10Y^2 + 1, Y^6 - 1, Y^8 + 1, Y^12 + 1, Y^16 + 1, Y^12 - 1
     named = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, 0, 0, 0, 0, 0, 1], [1] + [0] * 7 + [1],
              [1] + [0] * 11 + [1], [1] + [0] * 15 + [1], [-1] + [0] * 11 + [1])
-    inputs = [(f, _choose_prime(f)) for f in named]
+    inputs = [(f, _scan_prime(f)) for f in named]
     while len(inputs) < len(named) + 100:
         f = _zx_primitive(_random_zx(rng, rng.randint(3, 10), rng.randint(2, 20)))
         if len(_zx_gcd(f, _zx_derivative(f))) == 1:
-            inputs.append((f, _choose_prime(f)))
+            inputs.append((f, _scan_prime(f)))
     for p in (3, 5, 7, 101):
         inputs += [(_draw_monic(rng, p, rng.randint(1, 10)), p) for _ in range(40)]
         for _ in range(15):
@@ -525,8 +620,7 @@ def test_hensel_lift_stops_at_the_requested_power(l):
         f = _zx_primitive(f)
         if len(_zx_gcd(f, [i * c for i, c in enumerate(f)][1:])) > 1:
             continue
-        p = _choose_prime(f)
-        modular = _modular_factors(_mod_monic(_mod(f, p), p), p, DEFAULT_LIMITS)
+        p, modular = _split_mod(f, DEFAULT_LIMITS, None)
         pl = p ** l
         lifted = _lift_to(p, f, modular, l)
         assert len(lifted) == len(modular)
@@ -676,8 +770,7 @@ def test_trace_test_passes_a_true_factor_at_its_bound(root):
     # The leaf of Y - root has the trace 3 * root: at the bound 3 * 1 * B for
     # B = 7, beyond it for B = 6.  The quartic's leaf, 3 * 1000/3, passes neither.
     f = _zx_mul([-root, 1], [2, 1, 0, -1000, 3])
-    p = _choose_prime(f)
-    modular = sorted(_modular_factors(_mod_monic(f, p), p, DEFAULT_LIMITS))
+    p, modular = _split_mod(f, DEFAULT_LIMITS, None)
     assert (p, len(modular)) == (5, 2)
     lifted = _lift_to(p, f, modular, 30)
     assert factor._trace_test(lifted, p ** 30, 3, 7, DEFAULT_LIMITS)
@@ -716,7 +809,7 @@ def test_irreducible_product_plus_one_stops_the_lift_early(monkeypatch):
     # 3^16 (below p^l = 3^28) leaves no factor, so f is irreducible there,
     # and that level's Bezout step is never taken.
     f = _consecutive(1, 12, 1)
-    assert _choose_prime(f) == 3
+    assert _scan_prime(f) == 3
     assert len(_modular_factors(_mod_monic(f, 3), 3, DEFAULT_LIMITS)) == 2
     steps = _record_steps(monkeypatch)
     assert _zassenhaus(f, DEFAULT_LIMITS) == [f]
@@ -730,7 +823,7 @@ def test_product_of_two_factors_passes_the_trace_test_and_resumes(monkeypatch):
     # a subset passes the trace test at 5^16, and the same lift goes on to 5^l.
     g, h = _consecutive(1, 6, -1), _consecutive(7, 12, -1)
     f = _zx_mul(g, h)
-    assert _choose_prime(f) == 5
+    assert _scan_prime(f) == 5
     steps = _record_steps(monkeypatch)
     assert sorted(_zassenhaus(f, DEFAULT_LIMITS)) == sorted([g, h])
     l = _lift_power(f, 5)
@@ -743,7 +836,7 @@ def test_congruent_inputs_share_one_memo_entry(y):
     # f and f + 3Y^5 agree mod 3, the prime both choose
     f = _consecutive(1, 12, 1)
     g = _zx_add(f, [0, 0, 0, 0, 0, 3])
-    assert _choose_prime(f) == _choose_prime(g) == 3
+    assert _scan_prime(f) == _scan_prime(g) == 3
     splits = {}
     for h in (f, g):
         assert _zassenhaus(h, DEFAULT_LIMITS, splits) == _zassenhaus(h, DEFAULT_LIMITS)

@@ -672,24 +672,49 @@ def test_eliminant_gives_the_krylov_minimal_polynomial_on_points(monkeypatch):
 
 def test_points_fibers_fill_the_roots_memo_of_modular_splits(monkeypatch):
     # chi(t, W) mod p depends on t mod p only, so the fiber at
-    # t = 2 + 3*5*7*11*13*17 chooses the prime of the fiber at 2 and reuses its split
+    # t = 2 + 3*5*7*11*13*17 scans to the prime of the fiber at 2 and reuses
+    # its split with no gcd mod p; chi(3, W) is not squarefree mod 3, which
+    # the memo keeps as None, and splits mod 5
     family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
     assert is_prime(specialize_scalar(family, [2])).status == PRIME
     [(p, residues)] = family._splits
-    assert p == 3 and len(residues) == 13
-    split = factor._modular_factors
-
-    def counted(*args):
-        calls.append(args)
-        return split(*args)
-
+    assert p == 3 and len(residues) == 13 and family._splits[p, residues] is not None
     calls = []
-    monkeypatch.setattr(factor, "_modular_factors", counted)
+    for name in ("_modular_factors", "_mod_gcd"):
+        def counted(*args, run=getattr(factor, name), name=name):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(factor, name, counted)
     verdict = is_prime(specialize_scalar(family, [2 + 255255]))
     assert verdict.status == PRIME and len(verdict.sections) == 1
     assert calls == [] and list(family._splits) == [(p, residues)]
     assert is_prime(specialize_scalar(family, [3])).status == PRIME
-    assert len(calls) == 1 and len(family._splits) == 2
+    assert calls.count("_modular_factors") == 1
+    assert [(q, split is None) for (q, _), split in family._splits.items()] == \
+        [(3, False), (3, True), (5, False)]
+
+
+def test_points_chi_is_proved_squarefree_without_an_integer_gcd(monkeypatch):
+    # chi(2, W) is squarefree mod 3, the prime of its split: that proves it
+    # squarefree over Q, and no remainder sequence over Z runs
+    def refuse(*args):
+        raise AssertionError("an integer gcd on a squarefree chi")
+
+    seen = []
+    run = primality.factor_univariate
+
+    def recorded(m, *args):
+        seen.append(m)
+        return run(m, *args)
+
+    monkeypatch.setattr(factor, "_zx_gcd", refuse)
+    monkeypatch.setattr(primality, "factor_univariate", recorded)
+    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
+    assert is_prime(specialize_scalar(family, [2])).status == PRIME
+    [chi] = seen
+    assert chi.total_degree() == 12
+    assert [p for p, _ in family._splits] == [3]
 
 
 def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fiber_family,

@@ -38,10 +38,10 @@ from .errors import BudgetExceededError, ConfigError, HypothesisViolationError, 
 from .groebner import (DEFAULT_LIMITS, GBLimits, Ideal, eliminate, fiber_dimension,
                        specialize_basis)
 from .parse import parse_ideal_source, parse_polynomial
-from .poly import Polynomial, monomials_upto
+from .poly import Polynomial, monomials_upto  # perfbench's oracles read monomials_upto here
 from .primality import (DEFAULT_TRIALS, INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL,
                         _certificate_error, is_prime)
-from .specialize import (generic_form, intersect_generic, specialize_polynomial,
+from .specialize import (generic_forms, intersect_generic, specialize_polynomial,
                          specialize_scalar)
 
 SCALAR_SPEC = "ScalarSpec"
@@ -169,24 +169,22 @@ def sample_point(kind: str, ideal: Ideal, degrees, box: int, rng: Random) -> tup
     """Draw one specialization point, coordinates uniform on [-H, H].
 
     Returns the point as the report stores it, numbers and polynomials as
-    strings, and the values ``specialize_point`` takes: one int or one
-    degree-bounded polynomial per parameter, or one int block per cut.
+    strings, and the values ``specialize_point`` takes: one int per
+    parameter, or one int block per degree, the coefficients of a generic
+    form of that degree in ``monomials_upto`` order (a cut, or a PolySpec
+    point's value of one parameter).
     """
     ctx = ideal.context
     if kind in (SCALAR_SPEC, CONSISTENCY):
         values = [rng.randint(-box, box) for _ in range(ctx.r)]
         return {"kind": "scalar", "values": list(map(str, values))}, values
+    if kind not in KINDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    blocks = [[rng.randint(-box, box) for _ in range(math.comb(ctx.s + d, d))] for d in degrees]
     if kind == POLY_SPEC:
-        y_ctx = ctx.without_params()
-        supports = [monomials_upto(y_ctx.s, degree) for degree in degrees]
-        values = [generic_form(y_ctx, support, [rng.randint(-box, box) for _ in support])
-                  for support in supports]
-        return {"kind": "poly", "values": list(map(str, values)), "degrees": list(degrees)}, values
-    if kind == GENERIC_INTERSECT:
-        blocks = [[rng.randint(-box, box) for _ in range(math.comb(ctx.s + d, d))]
-                  for d in degrees]
-        return {"kind": "lambda", "blocks": [list(map(str, block)) for block in blocks]}, blocks
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+        values = generic_forms(ctx.without_params(), degrees, blocks)
+        return {"kind": "poly", "values": list(map(str, values)), "degrees": list(degrees)}, blocks
+    return {"kind": "lambda", "blocks": [list(map(str, block)) for block in blocks]}, blocks
 
 
 # -- per-sample work ----------------------------------------------------------
@@ -196,25 +194,33 @@ def specialize_point(ideal: Ideal, kind: str, degrees, values,
                      limits=DEFAULT_LIMITS) -> tuple[Ideal, bool]:
     """The specialized ideal at the values ``sample_point`` draws, and its degeneracy.
 
+    One rule: a scalar point is the scalar fiber of ``ideal``, and a
+    PolySpec point or one cut is the scalar fiber of
+    ``ideal.sampling_root`` at its flattened coefficient blocks, so that it
+    reads its bases from that root's.  Only two or more cuts, or a root
+    that a budget stops, build the specialized ideal per sample: they
+    adjoin the forms with ``intersect_generic``, or substitute them with
+    ``specialize_polynomial``.  Either way the generators are the same.
     A cut is degenerate when one of its coefficient blocks is all zero.
     Any other point is degenerate when it specializes every generator to
     zero, that is when the specialized ideal's dimension is its number of
     variables; a scalar fiber reads that dimension from its root's leads
     without substituting its generators, and ``run_sample`` reads it
-    again from the cache.  The dimension runs under ``limits``, so a
-    budget can stop it here.  One cut is the scalar fiber of
-    ``ideal.cutting_root`` at its block, and reads its bases from that
-    root; two or more cuts, or a root over budget, adjoin the forms with
-    ``intersect_generic``.  Either way the generators are the same.
+    again from the cache.  The root and the dimension run under
+    ``limits``, so a budget can stop them here.
     """
-    if kind == GENERIC_INTERSECT:
-        degenerate = not all(map(any, values))
-        root = ideal.cutting_root(degrees[0], limits) if len(degrees) == 1 else None
-        if root is None:
-            return intersect_generic(ideal, degrees, values), degenerate
-        return specialize_scalar(root, values[0], limits), degenerate
-    specialize = specialize_polynomial if kind == POLY_SPEC else specialize_scalar
-    specialized = specialize(ideal, values, limits)
+    cut = kind == GENERIC_INTERSECT
+    if kind in (SCALAR_SPEC, CONSISTENCY):
+        specialized = specialize_scalar(ideal, values, limits)
+    elif (not cut or len(degrees) == 1) and (root := ideal.sampling_root(degrees, cut, limits)):
+        specialized = specialize_scalar(root, [c for block in values for c in block], limits)
+    elif cut:
+        specialized = intersect_generic(ideal, degrees, values)
+    else:
+        forms = generic_forms(ideal.context.without_params(), degrees, values)
+        specialized = specialize_polynomial(ideal, forms, limits)
+    if cut:
+        return specialized, not all(map(any, values))
     return specialized, specialized.dimension(limits) == len(specialized.context)
 
 
@@ -469,7 +475,7 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
     if sample["point"] != point:
         raise PrimespecError("point differs from the one its seed draws")
-    # As in run_sample, the pair and term budgets decide whether a cutting root is used.
+    # As in run_sample, the pair and term budgets decide whether a sampling root is used.
     limits = config.budgets.limits()
     try:
         specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values,

@@ -502,9 +502,10 @@ class Ideal:
     ``origin`` = (base ideal, {parameter: int}) marks an ideal built by
     scalar specialization at integers; the base is its root, and every
     other ideal is its own root (``root``).  ``lifted`` reads the root's
-    bases by the rule of the module docstring.  An ideal in the variables
-    Y alone caches, per degree, the root whose scalar fibers are its cuts
-    by one form of that degree (``cutting_root``).  A root also holds the
+    bases by the rule of the module docstring.  An ideal caches, per
+    degrees and kind, the root whose scalar fibers are its samples at
+    generic forms of those degrees: its cuts by them, or its parameters
+    replaced by them (``sampling_root``).  A root also holds the
     memo that ``primality`` passes to ``factor_univariate`` for its fibers'
     eliminants: per prime and residues, the modular split, or None where
     the residues are not squarefree.
@@ -524,8 +525,9 @@ class Ideal:
         # (p, residues) -> the modular split of a fiber's chi, or None where the
         # residues are not squarefree (``factor_univariate``)
         self._splits: dict[tuple[int, tuple[int, ...]], list | None] = {}
-        # degree -> this ideal cut by a generic form of that degree, or None (``cutting_root``)
-        self._roots: dict[int, Ideal | None] = {}
+        # (degrees, cut) -> this ideal cut by, or specialized at, generic forms of
+        # those degrees, or None (``sampling_root``)
+        self._roots: dict[tuple[tuple[int, ...], bool], Ideal | None] = {}
         self._origin = origin
 
     def _accept(self, generators) -> tuple[Polynomial, ...]:
@@ -639,45 +641,51 @@ class Ideal:
                 limits.check_deadline()
         return root._chi[key]
 
-    def cutting_root(self, degree: int, limits=DEFAULT_LIMITS) -> Ideal | None:
-        """This ideal cut by the generic form of ``degree``, its coefficients parameters; or None.
+    def sampling_root(self, degrees, cut: bool, limits=DEFAULT_LIMITS) -> Ideal | None:
+        """The root whose scalar fibers are this ideal's samples at generic forms; or None.
 
-        With P this ideal in Q[Y] and Y^e_0, Y^e_1, ... the ``monomials_upto``
-        monomials of ``degree``, the root is R = P + (sum L_j * Y^e_j) in
-        Q[L, Y]: its scalar fiber at a coefficient block c has the
-        generators of P cut by the form with coefficients c, in the order
-        ``intersect_generic`` gives them.  Built on first use together with
-        its (Y | L) block basis, which every fiber reads, and cached here by
-        degree; None when a pair or term budget stops that basis.  A
-        deadline that has passed is raised and nothing is cached.
+        Each degree d gives the generic form sum L_j * Y^e_j over the
+        ``monomials_upto`` monomials of d, its coefficients parameters L0,
+        L1, ... numbered across the forms in order, and named apart from
+        this ideal's variables.  With ``cut`` the root is R = P + (forms) in
+        Q[L, Y], for P this ideal in Q[Y]; otherwise the form of degree
+        ``degrees[i]`` replaces the parameter T_i of P in Q[T, Y].  The
+        scalar fiber of R at the coefficient blocks c, flattened, has the
+        generators of P cut by, or specialized at, the forms with
+        coefficients c, in the order ``intersect_generic`` or
+        ``specialize_polynomial`` gives them.  Built on first use together
+        with its (Y | L) block basis, which every fiber reads, and cached
+        here by (degrees, cut); None when a pair or term budget stops that
+        basis.  A deadline that has passed is raised and nothing is cached.
         """
-        if degree not in self._roots:
-            if self.context.r:
-                raise ContextMismatchError("a cut expects an ideal in the Y-variables only")
-            d = self.dimension(limits)
-            if d < 1:
-                raise ValueError(f"cannot cut once: dimension is {d}")
-            root = _cutting_root(self, degree)
+        key = (tuple(degrees), cut)
+        if key not in self._roots:
+            ctx = self.context
+            if cut and len(degrees) > self.dimension(limits):
+                raise ValueError(f"cannot cut {len(degrees)} times: dimension is "
+                                 f"{self.dimension(limits)}")
+            supports = [monomials_upto(ctx.s, degree) for degree in degrees]
+            width = sum(map(len, supports))
+            stem = "L"
+            while any(f"{stem}{j}" in ctx for j in range(width)):
+                stem += "_"
+            wide = VariableContext(tuple(f"{stem}{j}" for j in range(width)), ctx.var_names)
+            # L_j * Y^e_j, with j counting on from one form to the next
+            units = iter(tuple(int(i == j) for i in range(width)) for j in range(width))
+            forms = [Polynomial(wide, {next(units) + exp: 1 for exp in support})
+                     for support in supports]
+            if cut:
+                root = Ideal(wide, [g.embed(wide) for g in self.generators] + forms)
+            else:
+                bindings = dict(zip(ctx.param_names, forms, strict=True))
+                root = Ideal(wide, [g.substitute(bindings, wide) for g in self.generators])
             try:
-                root.groebner(root.block_order(self.context), limits)
+                root.groebner(root.block_order(ctx.without_params()), limits)
             except BudgetExceededError:
                 limits.check_deadline()
                 root = None
-            self._roots[degree] = root
-        return self._roots[degree]
-
-
-def _cutting_root(ideal: Ideal, degree: int) -> Ideal:
-    """``Ideal.cutting_root`` of ``ideal``, without its basis; the parameters are L0, L1, ..."""
-    ctx = ideal.context
-    support = monomials_upto(ctx.s, degree)
-    stem = "L"
-    while any(f"{stem}{j}" in ctx for j in range(len(support))):
-        stem += "_"
-    wide = VariableContext(tuple(f"{stem}{j}" for j in range(len(support))), ctx.var_names)
-    form = {tuple(int(i == j) for i in range(len(support))) + exp: 1
-            for j, exp in enumerate(support)}
-    return Ideal(wide, [g.embed(wide) for g in ideal.generators] + [Polynomial(wide, form)])
+            self._roots[key] = root
+        return self._roots[key]
 
 
 def _max_independent_set(leads, width, limits=DEFAULT_LIMITS) -> tuple[int, ...] | None:

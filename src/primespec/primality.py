@@ -41,9 +41,10 @@ polynomial only when one is not.  The basis at u is P's basis evaluated
 at (t, u) in one step.  The fiber runs Buchberger on its own generators
 only for the membership tests of a saturation certificate, or where
 ``lifted`` falls back; an ideal that is not such a fiber is its own
-root.  A generic intersection with one cut is such a fiber: its root is
-the base cut by the generic form whose coefficients are parameters
-(``Ideal.cutting_root``), and t is the sampled coefficient block.
+root.  A PolySpec sample and a generic intersection with one cut are such
+fibers: their root is the base with its parameters replaced by, or cut
+by, generic forms whose coefficients are parameters
+(``Ideal.sampling_root``), and t is the sampled coefficient blocks.
 
 A coordinate x of a scalar fiber at integer values t is first tried
 from its root P: chi(T, U, W), the one generator of
@@ -59,9 +60,9 @@ root's memo of modular splits to ``factor_univariate``: chi(t, u, W) mod p
 depends on (t, u) mod p only, so fibers at congruent points test it for
 a repeated factor and split it mod p once.  The root owns the memo, as it owns chi; the Krylov path factors
 without it.  Everything else (a lower degree, a split, a random form, an
-ideal that is no scalar fiber, such as a PolySpec sample, a cut by two or
-more forms or a fiber at a t that is not integral, no principal
-generator, chi over budget) takes the Krylov path.  Where chi
+ideal that is no scalar fiber, such as a cut by two or more forms, a
+sample whose root a budget stopped or a fiber at a t that is not
+integral, no principal generator, chi over budget) takes the Krylov path.  Where chi
 of full degree splits, the Krylov run's m is chi made monic whenever
 their degrees agree, and chi's split is reused instead of factoring m.
 

@@ -10,15 +10,19 @@
 Scalar and polynomial specialization take an ideal over the layout
 (T | Y) of ``context`` and return one over (Y); generic intersection
 works over (Y) alone.  ``generic_form`` builds every generic form with
-one rational coefficient per support monomial: the cutting hypersurfaces
-and the sampled polynomial values.
+one rational coefficient per support monomial, and ``generic_forms`` one
+per degree from coefficient blocks: the cutting hypersurfaces and the
+sampled polynomial values.
 
-One cut is also a scalar specialization: P cut by the form with
-coefficients c is the fiber at L = c of P plus the form whose
-coefficients are parameters L (``Ideal.cutting_root``), with the same
-generators as ``intersect_generic`` gives.  Experiments sample one cut
-that way (``experiments.specialize_point``), so that the cut reads its
-bases from the root's; two or more cuts are adjoined here.
+One cut, and a polynomial specialization at generic forms, are also
+scalar specializations: P cut by the form with coefficients c, or P with
+each T_i replaced by its form with coefficients c, is the fiber at L = c
+of the root whose forms have parameters L as coefficients
+(``Ideal.sampling_root``), with the same generators as
+``intersect_generic`` or ``specialize_polynomial`` gives.  Experiments
+sample them that way (``experiments.specialize_point``), so that every
+sample reads its bases from a root's; two or more cuts, and a root that a
+budget stops, are built here.
 """
 
 from __future__ import annotations
@@ -97,6 +101,16 @@ def generic_form(ctx, support, coefficients) -> Polynomial:
     return Polynomial(ctx, terms)
 
 
+def generic_forms(ctx, degrees, blocks) -> list[Polynomial]:
+    """One ``generic_form`` over ``ctx`` per degree, its support ``monomials_upto`` that degree.
+
+    ``blocks`` holds each form's coefficients in that order; a count or
+    length mismatch raises ValueError.
+    """
+    return [generic_form(ctx, monomials_upto(ctx.s, degree), block)
+            for degree, block in zip(degrees, blocks, strict=True)]
+
+
 def intersect_generic(ideal: Ideal, degrees, blocks) -> Ideal:
     """Adjoin specialized degree-bounded hypersurfaces to an ideal in K[Y].
 
@@ -113,8 +127,5 @@ def intersect_generic(ideal: Ideal, degrees, blocks) -> Ideal:
     d = ideal.dimension()
     if len(degrees) > d:
         raise ValueError(f"cannot cut {len(degrees)} times: dimension is {d}")
-    s = ideal.context.s
-    extra = [generic_form(ideal.context, monomials_upto(s, degree), block)
-             for degree, block in zip(degrees, blocks, strict=True)]
-    return Ideal(ideal.context, ideal.generators + tuple(extra))
+    return Ideal(ideal.context, [*ideal.generators, *generic_forms(ideal.context, degrees, blocks)])
 

@@ -67,10 +67,8 @@ def test_circle_zero_line_is_the_whole_circle(circle):
 
 def test_parabola_at_degree_one_values_box(parabola_family):
     # T -> a + b*Y gives Y^2 - b*Y - a: not prime exactly when b^2 + 4a is a square.
-    y_ctx = context(("Y",))
     for a, b in itertools.product(range(-15, 16), repeat=2):
-        value = parse_polynomial(f"({a}) + ({b})*Y", y_ctx)
-        specialized, _ = specialize_point(parabola_family, "PolySpec", (1,), [value])
+        specialized, _ = specialize_point(parabola_family, "PolySpec", (1,), [[a, b]])
         expected = NOT_PRIME if is_square(b * b + 4 * a) else PRIME
         assert is_prime(specialized, seed=0).status == expected, (a, b)
 

@@ -16,7 +16,7 @@ import pytest
 
 from primespec import (BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError,
                        context, experiments, groebner, intersect_generic, is_prime,
-                       primality, specialize_scalar)
+                       primality, specialize_polynomial, specialize_scalar)
 from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
                                    emit_report, parse_experiment_config,
@@ -530,7 +530,7 @@ def _late_replays(monkeypatch):
 
 def test_a_specialization_past_its_deadline_passes_only_samples_out_of_time(monkeypatch,
                                                                             parabola_path):
-    # A PolySpec point substitutes every generator under the deadline, so with
+    # A PolySpec point builds its substitution root under the deadline, so with
     # the clock an hour on per reading each replay's specialization runs out.
     config = ExperimentConfig(kind="PolySpec", ideal_path=parabola_path, box=3, samples=4,
                               seed=1, degrees=(1,))
@@ -687,13 +687,32 @@ def test_one_cut_samples_are_fibers_of_the_cutting_root(circle_path, monkeypatch
     fiber, degenerate = experiments.specialize_point(circle, "GenericIntersect", (1,),
                                                      [[3, 1, 2]])
     root, values = fiber.root
-    assert root is circle.cutting_root(1) and not degenerate
+    assert root is circle.sampling_root((1,), True) and not degenerate
     assert [str(g) for g in root.generators] == ["Y1^2 + Y2^2 - 1", "L1*Y1 + L2*Y2 + L0"]
     assert values == {"L0": 3, "L1": 1, "L2": 2}
     verdict = is_prime(fiber)
     assert verdict.status == "prime" and not krylov
     assert fiber._cache == {}
     assert fiber.generators == intersect_generic(circle, (1,), [[3, 1, 2]]).generators
+
+
+def test_polyspec_samples_are_fibers_of_the_substitution_root(parabola_path, monkeypatch):
+    # T = 3 + 2*Y + 5*Y^2 gives -4*Y^2 - 2*Y - 3, of discriminant -44: a closed
+    # point of degree 2, certified from the root's eliminant, with no basis of
+    # the fiber built.
+    parabola = _load(parabola_path)
+    krylov = []
+    monkeypatch.setattr(primality, "minimal_polynomial", lambda *args: krylov.append(args))
+    fiber, degenerate = experiments.specialize_point(parabola, "PolySpec", (2,), [[3, 2, 5]])
+    root, values = fiber.root
+    assert root is parabola.sampling_root((2,), False) and not degenerate
+    assert [str(g) for g in root.generators] == ["-L2*Y^2 - L1*Y + Y^2 - L0"]
+    assert values == {"L0": 3, "L1": 2, "L2": 5}
+    verdict = is_prime(fiber)
+    assert verdict.status == "prime" and not krylov
+    assert fiber._cache == {}
+    value = parse_polynomial("3 + 2*Y + 5*Y^2", fiber.context)
+    assert fiber.generators == specialize_polynomial(parabola, [value]).generators
 
 
 def test_two_cuts_adjoin_their_forms(tmp_path):
@@ -712,9 +731,10 @@ def test_root_over_budget_falls_back_to_the_adjoined_forms(circle_path, tmp_path
     # come out as the adjoined forms decide them: the first three budgets
     # stop no fiber, and under the last most fibers end inconclusive, and
     # verification re-runs them under the same budgets, again without the root.
-    assert _load(circle_path).cutting_root(1, GBLimits(max_pairs=4)) is not None
+    assert _load(circle_path).sampling_root((1,), True, GBLimits(max_pairs=4)) is not None
     circle = _load(circle_path)
-    assert circle.cutting_root(1, GBLimits(max_pairs=3)) is None and circle._roots == {1: None}
+    assert circle.sampling_root((1,), True, GBLimits(max_pairs=3)) is None
+    assert circle._roots == {((1,), True): None}
     sphere_path = tmp_path / "sphere.ideal"
     sphere_path.write_text(SPHERE)
     runs = ((circle_path, Budgets(gb_max_pairs=3)), (circle_path, Budgets(gb_max_term_count=4)),
@@ -726,9 +746,44 @@ def test_root_over_budget_falls_back_to_the_adjoined_forms(circle_path, tmp_path
     assert [report["aggregate"]["inconclusive"] for report in reports] == [0, 0, 0, 39]
     for report in reports:
         verify_report(report)
-    monkeypatch.setattr(Ideal, "cutting_root", lambda self, degree, limits: None)
+    monkeypatch.setattr(Ideal, "sampling_root", lambda self, degrees, cut, limits: None)
     for config, report in zip(configs, reports):
         assert report_hash(report) == report_hash(run_experiment(config))
+
+
+# cubic_fiber at degrees 1, H 20, n 30 and seed 9, per gb.max_pairs: 3 pairs stop
+# the substitution root, which needs 4, and 4 stop every fiber
+POLYSPEC_BUDGET_HASHES = {3: "4f24ed562e8611ee", 4: "e90898c022f9eada", 8: "b07dacdee73f97f3"}
+
+
+def test_polyspec_reports_are_the_same_without_the_root(tmp_path, monkeypatch):
+    # With no substitution root every PolySpec sample substitutes its values,
+    # and the reports are the ones the root gives; each verifies either way.
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    assert _load("ideals/cubic_fiber.ideal").sampling_root((1,), False,
+                                                          GBLimits(max_pairs=4)) is not None
+    assert _load("ideals/cubic_fiber.ideal").sampling_root((1,), False,
+                                                          GBLimits(max_pairs=3)) is None
+    two = tmp_path / "two.ideal"
+    two.write_text(TWO_PARAMS)
+    configs = [read_experiment_config("configs/polyspec_quadric.conf"),
+               ExperimentConfig(kind="PolySpec", ideal_path=str(two), box=8, samples=60, seed=22,
+                                degrees=(1, 0))]
+    configs += [ExperimentConfig(kind="PolySpec", ideal_path="ideals/cubic_fiber.ideal", box=20,
+                                 samples=30, seed=9, degrees=(1,),
+                                 budgets=Budgets(gb_max_pairs=pairs))
+                for pairs in POLYSPEC_BUDGET_HASHES]
+    reports = [run_experiment(config) for config in configs]
+    hashes = [report_hash(report)[:16] for report in reports]
+    assert hashes[0] == SHIPPED_CONFIG_HASHES["polyspec_quadric"]
+    assert hashes[2:] == list(POLYSPEC_BUDGET_HASHES.values())
+    assert [report["aggregate"]["inconclusive"] for report in reports[2:]] == [30, 30, 0]
+    for report in reports:
+        verify_report(report)
+    monkeypatch.setattr(Ideal, "sampling_root", lambda self, degrees, cut, limits: None)
+    for config, report in zip(configs, reports):
+        assert report_hash(report) == report_hash(run_experiment(config))
+        verify_report(report)
 
 
 def test_passed_deadline_stops_the_cutting_root(circle_path):
@@ -736,7 +791,7 @@ def test_passed_deadline_stops_the_cutting_root(circle_path):
     circle = _load(circle_path)
     assert circle.dimension() == 1
     with pytest.raises(BudgetExceededError, match="^wall-clock budget exceeded$"):
-        circle.cutting_root(1, GBLimits(deadline=0.0))
+        circle.sampling_root((1,), True, GBLimits(deadline=0.0))
     assert circle._roots == {}
 
 
@@ -861,6 +916,7 @@ SHIPPED_CONFIG_HASHES = {
     "circle_cut": "194ae3fbf574570f",
     "consistency": "281da058afc666f2",
     "cubic_fibers": "fc9210c6e75febda",
+    "polyspec_cubic": "ca74412a251092e0",
     "polyspec_quadric": "a656bdafeb19984a",
     "scalar_parabola": "b66fd55b0c76ae8c",
 }

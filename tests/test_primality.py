@@ -784,7 +784,7 @@ def test_krylov_reuses_the_split_of_the_eliminant(monkeypatch):
     # is 25*W^2 - 9, of full degree but split, and Krylov's minimal polynomial
     # of Y2 is chi made monic, so it is factored once.
     circle = make_ideal(("Y1", "Y2"), ["Y1^2 + Y2^2 - 1"])
-    fiber = specialize_scalar(circle.cutting_root(1), [0, 3, 4])
+    fiber = specialize_scalar(circle.sampling_root((1,), True), [0, 3, 4])
     forms = _krylov_forms(monkeypatch)
     factored = []
     factor = primality.factor_univariate

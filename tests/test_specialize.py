@@ -48,12 +48,12 @@ def test_degeneracy_flag_equals_substitution(parabola_family):
             unread = callable(fiber._generators)
             _, at, _ = fiber.lifted(fiber.context)
             assert unread == (at == fiber.root[1]), (gens, values)
-    # A polynomial value is flagged exactly where it cancels every generator.
-    y_ctx = parabola_family.context.without_params()
-    for value, flagged in (("Y^2", True), ("Y^2 + 1", False), ("Y", False), ("0", False)):
-        _, degenerate = specialize_point(parabola_family, "PolySpec", (2,),
-                                         [parse_polynomial(value, y_ctx)])
-        assert degenerate == flagged, value
+    # A polynomial value is flagged exactly where it cancels every generator;
+    # its block holds the coefficients of 1, Y and Y^2: Y^2, Y^2 + 1, Y and 0.
+    for block, flagged in (([0, 0, 1], True), ([1, 0, 1], False), ([0, 1, 0], False),
+                           ([0, 0, 0], False)):
+        _, degenerate = specialize_point(parabola_family, "PolySpec", (2,), [block])
+        assert degenerate == flagged, block
 
 
 def test_scalar_specialization_substitutes(parabola_family):

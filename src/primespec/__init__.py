@@ -12,7 +12,7 @@ from .groebner import (GBLimits, GroebnerBasis, Ideal, buchberger, eliminate,
 from .orders import MonomialOrder, grevlex, lex, target_first
 from .parse import parse_ideal_source, parse_polynomial, read_ideal_file
 from .poly import Polynomial, monomials_upto
-from .primality import PrimalityVerdict, ZeroDimQuotient, is_prime, minimal_polynomial
+from .primality import PrimalityVerdict, is_prime, minimal_polynomial
 from .specialize import (generic_form, intersect_generic, specialize_polynomial,
                          specialize_scalar)
 
@@ -27,7 +27,7 @@ __all__ = [
     "GBLimits", "GroebnerBasis", "Ideal", "buchberger",
     "ideal_dimension", "eliminate", "fiber_dimension",
     "factor_univariate",
-    "ZeroDimQuotient", "minimal_polynomial", "is_prime",
+    "minimal_polynomial", "is_prime",
     "PrimalityVerdict",
     "specialize_scalar", "specialize_polynomial", "intersect_generic",
     "generic_form",

@@ -363,8 +363,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
         # Imported here so that serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = math.ceil(config.samples / (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # The fork start method forks every worker on the first submit, so
+        # start no more processes than there are cores.
+        workers = min(config.workers, os.cpu_count() or 1)
+        chunksize = math.ceil(config.samples / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(task, indices, chunksize=chunksize))
     else:
         records = list(map(task, indices))

@@ -54,7 +54,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import PrimespecError
+from .errors import BudgetExceededError, PrimespecError
 from .groebner import DEFAULT_LIMITS
 from .poly import Polynomial, integer_primitive
 
@@ -496,16 +496,16 @@ def _split_mod(f, limits, splits, candidates=None):
     where f mod p is squarefree; then f is squarefree over Q, since
     disc(f) mod p = disc(f mod p) != 0.  ``splits``, a dict or None,
     memoizes each tried prime by (p, f/lc(f) mod p), which alone decides
-    the split, or None where f mod p is not squarefree; a hit still checks
-    the deadline.
+    the split, or None where f mod p is not squarefree.  The deadline is
+    checked once per tried prime, whether the memo holds it or not.
     """
     p = 3
     while candidates != 0:
         if f[-1] % p and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            limits.check_deadline()
             monic = _mod_monic(f, p)
             key = (p, tuple(monic))
             if splits is not None and key in splits:
-                limits.check_deadline()
                 modular = splits[key]
             else:
                 db = _mod(_zx_derivative(monic), p)
@@ -626,14 +626,18 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
     where the first deg f primes of that scan fail (module docstring).
     ``splits``, a dict or None, memoizes per (p, residues) the modular
     split, or None where the residues are not squarefree; the caller owns
-    it.  The deadline of ``limits`` is checked at every step of the
-    modular split and at every memo hit, every Hensel step, every subset
-    size of the trace test and every recombination subset.  The quadratic
+    it.  The deadline of ``limits`` is checked at every prime the scan
+    tries, every step of the modular split, every Hensel step, every subset
+    size of the trace test and every recombination subset.  A degree at or
+    above the term budget raises ``BudgetExceededError`` before the dense
+    coefficient list is built.  The quadratic
     and cubic rules check none: one takes a square root, the other makes
     O(log height) evaluations of the cubic.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    if p.total_degree() >= limits.max_term_count:
+        raise BudgetExceededError("degree exceeds term budget")
     var, coeffs = _to_dense(p)
     if len(coeffs) == 1:
         return coeffs[0], []

@@ -26,8 +26,10 @@ every other u, G at U = u is a Groebner basis of the ideal there (the
 rule of the ``groebner`` module docstring, U in the place of T), which
 ``specialize_basis`` builds.  So the quotient's staircase is that of G's
 leads projected onto V, the same at every such u.  The field test reads
-its dimension from that staircase, and builds the basis at u, and the
-quotient, only when a Krylov run needs them.
+its dimension from that staircase, and builds the basis at u only when a
+Krylov run needs it; ``minimal_polynomial`` reduces by that basis and is
+handed the staircase already read.  Each section records U and u where it
+is made.
 
 G, and the V-leading coefficients that make h, come from
 ``Ideal.lifted(V)``; in dimension 0 the basis of a Krylov run is
@@ -46,25 +48,27 @@ fibers: their root is the base with its parameters replaced by, or cut
 by, generic forms whose coefficients are parameters
 (``Ideal.sampling_root``), and t is the sampled coefficient blocks.
 
-A coordinate x of a scalar fiber at integer values t is first tried
-from its root P: chi(T, U, W), the one generator of
-(P + (W - x)) meet Q[T, U, W] (``Ideal.eliminant``, built on first use
-and cached on P), lies in P at W = x, so chi(t, u, x) lies in I_t at
-U = u, the ideal whose quotient is tested (h(u) != 0).  So the minimal
-polynomial m of x divides chi(t, u, W).  When chi(t, u, W) has W-degree
-the quotient dimension and is irreducible, equal degree and irreducibility
-force m = chi(t, u, W) made monic: the section, and the verdict prime, are
-those of the Krylov run, which is skipped.  chi is evaluated at (t, u) in
-integers, one Horner pass per W-degree.  Its factorization passes the
-root's memo of modular splits to ``factor_univariate``: chi(t, u, W) mod p
-depends on (t, u) mod p only, so fibers at congruent points test it for
-a repeated factor and split it mod p once.  The root owns the memo, as it owns chi; the Krylov path factors
-without it.  Everything else (a lower degree, a split, a random form, an
-ideal that is no scalar fiber, such as a cut by two or more forms, a
-sample whose root a budget stopped or a fiber at a t that is not
-integral, no principal generator, chi over budget) takes the Krylov path.  Where chi
-of full degree splits, the Krylov run's m is chi made monic whenever
-their degrees agree, and chi's split is reused instead of factoring m.
+A coordinate x of a scalar fiber at integer values t is first tried from
+its root P: chi(T, U, W), the one generator of (P + (W - x)) meet
+Q[T, U, W] (``Ideal.eliminant``, built on first use and cached on P),
+lies in P at W = x, so chi(t, u, x) lies in I_t at U = u, the ideal
+whose quotient is tested (h(u) != 0).  So the minimal polynomial m of x
+divides chi(t, u, W).  When chi(t, u, W) has W-degree the quotient
+dimension and is irreducible, equal degree and irreducibility
+force m = chi(t, u, W) made monic: the section, and the verdict prime,
+are those of the Krylov run, which is skipped.  ``_eliminant`` evaluates
+chi at (t, u) in integers, one Horner pass per W-degree.  Its
+factorization passes the root's memo of modular splits to
+``factor_univariate``: chi(t, u, W) mod p depends on (t, u) mod p only,
+so fibers at congruent points test it for a repeated factor and split it
+mod p once.  The root owns the memo, as it owns chi; the Krylov path
+factors without it.  Everything else (a lower degree, a split, a random
+form, an ideal that is no scalar fiber, such as a cut by two or more
+forms, a sample whose root a budget stopped or a fiber at a t that is
+not integral, no principal generator, chi over budget) takes the Krylov
+path.  Where chi of full degree splits, the Krylov run's m is chi made
+monic whenever their degrees agree, and chi's split is reused instead of
+factoring m.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -77,7 +81,7 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import context as make_context
@@ -85,7 +89,7 @@ from .errors import BudgetExceededError, PrimespecError
 from .factor import factor_univariate
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _mul, saturation,
                        specialize_basis)
-from .poly import Exponent, Polynomial, horner, integer_primitive
+from .poly import Polynomial, horner, integer_primitive
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -98,32 +102,15 @@ BOX_START = 10  # random draws come from [-box, box], box doubling from this per
 _MINPOLY_VARIABLE = "Z"
 
 
-class ZeroDimQuotient:
-    """Vector-space view of K[vars]/I for a zero-dimensional ideal.
+def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
+                       variable: str = _MINPOLY_VARIABLE, limits=DEFAULT_LIMITS,
+                       staircase=None) -> Polynomial:
+    """Monic least-degree m over Q with m(element) = 0 modulo the basis' ideal.
 
-    ``staircase`` lists the monomials below the grevlex staircase in
-    increasing order: the basis' own, unless a caller that already read it
-    from the same leads passes it in.
-    """
-
-    def __init__(self, basis: GroebnerBasis, limits=DEFAULT_LIMITS, staircase=None):
-        self.basis = basis
-        self.limits = limits
-        if staircase is None:
-            staircase = basis.staircase(basis.context)
-        if staircase is None:
-            raise ValueError("leading terms admit no finite staircase (dimension > 0)")
-        self.staircase: tuple[Exponent, ...] = staircase
-        self.index = {exp: i for i, exp in enumerate(staircase)}
-        self.vector_dim = len(staircase)
-
-    def reduce(self, p: Polynomial) -> Polynomial:
-        return self.basis.normal_form(p, self.limits)
-
-
-def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial,
-                       variable: str = _MINPOLY_VARIABLE) -> Polynomial:
-    """Monic least-degree m over Q with m(element) = 0 in the quotient.
+    The quotient is a vector space with the monomials below the grevlex
+    staircase as basis: ``basis.staircase``, unless a caller that already
+    read it from the same leads passes it in.  ValueError in positive
+    dimension, where the staircase is infinite.
 
     Returned as a univariate polynomial in ``variable``.  The Krylov
     powers 1, e, e^2, ... are reduced one at a time against an echelon
@@ -142,12 +129,16 @@ def minimal_polynomial(quotient: ZeroDimQuotient, element: Polynomial,
     over P_0, P_1, ..., combined by fraction-free cross-multiplication
     with content removal.
     """
+    if staircase is None:
+        staircase = basis.staircase(basis.context)
+    if staircase is None:
+        raise ValueError("leading terms admit no finite staircase (dimension > 0)")
     z_ctx = make_context((variable,))
-    basis, limits, index = quotient.basis, quotient.limits, quotient.index
-    n = quotient.vector_dim
-    factor, step = integer_primitive(quotient.reduce(element).terms)
+    index = {exp: i for i, exp in enumerate(staircase)}
+    n = len(staircase)
+    factor, step = integer_primitive(basis.normal_form(element, limits).terms)
     columns = []
-    for monomial in quotient.staircase:
+    for monomial in staircase:
         limits.check_deadline()
         columns.append(basis.pseudo_normal_form(
             {_mul(monomial, e): c for e, c in step.items()}, limits))
@@ -244,14 +235,17 @@ def not_prime_verdict(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
 
 
 def _linear_forms(ctx, rng, trials):
-    """The coordinates, last first, then ``trials`` random forms: the k-th from BOX_START * 2^k."""
+    """(name, form) for the coordinates, last first, then (None, form) for ``trials`` random forms.
+
+    The k-th random form draws its coefficients from BOX_START * 2^k.
+    """
     box = BOX_START
     for name in reversed(ctx.names):
-        yield Polynomial.variable(ctx, name)
+        yield name, Polynomial.variable(ctx, name)
     for _ in range(trials):
         coeffs = [rng.randint(-box, box) for _ in ctx.names]
-        yield Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
-                               for i, c in enumerate(coeffs) if c})
+        yield None, Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
+                                     for i, c in enumerate(coeffs) if c})
         box *= 2
 
 
@@ -270,104 +264,95 @@ def _split_minimal_poly(m: Polynomial, limits, splits=None):
     return first, g
 
 
-def _evaluate_in_quotient(quotient: ZeroDimQuotient, univariate: Polynomial,
-                          element_reduced: Polynomial) -> Polynomial:
-    """Normal form of univariate(element), by Horner inside the quotient.
+def _evaluate_in_quotient(basis: GroebnerBasis, univariate: Polynomial,
+                          element_reduced: Polynomial, limits=DEFAULT_LIMITS) -> Polynomial:
+    """Normal form of univariate(element) modulo the basis' ideal, by Horner.
 
     Expanding the composition as a raw polynomial can explode in term
     count; reducing after every Horner step keeps each intermediate at
-    most vector_dim terms wide.
+    most as wide as the staircase.
     """
-    ctx = quotient.basis.context
+    ctx = basis.context
     coeffs = [Fraction(0)] * (univariate.total_degree() + 1)
     for exp, c in univariate.terms.items():
         coeffs[exp[0]] = c
     acc = Polynomial.zero(ctx)
     for c in reversed(coeffs):
-        acc = quotient.reduce(acc * element_reduced + Polynomial.constant(ctx, c))
+        acc = basis.normal_form(acc * element_reduced + Polynomial.constant(ctx, c), limits)
     return acc
 
 
-def _eliminant_at(ideal: Ideal, free, point, limits):
-    """The map (name, n, variable) -> (chi, split) of the coordinate ``name``, or None.
+def _eliminant(root: Ideal, name, free, at, n, variable, limits):
+    """(chi, split) of the coordinate ``name`` from the root's eliminant, or None.
 
-    chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, at
-    (t, u), made monic in ``variable``; the map gives None unless chi is
+    chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, at the
+    integers ``at`` = (t, u), made monic in ``variable``; None unless chi is
     there and has W-degree ``n``.  The split is that of
     ``_split_minimal_poly`` with the root's memo of modular splits, which
     fibers at congruent t share; where it is None, chi is the coordinate's
-    minimal polynomial (module docstring).  None unless ``ideal`` is a
-    scalar fiber.
+    minimal polynomial (module docstring).
     """
-    root, values = ideal.root
-    if not values:
+    rows = root.eliminant(name, free, limits)
+    limits.check_deadline()
+    if rows is None:
         return None
-    at = [*values.values(), *point]
-
-    def minimal_poly(name, n, variable):
-        rows = root.eliminant(name, free, limits)
-        limits.check_deadline()
-        if rows is None:
-            return None
-        coefficients = [horner(row, at) for row in rows]
-        while coefficients and not coefficients[-1]:
-            coefficients.pop()
-        if len(coefficients) != n + 1:
-            return None
-        lead = coefficients[-1]
-        chi = Polynomial(make_context((variable,)),
-                         {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
-        return chi, _split_minimal_poly(chi, limits, root._splits)
-
-    return minimal_poly
+    coefficients = [horner(row, at) for row in rows]
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    if len(coefficients) != n + 1:
+        return None
+    lead = coefficients[-1]
+    chi = Polynomial(make_context((variable,)),
+                     {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
+    return chi, _split_minimal_poly(chi, limits, root._splits)
 
 
-def _field_test(ctx, staircase, basis, rng, trials, limits, variable,
-                eliminant) -> PrimalityVerdict:
-    """Dimension-0 test: field certificate, NotPrime split, or Inconclusive.
+def _field_test(ideal, ctx, staircase, build_basis, free, point, rng, trials, limits,
+                variable) -> PrimalityVerdict:
+    """Dimension-0 test of ``ideal`` at U = u: field certificate, NotPrime split, or Inconclusive.
 
-    ``staircase`` is that of the ideal over ``ctx``, and ``basis()``
-    returns its reduced grevlex basis: the quotient is built from it only
+    U is ``free`` and u is ``point``, both empty in dimension 0; ``ctx``
+    holds the other variables.  ``staircase`` is that of the ideal at u over
+    ``ctx``, and ``build_basis()`` returns its reduced grevlex basis, built only
     when a Krylov run needs it.  The forms tried are the coordinates, last
     first (module docstring), then ``trials`` random forms; coordinates draw
     nothing from ``rng``.  Minimal polynomials are written in ``variable``.
     ``sections`` holds one ``SectionData`` per nonzero form tried, the
-    deciding one last.  ``eliminant`` (``_eliminant_at``), unless None, may
-    certify a coordinate without the Krylov run; where it does not, the
-    coordinate takes the Krylov path, which reuses chi's split when the
-    minimal polynomial is chi made monic.
+    deciding one last.  Where ``ideal`` is a scalar fiber, a coordinate is
+    first tried from its root's eliminant (``_eliminant``); where that does
+    not certify it, the coordinate takes the Krylov path, which reuses chi's
+    split when the minimal polynomial is chi made monic.
     """
     n = len(staircase)
-    names = ctx.names[::-1]
-    quotient = None
+    root, values = ideal.root
+    at = [*values.values(), *point]
+    basis = None
     zero = 0
     sections = []
-    for i, u in enumerate(_linear_forms(ctx, rng, trials)):
+    for name, u in _linear_forms(ctx, rng, trials):
         if u.is_zero:
             zero += 1
             continue
         chi = None
-        if eliminant is not None and i < len(names):
-            chi = eliminant(names[i], n, variable)
+        if values and name is not None:
+            chi = _eliminant(root, name, free, at, n, variable, limits)
             if chi is not None and chi[1] is None:
-                sections.append(SectionData((), (), u, chi[0], n))
+                sections.append(SectionData(free, point, u, chi[0], n))
                 return PrimalityVerdict(PRIME, sections=tuple(sections))
-        if quotient is None:
-            quotient = ZeroDimQuotient(basis(), limits, staircase)
-        m = minimal_polynomial(quotient, u, variable)
-        sections.append(SectionData((), (), u, m, n))
+        if basis is None:
+            basis = build_basis()
+        m = minimal_polynomial(basis, u, variable, limits, staircase)
+        sections.append(SectionData(free, point, u, m, n))
         split = chi[1] if chi is not None and m == chi[0] else _split_minimal_poly(m, limits)
         if split is None:
             if m.total_degree() == n:
                 return PrimalityVerdict(PRIME, sections=tuple(sections))
             continue  # u generates a proper subfield: next form
-        f_z, g_z = split
         # The reduced images are the certificate: F*G = m(u) = 0 holds in
         # the quotient and minimality of m keeps both factors nonzero.
-        reduced_u = quotient.reduce(u)
-        f = _evaluate_in_quotient(quotient, f_z, reduced_u)
-        g = _evaluate_in_quotient(quotient, g_z, reduced_u)
-        return not_prime_verdict(quotient.basis, f, g, limits, sections=sections)
+        reduced_u = basis.normal_form(u, limits)
+        f, g = (_evaluate_in_quotient(basis, z, reduced_u, limits) for z in split)
+        return not_prime_verdict(basis, f, g, limits, sections=sections)
     return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections), reason=(
         f"no field certificate from {len(ctx)} coordinate(s) and {trials} random linear "
         f"form(s): {zero} zero, {len(sections)} with an irreducible minimal polynomial of "
@@ -415,9 +400,9 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     ctx = ideal.context
     if not independent:
         block, values, _ = ideal.lifted(ctx, limits)
-        return _field_test(ctx, block.staircase(ctx),
-                           functools.partial(specialize_basis, block, values, ctx, limits), rng,
-                           trials, limits, variable, _eliminant_at(ideal, (), (), limits))
+        return _field_test(ideal, ctx, block.staircase(ctx),
+                           functools.partial(specialize_basis, block, values, ctx, limits),
+                           (), (), rng, trials, limits, variable)
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
@@ -449,9 +434,9 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
             continue  # h(u) = 0, where specialize_basis returns None
         cut = functools.partial(specialize_basis, block, {**values, **dict(zip(free, point))},
                                 bound, limits)
-        inner = _field_test(bound, staircase, cut, rng, trials, limits, variable,
-                            _eliminant_at(ideal, free, point, limits))
-        sections += [replace(data, independent=free, point=point) for data in inner.sections]
+        inner = _field_test(ideal, bound, staircase, cut, free, point, rng, trials, limits,
+                            variable)
+        sections += inner.sections
         if inner.status == PRIME:
             return PrimalityVerdict(PRIME, sections=tuple(sections))
     return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections),

@@ -80,6 +80,13 @@ def test_factor_rejects_multivariate(capsys):
     assert main(["factor", "X*Y - 1"]) == 2
 
 
+@pytest.mark.parametrize("degree", ["99999999999", "9999999999999999999"])
+def test_factor_past_the_term_budget_exits_4(degree, capsys):
+    # the degree alone exceeds the default term budget: no dense list is built
+    assert main(["factor", f"Y^{degree}"]) == 4
+    assert capsys.readouterr().err == "budget exhausted: degree exceeds term budget\n"
+
+
 def test_specialize_scalar(parabola, capsys):
     assert main(["specialize", parabola, "--at", "4"]) == 0
     out = capsys.readouterr().out

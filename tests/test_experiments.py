@@ -857,6 +857,39 @@ def test_worker_pool_matches_sequential_on_zero_dimensional_fibers(tmp_path):
     assert sequential["aggregate"]["good"] >= 10
 
 
+def test_worker_pool_starts_at_most_one_process_per_core(parabola_path, monkeypatch):
+    # Under fork every worker is started on the first submit, and reports do
+    # not depend on workers: the pool gets min(workers, cores) processes.  A
+    # recording stand-in replaces the pool, so no process is started.
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, indices, chunksize=1):
+            return map(task, indices)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = scalar_config(parabola_path, n=8, seed=4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    capped = run_experiment(replace(config, workers=100000))
+    assert started == [3]
+    assert report_hash(capped) == report_hash(run_experiment(config))
+    run_experiment(replace(config, workers=2))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_experiment(replace(config, workers=2))
+    assert started == [3, 2, 1]
+
+
 def test_budget_errors_mark_samples_inconclusive(tmp_path):
     # A term budget of 1 passes the baseline but stops every fiber's primality
     # test: in a reduction step, or in the Krylov elimination of the field test.

@@ -865,3 +865,24 @@ def test_memo_hit_checks_the_deadline(y, monkeypatch):
     p = Polynomial(y, {(i,): Fraction(c) for i, c in enumerate(f) if c})
     with pytest.raises(BudgetExceededError):
         factor_univariate(p, expired, splits)
+
+
+def test_every_prime_the_scan_tries_checks_the_deadline():
+    # (Y - 1)^2 * (Y^4 + Y + 3) is squarefree modulo no prime: the scan tries
+    # its 6 candidates with no modular split and no memo, and each checks the
+    # deadline.
+    f = [3, -5, 1, 1, 1, -2, 1]
+    assert _split_mod(f, DEFAULT_LIMITS, None, 6) is None
+    with pytest.raises(BudgetExceededError):
+        _split_mod(f, GBLimits(deadline=time.monotonic() - 1), None, 6)
+
+
+def test_term_budget_bounds_the_dense_coefficient_list(y):
+    # A degree d at or above the term budget raises before the d + 1 dense
+    # coefficients are allocated.
+    p = parse_polynomial("Y^5 - 1", y)
+    assert len(factor_univariate(p, GBLimits(max_term_count=6))[1]) == 2
+    with pytest.raises(BudgetExceededError, match="^degree exceeds term budget$"):
+        factor_univariate(p, GBLimits(max_term_count=5))
+    with pytest.raises(BudgetExceededError):
+        factor_univariate(parse_polynomial("Y^9999999999999999999", y))

@@ -15,48 +15,51 @@ from primespec import (BudgetExceededError, GBLimits, factor, groebner, primalit
                        specialize_scalar)
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
-from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, ZeroDimQuotient,
-                                 _certificate_error, _evaluate_in_quotient, not_prime_verdict)
+from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, _certificate_error,
+                                 _evaluate_in_quotient, not_prime_verdict)
 
 from conftest import make_ideal, random_polynomial, seeded
 
 
+def _quotient_dim(basis):
+    """The dimension of the quotient by the basis' ideal: the length of its staircase."""
+    return len(basis.staircase(basis.context))
+
+
 def test_quotient_basis_univariate():
-    ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = ZeroDimQuotient(ideal.groebner(grevlex))
-    assert q.staircase == ((0,), (1,))
-    assert q.vector_dim == 2
+    basis = make_ideal(("Y",), ["Y^2 - 4"]).groebner(grevlex)
+    assert basis.staircase(basis.context) == ((0,), (1,))
+    assert _quotient_dim(basis) == 2
 
 
 def test_quotient_basis_two_points(two_points):
-    assert ZeroDimQuotient(two_points.groebner(grevlex)).vector_dim == 2
+    assert _quotient_dim(two_points.groebner(grevlex)) == 2
 
 
 def test_quotient_basis_rejects_unit_and_positive_dim(circle):
     ctx = context(("Y",))
-    with pytest.raises(ValueError):
-        ZeroDimQuotient(Ideal(ctx, [Polynomial.constant(ctx, 1)]).groebner(grevlex))
-    with pytest.raises(ValueError):
-        ZeroDimQuotient(circle.groebner(grevlex))
+    unit = Ideal(ctx, [Polynomial.constant(ctx, 1)]).groebner(grevlex)
+    with pytest.raises(ValueError, match="dimension > 0"):
+        minimal_polynomial(unit, Polynomial.variable(ctx, "Y"))
+    with pytest.raises(ValueError, match="dimension > 0"):
+        minimal_polynomial(circle.groebner(grevlex), Polynomial.variable(circle.context, "Y1"))
 
 
 def test_minimal_polynomial_of_generator():
     ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = ZeroDimQuotient(ideal.groebner(grevlex))
-    m = minimal_polynomial(q, Polynomial.variable(ideal.context, "Y"))
+    m = minimal_polynomial(ideal.groebner(grevlex), Polynomial.variable(ideal.context, "Y"))
     assert str(m) == "Z^2 - 4"
 
 
 def test_minimal_polynomial_of_zero():
     ideal = make_ideal(("Y",), ["Y^2 - 4"])
-    q = ZeroDimQuotient(ideal.groebner(grevlex))
-    assert str(minimal_polynomial(q, Polynomial.zero(ideal.context))) == "Z"
+    assert str(minimal_polynomial(ideal.groebner(grevlex), Polynomial.zero(ideal.context))) == "Z"
 
 
 def test_minimal_polynomial_idempotent_coordinate(two_points):
     # X^2 = X in the quotient, so the minimal polynomial is Z^2 - Z
-    q = ZeroDimQuotient(two_points.groebner(grevlex))
-    m = minimal_polynomial(q, Polynomial.variable(two_points.context, "X"))
+    m = minimal_polynomial(two_points.groebner(grevlex),
+                           Polynomial.variable(two_points.context, "X"))
     assert str(m) == "Z^2 - Z"
 
 
@@ -92,9 +95,9 @@ def test_circle_prime_with_field_certificate(circle):
         assert field.independent == ("Y2",)
         (u,) = field.point
         fiber = make_ideal(("Y1",), [f"Y1^2 + ({u * u - 1})"])
-        quotient = ZeroDimQuotient(fiber.groebner(grevlex))
-        assert quotient.vector_dim == field.quotient_dim == 2
-        assert minimal_polynomial(quotient, field.linear_form) == field.minimal_poly
+        basis = fiber.groebner(grevlex)
+        assert _quotient_dim(basis) == field.quotient_dim == 2
+        assert minimal_polynomial(basis, field.linear_form) == field.minimal_poly
         _, factors = factor_univariate(field.minimal_poly)
         assert [mult for _, mult in factors] == [1] and factors[0][0].total_degree() == 2
 
@@ -171,7 +174,7 @@ def test_basis_at_u_matches_buchberger(case):
             cut = specialize_basis(block, at, bound)
             substituted = [g.substitute(at, bound) for g in block]
             assert cut == GroebnerBasis(bound, grevlex, buchberger(substituted, grevlex)), seed
-            assert ZeroDimQuotient(cut).vector_dim == field.quotient_dim
+            assert _quotient_dim(cut) == field.quotient_dim
 
 
 SPLIT_AT_EVERY_POINT = {
@@ -488,7 +491,7 @@ def test_large_quotient_certificate_stays_compact():
          "2x0*x1 + 2x1*x2 + 2x2*x3 + 2x3*x4 - x1",
          "x1^2 + 2x0*x2 + 2x1*x3 + 2x2*x4 - x2",
          "2x1*x2 + 2x0*x3 + 2x1*x4 - x3"])
-    assert ZeroDimQuotient(ideal.groebner(grevlex)).vector_dim == 16
+    assert _quotient_dim(ideal.groebner(grevlex)) == 16
     start = time.monotonic()
     verdict = is_prime(ideal, seed=0)
     assert time.monotonic() - start < 20
@@ -520,21 +523,22 @@ def _rank(rows):
     return rank
 
 
-def _coords(q, reduced):
+def _coords(staircase, reduced):
     """Coordinates of a reduced polynomial in the staircase basis."""
-    vec = [Fraction(0)] * q.vector_dim
+    vec = [Fraction(0)] * len(staircase)
     for exp, coeff in reduced.terms.items():
-        vec[q.index[exp]] = coeff
+        vec[staircase.index(exp)] = coeff
     return vec
 
 
-def _krylov_rank(q, element):
-    reduced = q.reduce(element)
-    power = q.reduce(Polynomial.constant(element.context, 1))
-    rows = [_coords(q, power)]
-    for _ in range(q.vector_dim):
-        power = q.reduce(power * reduced)
-        rows.append(_coords(q, power))
+def _krylov_rank(basis, element):
+    staircase = basis.staircase(basis.context)
+    reduced = basis.normal_form(element)
+    power = basis.normal_form(Polynomial.constant(element.context, 1))
+    rows = [_coords(staircase, power)]
+    for _ in staircase:
+        power = basis.normal_form(power * reduced)
+        rows.append(_coords(staircase, power))
     return _rank(rows)
 
 
@@ -551,26 +555,26 @@ def _points_forms(ctx):
 
 def test_minimal_polynomial_matches_krylov_rank():
     ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
-    q = ZeroDimQuotient(ideal.groebner(grevlex))
-    assert q.vector_dim == 12
+    q = ideal.groebner(grevlex)
+    assert _quotient_dim(q) == 12
     ctx = ideal.context
     # The T = 2 field has no proper subfield (mod-p factor degrees 1 + 11
     # force a 2-transitive Galois group), so its one element of low degree
     # is a constant; at T = 0, Y1^3 = 1 and Y1 + Y1^2 has degree 2.
     fiber_t0 = make_ideal(("Y1", "Y2", "Y3"), ["Y1^3 - 1", "Y2^2 - Y1*Y3", "Y3^2 - Y1 - Y2"])
-    q_t0 = ZeroDimQuotient(fiber_t0.groebner(grevlex))
+    q_t0 = fiber_t0.groebner(grevlex)
     forms = _points_forms(ctx) + [parse_polynomial("1/2*Y1 - 3/7*Y2 + 5/3*Y3", ctx)]
     cases = [(q, e) for e in forms]
     cases += [(q, Polynomial.constant(ctx, 3)),
               (q_t0, parse_polynomial("Y1 + Y1^2", fiber_t0.context)),
               (q_t0, parse_polynomial("1/2*Y1 + 1/2*Y1^2", fiber_t0.context))]
     found = []
-    for quotient, element in cases:
-        m = minimal_polynomial(quotient, element)
+    for basis, element in cases:
+        m = minimal_polynomial(basis, element)
         top = max(m.terms, key=lambda exp: exp[0])
         assert m.terms[top] == 1
-        assert _evaluate_in_quotient(quotient, m, quotient.reduce(element)).is_zero
-        assert m.total_degree() == _krylov_rank(quotient, element)
+        assert _evaluate_in_quotient(basis, m, basis.normal_form(element)).is_zero
+        assert m.total_degree() == _krylov_rank(basis, element)
         found.append(m)
     assert [m.total_degree() for m in found] == [12] * 6 + [1, 2, 2]
     assert [str(m) for m in found[6:]] == ["Z - 3", "Z^2 - Z - 2", "Z^2 - 1/2*Z - 1/2"]
@@ -589,18 +593,19 @@ GOLDEN_POINTS_MINPOLYS = [
 def test_minimal_polynomial_golden_points_forms():
     # Exact values: any change to the elimination must reproduce them.
     ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
-    q = ZeroDimQuotient(ideal.groebner(grevlex))
+    basis = ideal.groebner(grevlex)
     forms = _points_forms(ideal.context)
-    assert [str(minimal_polynomial(q, forms[i])) for i in (0, 1)] == GOLDEN_POINTS_MINPOLYS
+    assert [str(minimal_polynomial(basis, forms[i])) for i in (0, 1)] == GOLDEN_POINTS_MINPOLYS
 
 
 def test_expired_deadline_stops_minimal_polynomial():
     import time
 
     ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
-    expired = ZeroDimQuotient(ideal.groebner(), GBLimits(deadline=time.monotonic() - 1))
+    expired = GBLimits(deadline=time.monotonic() - 1)
     with pytest.raises(BudgetExceededError):
-        minimal_polynomial(expired, Polynomial.variable(ideal.context, "Y1"))
+        minimal_polynomial(ideal.groebner(), Polynomial.variable(ideal.context, "Y1"),
+                           limits=expired)
 
 
 def test_term_budget_binds_in_minimal_polynomial():
@@ -608,10 +613,9 @@ def test_term_budget_binds_in_minimal_polynomial():
     # finds Z^2 - 2 holds two.
     ideal = make_ideal(("Y",), ["Y^2 - 2"])
     y = Polynomial.variable(ideal.context, "Y")
-    tight = ZeroDimQuotient(ideal.groebner(), GBLimits(max_term_count=1))
     with pytest.raises(BudgetExceededError):
-        minimal_polynomial(tight, y)
-    assert str(minimal_polynomial(ZeroDimQuotient(ideal.groebner()), y)) == "Z^2 - 2"
+        minimal_polynomial(ideal.groebner(), y, limits=GBLimits(max_term_count=1))
+    assert str(minimal_polynomial(ideal.groebner(), y)) == "Z^2 - 2"
 
 
 # -- the root's eliminant ------------------------------------------------------
@@ -624,9 +628,9 @@ def _krylov_forms(monkeypatch):
     forms = []
     krylov = primality.minimal_polynomial
 
-    def counted(quotient, element, variable="Z"):
+    def counted(basis, element, *args):
         forms.append(element)
-        return krylov(quotient, element, variable)
+        return krylov(basis, element, *args)
 
     monkeypatch.setattr(primality, "minimal_polynomial", counted)
     return forms
@@ -662,8 +666,7 @@ def test_eliminant_gives_the_krylov_minimal_polynomial_on_points(monkeypatch):
         field = verdict.sections[-1]
         assert verdict.status == PRIME and len(verdict.sections) == 1, t
         assert field.linear_form == Polynomial.variable(fiber.context, "Y3")
-        quotient = ZeroDimQuotient(fiber.groebner())
-        assert field.minimal_poly == minimal_polynomial(quotient, field.linear_form), t
+        assert field.minimal_poly == minimal_polynomial(fiber.groebner(), field.linear_form), t
         assert field.minimal_poly.total_degree() == field.quotient_dim == 12
         certified += 1
     assert certified >= 20
@@ -733,7 +736,7 @@ def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fib
         (u,) = field.point
         assert field.independent == ("Y3",) and str(field.linear_form) == "Y2"
         cut = make_ideal(("Y1", "Y2"), [f"Y2 - ({t})*Y1^2", f"Y1*Y2 - ({u})"])
-        krylov = minimal_polynomial(ZeroDimQuotient(cut.groebner()), field.linear_form)
+        krylov = minimal_polynomial(cut.groebner(), field.linear_form)
         assert field.minimal_poly == krylov == parse_polynomial(f"Z^3 - ({t * u * u})",
                                                                  krylov.context)
         pairs.add((t, u))

@@ -10,8 +10,9 @@ against the decisive ones, always as exact fractions alongside floats.
 Every point is drawn in one place, ``sample_point``, from the sample's own
 random stream.  It returns the point as the report stores it, which is
 never parsed back, and the drawn values that ``specialize_point`` turns
-into the specialized ideal.  ``verify_report`` re-draws every point from
-the echoed config and requires the stored one to equal it.
+into the specialized ideal.  ``verify_report`` re-runs every sample from
+the echoed config, so it re-draws every point, and requires the stored
+record to equal the re-run's.
 
 Reports are deterministic for a fixed config and seed: every sample owns
 an independent random stream derived from (seed, index), so handing the
@@ -443,92 +444,72 @@ def emit_report(report: dict, fmt: str, path) -> None:
 _OUT_OF_TIME = "budget: wall-clock budget exceeded"
 
 
+def _compare(sample: dict, record: dict, skip) -> None:
+    """Raise naming every key outside ``skip`` where ``sample`` and ``record`` differ."""
+    def shown(entry, key):
+        return repr(entry[key]) if key in entry else "absent"
+
+    wrong = [f"{key!r} recorded {shown(sample, key)}, recomputed {shown(record, key)}"
+             for key in sorted((sample.keys() | record.keys()) - skip)
+             if shown(sample, key) != shown(record, key)]
+    if wrong:
+        raise PrimespecError("; ".join(wrong))
+
+
 def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
             sample: dict) -> str | None:
-    """Check one sample against what ``run_sample`` writes at ``index``.
+    """Check one sample by re-running it: one rule for every verdict.
 
-    The record must have that index, a verdict of the kind, the expected
-    dimension ``expected``, the point its seed draws, the degeneracy flag
-    exactly where that point is degenerate, a certificate only if not_prime
-    and a reason only if inconclusive.  Then a good sample recomputes its
-    dimension, a not_prime sample replays its certificate against
-    Buchberger's basis of its own generators and recomputes its dimension,
-    and every other sample is re-run and must give the same verdict, reason
-    and dimension; all of it, the specialization included, runs under the
-    sample's budgets.  An inconclusive sample that ran out of time is not
-    re-run, and passes if its deadline passes while it is specialized.
-    When a pair or term budget stops the specialization (the degeneracy
-    flag reads the dimension), the sample passes as re-run only if its
-    record is what ``run_sample`` writes then: inconclusive with that
-    budget as its reason, and no dimension, certificate or flag.  Any
-    other sample a budget stops there fails.  Returns the check made for a
-    sample that is not good, or None.
+    ``run_sample`` re-runs the sample at ``index`` under its budgets, and
+    the record must equal the re-run's in every key but ``elapsed_ms``.
+    The re-run reads the experiment's roots, as the run did.  Before it, a
+    not_prime sample replays its certificate against Buchberger's basis of
+    its own generators, which shares nothing with a root.  A sample that
+    ran out of time is not re-run, since the host's clock decided it: its
+    record must be what ``run_sample`` writes before the deadline stops it,
+    its dimension unchecked, and its degeneracy flag checked only when the
+    specialization finishes under the sample's budgets.  Returns the check
+    made for a sample that is not good, or None.
     """
     verdict = sample["verdict"]
-    if sample["index"] != index:
-        raise PrimespecError(f"index {sample['index']} is not its position")
-    decided = ((CONSISTENT, INCONSISTENT) if config.kind == CONSISTENCY
-               else (PRIME, NOT_PRIME, UNIT_IDEAL))
-    if verdict not in (*decided, INCONCLUSIVE):
-        raise PrimespecError(f"verdict {verdict!r} does not fit a {config.kind} experiment")
-    if sample["expected_dimension"] != expected:
-        raise PrimespecError(f"expected dimension {sample['expected_dimension']}, "
-                             f"recomputed {expected}")
-    rng = Random(derive_seed(config.seed, index))
-    point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
-    if sample["point"] != point:
-        raise PrimespecError("point differs from the one its seed draws")
-    # As in run_sample, the pair and term budgets decide whether a sampling root is used.
-    limits = config.budgets.limits()
-    try:
-        specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values,
-                                                   limits)
-    except BudgetExceededError as exc:
-        if sample.get("reason") == _OUT_OF_TIME:
-            return None
-        # what run_sample records when the same budget stops it here
-        stopped = (INCONCLUSIVE, f"budget: {exc}", None, None, None)
-        if (verdict, sample.get("reason"), sample["dimension"], sample["certificate"],
-                sample.get("degenerate_specialization")) == stopped:
-            return f"{verdict} verdict re-run"
-        raise PrimespecError(f"specialization: {exc}") from exc
-    if sample.get("degenerate_specialization") != (degenerate or None):
-        raise PrimespecError(f"degenerate_specialization should be "
-                             f"{'true' if degenerate else 'absent'}")
-    if "reason" in sample and verdict != INCONCLUSIVE:
-        raise PrimespecError(f"a {verdict} sample has a reason")
-    if sample["certificate"] is not None and verdict != NOT_PRIME:
-        raise PrimespecError(f"a {verdict} sample has a certificate")
-    good = classify(sample) == "good"
-    if good or verdict == NOT_PRIME:
-        if not good:
-            f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
-                    for key in ("f", "g"))
-            error = _certificate_error(specialized.groebner(limits=limits), f, g, limits)
-            if error is not None:
-                raise PrimespecError(f"certificate invalid: {error}")
-        dim = specialized.dimension(limits)
-        if dim != sample["dimension"]:
-            raise PrimespecError(f"recorded dimension {sample['dimension']}, recomputed {dim}")
-        return None if good else "NotPrime certificate replayed"
+    point, values = sample_point(config.kind, ideal, config.degrees, config.box,
+                                 Random(derive_seed(config.seed, index)))
     if sample.get("reason") == _OUT_OF_TIME:
+        record = {"index": index, "point": point, "verdict": INCONCLUSIVE,
+                  "expected_dimension": expected, "certificate": None, "reason": _OUT_OF_TIME}
+        skip = {"elapsed_ms", "dimension"}
+        try:
+            if specialize_point(ideal, config.kind, config.degrees, values,
+                                config.budgets.limits())[1]:
+                record["degenerate_specialization"] = True
+        except BudgetExceededError:
+            skip.add("degenerate_specialization")
+        _compare(sample, record, skip)
         return None
-    rerun = run_sample(ideal, config, expected, index)
-    outcome = (rerun["verdict"], rerun.get("reason"), rerun["dimension"])
-    if outcome != (verdict, sample.get("reason"), sample["dimension"]):
-        raise PrimespecError(f"re-run gives (verdict, reason, dimension) = {outcome}")
-    return f"{verdict} verdict re-run"
+    if verdict == NOT_PRIME:
+        limits = config.budgets.limits()
+        specialized, _ = specialize_point(ideal, config.kind, config.degrees, values, limits)
+        f, g = (parse_polynomial(sample["certificate"][key], specialized.context)
+                for key in ("f", "g"))
+        error = _certificate_error(specialized.groebner(limits=limits), f, g, limits)
+        if error is not None:
+            raise PrimespecError(f"certificate invalid: {error}")
+    _compare(sample, run_sample(ideal, config, expected, index), {"elapsed_ms"})
+    if classify(sample) == "good":
+        return None
+    return "NotPrime certificate replayed" if verdict == NOT_PRIME else f"{verdict} verdict re-run"
 
 
 def verify_report(report: dict) -> list[str]:
     """Check every sample of a report; raises on any mismatch.
 
-    Rebuilds the config from its echo, the expected dimension (which the
-    config and every sample must state) and ``rho``.  Checks every sample
-    with ``_replay``, naming it in any error, and then compares the whole
-    ``aggregate`` with the one ``run_experiment`` computes.  An echo that
-    the config rejects, or a record with a missing or mistyped field, fails
-    verification.  Returns one accounting message and one per replay.
+    Rebuilds the config from its echo, and recomputes the expected
+    dimension and ``rho`` that the echo states.  Checks every sample with
+    ``_replay``, which re-runs it and requires the same record, naming the
+    sample in any error, and then compares the whole ``aggregate`` with the one
+    ``run_experiment`` computes.  An echo that the config rejects, or a
+    record with a mistyped field, fails verification.  Returns one
+    accounting message and one per sample that is not good.
     """
     try:
         samples, echo, recorded = report["samples"], report["config"], report["aggregate"]

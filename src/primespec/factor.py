@@ -256,14 +256,19 @@ def _mod_gcdex(f, g, p):
             [c * inv % p for c in r0])
 
 
-def _mod_pow(base, n, mod, m):
-    """base^n reduced by the polynomial mod, modulo m, for base reduced by mod."""
+def _mod_pow(base, n, mod, m, limits):
+    """base^n reduced by the polynomial mod, modulo m, for base reduced by mod.
+
+    Checks the deadline once per squaring: an exponent (p^d - 1)/2 has
+    d*log2(p) bits.
+    """
     result = [1]
     while n:
         if n & 1:
             result = _mod_divmod(_zx_mul(result, base), mod, m)[1]
         n >>= 1
         if n:
+            limits.check_deadline()
             base = _mod_divmod(_zx_mul(base, base), mod, m)[1]
     return result
 
@@ -284,7 +289,7 @@ def _modular_factors(f, p, limits):
     d = 1
     while 2 * d <= len(f) - 1:
         limits.check_deadline()
-        h = _mod_pow(h, p, f, p)
+        h = _mod_pow(h, p, f, p, limits)
         g = _mod_gcd(f, _mod(_zx_sub(h, [0, 1]), p), p)
         if len(g) > 1:
             blocks.append((g, d))
@@ -300,7 +305,7 @@ def _modular_factors(f, p, limits):
             continue
         limits.check_deadline()
         a = _zx_strip([rng.randrange(p) for _ in range(len(g) - 1)])
-        b = _mod_gcd(g, _mod(_zx_sub(_mod_pow(a, (p ** d - 1) // 2, g, p), [1]), p), p)
+        b = _mod_gcd(g, _mod(_zx_sub(_mod_pow(a, (p ** d - 1) // 2, g, p, limits), [1]), p), p)
         split = 1 < len(b) < len(g)
         blocks += [(b, d), (_mod_divmod(g, b, p)[0], d)] if split else [(g, d)]
     return factors

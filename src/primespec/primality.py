@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,11 +122,12 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
     integer map, the multiplication matrix M has column j equal to
     den * NF(step * b_j) for the staircase monomial b_j and one common
     integer den, so multiplying by e is (factor / den) * M on coordinate
-    vectors.  e^k is kept as a primitive integer vector P_k with
-    e^k = (num_k / den_k) * P_k; each power is one matrix-vector product
-    and a content removal.  Rows and combinations are integer vectors
-    over P_0, P_1, ..., combined by fraction-free cross-multiplication
-    with content removal.
+    vectors.  M is kept as its n columns of nonzero (row, value) entries,
+    never as an n x n table.  e^k is kept as a primitive integer vector P_k
+    with e^k = (num_k / den_k) * P_k; each power is one matrix-vector
+    product, column by column, and a content removal.  Rows and
+    combinations are integer vectors over P_0, P_1, ..., combined by
+    fraction-free cross-multiplication with content removal.
     """
     if staircase is None:
         staircase = basis.staircase(basis.context)
@@ -144,11 +144,8 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
             {_mul(monomial, e): c for e, c in step.items()}, limits))
     # remainder == scale * NF, so den * NF == remainder * (den / scale)
     den = math.lcm(*(scale.numerator for _, scale in columns))
-    matrix = [[0] * n for _ in range(n)]
-    for j, (remainder, scale) in enumerate(columns):
-        to_den = scale.denominator * (den // scale.numerator)
-        for exp, c in remainder.items():
-            matrix[index[exp]][j] = to_den * c
+    matrix = [[(index[exp], scale.denominator * (den // scale.numerator) * c)
+               for exp, c in remainder.items()] for remainder, scale in columns]
     step_num, step_den = factor.numerator, factor.denominator * den
     power = [0] * n
     power[index[(0,) * len(basis.context)]] = 1
@@ -185,7 +182,12 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
             return Polynomial(z_ctx, {e: c / lead for e, c in coeffs.items()})
         rows.append((pivot, vec, combo))
         # e^(k+1) = (num_k / den_k) * (factor / den) * M P_k
-        power = [sum(map(operator.mul, row, power)) for row in matrix]
+        product = [0] * n
+        for column, c in zip(matrix, power):
+            if c:
+                for i, v in column:
+                    product[i] += v * c
+        power = product
         unit = math.gcd(*power)
         num_k, den_k = scales[-1]
         if unit:

@@ -235,16 +235,32 @@ def test_verify_report_confirms_certificates(parabola_path):
 
 
 def test_certificate_replay_shares_no_basis_with_the_root(monkeypatch, parabola_path):
-    # verify-report replays a NotPrime certificate against Buchberger's basis
-    # of the fiber's own generators; no basis is specialized from the root's.
+    # verify-report re-runs every sample, and the re-run reads the root's
+    # bases as the run did.  Only the NotPrime certificate replay before it
+    # shares nothing with the root: it checks against Buchberger's basis of
+    # the fiber's own generators, and specializes no basis from the root's.
     report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
+    specialize_basis, rerun = primality.specialize_basis, experiments.run_sample
+    specialized = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("a certificate replay specializes no basis")
 
-    monkeypatch.setattr(groebner, "specialize_basis", refuse)
+    def counted(*args):
+        specialized.append(args)
+        return specialize_basis(*args)
+
+    def reading_the_root(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(primality, "specialize_basis", counted)
+            return rerun(*args)
+
+    for module in (groebner, primality):
+        monkeypatch.setattr(module, "specialize_basis", refuse)
+    monkeypatch.setattr(experiments, "run_sample", reading_the_root)
     messages = verify_report(report)
     assert any("NotPrime certificate replayed" in m for m in messages)
+    assert specialized
 
 
 def test_verify_report_detects_tampering(parabola_path):
@@ -265,28 +281,70 @@ def test_verify_report_detects_tampering(parabola_path):
         verify_report(counted)
 
 
+def test_verify_report_rejects_a_not_prime_sample_relabelled_prime(parabola_path):
+    # Tamper A: a bad sample relabelled prime with no certificate, the
+    # aggregate recomputed, raises the density; its re-run is not_prime.
+    report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
+    first = next(s for s in report["samples"] if s["verdict"] == "not_prime")
+    certificate = first["certificate"]
+    first.update(verdict="prime", certificate=None)
+    report["aggregate"] = _aggregate(report["samples"])
+    with pytest.raises(PrimespecError, match=re.escape(
+            f"sample {first['index']}: 'certificate' recorded None, recomputed {certificate!r}; "
+            "'verdict' recorded 'prime', recomputed 'not_prime'")):
+        verify_report(report)
+
+
+def test_verify_report_rejects_a_run_whose_irreducibility_test_lied(monkeypatch, parabola_path):
+    # During the run only, every minimal polynomial is called irreducible:
+    # the squares t in [-9, 9] turn prime, and the re-run finds them out.
+    config = scalar_config(parabola_path, n=60, box=9, seed=2)
+    honest = run_experiment(config)["aggregate"]["good"]
+    with monkeypatch.context() as patch:
+        patch.setattr(primality, "_split_minimal_poly", lambda *args, **kwargs: None)
+        report = run_experiment(config)
+    assert (honest, report["aggregate"]["good"]) == (49, 60)
+    with pytest.raises(PrimespecError, match=r"^sample 8: .*'verdict' recorded 'prime', "
+                                             "recomputed 'not_prime'$"):
+        verify_report(report)
+
+
+def test_verify_report_rejects_a_key_that_run_sample_does_not_write(parabola_path):
+    report = run_experiment(scalar_config(parabola_path, n=5))
+    before = report_hash(report)
+    report["samples"][0]["note"] = "checked by hand"
+    assert report_hash(report) != before
+    with pytest.raises(PrimespecError,
+                       match="^sample 0: 'note' recorded 'checked by hand', recomputed absent$"):
+        verify_report(report)
+
+
 SPHERE = "vars: Y1, Y2, Y3\ngens:\nY1^2 + Y2^2 + Y3^2 - 1\n"
 
 
-@pytest.mark.parametrize("field, value, message", [
+@pytest.mark.parametrize("field, value, rule", [
     ("degenerate_specialization", True, "degenerate_specialization should be absent"),
     ("reason", "made up", "a prime sample has a reason"),
 ])
-def test_verify_report_checks_optional_sample_fields(field, value, message, tmp_path):
-    # both fields enter report_hash, and the point and the verdict fix them
+def test_verify_report_checks_optional_sample_fields(field, value, rule, tmp_path):
+    # both fields enter report_hash, and the point and the verdict fix them:
+    # the re-run writes neither
     path = tmp_path / "sphere.ideal"
     path.write_text(SPHERE)
     report = run_experiment(ExperimentConfig(kind="GenericIntersect", ideal_path=str(path),
                                              box=20, samples=40, seed=5, degrees=(1,)))
     verify_report(report)
     sample = next(s for s in report["samples"] if s["verdict"] == "prime")
-    assert field not in sample
+    assert field not in sample, rule
     sample[field] = value
-    with pytest.raises(PrimespecError, match=rf"^sample \d+: {re.escape(message)}$"):
+    with pytest.raises(PrimespecError,
+                       match=rf"^sample \d+: '{field}' recorded {re.escape(repr(value))}, "
+                             "recomputed absent$"):
         verify_report(json.loads(json.dumps(report)))
 
 
-POINT_DIFFERS = "point differs from the one its seed draws"
+# the re-run draws its point from the sample's seed; other keys may differ too
+POINT_DIFFERS = r"'point' recorded \{[^}]*\}, recomputed \{[^}]*\}"
 
 
 def _copy_over_a_bad_sample(report, good):
@@ -304,54 +362,54 @@ def _not_prime_of_another_dimension(report, good):
     next(s for s in report["samples"] if s["verdict"] == "not_prime").update(dimension=7)
 
 
-# Each tampering gives a sample record that run_sample cannot write, a
-# config field that run_experiment does not echo with these samples, or a
-# witness that does not replay.  The aggregate is recomputed, so only the tampered
-# field can fail verification.
+# Each tampering gives a sample record that differs from the one the re-run
+# writes, a config field that run_experiment does not echo with these
+# samples, or a witness that does not replay.  The aggregate is recomputed,
+# so only the tampered field can fail verification, and the error names it.
 TAMPERED_RECORDS = {
     "index of another sample": (
         "ScalarSpec", lambda report, sample: sample.update(index=(sample["index"] + 1) % 60),
-        r"^sample \d+: index \d+ is not its position$"),
+        r"^sample \d+: 'index' recorded \d+, recomputed \d+$"),
     "consistent verdict in a ScalarSpec report": (
         "ScalarSpec", lambda report, sample: sample.update(verdict="consistent"),
-        "verdict 'consistent' does not fit a ScalarSpec experiment"),
+        "'verdict' recorded 'consistent', recomputed 'prime'"),
     "ScalarSpec report relabelled Consistency": (
         "ScalarSpec", lambda report, sample: report["config"].update(kind="Consistency"),
-        "does not fit a Consistency experiment"),
+        "'verdict' recorded 'prime', recomputed 'consistent'"),
     "certificate on a prime sample": (
         "ScalarSpec", lambda report, sample: sample.update(certificate={"f": "Y", "g": "Y"}),
-        "a prime sample has a certificate"),
+        re.escape("'certificate' recorded {'f': 'Y', 'g': 'Y'}, recomputed None")),
     "rho on a ScalarSpec report": (
         "ScalarSpec", lambda report, sample: report["config"].update(rho=1),
         "rho 1 differs from the recomputed None"),
     "unit_ideal verdict that does not replay": (
         "ScalarSpec", lambda report, sample: sample.update(verdict="unit_ideal"),
-        re.escape("re-run gives (verdict, reason, dimension) = ('prime', None, 0)")),
+        "'verdict' recorded 'unit_ideal', recomputed 'prime'"),
     "inconsistent verdict that does not replay": (
         "Consistency", lambda report, sample: sample.update(verdict="inconsistent"),
-        re.escape("re-run gives (verdict, reason, dimension) = ('consistent', None, 0)")),
+        "'verdict' recorded 'inconsistent', recomputed 'consistent'"),
     "prime sample of another dimension": (
         "ScalarSpec", lambda report, sample: sample.update(dimension=1),
-        re.escape("re-run gives (verdict, reason, dimension) = ('prime', None, 0)")),
+        r"^sample \d+: 'dimension' recorded 1, recomputed 0$"),
     "config n other than the sample count": (
         "ScalarSpec", lambda report, sample: report["config"].update(n=61),
         "sample count 60 differs from configured n"),
     "config seed changed": (
         "ScalarSpec", lambda report, sample: report["config"].update(seed=43),
-        rf"^sample 0: {POINT_DIFFERS}$"),
+        rf"^sample 0: (.*; )?{POINT_DIFFERS}"),
     "config H lowered below the points": (
         "ScalarSpec", lambda report, sample: report["config"].update(H=5), POINT_DIFFERS),
     "config H below 1": (
         "ScalarSpec", lambda report, sample: report["config"].update(H=-5),
         r"^malformed report: .*'H' must be >= 1, got -5"),
     "bad sample replaced by a copy of a good one": (
-        "ScalarSpec", _copy_over_a_bad_sample, rf"^sample \d+: {POINT_DIFFERS}$"),
+        "ScalarSpec", _copy_over_a_bad_sample, rf"^sample \d+: (.*; )?{POINT_DIFFERS}"),
     "not_prime sample relabelled inconclusive": (
         "ScalarSpec", _not_prime_relabelled_inconclusive,
-        re.escape("re-run gives (verdict, reason, dimension) = ('not_prime', None, 0)")),
+        "'verdict' recorded 'inconclusive', recomputed 'not_prime'$"),
     "not_prime sample of another dimension": (
         "ScalarSpec", _not_prime_of_another_dimension,
-        r"^sample \d+: recorded dimension 7, recomputed 0$"),
+        r"^sample \d+: 'dimension' recorded 7, recomputed 0$"),
 }
 
 
@@ -405,18 +463,25 @@ def test_verify_report_does_not_rerun_samples_that_ran_out_of_time(monkeypatch, 
         report = run_experiment(scalar_config(parabola_path, n=5))
     assert {s["reason"] for s in report["samples"]} == {"budget: wall-clock budget exceeded"}
     assert verify_report(report) == ["accounting confirmed for 5 samples"]
+    # not re-run, but still what run_sample writes before the deadline stops it
+    report["samples"][0]["certificate"] = {"f": "Y", "g": "Y"}
+    with pytest.raises(PrimespecError, match=r"^sample 0: 'certificate' recorded .*, "
+                                             "recomputed None$"):
+        verify_report(report)
 
 
 def test_verify_report_fails_a_rerun_that_runs_out_of_time(monkeypatch, tmp_path):
-    # The field-test inconclusives re-run with their deadline passed: a re-run
-    # that ends on the wall clock confirms nothing.
+    # Every sample re-runs with its deadline passed: a re-run that ends on the
+    # wall clock confirms nothing, so the first sample, a good one, fails.
     path = tmp_path / "cone.ideal"
     path.write_text("params: T\nvars: Y1, Y2\ngens:\nY1^2 - T*Y2^2\n")
     report = run_experiment(ExperimentConfig(kind="ScalarSpec", ideal_path=str(path), box=4,
                                              samples=12, seed=1))
-    first = next(s["index"] for s in report["samples"] if s["verdict"] == "inconclusive")
+    assert classify(report["samples"][0]) == "good"
     _samples_out_of_time(monkeypatch)
-    with pytest.raises(PrimespecError, match=rf"^sample {first}: re-run gives .*wall-clock"):
+    with pytest.raises(PrimespecError, match="^" + re.escape(
+            "sample 0: 'reason' recorded absent, recomputed 'budget: wall-clock budget exceeded'; "
+            "'verdict' recorded 'prime', recomputed 'inconclusive'")):
         verify_report(report)
 
 
@@ -471,7 +536,8 @@ def test_verify_report_recomputes_the_dimension_of_good_samples(circle_path):
     sample.update(verdict="prime", dimension=0)
     report["aggregate"] = _aggregate(report["samples"])
     assert report["aggregate"]["good"] == 9
-    with pytest.raises(PrimespecError, match=r"^sample 0: recorded dimension 0, recomputed -1$"):
+    with pytest.raises(PrimespecError, match=r"^sample 0: 'dimension' recorded 0, recomputed -1; "
+                                             "'verdict' recorded 'prime', recomputed 'unit_ideal'$"):
         verify_report(report)
 
 
@@ -531,7 +597,8 @@ def _late_replays(monkeypatch):
 def test_a_specialization_past_its_deadline_passes_only_samples_out_of_time(monkeypatch,
                                                                             parabola_path):
     # A PolySpec point builds its substitution root under the deadline, so with
-    # the clock an hour on per reading each replay's specialization runs out.
+    # the clock an hour on per reading each replay's specialization runs out:
+    # a good sample's re-run then records the deadline, and fails.
     config = ExperimentConfig(kind="PolySpec", ideal_path=parabola_path, box=3, samples=4,
                               seed=1, degrees=(1,))
     good = run_experiment(config)
@@ -542,8 +609,10 @@ def test_a_specialization_past_its_deadline_passes_only_samples_out_of_time(monk
     assert {s["reason"] for s in late["samples"]} == {"budget: wall-clock budget exceeded"}
     _late_replays(monkeypatch)
     assert verify_report(late) == ["accounting confirmed for 4 samples"]
-    with pytest.raises(PrimespecError,
-                       match="^sample 0: specialization: wall-clock budget exceeded$"):
+    with pytest.raises(PrimespecError, match=re.escape(
+            "sample 0: 'dimension' recorded 0, recomputed None; "
+            "'reason' recorded absent, recomputed 'budget: wall-clock budget exceeded'; "
+            "'verdict' recorded 'prime', recomputed 'inconclusive'")):
         verify_report(good)
 
 
@@ -998,7 +1067,7 @@ TAMPERED_DIMENSIONS = {
     "cubic_fibers, every expected dimension 2": (
         "cubic_fibers", 2, None, "expected dimension 2 differs from the recomputed 1"),
     "cubic_fibers, sample 3 expects 0": (
-        "cubic_fibers", 0, 3, "sample 3: expected dimension 0, recomputed 1"),
+        "cubic_fibers", 0, 3, "sample 3: 'expected_dimension' recorded 0, recomputed 1"),
     "circle_cut, every expected dimension raised by 1": (
         "circle_cut", 1, None, "expected dimension 1 differs from the recomputed 0"),
 }

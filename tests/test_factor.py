@@ -493,7 +493,7 @@ def _reference_berlekamp(f, p):
     if n == 1:
         return [list(f)]
     # Frobenius matrix: row i holds x^(p*i) mod f.
-    xp = _mod_pow([0, 1], p, f, p)
+    xp = _mod_pow([0, 1], p, f, p, DEFAULT_LIMITS)
     rows = [[1] + [0] * (n - 1)]
     current = [1]
     for _ in range(1, n):
@@ -592,15 +592,30 @@ def test_modular_powers_take_reduced_residues(monkeypatch):
     # factor, so every power is taken of a residue of lower degree.
     calls = []
 
-    def reduced_pow(base, n, mod, m):
+    def reduced_pow(base, n, mod, m, limits):
         calls.append(mod)
         assert len(base) < len(mod), (base, mod)
-        return _mod_pow(base, n, mod, m)
+        return _mod_pow(base, n, mod, m, limits)
 
     monkeypatch.setattr(factor, "_mod_pow", reduced_pow)
     for f, p in _modular_inputs():
         _modular_factors(_mod_monic(_mod(f, p), p), p, DEFAULT_LIMITS)
     assert len(calls) > 1000
+
+
+def test_modular_power_checks_the_deadline_once_per_squaring():
+    # An equal-degree split raises a residue to (p^d - 1)/2, so one power
+    # can outlast the deadline between two checks of its caller.
+    class Counting:
+        calls = 0
+
+        def check_deadline(self):
+            self.calls += 1
+
+    limits = Counting()
+    power = _mod_pow([0, 1], 3**40, [1, 2, 0, 1], 3, limits)
+    assert power == _mod_pow([0, 1], 3**40, [1, 2, 0, 1], 3, DEFAULT_LIMITS)
+    assert (3**40).bit_length() == 64 and limits.calls >= 63
 
 
 def _lift_to(p, f, modular, l):

@@ -618,6 +618,25 @@ def test_term_budget_binds_in_minimal_polynomial():
     assert str(minimal_polynomial(ideal.groebner(), y)) == "Z^2 - 2"
 
 
+def test_minimal_polynomial_keeps_no_square_matrix():
+    # The quotient has dimension 900, and each Krylov column has one entry:
+    # an n x n table would hold 810000 of them.
+    import tracemalloc
+
+    ideal = make_ideal(("X", "Y"), ["X^30 - 1", "Y^30 - 1"])
+    basis = ideal.groebner()
+    y = Polynomial.variable(ideal.context, "Y")
+    assert _quotient_dim(basis) == 900
+    tracemalloc.start()
+    try:
+        m = minimal_polynomial(basis, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(m) == "Z^30 - 1"
+    assert peak < 3 * 2**20, peak
+
+
 # -- the root's eliminant ------------------------------------------------------
 
 POINTS_FAMILY = ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"]

@@ -12,7 +12,9 @@ random stream.  It returns the point as the report stores it, which is
 never parsed back, and the drawn values that ``specialize_point`` turns
 into the specialized ideal.  ``verify_report`` re-runs every sample from
 the echoed config, so it re-draws every point, and requires the stored
-record to equal the re-run's.
+record to equal the re-run's.  Everything around the samples is built by
+one function, ``_header``, which ``verify_report`` runs again and
+compares with the report key by key.
 
 Reports are deterministic for a fixed config and seed: every sample owns
 an independent random stream derived from (seed, index), so handing the
@@ -238,32 +240,30 @@ def _consistent(specialized: Ideal, limits: GBLimits) -> bool:
     return specialize_basis(block, at, ctx, limits) == twin.groebner(limits=limits)
 
 
+def _blank_record(ideal: Ideal, config: ExperimentConfig, expected: int,
+                  index: int) -> tuple[dict, list]:
+    """The record ``run_sample`` writes before it specializes, and the values of its point."""
+    point, values = sample_point(config.kind, ideal, config.degrees, config.box,
+                                 Random(derive_seed(config.seed, index)))
+    return {"index": index, "point": point, "verdict": INCONCLUSIVE, "dimension": None,
+            "expected_dimension": expected, "certificate": None, "elapsed_ms": 0.0}, values
+
+
 def run_sample(ideal: Ideal, config: ExperimentConfig, expected: int, index: int) -> dict:
     """Process one sample; budget overruns record an inconclusive verdict."""
-    rng = Random(derive_seed(config.seed, index))
-    point, values = sample_point(config.kind, ideal, config.degrees, config.box, rng)
+    record, values = _blank_record(ideal, config, expected, index)
     start = time.perf_counter()
     limits = config.budgets.limits()
-    record = {
-        "index": index,
-        "point": point,
-        "verdict": INCONCLUSIVE,
-        "dimension": None,
-        "expected_dimension": expected,
-        "certificate": None,
-        "elapsed_ms": 0.0,
-    }
     try:
         specialized, degenerate = specialize_point(ideal, config.kind, config.degrees, values,
                                                    limits)
         if degenerate:
             record["degenerate_specialization"] = True
+        record["dimension"] = specialized.dimension(limits)
         if config.kind == CONSISTENCY:
             same = _consistent(specialized, limits)
             record["verdict"] = CONSISTENT if same else INCONSISTENT
-            record["dimension"] = specialized.dimension(limits)
         else:
-            record["dimension"] = specialized.dimension(limits)
             verdict = is_prime(specialized, trials=config.trials,
                                seed=derive_seed(config.seed, index, "prime"), limits=limits)
             record["verdict"] = verdict.status
@@ -319,8 +319,9 @@ def _check_hypotheses(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) 
     if config.kind in (SCALAR_SPEC, POLY_SPEC, CONSISTENCY):
         if ctx.r == 0:
             raise ConfigError(f"{config.kind} requires a params: block in the ideal file")
-        if config.kind == POLY_SPEC and len(config.degrees) != ctx.r:
-            raise ConfigError(f"PolySpec needs {ctx.r} degrees, got {len(config.degrees)}")
+        wanted = ctx.r if config.kind == POLY_SPEC else 0
+        if len(config.degrees) != wanted:
+            raise ConfigError(f"{config.kind} needs {wanted} degrees, got {len(config.degrees)}")
         meet = eliminate(ideal, ctx.param_names, limits)
         if not meet.is_zero:
             raise HypothesisViolationError(meet.generators[0])
@@ -332,33 +333,52 @@ def _check_hypotheses(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) 
         raise ConfigError(f"need 0 < rho <= dim = {d}, got rho = {len(config.degrees)}")
 
 
-def _expected_dimension(ideal: Ideal, kind: str, degrees, limits: GBLimits) -> int:
-    """Dimension of a good specialization: dim - rho for GenericIntersect, else the generic fiber's.
+def _header(ideal: Ideal, config: ExperimentConfig, limits: GBLimits) -> dict:
+    """Everything a report holds but its samples, their aggregate and the timestamp.
 
-    The generic fiber of a base P in Q[T, Y] is P over Q(T); for a prime P
-    meeting Q[T] only in 0 its dimension is dim P - r.
+    Runs the hypothesis check and then the expected dimension under
+    ``limits``, and returns the ``config`` echo, ``tool_version`` and
+    ``seed``.  ``run_experiment`` builds its report around the samples
+    from it, and ``verify_report`` compares a report with it key by key.
+    The expected dimension is that of a good specialization: dim - rho for
+    GenericIntersect, else the generic fiber's.  The generic fiber of a
+    base P in Q[T, Y] is P over Q(T); for a prime P meeting Q[T] only in 0
+    its dimension is dim P - r.
     """
-    if kind == GENERIC_INTERSECT:
-        return ideal.dimension(limits) - len(degrees)
-    return fiber_dimension(ideal, ideal.context.param_names, limits)
-
-
-def _rho(kind: str, degrees):
-    """The echoed number of cutting hypersurfaces: len(degrees) for GenericIntersect, else None."""
-    return len(degrees) if kind == GENERIC_INTERSECT else None
+    _check_hypotheses(ideal, config, limits)
+    ctx = ideal.context
+    cut = config.kind == GENERIC_INTERSECT
+    expected = (ideal.dimension(limits) - len(config.degrees) if cut
+                else fiber_dimension(ideal, ctx.param_names, limits))
+    config_echo = {
+        "kind": config.kind,
+        "ideal": config.ideal_path,
+        "ideal_source": {
+            "params": list(ctx.param_names),
+            "vars": list(ctx.var_names),
+            "gens": [str(g) for g in ideal.generators],
+        },
+        **{key: getattr(config, name) for key, name in _ECHOED_FIELDS.items()},
+        "degrees": list(config.degrees),
+        "rho": len(config.degrees) if cut else None,
+        "budgets": asdict(config.budgets),
+        "expected_dimension": expected,
+    }
+    return {"config": config_echo, "tool_version": __version__, "seed": config.seed}
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run all samples and assemble the report dictionary."""
-    with open(config.ideal_path, "r", encoding="ascii") as handle:
-        ideal_text = handle.read()
-    ctx, gens = parse_ideal_source(ideal_text)
-    ideal = Ideal(ctx, gens)
-    limits = config.budgets.limits()
-    _check_hypotheses(ideal, config, limits)
-    expected = _expected_dimension(ideal, config.kind, config.degrees, limits)
+    """Run all samples and assemble the report dictionary.
 
-    task = functools.partial(run_sample, ideal, config, expected)
+    The report is ``_header``'s, which runs under the config's budgets and
+    a deadline of ``sample.timeout_ms``, with the samples, their aggregate
+    and a timestamp added.
+    """
+    with open(config.ideal_path, "r", encoding="ascii") as handle:
+        ideal = Ideal(*parse_ideal_source(handle.read()))
+    header = _header(ideal, config, config.budgets.limits())
+
+    task = functools.partial(run_sample, ideal, config, header["config"]["expected_dimension"])
     indices = range(config.samples)
     if config.workers > 1:
         # Imported here so that serial runs never load multiprocessing.
@@ -372,27 +392,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
             records = list(pool.map(task, indices, chunksize=chunksize))
     else:
         records = list(map(task, indices))
-
-    config_echo = {
-        "kind": config.kind,
-        "ideal": config.ideal_path,
-        "ideal_source": {
-            "params": list(ctx.param_names),
-            "vars": list(ctx.var_names),
-            "gens": [str(g) for g in ideal.generators],
-        },
-        **{key: getattr(config, name) for key, name in _ECHOED_FIELDS.items()},
-        "degrees": list(config.degrees),
-        "rho": _rho(config.kind, config.degrees),
-        "budgets": asdict(config.budgets),
-        "expected_dimension": expected,
-    }
     return {
-        "config": config_echo,
+        **header,
         "samples": records,
         "aggregate": _aggregate(records),
-        "tool_version": __version__,
-        "seed": config.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -444,16 +447,16 @@ def emit_report(report: dict, fmt: str, path) -> None:
 _OUT_OF_TIME = "budget: wall-clock budget exceeded"
 
 
-def _compare(sample: dict, record: dict, skip) -> None:
-    """Raise naming every key outside ``skip`` where ``sample`` and ``record`` differ."""
+def _compare(recorded: dict, recomputed: dict, skip, where: str = "") -> None:
+    """Raise naming every key outside ``skip`` where ``recorded`` and ``recomputed`` differ."""
     def shown(entry, key):
         return repr(entry[key]) if key in entry else "absent"
 
-    wrong = [f"{key!r} recorded {shown(sample, key)}, recomputed {shown(record, key)}"
-             for key in sorted((sample.keys() | record.keys()) - skip)
-             if shown(sample, key) != shown(record, key)]
+    wrong = [f"{key!r} recorded {shown(recorded, key)}, recomputed {shown(recomputed, key)}"
+             for key in sorted((recorded.keys() | recomputed.keys()) - skip)
+             if shown(recorded, key) != shown(recomputed, key)]
     if wrong:
-        raise PrimespecError("; ".join(wrong))
+        raise PrimespecError(where + "; ".join(wrong))
 
 
 def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
@@ -472,11 +475,9 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
     made for a sample that is not good, or None.
     """
     verdict = sample["verdict"]
-    point, values = sample_point(config.kind, ideal, config.degrees, config.box,
-                                 Random(derive_seed(config.seed, index)))
+    record, values = _blank_record(ideal, config, expected, index)
     if sample.get("reason") == _OUT_OF_TIME:
-        record = {"index": index, "point": point, "verdict": INCONCLUSIVE,
-                  "expected_dimension": expected, "certificate": None, "reason": _OUT_OF_TIME}
+        record["reason"] = _OUT_OF_TIME
         skip = {"elapsed_ms", "dimension"}
         try:
             if specialize_point(ideal, config.kind, config.degrees, values,
@@ -501,57 +502,57 @@ def _replay(ideal: Ideal, config: ExperimentConfig, expected: int, index: int,
 
 
 def verify_report(report: dict) -> list[str]:
-    """Check every sample of a report; raises on any mismatch.
+    """Check a report by building it again; raises on any mismatch.
 
-    Rebuilds the config from its echo, and recomputes the expected
-    dimension and ``rho`` that the echo states.  Checks every sample with
-    ``_replay``, which re-runs it and requires the same record, naming the
-    sample in any error, and then compares the whole ``aggregate`` with the one
-    ``run_experiment`` computes.  An echo that the config rejects, or a
-    record with a mistyped field, fails verification.  Returns one
-    accounting message and one per sample that is not good.
+    One rule for the whole report.  Rebuilds the config from its echo and
+    the ideal from the echoed source (``config.ideal`` is a label, never
+    read), and runs ``_header``, which ``run_experiment`` builds its report
+    from: a violated hypothesis raises ``HypothesisViolationError``, and a
+    budget that stops the header fails as ``expected dimension: <reason>``.
+    The report must equal the header in every key but ``samples``,
+    ``aggregate`` and ``timestamp``, and its ``config`` in every key; so a
+    report of another ``tool_version`` fails.  Then checks the sample count
+    and every sample with ``_replay``, which re-runs it and requires the
+    same record, naming the sample in any error, and last compares
+    ``aggregate`` key by key with the one ``run_experiment`` computes.  The
+    header and the re-runs run under the echoed budgets with the timeout
+    capped at the default 20 s, while the echo keeps the echoed timeout.
+    An echo that the config or the hypothesis check rejects, or a record
+    with a mistyped field, is a malformed report.  Returns one accounting
+    message and one per sample that is not good.
     """
     try:
         samples, echo, recorded = report["samples"], report["config"], report["aggregate"]
         source = echo["ideal_source"]
         ctx = make_context(source["vars"], params=source["params"])
         ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])
-        budgets = Budgets(**echo["budgets"])
-        # a crafted timeout must not stall verification
-        budgets = replace(budgets, sample_timeout_ms=min(budgets.sample_timeout_ms,
-                                                         Budgets.sample_timeout_ms))
         config = ExperimentConfig(kind=echo["kind"], ideal_path=echo["ideal"],
-                                  degrees=tuple(echo["degrees"]), budgets=budgets,
+                                  degrees=tuple(echo["degrees"]),
+                                  budgets=Budgets(**echo["budgets"]),
                                   **{name: echo[key] for key, name in _ECHOED_FIELDS.items()})
-        stated, stated_rho = echo["expected_dimension"], echo["rho"]
-        rho = _rho(config.kind, config.degrees)
+        # a crafted timeout must not stall verification
+        capped = replace(config, budgets=replace(config.budgets, sample_timeout_ms=min(
+            config.budgets.sample_timeout_ms, Budgets.sample_timeout_ms)))
+        header = _header(ideal, config, capped.budgets.limits())
     except (KeyError, TypeError, ConfigError) as exc:
         raise PrimespecError(f"malformed report: {exc!r}") from exc
-    try:
-        expected = _expected_dimension(ideal, config.kind, config.degrees, budgets.limits())
     except BudgetExceededError as exc:
         raise PrimespecError(f"expected dimension: {exc}") from exc
-    if stated != expected:
-        raise PrimespecError(f"expected dimension {stated} differs from the recomputed {expected}")
-    if stated_rho != rho:
-        raise PrimespecError(f"rho {stated_rho} differs from the recomputed {rho}")
+    _compare(report, header, {"config", "samples", "aggregate", "timestamp"})
+    _compare(echo, header["config"], set(), "config: ")
     n = len(samples)
     if n != config.samples:
         raise PrimespecError(f"sample count {n} differs from configured n")
+    expected = header["config"]["expected_dimension"]
     replays = []
     for i, sample in enumerate(samples):
         try:
-            message = _replay(ideal, config, expected, i, sample)
+            message = _replay(ideal, capped, expected, i, sample)
         except (KeyError, TypeError) as exc:
             raise PrimespecError(f"sample {i}: malformed record: {exc!r}") from exc
         except (PrimespecError, ValueError, ArithmeticError) as exc:
             raise PrimespecError(f"sample {i}: {exc}") from exc
         if message is not None:
             replays.append(f"sample {i}: {message}")
-    recomputed = _aggregate(samples)
-    if recorded != recomputed:
-        missing = object()
-        wrong = sorted(key for key in recorded.keys() | recomputed.keys()
-                       if recorded.get(key, missing) != recomputed.get(key, missing))
-        raise PrimespecError(f"aggregate {wrong} differs from the recomputed {recomputed}")
+    _compare(recorded, _aggregate(samples), set(), "aggregate: ")
     return [f"accounting confirmed for {n} samples"] + replays

@@ -225,16 +225,18 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[Exponent]:
         return [lead for lead, _, _ in self._reducers]
 
-    def staircase(self, part: VariableContext) -> tuple[Exponent, ...] | None:
+    def staircase(self, part: VariableContext,
+                  limits=DEFAULT_LIMITS) -> tuple[Exponent, ...] | None:
         """The monomials in ``part`` below the leads projected onto it; None if infinite.
 
-        Grevlex-increasing (``_staircase``).  ``part`` is the context or,
-        under (part | rest), the part compared first.  Cached per part, so
-        the fibers that read a root's basis share one staircase.
+        Grevlex-increasing (``_staircase``, which checks the deadline of
+        ``limits``).  ``part`` is the context or, under (part | rest), the
+        part compared first.  Cached per part, so the fibers that read a
+        root's basis share one staircase; nothing is cached when it raises.
         """
         if part not in self._staircases:
             leads = map(_projection(self.context, part), self.leading_exponents())
-            self._staircases[part] = _staircase(list(leads), len(part))
+            self._staircases[part] = _staircase(list(leads), len(part), limits)
         return self._staircases[part]
 
     def independent_set(self, part: VariableContext,
@@ -288,8 +290,17 @@ class GroebnerBasis:
         return self.normal_form(p, limits).is_zero
 
 
-def _staircase(leads, width):
-    """Monomials outside the monomial ideal of ``leads``, grevlex-increasing; None if infinite."""
+def _staircase(leads, width, limits=DEFAULT_LIMITS):
+    """Monomials outside the monomial ideal of ``leads``, grevlex-increasing; None if infinite.
+
+    Grown one variable at a time.  A partial monomial over the first i
+    variables is dropped when a lead in those variables alone divides it,
+    since then that lead divides every monomial it extends to; a kept one,
+    padded with zeros, is itself a staircase monomial, so only staircase
+    monomials are ever built, and one more per kept partial monomial,
+    where the last variable's exponent reaches a lead.  The deadline is
+    checked once per partial monomial.
+    """
     bounds = {}
     for exp in leads:
         support = [i for i, e in enumerate(exp) if e]
@@ -297,10 +308,17 @@ def _staircase(leads, width):
             bounds[support[0]] = min(exp[support[0]], bounds.get(support[0], exp[support[0]]))
     if len(bounds) < width:
         return None
-    box = [()]
-    for i in range(width):
-        box = [e + (k,) for e in box for k in range(bounds[i])]
-    staircase = [exp for exp in box if not any(_divides(lead, exp) for lead in leads)]
+    staircase = [()]
+    for i in range(1, width + 1):
+        inner = [lead[:i] for lead in leads if not any(lead[i:])]
+        grown = []
+        for exp in staircase:
+            limits.check_deadline()
+            for k in range(bounds[i - 1]):
+                if any(_divides(lead, exp + (k,)) for lead in inner):
+                    break  # the lead divides exp + (k',) for every k' > k too
+                grown.append(exp + (k,))
+        staircase = grown
     return tuple(sorted(staircase, key=grevlex.key))
 
 

@@ -130,7 +130,7 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
     fraction-free cross-multiplication with content removal.
     """
     if staircase is None:
-        staircase = basis.staircase(basis.context)
+        staircase = basis.staircase(basis.context, limits)
     if staircase is None:
         raise ValueError("leading terms admit no finite staircase (dimension > 0)")
     z_ctx = make_context((variable,))
@@ -402,7 +402,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     ctx = ideal.context
     if not independent:
         block, values, _ = ideal.lifted(ctx, limits)
-        return _field_test(ideal, ctx, block.staircase(ctx),
+        return _field_test(ideal, ctx, block.staircase(ctx, limits),
                            functools.partial(specialize_basis, block, values, ctx, limits),
                            (), (), rng, trials, limits, variable)
     if len(independent) == len(ctx):
@@ -425,7 +425,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
                     power = power * h
                 return not_prime_verdict(basis, g, power, limits)
 
-    staircase = block.staircase(bound)
+    staircase = block.staircase(bound, limits)
     positions = ctx.indices_of(free)
     sections = []
     box = BOX_START

@@ -222,7 +222,7 @@ MALFORMED_REPORTS = {
     "config with a negative degree": (
         lambda report: report["config"].update(degrees=[-1]), "malformed report: "),
     "aggregate without good": (
-        lambda report: report["aggregate"].pop("good"), "aggregate "),
+        lambda report: report["aggregate"].pop("good"), "aggregate: 'good' recorded absent, "),
     "prime sample with an unknown verdict": (_first_sample_made_unknown, "sample 0: "),
     "report without config": (lambda report: report.pop("config"), "malformed report: "),
     "report without aggregate": (lambda report: report.pop("aggregate"), "malformed report: "),

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from primespec import (BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError,
-                       context, experiments, groebner, intersect_generic, is_prime,
+                       __version__, context, experiments, groebner, intersect_generic, is_prime,
                        primality, specialize_polynomial, specialize_scalar)
 from primespec.cli import main
 from primespec.experiments import (Budgets, ExperimentConfig, _aggregate, classify, derive_seed,
@@ -187,6 +187,63 @@ def test_hypothesis_gate_fails_fast(tmp_path):
     with pytest.raises(HypothesisViolationError) as err:
         run_experiment(scalar_config(str(path), n=3))
     assert str(err.value.witness) == "T - 1"
+
+
+def test_verify_report_runs_the_hypothesis_check(monkeypatch, tmp_path, capsys):
+    # A report made with the check patched out: every fiber of (Y - T, Y - 1)
+    # is bad, since the ideal meets Q[T] in T - 1.  verify-report builds the
+    # report's header with run_experiment's code, so it refuses it as
+    # experiment does, with exit 3 and the witness.
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = scalar_config(os.path.join(repo, "ideals", "bad_hypothesis.ideal"), n=20, box=5,
+                           seed=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_check_hypotheses", lambda *args: None)
+        report = run_experiment(config)
+    assert (report["aggregate"]["bad"], report["aggregate"]["density_exact"]) == (20, "0")
+    with pytest.raises(HypothesisViolationError) as err:
+        verify_report(report)
+    assert str(err.value.witness) == "T - 1"
+    path = tmp_path / "report.json"
+    emit_report(report, "json", path)
+    capsys.readouterr()
+    assert main(["verify-report", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "hypothesis violation: ideal meets the parameter ring: witness T - 1\n")
+
+
+# Each config breaks one rule of _check_hypotheses: (kind, ideal, degrees, message)
+REFUSED_CONFIGS = {
+    "ScalarSpec on an ideal without params": (
+        "ScalarSpec", CIRCLE, (), "ScalarSpec requires a params: block in the ideal file"),
+    "PolySpec with two degrees for one param": (
+        "PolySpec", PARABOLA, (1, 1), "PolySpec needs 1 degrees, got 2"),
+    "GenericIntersect on an ideal with params": (
+        "GenericIntersect", PARABOLA, (1,), "GenericIntersect expects an ideal without parameters"),
+    "degrees on ScalarSpec": ("ScalarSpec", PARABOLA, (1,), "ScalarSpec needs 0 degrees, got 1"),
+    "degrees on Consistency": ("Consistency", PARABOLA, (2,), "Consistency needs 0 degrees, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CONFIGS))
+def test_check_hypotheses_refuses_configs(case, parabola_path, tmp_path):
+    # run_experiment refuses the config, and verify_report refuses an echo
+    # edited into it as a malformed report.
+    kind, text, degrees, message = REFUSED_CONFIGS[case]
+    path = tmp_path / "refused.ideal"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentConfig(kind=kind, ideal_path=str(path), box=3, samples=2,
+                                        degrees=degrees))
+    report = run_experiment(scalar_config(parabola_path, n=2, box=3))
+    verify_report(report)
+    ctx, gens = parse_ideal_source(text)
+    report["config"].update(kind=kind, degrees=list(degrees), ideal_source={
+        "params": list(ctx.param_names), "vars": list(ctx.var_names),
+        "gens": [str(g) for g in gens]})
+    with pytest.raises(PrimespecError,
+                       match=rf"^malformed report: ConfigError\({re.escape(repr(message))}\)$"):
+        verify_report(report)
 
 
 def test_reports_are_reproducible(parabola_path):
@@ -381,7 +438,7 @@ TAMPERED_RECORDS = {
         re.escape("'certificate' recorded {'f': 'Y', 'g': 'Y'}, recomputed None")),
     "rho on a ScalarSpec report": (
         "ScalarSpec", lambda report, sample: report["config"].update(rho=1),
-        "rho 1 differs from the recomputed None"),
+        r"^config: 'rho' recorded 1, recomputed None$"),
     "unit_ideal verdict that does not replay": (
         "ScalarSpec", lambda report, sample: sample.update(verdict="unit_ideal"),
         "'verdict' recorded 'unit_ideal', recomputed 'prime'"),
@@ -396,7 +453,7 @@ TAMPERED_RECORDS = {
         "sample count 60 differs from configured n"),
     "config seed changed": (
         "ScalarSpec", lambda report, sample: report["config"].update(seed=43),
-        rf"^sample 0: (.*; )?{POINT_DIFFERS}"),
+        r"^'seed' recorded 2, recomputed 43$"),
     "config H lowered below the points": (
         "ScalarSpec", lambda report, sample: report["config"].update(H=5), POINT_DIFFERS),
     "config H below 1": (
@@ -411,6 +468,35 @@ TAMPERED_RECORDS = {
         "ScalarSpec", _not_prime_of_another_dimension,
         r"^sample \d+: 'dimension' recorded 7, recomputed 0$"),
 }
+
+
+# Each edit leaves every sample as it is and moves report_hash; the header
+# that verify_report builds again from the echo differs in the edited key.
+TAMPERED_HEADERS = {
+    "top-level seed": (lambda report: report.update(seed=6), r"^'seed' recorded 6, recomputed 5$"),
+    "tool_version": (lambda report: report.update(tool_version="0.0.1"),
+                     rf"^'tool_version' recorded '0.0.1', recomputed {re.escape(repr(__version__))}$"),
+    "extra top-level key": (lambda report: report.update(note="checked by hand"),
+                            "^'note' recorded 'checked by hand', recomputed absent$"),
+    "extra config key": (lambda report: report["config"].update(note="checked by hand"),
+                         "^config: 'note' recorded 'checked by hand', recomputed absent$"),
+    "gens in another form": (
+        lambda report: report["config"]["ideal_source"].update(gens=["-T + Y^2"]),
+        r"^config: 'ideal_source' recorded \{.*'gens': \['-T \+ Y\^2'\]\}, "
+        r"recomputed \{.*'gens': \['Y\^2 - T'\]\}$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
+def test_verify_report_rejects_tampered_headers(case, parabola_path):
+    tamper, message = TAMPERED_HEADERS[case]
+    report = run_experiment(scalar_config(parabola_path, n=5))
+    verify_report(report)
+    before = report_hash(report)
+    tamper(report)
+    assert report_hash(report) != before
+    with pytest.raises(PrimespecError, match=message):
+        verify_report(report)
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_RECORDS))
@@ -699,7 +785,7 @@ def test_verify_report_checks_every_aggregate_field(key, parabola_path):
     report = run_experiment(scalar_config(parabola_path, n=60, box=9, seed=2))
     verify_report(report)
     report["aggregate"][key] = _tampered(report["aggregate"][key])
-    with pytest.raises(PrimespecError, match=rf"^aggregate .*'{key}'"):
+    with pytest.raises(PrimespecError, match=rf"^aggregate: '{key}' recorded .*, recomputed "):
         verify_report(report)
 
 
@@ -1065,11 +1151,11 @@ def _shipped_report(name):
 TAMPERED_DIMENSIONS = {
     # 100 good -> 0 good
     "cubic_fibers, every expected dimension 2": (
-        "cubic_fibers", 2, None, "expected dimension 2 differs from the recomputed 1"),
+        "cubic_fibers", 2, None, "config: 'expected_dimension' recorded 2, recomputed 1"),
     "cubic_fibers, sample 3 expects 0": (
         "cubic_fibers", 0, 3, "sample 3: 'expected_dimension' recorded 0, recomputed 1"),
     "circle_cut, every expected dimension raised by 1": (
-        "circle_cut", 1, None, "expected dimension 1 differs from the recomputed 0"),
+        "circle_cut", 1, None, "config: 'expected_dimension' recorded 1, recomputed 0"),
 }
 
 
@@ -1094,7 +1180,8 @@ def test_verify_report_recomputes_the_expected_dimension(case):
 def test_verify_report_requires_the_expected_dimension():
     report = json.loads(_shipped_report("circle_cut"))
     del report["config"]["expected_dimension"]
-    with pytest.raises(PrimespecError, match=r"^malformed report: KeyError"):
+    with pytest.raises(PrimespecError,
+                       match="^config: 'expected_dimension' recorded absent, recomputed 0$"):
         verify_report(report)
 
 

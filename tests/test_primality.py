@@ -637,6 +637,26 @@ def test_minimal_polynomial_keeps_no_square_matrix():
     assert peak < 3 * 2**20, peak
 
 
+def test_minimal_polynomial_stops_its_staircase_at_the_deadline():
+    # The staircase has 40^3 = 64000 monomials.  It grows one variable at a
+    # time and checks the deadline per partial monomial, so a passed deadline
+    # stops it at the first one, before any box is built, and caches nothing.
+    import tracemalloc
+
+    ideal = make_ideal(("X", "Y", "Z"), ["X^40 - 1", "Y^40 - 1", "Z^40 - 1"])
+    basis = ideal.groebner()
+    x = Polynomial.variable(ideal.context, "X")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="^wall-clock budget exceeded$"):
+            minimal_polynomial(basis, x, limits=GBLimits(deadline=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert basis._staircases == {}
+
+
 # -- the root's eliminant ------------------------------------------------------
 
 POINTS_FAMILY = ["Y1^3 + T*Y2 - 1", "Y2^2 - Y1*Y3 - T", "Y3^2 - Y1 - Y2 + T"]

@@ -37,7 +37,8 @@ from random import Random
 
 from . import __version__
 from .context import context as make_context
-from .errors import BudgetExceededError, ConfigError, HypothesisViolationError, PrimespecError
+from .errors import (BudgetExceededError, ConfigError, ContextMismatchError,
+                     HypothesisViolationError, PolynomialSyntaxError, PrimespecError)
 from .groebner import (DEFAULT_LIMITS, GBLimits, Ideal, eliminate, fiber_dimension,
                        specialize_basis)
 from .parse import parse_ideal_source, parse_polynomial
@@ -508,18 +509,21 @@ def verify_report(report: dict) -> list[str]:
     the ideal from the echoed source (``config.ideal`` is a label, never
     read), and runs ``_header``, which ``run_experiment`` builds its report
     from: a violated hypothesis raises ``HypothesisViolationError``, and a
-    budget that stops the header fails as ``expected dimension: <reason>``.
-    The report must equal the header in every key but ``samples``,
-    ``aggregate`` and ``timestamp``, and its ``config`` in every key; so a
-    report of another ``tool_version`` fails.  Then checks the sample count
-    and every sample with ``_replay``, which re-runs it and requires the
-    same record, naming the sample in any error, and last compares
-    ``aggregate`` key by key with the one ``run_experiment`` computes.  The
-    header and the re-runs run under the echoed budgets with the timeout
-    capped at the default 20 s, while the echo keeps the echoed timeout.
-    An echo that the config or the hypothesis check rejects, or a record
-    with a mistyped field, is a malformed report.  Returns one accounting
-    message and one per sample that is not good.
+    budget that stops the header, in the hypothesis check or the expected
+    dimension, fails as ``header: <reason>``.  The report must equal the
+    header in every key but ``samples``, ``aggregate`` and ``timestamp``,
+    and its ``config`` in every key; so a report of another
+    ``tool_version`` fails.  Then checks the sample count and every sample
+    with ``_replay``, which re-runs it and requires the same record, naming
+    the sample in any error, and last compares ``aggregate`` key by key
+    with the one ``run_experiment`` computes.  The header and the re-runs
+    run under the echoed budgets with the timeout capped at the default
+    20 s, while the echo keeps the echoed timeout.  An echo whose ideal
+    does not rebuild (a generator that does not parse, an unknown or
+    repeated variable, no variable) or that the config or the hypothesis
+    check rejects, or a record with a mistyped field, is a malformed
+    report.  Returns one accounting message and one per sample that is not
+    good.
     """
     try:
         samples, echo, recorded = report["samples"], report["config"], report["aggregate"]
@@ -534,10 +538,11 @@ def verify_report(report: dict) -> list[str]:
         capped = replace(config, budgets=replace(config.budgets, sample_timeout_ms=min(
             config.budgets.sample_timeout_ms, Budgets.sample_timeout_ms)))
         header = _header(ideal, config, capped.budgets.limits())
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, ContextMismatchError,
+            PolynomialSyntaxError) as exc:
         raise PrimespecError(f"malformed report: {exc!r}") from exc
     except BudgetExceededError as exc:
-        raise PrimespecError(f"expected dimension: {exc}") from exc
+        raise PrimespecError(f"header: {exc}") from exc
     _compare(report, header, {"config", "samples", "aggregate", "timestamp"})
     _compare(echo, header["config"], set(), "config: ")
     n = len(samples)

@@ -159,27 +159,14 @@ class Polynomial:
     # -- context moves -------------------------------------------------------
 
     def embed(self, target: VariableContext) -> Polynomial:
-        """Re-express in another context containing all used variables."""
+        """Re-express in another context containing all used variables.
+
+        ``substitute`` with no bindings; the polynomial itself when
+        ``target`` is its own context.
+        """
         if target == self.context:
             return self
-        positions = []
-        for name in self.context.names:
-            if name not in target:
-                positions.append(None)
-            else:
-                positions.append(target.index[name])
-        width = len(target)
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * width
-            for i, e in enumerate(exp):
-                if e:
-                    if positions[i] is None:
-                        raise ContextMismatchError(
-                            f"variable {self.context.names[i]!r} missing from target context")
-                    new[positions[i]] = e
-            terms[tuple(new)] = coeff
-        return Polynomial(target, terms)
+        return self.substitute({}, target)
 
     # -- substitution ----------------------------------------------------------
 

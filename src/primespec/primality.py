@@ -25,15 +25,16 @@ whose test splits are redrawn.  u is also redrawn where h(u) = 0; at
 every other u, G at U = u is a Groebner basis of the ideal there (the
 rule of the ``groebner`` module docstring, U in the place of T), which
 ``specialize_basis`` builds.  So the quotient's staircase is that of G's
-leads projected onto V, the same at every such u.  The field test reads
-its dimension from that staircase, and builds the basis at u only when a
-Krylov run needs it; ``minimal_polynomial`` reduces by that basis and is
-handed the staircase already read.  Each section records U and u where it
-is made.
+leads projected onto V, the same at every such u.  One field test runs
+per u, and in dimension 0 one with no U and no u: it is handed
+``lifted``'s block, its values, the part V and u, reads its dimension from
+the block's staircase on V, and builds the basis at u from the block only
+when a Krylov run needs it; ``minimal_polynomial`` reduces by that basis
+and is handed the staircase already read.  Each test appends one section
+per form it tries, recording U and u.
 
 G, and the V-leading coefficients that make h, come from
-``Ideal.lifted(V)``; in dimension 0 the basis of a Krylov run is
-``specialize_basis`` of ``lifted``'s block on all variables.  For a
+``Ideal.lifted(V)``; in dimension 0, V is all variables.  For a
 scalar fiber I_t of a base P at integers t that block is, where the rule
 allows, P's basis under (V | T, U), cached on P: h is the product of its
 V-leading coefficients at t, read from the integer tables the basis
@@ -72,12 +73,13 @@ factoring m.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
-coordinate vectors; ``Fraction``s appear only in the returned polynomials.
+coordinate vectors, and each power is reduced as one integer row that
+carries the combination of powers giving it; ``Fraction``s appear only in
+the returned polynomials.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -113,10 +115,13 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
 
     Returned as a univariate polynomial in ``variable``.  The Krylov
     powers 1, e, e^2, ... are reduced one at a time against an echelon
-    form of the powers before them, kept as (pivot, row, combination)
-    triples whose combination writes the row in the powers before it.
-    The first power e^k that reduces to zero is a combination of the
-    earlier ones; moved to the left and made monic, that combination is m.
+    form of the powers before them, kept as (pivot, row) pairs.  A row is
+    augmented: its first n entries are a quotient vector and its last
+    n + 1 the combination of powers that gives it, so power k enters as
+    P_k followed by the k-th unit vector, and its pivot lies in the first
+    n entries.  The first power e^k whose first n entries reduce to zero
+    is a combination of the earlier ones; moved to the left and made
+    monic, that combination is m.
 
     Everything runs over Z.  With e == factor * step, step a primitive
     integer map, the multiplication matrix M has column j equal to
@@ -125,9 +130,9 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
     vectors.  M is kept as its n columns of nonzero (row, value) entries,
     never as an n x n table.  e^k is kept as a primitive integer vector P_k
     with e^k = (num_k / den_k) * P_k; each power is one matrix-vector
-    product, column by column, and a content removal.  Rows and
-    combinations are integer vectors over P_0, P_1, ..., combined by
-    fraction-free cross-multiplication with content removal.
+    product, column by column, and a content removal.  Rows are combined
+    by fraction-free cross-multiplication, and the content of the whole
+    row is removed.
     """
     if staircase is None:
         staircase = basis.staircase(basis.context, limits)
@@ -152,35 +157,31 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
     scales = [(1, 1)]
     rows = []
     # The term budget binds on each elimination step as on a reduction step;
-    # a row and its combination hold at most 2n + 1 terms.
+    # a row holds at most 2n + 1 terms.
     check_terms = 2 * n + 1 > limits.max_term_count
     for k in range(n + 1):
         limits.check_deadline()
-        vec = power
-        combo = [0] * (n + 1)
-        combo[k] = 1
-        for pivot, row, row_combo in rows:
-            c = vec[pivot]
+        row = power + [int(i == k) for i in range(n + 1)]
+        for pivot, other in rows:
+            c = row[pivot]
             if c:
-                g = math.gcd(c, row[pivot])
-                mult, c = row[pivot] // g, c // g
-                vec = [mult * a - c * b for a, b in zip(vec, row)]
-                combo = [mult * a - c * b for a, b in zip(combo, row_combo)]
-                if check_terms and sum(map(bool, vec + combo)) > limits.max_term_count:
+                g = math.gcd(c, other[pivot])
+                mult, c = other[pivot] // g, c // g
+                row = [mult * a - c * b for a, b in zip(row, other)]
+                if check_terms and sum(map(bool, row)) > limits.max_term_count:
                     raise BudgetExceededError("Krylov row exceeds term budget")
                 if mult != 1:
-                    content = math.gcd(*vec, *combo)
+                    content = math.gcd(*row)
                     if content != 1:
-                        vec = [a // content for a in vec]
-                        combo = [a // content for a in combo]
-        pivot = next((i for i, v in enumerate(vec) if v), None)
+                        row = [a // content for a in row]
+        pivot = next((i for i in range(n) if row[i]), None)
         if pivot is None:
-            # sum combo[i] * P_i = 0 with P_i = (den_i / num_i) * e^i
+            # sum row[n + i] * P_i = 0 with P_i = (den_i / num_i) * e^i
             coeffs = {(i,): Fraction(c * scales[i][1], scales[i][0])
-                      for i, c in enumerate(combo) if c}
+                      for i, c in enumerate(row[n:]) if c}
             lead = coeffs[(k,)]
             return Polynomial(z_ctx, {e: c / lead for e, c in coeffs.items()})
-        rows.append((pivot, vec, combo))
+        rows.append((pivot, row))
         # e^(k+1) = (num_k / den_k) * (factor / den) * M P_k
         product = [0] * n
         for column, c in zip(matrix, power):
@@ -309,54 +310,57 @@ def _eliminant(root: Ideal, name, free, at, n, variable, limits):
     return chi, _split_minimal_poly(chi, limits, root._splits)
 
 
-def _field_test(ideal, ctx, staircase, build_basis, free, point, rng, trials, limits,
+def _field_test(ideal, block, values, part, point, rng, trials, limits,
                 variable) -> PrimalityVerdict:
     """Dimension-0 test of ``ideal`` at U = u: field certificate, NotPrime split, or Inconclusive.
 
-    U is ``free`` and u is ``point``, both empty in dimension 0; ``ctx``
-    holds the other variables.  ``staircase`` is that of the ideal at u over
-    ``ctx``, and ``build_basis()`` returns its reduced grevlex basis, built only
-    when a Krylov run needs it.  The forms tried are the coordinates, last
-    first (module docstring), then ``trials`` random forms; coordinates draw
+    ``block`` and ``values`` are ``Ideal.lifted(part)``'s basis and values,
+    ``part`` holds the variables other than U, and ``point`` maps each name
+    of U to its integer in u, empty in dimension 0.  The staircase is read
+    from the block's leads on ``part``, and the basis at u is
+    ``specialize_basis`` of the block at (values, u), built only when a
+    Krylov run needs it.  The forms tried are the coordinates, last first
+    (module docstring), then ``trials`` random forms; coordinates draw
     nothing from ``rng``.  Minimal polynomials are written in ``variable``.
-    ``sections`` holds one ``SectionData`` per nonzero form tried, the
-    deciding one last.  Where ``ideal`` is a scalar fiber, a coordinate is
-    first tried from its root's eliminant (``_eliminant``); where that does
-    not certify it, the coordinate takes the Krylov path, which reuses chi's
-    split when the minimal polynomial is chi made monic.
+    Each nonzero form tried records one ``SectionData``, the deciding one
+    last.  Where ``ideal`` is a scalar fiber, a coordinate is first tried
+    from its root's eliminant (``_eliminant``): m and its split are chi's
+    when chi certifies, else the Krylov run's, which reuses chi's split
+    when m is chi made monic.
     """
+    staircase = block.staircase(part, limits)
     n = len(staircase)
-    root, values = ideal.root
-    at = [*values.values(), *point]
+    free, at_u = tuple(point), tuple(point.values())
+    root, root_values = ideal.root
+    at = [*root_values.values(), *at_u]
     basis = None
     zero = 0
     sections = []
-    for name, u in _linear_forms(ctx, rng, trials):
-        if u.is_zero:
+    for name, form in _linear_forms(part, rng, trials):
+        if form.is_zero:
             zero += 1
             continue
-        chi = None
-        if values and name is not None:
-            chi = _eliminant(root, name, free, at, n, variable, limits)
-            if chi is not None and chi[1] is None:
-                sections.append(SectionData(free, point, u, chi[0], n))
-                return PrimalityVerdict(PRIME, sections=tuple(sections))
-        if basis is None:
-            basis = build_basis()
-        m = minimal_polynomial(basis, u, variable, limits, staircase)
-        sections.append(SectionData(free, point, u, m, n))
-        split = chi[1] if chi is not None and m == chi[0] else _split_minimal_poly(m, limits)
+        chi = (_eliminant(root, name, free, at, n, variable, limits)
+               if root_values and name is not None else None)
+        if chi is not None and chi[1] is None:
+            m, split = chi
+        else:
+            if basis is None:
+                basis = specialize_basis(block, {**values, **point}, part, limits)
+            m = minimal_polynomial(basis, form, variable, limits, staircase)
+            split = chi[1] if chi is not None and m == chi[0] else _split_minimal_poly(m, limits)
+        sections.append(SectionData(free, at_u, form, m, n))
         if split is None:
             if m.total_degree() == n:
                 return PrimalityVerdict(PRIME, sections=tuple(sections))
-            continue  # u generates a proper subfield: next form
-        # The reduced images are the certificate: F*G = m(u) = 0 holds in
+            continue  # the form generates a proper subfield: next form
+        # The reduced images are the certificate: F*G = m(form) = 0 holds in
         # the quotient and minimality of m keeps both factors nonzero.
-        reduced_u = basis.normal_form(u, limits)
-        f, g = (_evaluate_in_quotient(basis, z, reduced_u, limits) for z in split)
+        reduced = basis.normal_form(form, limits)
+        f, g = (_evaluate_in_quotient(basis, z, reduced, limits) for z in split)
         return not_prime_verdict(basis, f, g, limits, sections=sections)
     return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections), reason=(
-        f"no field certificate from {len(ctx)} coordinate(s) and {trials} random linear "
+        f"no field certificate from {len(part)} coordinate(s) and {trials} random linear "
         f"form(s): {zero} zero, {len(sections)} with an irreducible minimal polynomial of "
         f"degree below {n}"))
 
@@ -402,9 +406,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     ctx = ideal.context
     if not independent:
         block, values, _ = ideal.lifted(ctx, limits)
-        return _field_test(ideal, ctx, block.staircase(ctx, limits),
-                           functools.partial(specialize_basis, block, values, ctx, limits),
-                           (), (), rng, trials, limits, variable)
+        return _field_test(ideal, block, values, ctx, {}, rng, trials, limits, variable)
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
@@ -425,19 +427,15 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
                     power = power * h
                 return not_prime_verdict(basis, g, power, limits)
 
-    staircase = block.staircase(bound, limits)
     positions = ctx.indices_of(free)
     sections = []
     box = BOX_START
     for _ in range(trials):
-        point = tuple(rng.randint(-box, box) for _ in free)
+        point = {name: rng.randint(-box, box) for name in free}
         box *= 2
-        if any(_vanishes(coefficient, positions, point) for coefficient in varying):
+        if any(_vanishes(coefficient, positions, point.values()) for coefficient in varying):
             continue  # h(u) = 0, where specialize_basis returns None
-        cut = functools.partial(specialize_basis, block, {**values, **dict(zip(free, point))},
-                                bound, limits)
-        inner = _field_test(ideal, bound, staircase, cut, free, point, rng, trials, limits,
-                            variable)
+        inner = _field_test(ideal, block, values, bound, point, rng, trials, limits, variable)
         sections += inner.sections
         if inner.status == PRIME:
             return PrimalityVerdict(PRIME, sections=tuple(sections))

@@ -227,6 +227,16 @@ MALFORMED_REPORTS = {
     "report without config": (lambda report: report.pop("config"), "malformed report: "),
     "report without aggregate": (lambda report: report.pop("aggregate"), "malformed report: "),
     "config without n": (lambda report: report["config"].pop("n"), "malformed report: "),
+    # An echoed ideal that does not rebuild is a tampered field, not a parse error.
+    "echo with gens that do not parse": (
+        lambda report: report["config"]["ideal_source"].update(gens=["Y^"]),
+        r"malformed report: PolynomialSyntaxError\('exponent must be an unsigned integer"),
+    "echo with an unknown variable": (
+        lambda report: report["config"]["ideal_source"].update(gens=["Y - Q"]),
+        r"malformed report: UnknownVariableError\(\"unknown variable 'Q'"),
+    "echo with a repeated variable": (
+        lambda report: report["config"]["ideal_source"].update(vars=["Y", "Y"]),
+        r"malformed report: ValueError\(\"duplicate variable name 'Y'"),
 }
 
 

@@ -723,7 +723,7 @@ def test_verify_report_recomputes_the_expected_dimension_under_a_deadline(monkey
                                                                           parabola_path):
     report = run_experiment(scalar_config(parabola_path, n=5))
     _hourly_clock(monkeypatch)
-    with pytest.raises(PrimespecError, match="^expected dimension: wall-clock budget exceeded$"):
+    with pytest.raises(PrimespecError, match="^header: wall-clock budget exceeded$"):
         verify_report(report)
 
 

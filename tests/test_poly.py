@@ -114,7 +114,14 @@ def _reference_substitute(p, bindings, target=None):
         if isinstance(value, (int, Fraction)):
             value = Polynomial.constant(target, value)
         elif value.context != target:
-            value = value.embed(target)
+            terms = {}
+            for exp, c in value.terms.items():
+                moved = [0] * len(target)
+                for variable, e in zip(value.context.names, exp):
+                    if e:
+                        moved[target.index[variable]] = e
+                terms[tuple(moved)] = c
+            value = Polynomial(target, terms)
         images[p.context.index[name]] = value
     one = Polynomial.constant(target, 1)
     var_cache = {}
@@ -237,6 +244,7 @@ def test_embedding_and_restriction():
     small = context(("Y",))
     large = context(("Y",), params=("T",))
     p = parse_polynomial("Y^2 - 1", small)
+    assert p.embed(p.context) is p
     up = p.embed(large)
     assert up.context == large
     assert up.embed(small) == p

@@ -21,7 +21,8 @@ from .experiments import (Budgets, emit_report, read_experiment_config, run_expe
 from .factor import factor_univariate
 from .groebner import Ideal
 from .orders import grevlex, lex
-from .parse import parse_polynomial, read_ideal_file
+from .parse import (IDENTIFIER, parse_polynomial, parse_polynomial_lines, read_ideal_file,
+                    source_lines)
 from .primality import DEFAULT_TRIALS, is_prime
 from .specialize import specialize_polynomial, specialize_scalar
 
@@ -81,7 +82,7 @@ def _cmd_prime(args):
 
 
 def _cmd_factor(args):
-    names = sorted(set(re.findall(r"[A-Za-z][A-Za-z0-9_]*", args.poly)))
+    names = sorted(set(re.findall(IDENTIFIER, args.poly)))
     if len(names) > 1:
         raise ConfigError(f"factor expects a univariate polynomial, found variables {names}")
     ctx = make_context(tuple(names) or ("Y",))
@@ -103,8 +104,7 @@ def _cmd_specialize(args):
     else:
         y_ctx = ideal.context.without_params()
         with open(args.poly_at, "r", encoding="ascii") as handle:
-            lines = [line.split("#", 1)[0].strip() for line in handle]
-        polys = tuple(parse_polynomial(line, y_ctx) for line in lines if line)
+            polys = parse_polynomial_lines(source_lines(handle.read()), y_ctx)
         result = specialize_polynomial(ideal, polys, Budgets().limits())
     _print_ideal(result)
     return EXIT_OK

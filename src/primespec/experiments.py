@@ -41,7 +41,7 @@ from .errors import (BudgetExceededError, ConfigError, ContextMismatchError,
                      HypothesisViolationError, PolynomialSyntaxError, PrimespecError)
 from .groebner import (DEFAULT_LIMITS, GBLimits, Ideal, eliminate, fiber_dimension,
                        specialize_basis)
-from .parse import parse_ideal_source, parse_polynomial
+from .parse import parse_ideal_source, parse_polynomial, source_lines
 from .poly import Polynomial, monomials_upto  # perfbench's oracles read monomials_upto here
 from .primality import (DEFAULT_TRIALS, INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL,
                         _certificate_error, is_prime)
@@ -117,10 +117,7 @@ _CONFIG_KEYS = {"kind", "ideal", "degrees", *_INT_FIELDS, *_BUDGET_FIELDS}
 def parse_experiment_config(text: str, base_dir: str = ".") -> ExperimentConfig:
     """Read ``key = value`` lines; unknown keys are errors, absent ones take the defaults."""
     data = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in source_lines(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))

@@ -1,4 +1,4 @@
-"""Parser and file readers for the ASCII polynomial grammar.
+"""Parser for the ASCII polynomial grammar, and the reader of line-oriented files.
 
 Grammar (whitespace insignificant):
 
@@ -8,204 +8,156 @@ Grammar (whitespace insignificant):
     rational := uint ('/' uint)?
     ident    := letter (letter|digit|'_')*
 
-Implicit multiplication by juxtaposition is accepted between a factor
-and an identifier or parenthesis ("2Y", "3(Y+1)", "Y1 Y2").  Signs are
-handled at the term level, so "-T" and "Y - 2" both parse.  The printer
-in ``poly`` emits a subset of this grammar, making parse(print(p)) the
-identity on canonical forms.
+Digits are 0-9 and letters A-Z, a-z; any other character that is not
+whitespace is an error at its position.  Implicit multiplication by
+juxtaposition is accepted between a factor and an identifier or
+parenthesis ("2Y", "3(Y+1)", "Y1 Y2").  Signs are handled at the term
+level, so "-T" and "Y - 2" both parse.  The printer in ``poly`` emits a
+subset of this grammar, so parse(print(p)) is the identity.
+
+Ideal files, experiment configs and ``--poly-at`` files are read through
+``source_lines``, which drops ``#`` comments and blank lines, and a
+polynomial on one of their lines that does not parse names its line.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .context import VariableContext, context
 from .errors import ConfigError, PolynomialSyntaxError, UnknownVariableError
 from .poly import Polynomial
 
-_INT = "int"
-_IDENT = "ident"
-_OP = "op"
-_END = "end"
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<number>[0-9]+)|(?P<name>{IDENTIFIER})|(?P<op>[-+*^()/])|(?P<other>\S))")
 
 
 def _tokenize(text):
+    """(kind, value, position) of each token, then ("end", None, len(text)).
+
+    An operator is its own kind; a number's value is its int.
+    """
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append((_INT, int(text[i:j]), i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((_IDENT, text[i:j], i))
-            i = j
-            continue
-        if c in "+-*^()/":
-            tokens.append((_OP, c, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append((_END, None, n))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value, at = match[kind], match.start(kind)
+        if kind == "other":
+            raise PolynomialSyntaxError(f"unexpected character {value!r}", at)
+        if kind == "number":
+            value = int(value)
+        tokens.append((value if kind == "op" else kind, value, at))
+    return tokens + [("end", None, len(text))]
 
 
-class _Parser:
-    def __init__(self, text, ctx):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.ctx = ctx
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol):
-        kind, value, at = self.advance()
-        if kind != _OP or value != symbol:
-            raise PolynomialSyntaxError(f"expected {symbol!r}", at)
-
-    def parse(self) -> Polynomial:
-        result = self.parse_expr()
-        kind, value, at = self.peek()
-        if kind != _END:
-            raise PolynomialSyntaxError(f"unexpected {value!r}", at)
-        return result
-
-    def parse_expr(self) -> Polynomial:
-        result = self.parse_signed_term()
+def _expression(tokens, i, ctx):
+    """The ``expr`` that starts at ``tokens[i]``, and the index of the token after it."""
+    sign, total = tokens[i][0], None
+    i += sign in ("+", "-")
+    while True:
+        term = None
         while True:
-            kind, value, _ = self.peek()
-            if kind == _OP and value in "+-":
-                self.advance()
-                term = self.parse_term()
-                result = result + term if value == "+" else result - term
-            else:
-                return result
-
-    def parse_signed_term(self) -> Polynomial:
-        kind, value, _ = self.peek()
-        if kind == _OP and value in "+-":
-            self.advance()
-            term = self.parse_term()
-            return term if value == "+" else -term
-        return self.parse_term()
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _OP and value == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            elif kind == _IDENT or (kind == _OP and value == "("):
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Polynomial:
-        result = self.parse_primary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _OP and value == "^":
-                self.advance()
-                kind, value, at = self.advance()
-                if kind != _INT:
+            factor, i = _primary(tokens, i, ctx)
+            while tokens[i][0] == "^":
+                kind, exponent, at = tokens[i + 1]
+                if kind != "number":
                     raise PolynomialSyntaxError("exponent must be an unsigned integer", at)
-                result = result ** value
-            else:
-                return result
+                factor, i = factor ** exponent, i + 2
+            term = factor if term is None else term * factor
+            if tokens[i][0] == "*":
+                i += 1
+            elif tokens[i][0] not in ("name", "("):
+                break
+        term = -term if sign == "-" else term
+        total = term if total is None else total + term
+        sign = tokens[i][0]
+        if sign not in ("+", "-"):
+            return total, i
+        i += 1
 
-    def parse_primary(self) -> Polynomial:
-        kind, value, at = self.advance()
-        if kind == _INT:
-            numerator = value
-            kind, nxt, _ = self.peek()
-            if kind == _OP and nxt == "/":
-                self.advance()
-                kind, den, dat = self.advance()
-                if kind != _INT or den == 0:
-                    raise PolynomialSyntaxError("denominator must be a positive integer", dat)
-                return Polynomial.constant(self.ctx, Fraction(numerator, den))
-            return Polynomial.constant(self.ctx, numerator)
-        if kind == _IDENT:
-            if value not in self.ctx:
-                raise UnknownVariableError(value, at)
-            return Polynomial.variable(self.ctx, value)
-        if kind == _OP and value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise PolynomialSyntaxError(
-            "expected a number, variable or parenthesized expression", at)
+
+def _primary(tokens, i, ctx):
+    """The number, rational, variable or ``(expr)`` at ``tokens[i]``, and the next index."""
+    kind, value, at = tokens[i]
+    if kind == "number":
+        if tokens[i + 1][0] != "/":
+            return Polynomial.constant(ctx, value), i + 1
+        kind, denominator, at = tokens[i + 2]
+        if kind != "number" or denominator == 0:
+            raise PolynomialSyntaxError("denominator must be a positive integer", at)
+        return Polynomial.constant(ctx, Fraction(value, denominator)), i + 3
+    if kind == "name":
+        if value not in ctx:
+            raise UnknownVariableError(value, at)
+        return Polynomial.variable(ctx, value), i + 1
+    if kind == "(":
+        inner, i = _expression(tokens, i + 1, ctx)
+        kind, _, at = tokens[i]
+        if kind != ")":
+            raise PolynomialSyntaxError("expected ')'", at)
+        return inner, i + 1
+    raise PolynomialSyntaxError("expected a number, variable or parenthesized expression", at)
 
 
 def parse_polynomial(text: str, ctx: VariableContext) -> Polynomial:
     """Parse ``text`` into a canonical polynomial over ``ctx``."""
-    return _Parser(text, ctx).parse()
+    tokens = _tokenize(text)
+    result, i = _expression(tokens, 0, ctx)
+    kind, value, at = tokens[i]
+    if kind != "end":
+        raise PolynomialSyntaxError(f"unexpected {value!r}", at)
+    return result
 
 
-# -- ideal-definition files -------------------------------------------------
+# -- line-oriented files ------------------------------------------------------
 
 
-def _split_names(raw):
-    names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    return names
+def source_lines(text: str):
+    """(line number, stripped text) of each line, with ``#`` comments and blank lines dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_polynomial_lines(lines, ctx: VariableContext) -> list[Polynomial]:
+    """One polynomial per ``(line number, text)`` pair; a syntax error names its line."""
+    polys = []
+    for lineno, line in lines:
+        try:
+            polys.append(parse_polynomial(line, ctx))
+        except PolynomialSyntaxError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+    return polys
 
 
 def parse_ideal_source(text: str) -> tuple[VariableContext, list[Polynomial]]:
     """Read a line-oriented ideal definition.
 
-    Format: optional ``params: T1, T2``, mandatory ``vars: Y1, Y2``, then
-    ``gens:`` followed by one polynomial per line.  Blank lines and ``#``
-    comments are ignored.
+    Format: optional ``params: T1, T2``, mandatory ``vars: Y1, Y2``, each
+    at most once, then ``gens:`` followed by one polynomial per line.
     """
-    params = ()
-    variables = ()
-    gen_lines: list[tuple[int, str]] = []
-    mode = "header"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if mode == "header":
-            if line.lower().startswith("params:"):
-                params = _split_names(line.split(":", 1)[1])
-            elif line.lower().startswith("vars:"):
-                variables = _split_names(line.split(":", 1)[1])
-            elif line.lower() == "gens:":
-                mode = "gens"
-            else:
-                raise ConfigError(f"line {lineno}: expected params:/vars:/gens:, got {line!r}")
-        else:
-            gen_lines.append((lineno, line))
-    if not variables:
+    lines = source_lines(text)
+    names = {}
+    for lineno, line in lines:
+        if line.lower() == "gens:":
+            break
+        key, colon, value = line.partition(":")
+        key = key.lower()
+        if not colon or key not in ("params", "vars"):
+            raise ConfigError(f"line {lineno}: expected params:/vars:/gens:, got {line!r}")
+        if key in names:
+            raise ConfigError(f"line {lineno}: duplicate '{key}:'")
+        names[key] = tuple(part.strip() for part in value.split(",") if part.strip())
+    else:
+        lines = None  # no 'gens:' line
+    if not names.get("vars"):
         raise ConfigError("ideal definition needs a 'vars:' line")
-    if mode != "gens":
+    if lines is None:
         raise ConfigError("ideal definition needs a 'gens:' section")
-    ctx = context(variables, params=params)
-    generators = []
-    for lineno, line in gen_lines:
-        try:
-            generators.append(parse_polynomial(line, ctx))
-        except PolynomialSyntaxError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
-    return ctx, generators
+    ctx = context(names["vars"], params=names.get("params", ()))
+    return ctx, parse_polynomial_lines(lines, ctx)
 
 
 def read_ideal_file(path) -> tuple[VariableContext, list[Polynomial]]:

@@ -95,9 +95,17 @@ def test_specialize_scalar(parabola, capsys):
 
 def test_specialize_poly_at(parabola, tmp_path, capsys):
     values = tmp_path / "u.poly"
-    values.write_text("Y + 1\n")
+    values.write_text("# the value of T\n\nY + 1  # degree 1\n")
     assert main(["specialize", parabola, "--poly-at", str(values)]) == 0
     assert "Y^2 - Y - 1" in capsys.readouterr().out
+
+
+def test_specialize_poly_at_error_names_its_line(parabola, tmp_path, capsys):
+    values = tmp_path / "u.poly"
+    values.write_text("# the value of T\n\nY^2 +\n")
+    assert main(["specialize", parabola, "--poly-at", str(values)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: expected a number, variable or parenthesized expression (at position 5)\n")
 
 
 def test_specialize_zero_denominator_exit_code(parabola, capsys):

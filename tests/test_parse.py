@@ -1,5 +1,6 @@
 """Grammar conformance, parse errors, and printing round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,16 +56,43 @@ def test_power_binds_tighter_than_product(ty):
     assert parse_polynomial("2Y^2", ty) == parse_polynomial("2*(Y^2)", ty)
 
 
-def test_bad_exponent_rejected(ty):
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("Y^(2)", ty)
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("Y^-2", ty)
+_EXPECTED = "expected a number, variable or parenthesized expression"
 
 
-def test_stray_slash_rejected(ty):
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("Y/2", ty)
+@pytest.mark.parametrize("text, error, message, position", [
+    ("Y^-2", PolynomialSyntaxError, "exponent must be an unsigned integer", 2),
+    ("Y^(2)", PolynomialSyntaxError, "exponent must be an unsigned integer", 2),
+    ("2/0", PolynomialSyntaxError, "denominator must be a positive integer", 2),
+    ("(Y", PolynomialSyntaxError, "expected ')'", 2),
+    ("Y/2", PolynomialSyntaxError, "unexpected '/'", 1),
+    ("2 3", PolynomialSyntaxError, "unexpected 3", 2),
+    ("Y,", PolynomialSyntaxError, "unexpected character ','", 1),
+    ("", PolynomialSyntaxError, _EXPECTED, 0),
+    ("Y +", PolynomialSyntaxError, _EXPECTED, 3),
+    ("W + Y", UnknownVariableError, "unknown variable 'W'", 0),
+], ids=["Y^-2", "Y^(2)", "2/0", "(Y", "Y/2", "2 3", "Y,", "empty", "Y +", "W + Y"])
+def test_error_contract(ty, text, error, message, position):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text, ty)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("Y^\u00b2", 2),          # superscript two
+    ("Y^\u0663 - 1", 2),      # Arabic-Indic three
+    ("Y + \uff11", 4),        # fullwidth one
+    ("Y\u00e9", 1),           # e acute inside an identifier
+    ("\uff39 + 1", 0),        # fullwidth Y
+])
+def test_digits_and_identifiers_are_ascii(ty, text, position):
+    message = f"unexpected character {text[position]!r} (at position {position})"
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text, ty)
+    assert str(err.value) == message
+    with pytest.raises(ConfigError, match=f"^line 3: {re.escape(message)}$"):
+        parse_ideal_source(f"vars: Y\ngens:\n{text}\n")
 
 
 def test_print_parse_roundtrip_on_random(ty):
@@ -102,3 +130,13 @@ def test_ideal_file_requires_sections():
         parse_ideal_source("gens:\nY\n")
     with pytest.raises(ConfigError):
         parse_ideal_source("vars: Y\ngens:\nY +\n")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("vars: Y\nvars: X\ngens:\nX\n", "line 2: duplicate 'vars:'"),
+    ("params: T\nvars: Y\n# the other parameter\nPARAMS: S\ngens:\nY\n",
+     "line 4: duplicate 'params:'"),
+], ids=["vars", "params"])
+def test_ideal_file_rejects_a_repeated_header(source, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_ideal_source(source)

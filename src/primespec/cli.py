@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from .context import context as make_context
 from .errors import (BudgetExceededError, ConfigError, HypothesisViolationError,
@@ -21,8 +22,8 @@ from .experiments import (Budgets, emit_report, read_experiment_config, run_expe
 from .factor import factor_univariate
 from .groebner import Ideal
 from .orders import grevlex, lex
-from .parse import (IDENTIFIER, parse_polynomial, parse_polynomial_lines, read_ideal_file,
-                    source_lines)
+from .parse import (IDENTIFIER, NUMBER, parse_polynomial, parse_polynomial_lines,
+                    read_ideal_file, source_lines)
 from .primality import DEFAULT_TRIALS, is_prime
 from .specialize import specialize_polynomial, specialize_scalar
 
@@ -97,10 +98,10 @@ def _cmd_factor(args):
 def _cmd_specialize(args):
     ideal = _load_ideal(args.file)
     if args.at is not None:
-        from fractions import Fraction
-
-        values = tuple(Fraction(part.strip()) for part in args.at.split(","))
-        result = specialize_scalar(ideal, values, Budgets().limits())
+        values = tuple(part.strip() for part in args.at.split(","))
+        if not all(re.fullmatch(rf"[-+]?{NUMBER}(/{NUMBER})?", part) for part in values):
+            raise ConfigError(f"--at expects rationals such as -3 or 5/2, got {args.at!r}")
+        result = specialize_scalar(ideal, tuple(map(Fraction, values)), Budgets().limits())
     else:
         y_ctx = ideal.context.without_params()
         with open(args.poly_at, "r", encoding="ascii") as handle:

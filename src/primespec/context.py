@@ -31,6 +31,8 @@ class VariableContext:
             raise ValueError(f"duplicate variable name {duplicate!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "index", {n: i for i, n in enumerate(names)})
+        # None -> ``without_params()``, and stem -> ``apart(stem)``, each built once
+        object.__setattr__(self, "_derived", {})
 
     def __len__(self):
         return len(self.names)
@@ -59,8 +61,26 @@ class VariableContext:
                                tuple(n for n in self.var_names if n in keep))
 
     def without_params(self) -> VariableContext:
-        """The ambient context (Y) that specializing the parameters lands in."""
-        return VariableContext((), self.var_names)
+        """The ambient context (Y) that specializing the parameters lands in.
+
+        Built once and kept on this context: the scalar fibers of one ideal
+        share it, and with it the contexts kept on it (``apart``).
+        """
+        if None not in self._derived:
+            self._derived[None] = VariableContext((), self.var_names)
+        return self._derived[None]
+
+    def apart(self, stem: str) -> VariableContext:
+        """The context of one variable, ``stem`` plus underscores until it is none of these names.
+
+        Built once per stem and kept on this context.
+        """
+        if stem not in self._derived:
+            name = stem
+            while name in self.index:
+                name += "_"
+            self._derived[stem] = VariableContext((), (name,))
+        return self._derived[stem]
 
 
 def context(variables, params=()) -> VariableContext:

@@ -32,18 +32,21 @@ count.
 
 Whether f mod p is squarefree, and its modular split, depend only on p
 and f/lc(f) mod p, so a caller that factors many congruent polynomials
-passes a dict that memoizes both per tried prime (``factor_univariate``'s
-``splits``): the scalar fibers of one root share one, held on the root,
-because chi(t, W) mod p depends on t mod p only.
-There is no module-level cache.
+passes a dict that memoizes both per tried prime (``splits``): the scalar
+fibers of one root share one, held on the root, because chi(t, W) mod p
+depends on t mod p only.  There is no module-level cache.
 
 Dense integer coefficient lists (ascending, index = exponent) are used
-throughout, and ``Fraction``s appear only where a ``Polynomial`` is read
-or built.  The modular split (m = p) and the Hensel lift (m = p^k) share
-one arithmetic modulo m, with residues in [0, m).  The symmetric
-representative in (-m/2, m/2] is taken in two places only: where the
-trace test reads a sum of subleading coefficients, and where the
-recombination turns a product of lifted factors into an integer
+throughout.  The one factorization core, ``factor_primitive``, takes a
+primitive integer row with a positive lead and returns integer rows; a
+caller that holds integers, as ``primality`` does for an eliminant,
+calls it directly.  ``factor_univariate`` reads a ``Polynomial`` into
+such a row and builds its factors back: ``Fraction``s appear only there
+and in its unit.  The modular split (m = p) and the Hensel lift
+(m = p^k) share one arithmetic modulo m, with residues in [0, m).  The
+symmetric representative in (-m/2, m/2] is taken in two places only:
+where the trace test reads a sum of subleading coefficients, and where
+the recombination turns a product of lifted factors into an integer
 candidate.
 """
 
@@ -620,24 +623,45 @@ def _from_dense(context, var, coeffs) -> Polynomial:
     return Polynomial(context, terms)
 
 
+def factor_primitive(f, limits, splits) -> list[tuple[list[int], int]]:
+    """The irreducible factors over Q of a primitive integer row with a positive lead.
+
+    ``f`` is a dense ascending coefficient list of degree 1 or more.
+    Returns [(factor, multiplicity)] with primitive positive-lead integer
+    rows, sorted by degree and then coefficients, whose weighted product is
+    f.  A degree 4 and up f is proved squarefree at the prime its modular
+    split is taken at, and Yun's decomposition runs only where the first
+    deg f primes of that scan fail (module docstring).  ``splits``, a dict
+    or None, memoizes per (p, residues) the modular split, or None where
+    the residues are not squarefree; the caller owns it.  The deadline of
+    ``limits`` is checked at every prime the scan tries, every step of the
+    modular split, every Hensel step, every subset size of the trace test
+    and every recombination subset.  The quadratic and cubic rules check
+    none: one takes a square root, the other makes O(log height)
+    evaluations of the cubic.
+    """
+    n = _zx_degree(f)
+    found = _zassenhaus(f, limits, splits, n) if n >= 4 else None
+    if found is not None:
+        factors = [(irreducible, 1) for irreducible in found]
+    else:  # a cubic or below, or no squarefree reduction among the first n primes
+        factors = [(irreducible, multiplicity)
+                   for part, multiplicity in _yun_squarefree(f)
+                   for irreducible in _zassenhaus(part, limits, splits)]
+    factors.sort(key=lambda item: (len(item[0]), item[0]))
+    return factors
+
+
 def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
                       ) -> tuple[Fraction, list[tuple[Polynomial, int]]]:
     """Factor a univariate rational polynomial into irreducibles.
 
     Returns (unit, [(factor, multiplicity)]) with primitive positive-lead
     integer factors; unit * prod(factor^multiplicity) reconstructs the
-    input exactly.  A degree 4 and up input is proved squarefree at the
-    prime its modular split is taken at, and Yun's decomposition runs only
-    where the first deg f primes of that scan fail (module docstring).
-    ``splits``, a dict or None, memoizes per (p, residues) the modular
-    split, or None where the residues are not squarefree; the caller owns
-    it.  The deadline of ``limits`` is checked at every prime the scan
-    tries, every step of the modular split, every Hensel step, every subset
-    size of the trace test and every recombination subset.  A degree at or
-    above the term budget raises ``BudgetExceededError`` before the dense
-    coefficient list is built.  The quadratic
-    and cubic rules check none: one takes a square root, the other makes
-    O(log height) evaluations of the cubic.
+    input exactly.  The input's primitive integer row, its lead made
+    positive, goes to ``factor_primitive`` with ``limits`` and ``splits``.
+    A degree at or above the term budget raises ``BudgetExceededError``
+    before the dense coefficient list is built.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -646,18 +670,7 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
     var, coeffs = _to_dense(p)
     if len(coeffs) == 1:
         return coeffs[0], []
-    unit, ints = integer_primitive(dict(enumerate(coeffs)))
-    primitive = list(ints.values())
-    if primitive[-1] < 0:
-        unit, primitive = -unit, [-c for c in primitive]
-
-    n = _zx_degree(primitive)
-    found = _zassenhaus(primitive, limits, splits, n) if n >= 4 else None
-    if found is not None:
-        factors = [(irreducible, 1) for irreducible in found]
-    else:  # a cubic or below, or no squarefree reduction among the first n primes
-        factors = [(irreducible, multiplicity)
-                   for part, multiplicity in _yun_squarefree(primitive)
-                   for irreducible in _zassenhaus(part, limits, splits)]
-    factors.sort(key=lambda item: (len(item[0]), item[0]))
-    return unit, [(_from_dense(p.context, var, f), m) for f, m in factors]
+    _, ints = integer_primitive(dict(enumerate(coeffs)))
+    primitive = _zx_primitive(list(ints.values()))
+    return coeffs[-1] / primitive[-1], [(_from_dense(p.context, var, f), m)
+                                        for f, m in factor_primitive(primitive, limits, splits)]

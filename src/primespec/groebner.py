@@ -524,9 +524,10 @@ class Ideal:
     degrees and kind, the root whose scalar fibers are its samples at
     generic forms of those degrees: its cuts by them, or its parameters
     replaced by them (``sampling_root``).  A root also holds the
-    memo that ``primality`` passes to ``factor_univariate`` for its fibers'
-    eliminants: per prime and residues, the modular split, or None where
-    the residues are not squarefree.
+    memo of modular splits that ``primality`` passes to the factorizations
+    of its fibers' eliminants and minimal polynomials: per prime and
+    residues, the modular split, or None where the residues are not
+    squarefree.
     """
 
     def __init__(self, context: VariableContext, generators=(), origin=None):
@@ -540,8 +541,8 @@ class Ideal:
         self._orders: dict[VariableContext, MonomialOrder] = {}
         # (coordinate, U) -> rows of its eliminant, or None (``eliminant``)
         self._chi: dict[tuple[str, tuple[str, ...]], list | None] = {}
-        # (p, residues) -> the modular split of a fiber's chi, or None where the
-        # residues are not squarefree (``factor_univariate``)
+        # (p, residues) -> the modular split of a fiber's chi or minimal polynomial,
+        # or None where the residues are not squarefree (``factor.factor_primitive``)
         self._splits: dict[tuple[int, tuple[int, ...]], list | None] = {}
         # (degrees, cut) -> this ideal cut by, or specialized at, generic forms of
         # those degrees, or None (``sampling_root``)
@@ -753,10 +754,8 @@ def eliminate(ideal: Ideal, keep_names, limits=DEFAULT_LIMITS) -> Ideal:
 
 
 def _widened(ctx: VariableContext, fresh: str) -> VariableContext:
-    """``ctx`` with one more variable after its own, named ``fresh`` plus underscores."""
-    while fresh in ctx:
-        fresh += "_"
-    return VariableContext(ctx.param_names, ctx.var_names + (fresh,))
+    """``ctx`` with one more variable after its own: ``fresh`` plus underscores (``apart``)."""
+    return VariableContext(ctx.param_names, ctx.var_names + ctx.apart(fresh).names)
 
 
 def _eliminant_rows(ideal: Ideal, name: str, free, limits) -> list | None:

@@ -30,14 +30,16 @@ from .errors import ConfigError, PolynomialSyntaxError, UnknownVariableError
 from .poly import Polynomial
 
 IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
+NUMBER = r"[0-9]+"
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<number>[0-9]+)|(?P<name>{IDENTIFIER})|(?P<op>[-+*^()/])|(?P<other>\S))")
+    rf"\s*(?:(?P<number>{NUMBER})|(?P<name>{IDENTIFIER})|(?P<op>[-+*^()/])|(?P<other>\S))")
 
 
 def _tokenize(text):
     """(kind, value, position) of each token, then ("end", None, len(text)).
 
-    An operator is its own kind; a number's value is its int.
+    An operator is its own kind; a number's value is its int, and a number
+    too long for ``int()`` is an error at its position.
     """
     tokens = []
     for match in _TOKEN.finditer(text):
@@ -46,7 +48,10 @@ def _tokenize(text):
         if kind == "other":
             raise PolynomialSyntaxError(f"unexpected character {value!r}", at)
         if kind == "number":
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise PolynomialSyntaxError(f"number too long: {len(value)} digits", at) from None
         tokens.append((value if kind == "op" else kind, value, at))
     return tokens + [("end", None, len(text))]
 

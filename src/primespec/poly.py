@@ -279,13 +279,16 @@ def dense_table(terms, width: int):
     """The int coefficients of an integer term map in ``width`` variables, as nested lists.
 
     Entry i of the outer list is the table of the coefficient of x_1^i, a
-    term map in the other variables; an empty map is 0 and a map in no
-    variable its int.  ``horner`` evaluates it.
+    term map in the other variables.  An empty map is 0, and a constant map
+    is its int at any width, so no table nests below a constant: the
+    constant leading coefficient 1 of a root's element costs ``horner`` no
+    recursion.  ``horner`` evaluates a table, and reads an int at any level
+    as a constant.
     """
     if not terms:
         return 0
-    if not width:
-        return terms[()]
+    if terms.keys() == {(0,) * width}:  # a constant, in any number of variables
+        return terms[(0,) * width]
     parts = [{} for _ in range(1 + max(exp[0] for exp in terms))]
     for exp, c in terms.items():
         parts[exp[0]][exp[1:]] = c

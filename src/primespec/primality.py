@@ -58,18 +58,21 @@ divides chi(t, u, W).  When chi(t, u, W) has W-degree the quotient
 dimension and is irreducible, equal degree and irreducibility
 force m = chi(t, u, W) made monic: the section, and the verdict prime,
 are those of the Krylov run, which is skipped.  ``_eliminant`` evaluates
-chi at (t, u) in integers, one Horner pass per W-degree.  Its
-factorization passes the root's memo of modular splits to
-``factor_univariate``: chi(t, u, W) mod p depends on (t, u) mod p only,
-so fibers at congruent points test it for a repeated factor and split it
-mod p once.  The root owns the memo, as it owns chi; the Krylov path
-factors without it.  Everything else (a lower degree, a split, a random
-form, an ideal that is no scalar fiber, such as a cut by two or more
-forms, a sample whose root a budget stopped or a fiber at a t that is
+chi at (t, u) in integers, one Horner pass per W-degree, makes that row
+primitive and factors it in integers (``factor.factor_primitive``); it
+builds m as a polynomial only when chi certifies, and otherwise abstains.
+The factorization passes the root's memo of modular splits: chi(t, u, W)
+mod p depends on (t, u) mod p only, so fibers at congruent points test it
+for a repeated factor and split it mod p once.  The root owns the memo, as
+it owns chi.  The memo is pure, keyed by p and the residues, so the Krylov
+path factors its m with it too.  Everything else (a lower degree, a split,
+a random form, an ideal that is no scalar fiber, such as a cut by two or
+more forms, a sample whose root a budget stopped or a fiber at a t that is
 not integral, no principal generator, chi over budget) takes the Krylov
-path.  Where chi of full degree splits, the Krylov run's m is chi made
-monic whenever their degrees agree, and chi's split is reused instead of
-factoring m.
+path, which factors its own m with ``factor_univariate``: a chi of full
+degree that splits is factored once as chi and once as m.  Minimal
+polynomials are written over one context per ideal context
+(``VariableContext.apart``), which the fibers of a root share.
 
 The Krylov elimination behind the minimal polynomial runs over Z: an
 integer multiplication matrix of the quotient acts on primitive integer
@@ -87,7 +90,7 @@ from fractions import Fraction
 
 from .context import context as make_context
 from .errors import BudgetExceededError, PrimespecError
-from .factor import factor_univariate
+from .factor import _zx_primitive, factor_primitive, factor_univariate
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _mul, saturation,
                        specialize_basis)
 from .poly import Polynomial, horner, integer_primitive
@@ -252,19 +255,17 @@ def _linear_forms(ctx, rng, trials):
         box *= 2
 
 
-def _split_minimal_poly(m: Polynomial, limits, splits=None):
+def _split_minimal_poly(m: Polynomial, limits, splits):
     """(f, g) with f*g = m, both of positive degree, or None if irreducible.
 
-    ``splits`` is ``factor_univariate``'s memo of modular splits.
+    ``splits`` is the root's memo of modular splits, passed to ``factor_univariate``.
     """
     unit, factors = factor_univariate(m, limits, splits)
     if len(factors) == 1 and factors[0][1] == 1:
         return None
-    first, first_mult = factors[0]
-    g = Polynomial.constant(m.context, unit) * first ** (first_mult - 1)
-    for fac, mult in factors[1:]:
-        g = g * fac ** mult
-    return first, g
+    (first, first_mult), *rest = factors
+    return first, math.prod((fac ** mult for fac, mult in rest),
+                            start=unit * first ** (first_mult - 1))
 
 
 def _evaluate_in_quotient(basis: GroebnerBasis, univariate: Polynomial,
@@ -285,33 +286,33 @@ def _evaluate_in_quotient(basis: GroebnerBasis, univariate: Polynomial,
     return acc
 
 
-def _eliminant(root: Ideal, name, free, at, n, variable, limits):
-    """(chi, split) of the coordinate ``name`` from the root's eliminant, or None.
+def _eliminant(root: Ideal, name, free, at, n, z_ctx, limits) -> Polynomial | None:
+    """The minimal polynomial of the coordinate ``name`` from the root's eliminant, or None.
 
     chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, at the
-    integers ``at`` = (t, u), made monic in ``variable``; None unless chi is
-    there and has W-degree ``n``.  The split is that of
-    ``_split_minimal_poly`` with the root's memo of modular splits, which
-    fibers at congruent t share; where it is None, chi is the coordinate's
-    minimal polynomial (module docstring).
+    integers ``at`` = (t, u): an integer row in W, made primitive with a
+    positive lead.  Where it has W-degree ``n`` and ``factor_primitive``,
+    with the root's memo of modular splits that fibers at congruent t
+    share, finds it irreducible, chi made monic over ``z_ctx`` is the
+    coordinate's minimal polynomial (module docstring); otherwise None.
     """
     rows = root.eliminant(name, free, limits)
     limits.check_deadline()
     if rows is None:
         return None
-    coefficients = [horner(row, at) for row in rows]
-    while coefficients and not coefficients[-1]:
-        coefficients.pop()
-    if len(coefficients) != n + 1:
+    chi = [horner(row, at) for row in rows]
+    while chi and not chi[-1]:
+        chi.pop()
+    if len(chi) != n + 1:
         return None
-    lead = coefficients[-1]
-    chi = Polynomial(make_context((variable,)),
-                     {(k,): Fraction(c, lead) for k, c in enumerate(coefficients) if c})
-    return chi, _split_minimal_poly(chi, limits, root._splits)
+    chi = _zx_primitive(chi)
+    if factor_primitive(chi, limits, root._splits) != [(chi, 1)]:
+        return None
+    return Polynomial(z_ctx, {(k,): Fraction(c, chi[-1]) for k, c in enumerate(chi) if c})
 
 
 def _field_test(ideal, block, values, part, point, rng, trials, limits,
-                variable) -> PrimalityVerdict:
+                z_ctx) -> PrimalityVerdict:
     """Dimension-0 test of ``ideal`` at U = u: field certificate, NotPrime split, or Inconclusive.
 
     ``block`` and ``values`` are ``Ideal.lifted(part)``'s basis and values,
@@ -321,12 +322,13 @@ def _field_test(ideal, block, values, part, point, rng, trials, limits,
     ``specialize_basis`` of the block at (values, u), built only when a
     Krylov run needs it.  The forms tried are the coordinates, last first
     (module docstring), then ``trials`` random forms; coordinates draw
-    nothing from ``rng``.  Minimal polynomials are written in ``variable``.
-    Each nonzero form tried records one ``SectionData``, the deciding one
-    last.  Where ``ideal`` is a scalar fiber, a coordinate is first tried
-    from its root's eliminant (``_eliminant``): m and its split are chi's
-    when chi certifies, else the Krylov run's, which reuses chi's split
-    when m is chi made monic.
+    nothing from ``rng``.  Minimal polynomials are written over the
+    one-variable context ``z_ctx``.  Each nonzero form tried records one
+    ``SectionData``, the deciding one last.  Where ``ideal`` is a scalar
+    fiber, a coordinate is first tried from its root's eliminant
+    (``_eliminant``), which certifies it or abstains; every form it does
+    not certify takes the Krylov run, whose m is factored with the root's
+    memo of modular splits.
     """
     staircase = block.staircase(part, limits)
     n = len(staircase)
@@ -340,15 +342,14 @@ def _field_test(ideal, block, values, part, point, rng, trials, limits,
         if form.is_zero:
             zero += 1
             continue
-        chi = (_eliminant(root, name, free, at, n, variable, limits)
-               if root_values and name is not None else None)
-        if chi is not None and chi[1] is None:
-            m, split = chi
-        else:
+        m = (_eliminant(root, name, free, at, n, z_ctx, limits)
+             if root_values and name is not None else None)
+        split = None
+        if m is None:
             if basis is None:
                 basis = specialize_basis(block, {**values, **point}, part, limits)
-            m = minimal_polynomial(basis, form, variable, limits, staircase)
-            split = chi[1] if chi is not None and m == chi[0] else _split_minimal_poly(m, limits)
+            m = minimal_polynomial(basis, form, z_ctx.names[0], limits, staircase)
+            split = _split_minimal_poly(m, limits, root._splits)
         sections.append(SectionData(free, at_u, form, m, n))
         if split is None:
             if m.total_degree() == n:
@@ -397,16 +398,14 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = _Draws(seed)
-    variable = _MINPOLY_VARIABLE  # Z, or Z_, Z__, ... when the ideal has a Z
-    while variable in ideal.context:
-        variable += "_"
+    z_ctx = ideal.context.apart(_MINPOLY_VARIABLE)  # Z, or Z_, Z__, ... when the ideal has a Z
     independent = ideal.independent_set(limits=limits)
     if independent is None:
         return PrimalityVerdict(UNIT_IDEAL, reason="1 lies in the ideal")
     ctx = ideal.context
     if not independent:
         block, values, _ = ideal.lifted(ctx, limits)
-        return _field_test(ideal, block, values, ctx, {}, rng, trials, limits, variable)
+        return _field_test(ideal, block, values, ctx, {}, rng, trials, limits, z_ctx)
     if len(independent) == len(ctx):
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
@@ -435,7 +434,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         box *= 2
         if any(_vanishes(coefficient, positions, point.values()) for coefficient in varying):
             continue  # h(u) = 0, where specialize_basis returns None
-        inner = _field_test(ideal, block, values, bound, point, rng, trials, limits, variable)
+        inner = _field_test(ideal, block, values, bound, point, rng, trials, limits, z_ctx)
         sections += inner.sections
         if inner.status == PRIME:
             return PrimalityVerdict(PRIME, sections=tuple(sections))

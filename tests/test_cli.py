@@ -93,6 +93,24 @@ def test_specialize_scalar(parabola, capsys):
     assert "Y^2 - 4" in out
 
 
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "\uff13", "3.0", "2/-1", "+-3", ""],
+                         ids=["arabic-indic three", "underscore", "fullwidth three", "decimal",
+                              "signed denominator", "two signs", "empty"])
+def test_specialize_at_takes_the_grammars_ascii_rationals_only(value, parabola, capsys):
+    # Fraction("\u0663") is 3 and Fraction("1_0") is 10; the polynomial
+    # grammar reads neither as a number, and neither does --at.
+    assert main(["specialize", parabola, "--at", value]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --at expects rationals such as -3 or 5/2, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value, line", [("5/2", "Y^2 - 5/2"), ("-3", "Y^2 + 3"),
+                                         ("+7/14", "Y^2 - 1/2")])
+def test_specialize_at_a_signed_rational(value, line, parabola, capsys):
+    assert main(["specialize", parabola, "--at", value]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_specialize_poly_at(parabola, tmp_path, capsys):
     values = tmp_path / "u.poly"
     values.write_text("# the value of T\n\nY + 1  # degree 1\n")

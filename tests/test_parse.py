@@ -95,6 +95,18 @@ def test_digits_and_identifiers_are_ascii(ty, text, position):
         parse_ideal_source(f"vars: Y\ngens:\n{text}\n")
 
 
+def test_a_number_too_long_for_int_is_a_syntax_error_on_its_line(ty):
+    # int() converts at most 4300 digits by default; the parser leaves that
+    # limit as it is and reports the number where it starts.
+    text = "Y - " + "1" * 5000
+    message = "number too long: 5000 digits (at position 4)"
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text, ty)
+    assert str(err.value) == message and err.value.position == 4
+    with pytest.raises(ConfigError, match=f"^line 3: {re.escape(message)}$"):
+        parse_ideal_source(f"vars: Y\ngens:\n{text}\n")
+
+
 def test_print_parse_roundtrip_on_random(ty):
     rng = seeded(7)
     for _ in range(100):

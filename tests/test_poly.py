@@ -7,7 +7,7 @@ import pytest
 
 from primespec import (ContextMismatchError, Polynomial, context, factor_univariate, monomials_upto,
                        parse_polynomial)
-from primespec.poly import integer_primitive
+from primespec.poly import dense_table, horner, integer_primitive
 
 from conftest import evaluate, random_polynomial, seeded
 
@@ -238,6 +238,44 @@ def test_content_of_zero_rejected():
     assert integer_primitive(Polynomial.zero(ctx).terms) == (0, {})
     with pytest.raises(ValueError):
         factor_univariate(Polynomial.zero(ctx))
+
+
+def _random_term_map(rng, width):
+    """A random integer term map in ``width`` variables: sometimes empty, sometimes constant."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return {}
+    if shape == 1:
+        return {(0,) * width: rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 30))}
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        terms[tuple(rng.randint(0, 3) for _ in range(width))] = rng.randint(-9, 9)
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_horner_of_a_dense_table_is_direct_evaluation():
+    rng = seeded(14)
+    for width in range(4):
+        for _ in range(150):
+            terms = _random_term_map(rng, width)
+            table = dense_table(terms, width)
+            for _ in range(4):
+                point = [rng.randint(-6, 6) for _ in range(width)]
+                direct = sum(c * math.prod(v ** e for v, e in zip(point, exp))
+                             for exp, c in terms.items())
+                assert horner(table, point) == direct, (terms, point)
+
+
+def test_a_constant_table_is_its_int_at_any_width():
+    # the constant coefficient 1 of a cutting root's lead costs no recursion
+    for width in range(4):
+        assert dense_table({}, width) == 0
+        for c in (1, -7, 3 ** 40):
+            assert dense_table({(0,) * width: c}, width) == c
+            assert horner(c, [5] * width) == c
+    # constant sub-maps are ints inside a table too: 3 + 2*x1 and x1*x2
+    assert dense_table({(0, 0): 3, (1, 0): 2}, 2) == [3, 2]
+    assert dense_table({(1, 1): 1}, 2) == [0, [0, 1]]
 
 
 def test_embedding_and_restriction():

@@ -744,19 +744,30 @@ def test_points_chi_is_proved_squarefree_without_an_integer_gcd(monkeypatch):
         raise AssertionError("an integer gcd on a squarefree chi")
 
     seen = []
-    run = primality.factor_univariate
+    run = primality.factor_primitive
 
-    def recorded(m, *args):
-        seen.append(m)
-        return run(m, *args)
+    def recorded(row, *args):
+        seen.append(row)
+        return run(row, *args)
 
     monkeypatch.setattr(factor, "_zx_gcd", refuse)
-    monkeypatch.setattr(primality, "factor_univariate", recorded)
+    monkeypatch.setattr(primality, "factor_primitive", recorded)
     family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
     assert is_prime(specialize_scalar(family, [2])).status == PRIME
     [chi] = seen
-    assert chi.total_degree() == 12
+    assert len(chi) - 1 == 12
     assert [p for p, _ in family._splits] == [3]
+
+
+def test_fibers_of_a_root_share_their_contexts():
+    # The ambient context, and the one the minimal polynomials are written
+    # in, are built once per root, not per fiber.
+    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
+    fibers = [specialize_scalar(family, [t]) for t in (2, 4)]
+    sections = [is_prime(fiber).sections[-1] for fiber in fibers]
+    assert fibers[0].context is fibers[1].context is family.context.without_params()
+    assert sections[0].minimal_poly.context is sections[1].minimal_poly.context \
+        is fibers[0].context.apart("Z")
 
 
 def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fiber_family,
@@ -821,25 +832,62 @@ def test_split_eliminant_falls_back_to_krylov(cubic_fiber_family, monkeypatch):
     assert first.minimal_poly == parse_polynomial(f"Z^3 - ({u ** 3})", first.minimal_poly.context)
 
 
-def test_krylov_reuses_the_split_of_the_eliminant(monkeypatch):
+def test_krylov_factors_its_own_minimal_polynomial_where_the_eliminant_splits(monkeypatch):
     # The line 3*Y1 + 4*Y2 meets the circle at +-(4/5, -3/5): chi(c, W) of Y2
-    # is 25*W^2 - 9, of full degree but split, and Krylov's minimal polynomial
-    # of Y2 is chi made monic, so it is factored once.
+    # is 25*W^2 - 9, of full degree but split, so the eliminant abstains.
+    # Krylov's minimal polynomial of Y2 is chi made monic, and factor_univariate
+    # factors it as it does on the ideal without origin.
     circle = make_ideal(("Y1", "Y2"), ["Y1^2 + Y2^2 - 1"])
     fiber = specialize_scalar(circle.sampling_root((1,), True), [0, 3, 4])
     forms = _krylov_forms(monkeypatch)
-    factored = []
-    factor = primality.factor_univariate
+    rows, factored = [], []
+    row_factor, factor = primality.factor_primitive, primality.factor_univariate
+
+    def counted_row(row, *args):
+        rows.append(row)
+        return row_factor(row, *args)
 
     def counted(p, *args):
         factored.append(str(p))
         return factor(p, *args)
 
+    monkeypatch.setattr(primality, "factor_primitive", counted_row)
     monkeypatch.setattr(primality, "factor_univariate", counted)
     verdict, reached = _assert_same_as_krylov(fiber, 0, forms)
     assert verdict.status == NOT_PRIME and [str(f) for f in reached] == ["Y2"]
     assert str(verdict.sections[-1].minimal_poly) == "Z^2 - 9/25"
-    assert factored[0] == "Z^2 - 9/25" and factored.count("Z^2 - 9/25") == 2  # chi, then own
+    assert rows == [[-9, 0, 25]]
+    assert factored == ["Z^2 - 9/25"] * 2  # the fiber's Krylov run, then the own ideal's
+
+
+def test_every_line_cut_of_the_circle_matches_krylov(monkeypatch):
+    # The 342 nonzero lines l0 + l1*Y1 + l2*Y2 with coefficients in [-3, 3] are
+    # fibers of the circle's cutting root.  A constant line misses the circle.
+    # On any other line, Y1^2 + Y2^2 = 1 is a quadratic in one coordinate with
+    # discriminant a nonzero square times l1^2 + l2^2 - l0^2: the cut is two
+    # rational points or one double point, so not prime, exactly where that is
+    # a square >= 0, and a conjugate pair of points, so prime, elsewhere.
+    circle = make_ideal(("Y1", "Y2"), ["Y1^2 + Y2^2 - 1"])
+    root = circle.sampling_root((1,), True)
+    forms = _krylov_forms(monkeypatch)
+    statuses = []
+    for line in itertools.product(range(-3, 4), repeat=3):
+        if not any(line):
+            continue
+        l0, l1, l2 = line
+        verdict, _ = _assert_same_as_krylov(specialize_scalar(root, line), 0, forms)
+        d = l1 * l1 + l2 * l2 - l0 * l0
+        if not (l1 or l2):
+            expected = UNIT_IDEAL
+        elif d >= 0 and math.isqrt(d) ** 2 == d:
+            expected = NOT_PRIME
+        else:
+            expected = PRIME
+        assert verdict.status == expected, line
+        statuses.append(expected)
+    assert len(statuses) == 342
+    assert {status: statuses.count(status) for status in set(statuses)} == \
+        {UNIT_IDEAL: 6, NOT_PRIME: 156, PRIME: 180}
 
 
 def test_certified_fibers_build_no_basis_of_their_own(cubic_fiber_family, monkeypatch):

@@ -31,7 +31,8 @@ class VariableContext:
             raise ValueError(f"duplicate variable name {duplicate!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "index", {n: i for i, n in enumerate(names)})
-        # None -> ``without_params()``, and stem -> ``apart(stem)``, each built once
+        # None -> ``without_params()``, stem -> ``apart(stem)`` and a tuple of
+        # names -> ``without(names)``, each built once
         object.__setattr__(self, "_derived", {})
 
     def __len__(self):
@@ -81,6 +82,18 @@ class VariableContext:
                 name += "_"
             self._derived[stem] = VariableContext((), (name,))
         return self._derived[stem]
+
+    def without(self, names: tuple[str, ...]) -> VariableContext:
+        """The context of the other names, in their order, all of them variables.
+
+        Built once per tuple ``names`` and kept on this context: the fibers
+        of one root in positive dimension share it as the context V of the
+        variables that a point u does not fix.
+        """
+        if names not in self._derived:
+            self._derived[names] = VariableContext((), tuple(n for n in self.names
+                                                            if n not in names))
+        return self._derived[names]
 
 
 def context(variables, params=()) -> VariableContext:

@@ -16,13 +16,15 @@ its discriminant d = b^2 - 4ac is a square, into the primitive parts of
 found by bisection on the pieces where it is monotone; the quotient then
 goes through the quadratic rule.  Degrees 4 and up are factored modulo the
 scan's p by a distinct-degree split followed by a Cantor-Zassenhaus
-equal-degree split.  The modular factors are lifted by a factor tree that
-takes one quadratic Hensel step per node and level, m = p^2, p^4, ...,
-up to p^l, the least power of p above twice the Landau-Mignotte
-coefficient bound (the last step stops at p^l rather than squaring past
-it).  At the first level m below p^l that is at least 2^12 times
-2 * lc * (n - 1) * B, for B a power of two above every root (Fujiwara),
-the trace test (Abbott-Shoup-Zimmermann) reads the lifted factors: a
+equal-degree split.  The modular factors are lifted one quadratic level
+at a time, m = p^2, p^4, ..., up to p^l, the least power of p above twice
+the Landau-Mignotte coefficient bound (the last step stops at p^l rather
+than squaring past it): each factor but the largest on its own by Newton
+iteration against f/lc(f) and the inverse of its cofactor, the largest
+as the quotient of f/lc(f) by the others.  At the first level m below
+p^l that is at least 2^12 times 2 * lc * (n - 1) * B, for B a power of
+two above every root (Fujiwara), the trace test
+(Abbott-Shoup-Zimmermann) reads the lifted factors: a
 true factor made of a subset of them has lc times the sum of their
 subleading coefficients within lc * its degree * B, and where no subset
 of at most half of them does, the polynomial is irreducible and the lift
@@ -317,26 +319,22 @@ def _modular_factors(f, p, limits):
 # -- Hensel lifting -----------------------------------------------------------
 
 
-def _hensel_step(M, f, g, h, s, t):
-    """Lift f = g*h (mod m) to mod M, for s*g + t*h = 1 (mod m) and M | m^2.
+def _newton_step(M, r, g, s):
+    """Lift a monic factor g of F from mod m to mod M | m^2: g + s * r rem g (mod M).
 
-    h stays monic and keeps its degree.
+    For r = F rem g (mod M) and s * (F/g) = 1 (mod g, m): with F = g*h
+    (mod m), the lift g + d and h + e have F - g*h = d*h + e*g (mod M).
     """
-    e = _mod(_zx_sub(f, _zx_mul(g, h)), M)
-    q, r = _mod_divmod(_zx_mul(s, e), h, M)
-    G = _mod(_zx_add(g, _zx_add(_zx_mul(t, e), _zx_mul(q, g))), M)
-    return G, _mod(_zx_add(h, r), M)
+    return _mod(_zx_add(g, _mod_divmod(_zx_mul(s, r), g, M)[1]), M)
 
 
-def _bezout_step(M, G, H, s, t):
-    """Lift s*G + t*H = 1 from mod m to mod M, for G, H lifted to mod M | m^2.
+def _inverse_step(m, h, g, s):
+    """One Newton step for the inverse of h mod g: s * (2 - s*h) rem g (mod m).
 
-    Degree bounds deg(s) < deg(H), deg(t) < deg(G) are preserved.
+    Lifts s = h^-1 (mod g, m') to mod (g, m), for m | m'^2 and g, h mod m.
     """
-    b = _mod(_zx_sub(_zx_add(_zx_mul(s, G), _zx_mul(t, H)), [1]), M)
-    c, d = _mod_divmod(_zx_mul(s, b), H, M)
-    T = _mod(_zx_sub(t, _zx_add(_zx_mul(t, b), _zx_mul(c, G))), M)
-    return _mod(_zx_sub(s, d), M), T
+    e = _mod_divmod(_zx_mul(s, h), g, m)[1]
+    return _mod_divmod(_zx_mul(s, _zx_sub([2], e)), g, m)[1]
 
 
 def _lift_levels(p, f, modular_factors, pl, limits):
@@ -344,52 +342,44 @@ def _lift_levels(p, f, modular_factors, pl, limits):
 
     Yields (m, lifted) for m = p, p^2, p^4, ..., each m the least of the
     square of the last and pl, and stops after m = pl: the monic factors
-    mod m, residues in [0, m), whose product times lc(f) is f mod m.  The
-    factor tree (von zur Gathen-Gerhard, Alg. 15.17) holds f at its root,
-    and each inner node splits its value into lc * (its left half of the
-    factors) and a monic right half.  A level takes one Hensel step at
-    every node, parents first.  The Bezout step that the next level needs
-    runs only when the generator is resumed, so a caller that stops at a
-    level never pays for it.
+    mod m, residues in [0, m), whose product times lc(f) is f mod m.  Each
+    factor g but the first of largest degree is lifted on its own by Newton
+    iteration against F = f/lc(f), with s the inverse of its cofactor F/g
+    mod g (von zur Gathen-Gerhard, 9.2 and 15.4); the largest is F divided
+    by the product of the others.  One division of F by g gives both
+    F rem g for the lift of g and F quo g for the Newton step of s, which
+    the next level needs and which runs only when the generator is
+    resumed, so a caller that stops at a level never pays for it.
     """
-    nodes = []  # [value source, g, h, s, t], parents first
-    leaves = []  # the value source of each leaf, in the order of the factors
-
-    def build(source, lead, factors):
-        if len(factors) == 1:
-            leaves.append(source)
-            return
-        k = len(factors) // 2
-        g = [lead]
-        for fac in factors[:k]:
-            g = _mod_mul(g, fac, p)
-        h = factors[k]
-        for fac in factors[k + 1:]:
-            h = _mod_mul(h, fac, p)
-        s, t, one = _mod_gcdex(g, h, p)
-        if one != [1]:
-            raise PrimespecError("mod-p factors are not coprime")
-        nodes.append([source, g, h, s, t])
-        here = len(nodes) - 1
-        build((here, 1), lead, factors[:k])
-        build((here, 2), 1, factors[k:])
-
-    def value(source):
-        return f if source is None else nodes[source[0]][source[1]]
-
-    build(None, f[-1] % p, modular_factors)
+    F = _mod_monic(f, pl)
+    lifted = list(modular_factors)
+    big = max(range(len(lifted)), key=lambda i: len(lifted[i]))
+    inverses = {}
+    for i, g in enumerate(lifted):
+        if i != big:
+            q = _mod_divmod(F, g, p)[0]
+            s, _, one = _mod_gcdex(_mod_divmod(q, g, p)[1], g, p)
+            if one != [1]:
+                raise PrimespecError("mod-p factors are not coprime")
+            inverses[i] = s
     m = p
     while True:
-        yield m, [_mod_monic(value(source), m) for source in leaves]
+        yield m, list(lifted)
         if m >= pl:
             return
-        if m > p:  # the Bezout step of the last level, deferred to here
-            for node in nodes:
-                node[3], node[4] = _bezout_step(m, *node[1:])
-        m = min(m * m, pl)
-        for node in nodes:
+        M = min(m * m, pl)
+        FM, others = _mod(F, M), [1]
+        for i, s in inverses.items():
             limits.check_deadline()
-            node[1], node[2] = _hensel_step(m, value(node[0]), *node[1:])
+            g = lifted[i]
+            q, r = _mod_divmod(FM, g, M)  # F quo g and F rem g, mod M and so mod m
+            if m > p:  # the inverse step of the last level, deferred to here
+                s = inverses[i] = _inverse_step(m, _mod_divmod(q, g, m)[1], g, s)
+            lifted[i] = _newton_step(M, r, g, s)
+            others = _mod_mul(others, lifted[i], M)
+        limits.check_deadline()
+        lifted[big] = _mod_divmod(FM, others, M)[0]
+        m = M
 
 
 # -- Zassenhaus ---------------------------------------------------------------
@@ -635,10 +625,10 @@ def factor_primitive(f, limits, splits) -> list[tuple[list[int], int]]:
     or None, memoizes per (p, residues) the modular split, or None where
     the residues are not squarefree; the caller owns it.  The deadline of
     ``limits`` is checked at every prime the scan tries, every step of the
-    modular split, every Hensel step, every subset size of the trace test
-    and every recombination subset.  The quadratic and cubic rules check
-    none: one takes a square root, the other makes O(log height)
-    evaluations of the cubic.
+    modular split, every lifted factor at every level of the Hensel lift,
+    every subset size of the trace test and every recombination subset.
+    The quadratic and cubic rules check none: one takes a square root, the
+    other makes O(log height) evaluations of the cubic.
     """
     n = _zx_degree(f)
     found = _zassenhaus(f, limits, splits, n) if n >= 4 else None

@@ -410,7 +410,7 @@ def is_prime(ideal: Ideal, trials: int = DEFAULT_TRIALS, seed: int = 0,
         return PrimalityVerdict(PRIME)  # the zero ideal: Q[x] is a domain
 
     free = tuple(ctx.names[i] for i in independent)
-    bound = make_context(tuple(n for n in ctx.names if n not in free))
+    bound = ctx.without(free)
     block, values, leading = ideal.lifted(bound, limits)
     constant = (0,) * len(ctx)
     # the coefficients that can vanish at a point u: a constant one is a nonzero int

@@ -651,6 +651,78 @@ def test_hensel_lift_stops_at_the_requested_power(l):
     assert lifted_any >= 3
 
 
+def _arrangements(modular):
+    """The modular factors with the first of largest degree first, in the middle and last."""
+    big = max(modular, key=len)
+    rest = [g for g in modular if g is not big]
+    half = len(rest) // 2
+    return [[big] + rest, rest[:half] + [big] + rest[half:], rest + [big]]
+
+
+def _liftable(seed, count):
+    """``count`` seeded squarefree (f, p, modular) with 2 to 5 modular factors."""
+    rng = seeded(seed)
+    found = []
+    while len(found) < count:
+        f = [rng.randint(1, 40)]
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(1, 4)
+            f = _zx_mul(f, [rng.randint(-20, 20) for _ in range(degree)] + [rng.randint(1, 6)])
+        f = _zx_primitive(f)
+        if len(f) < 5 or len(_zx_gcd(f, _zx_derivative(f))) > 1:
+            continue
+        p, modular = _split_mod(f, DEFAULT_LIMITS, None)
+        if 2 <= len(modular) <= 5:
+            found.append((f, p, modular))
+    return found
+
+
+def test_hensel_lift_holds_at_every_level():
+    # Every yielded level: monic factors that keep their degree and reduce
+    # to their modular factor, whose product times lc(f) is f mod m.  The
+    # largest factor, the one divided out, comes first, in the middle and last.
+    shapes = set()
+    for f, p, modular in _liftable(64, 40):
+        for arranged in _arrangements(modular):
+            before = [list(g) for g in arranged]
+            degrees = sorted(len(g) for g in arranged)
+            shapes.add((len(arranged), degrees[-1] == degrees[-2]))
+            l = 1 + len(f) % 7 * 5
+            levels = list(_lift_levels(p, f, arranged, p ** l, DEFAULT_LIMITS))
+            moduli = [m for m, _ in levels]
+            assert moduli[0] == p and moduli[-1] == p ** l
+            assert all(m == min(last * last, p ** l) for last, m in zip(moduli, moduli[1:]))
+            for m, lifted in levels:
+                assert len(lifted) == len(arranged)
+                for g, fac in zip(lifted, arranged):
+                    assert g[-1] == 1 and len(g) == len(fac)
+                    assert all(0 <= c < m for c in g)
+                    assert _mod(g, p) == fac
+                product = _product([[f[-1]]] + lifted)
+                assert len(product) == len(f)
+                assert all((a - b) % m == 0 for a, b in zip(product, f))
+            assert arranged == before  # the memo's lists are not mutated
+    assert {2, 3, 4, 5} <= {size for size, _ in shapes}
+    assert any(tie for _, tie in shapes)
+
+
+def test_hensel_lift_checks_the_deadline_once_per_factor_and_level():
+    class Counting:
+        calls = 0
+
+        def check_deadline(self):
+            self.calls += 1
+
+    for f, p, modular in _liftable(65, 6):
+        limits = Counting()
+        seen, yielded = [], []
+        for _, lifted in _lift_levels(p, f, modular, p ** 20, limits):
+            seen.append(limits.calls)
+            yielded.append((lifted, [list(g) for g in lifted]))
+        assert seen == [len(modular) * level for level in range(len(seen))]
+        assert all(lifted == kept for lifted, kept in yielded)  # no later level changes them
+
+
 def test_hensel_lift_rejects_non_coprime_factors():
     # (Y + 1)^2 modulo 5 with the repeated factor passed twice: a check
     # that must hold under python -O too.
@@ -800,8 +872,8 @@ def _consecutive(first, last, shift):
 
 
 def _record_steps(monkeypatch):
-    """The moduli of every Hensel and every Bezout step taken."""
-    steps = {"hensel": [], "bezout": []}
+    """The moduli of every Newton step of a factor and of a cofactor inverse taken."""
+    steps = {"newton": [], "inverse": []}
     for name, seen in steps.items():
         step = getattr(factor, f"_{name}_step")
 
@@ -822,15 +894,16 @@ def _lift_power(f, p):
 def test_irreducible_product_plus_one_stops_the_lift_early(monkeypatch):
     # (Y - 1)...(Y - 12) + 1 splits in two sextics mod 3; the trace test at
     # 3^16 (below p^l = 3^28) leaves no factor, so f is irreducible there,
-    # and that level's Bezout step is never taken.
+    # and that level's inverse step is never taken.  One sextic is lifted by
+    # Newton steps, the other is divided out.
     f = _consecutive(1, 12, 1)
     assert _scan_prime(f) == 3
     assert len(_modular_factors(_mod_monic(f, 3), 3, DEFAULT_LIMITS)) == 2
     steps = _record_steps(monkeypatch)
     assert _zassenhaus(f, DEFAULT_LIMITS) == [f]
     assert _lift_power(f, 3) == 28
-    assert steps["hensel"] == [3 ** 2, 3 ** 4, 3 ** 8, 3 ** 16]
-    assert steps["bezout"] == [3 ** 2, 3 ** 4, 3 ** 8]
+    assert steps["newton"] == [3 ** 2, 3 ** 4, 3 ** 8, 3 ** 16]
+    assert steps["inverse"] == [3 ** 2, 3 ** 4, 3 ** 8]
 
 
 def test_product_of_two_factors_passes_the_trace_test_and_resumes(monkeypatch):
@@ -843,8 +916,8 @@ def test_product_of_two_factors_passes_the_trace_test_and_resumes(monkeypatch):
     assert sorted(_zassenhaus(f, DEFAULT_LIMITS)) == sorted([g, h])
     l = _lift_power(f, 5)
     assert l > 16
-    assert sorted(set(steps["hensel"])) == [5 ** 2, 5 ** 4, 5 ** 8, 5 ** 16, 5 ** l]
-    assert sorted(set(steps["bezout"])) == [5 ** 2, 5 ** 4, 5 ** 8, 5 ** 16]
+    assert sorted(set(steps["newton"])) == [5 ** 2, 5 ** 4, 5 ** 8, 5 ** 16, 5 ** l]
+    assert sorted(set(steps["inverse"])) == [5 ** 2, 5 ** 4, 5 ** 8, 5 ** 16]
 
 
 def test_congruent_inputs_share_one_memo_entry(y):

@@ -11,7 +11,7 @@ import pytest
 from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchberger, context,
                        factor_univariate, grevlex, is_prime, minimal_polynomial, parse_polynomial,
                        target_first)
-from primespec import (BudgetExceededError, GBLimits, factor, groebner, primality,
+from primespec import (BudgetExceededError, GBLimits, VariableContext, factor, groebner, primality,
                        specialize_scalar)
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
@@ -759,15 +759,22 @@ def test_points_chi_is_proved_squarefree_without_an_integer_gcd(monkeypatch):
     assert [p for p, _ in family._splits] == [3]
 
 
-def test_fibers_of_a_root_share_their_contexts():
-    # The ambient context, and the one the minimal polynomials are written
-    # in, are built once per root, not per fiber.
-    family = make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",))
-    fibers = [specialize_scalar(family, [t]) for t in (2, 4)]
-    sections = [is_prime(fiber).sections[-1] for fiber in fibers]
-    assert fibers[0].context is fibers[1].context is family.context.without_params()
-    assert sections[0].minimal_poly.context is sections[1].minimal_poly.context \
-        is fibers[0].context.apart("Z")
+def test_fibers_of_a_root_share_their_contexts(cubic_fiber_family):
+    # The ambient context, the one the minimal polynomials are written in
+    # and, in positive dimension, the context V of the variables a point u
+    # does not fix, are built once per root, not per fiber.
+    for family, independent in ((make_ideal(("Y1", "Y2", "Y3"), POINTS_FAMILY, params=("T",)), ()),
+                                (cubic_fiber_family, ("Y3",))):
+        fibers = [specialize_scalar(family, [t]) for t in (2, 4)]
+        sections = [is_prime(fiber).sections[-1] for fiber in fibers]
+        assert fibers[0].context is fibers[1].context is family.context.without_params()
+        assert sections[0].minimal_poly.context is sections[1].minimal_poly.context \
+            is fibers[0].context.apart("Z")
+        assert [section.independent for section in sections] == [independent] * 2
+        if independent:
+            v = sections[0].linear_form.context
+            assert v is sections[1].linear_form.context is fibers[0].context.without(independent)
+            assert v == VariableContext((), ("Y1", "Y2"))
 
 
 def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fiber_family,

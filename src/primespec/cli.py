@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write a CSV report here")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("verify-report", help="replay all failure witnesses in a report")
+    p = sub.add_parser("verify-report", help="re-run every sample of a report and compare it with its record")
     p.add_argument("report")
     p.set_defaults(func=_cmd_verify_report)
     return parser

@@ -287,7 +287,10 @@ class GroebnerBasis:
         return Polynomial(self.context, {e: factor * c for e, c in remainder.items()})
 
     def contains(self, p: Polynomial, limits=DEFAULT_LIMITS) -> bool:
-        return self.normal_form(p, limits).is_zero
+        """True when p lies in the ideal: its integer pseudo-remainder is empty."""
+        if p.context != self.context:
+            raise ContextMismatchError("polynomial context differs from basis context")
+        return not self.pseudo_normal_form(integer_primitive(p.terms)[1], limits)[0]
 
 
 def _staircase(leads, width, limits=DEFAULT_LIMITS):

@@ -3,8 +3,9 @@
 For a zero-dimensional ideal the quotient is a finite-dimensional
 vector space with the staircase monomials as basis.  A linear form whose
 minimal polynomial is irreducible of full degree certifies the quotient
-is a field (Prime); a reducible minimal polynomial yields a product pair
-lying in the ideal with both factors outside it (NotPrime).  The forms
+is a field (Prime); a reducible minimal polynomial m = c * f * g yields
+the pair (f(form), g(form)) in normal form, whose product lies in the
+ideal while minimality of m keeps both factors outside it (NotPrime).  The forms
 tried are the coordinates, last first, then random ones: by the shape
 lemma the last coordinate alone generates the quotient of an ideal in
 general position (Gianni-Mora), with a minimal polynomial of small
@@ -74,11 +75,16 @@ degree that splits is factored once as chi and once as m.  Minimal
 polynomials are written over one context per ideal context
 (``VariableContext.apart``), which the fibers of a root share.
 
-The Krylov elimination behind the minimal polynomial runs over Z: an
-integer multiplication matrix of the quotient acts on primitive integer
-coordinate vectors, and each power is reduced as one integer row that
-carries the combination of powers giving it; ``Fraction``s appear only in
-the returned polynomials.
+The Krylov path runs over Z from the specialized basis to the verdict.
+The form's integer multiplication matrix of the quotient is built once
+(``_multiplication_matrix``); the Krylov elimination acts with it on
+primitive integer coordinate vectors, each power reduced as one integer
+row that carries the combination of powers giving it, and a split's two
+certificate polynomials are evaluated from the same matrix by Horner on
+integer vectors over one common denominator.  The cofactor of a split is
+one exact integer division, and the certificate is checked by integer
+pseudo-remainders of f, g and their integer product.  ``Fraction``s
+appear only in the returned polynomials.
 """
 
 from __future__ import annotations
@@ -89,11 +95,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import context as make_context
-from .errors import BudgetExceededError, PrimespecError
-from .factor import _zx_primitive, factor_primitive, factor_univariate
+from .errors import BudgetExceededError, ContextMismatchError, PrimespecError
+from .factor import (_to_dense, _zx_div_exact, _zx_primitive, factor_primitive,
+                     factor_univariate)
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _mul, saturation,
                        specialize_basis)
-from .poly import Polynomial, horner, integer_primitive
+from .poly import Polynomial, _mul_terms, horner, integer_primitive
 
 PRIME = "prime"
 NOT_PRIME = "not_prime"
@@ -106,45 +113,22 @@ BOX_START = 10  # random draws come from [-box, box], box doubling from this per
 _MINPOLY_VARIABLE = "Z"
 
 
-def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
-                       variable: str = _MINPOLY_VARIABLE, limits=DEFAULT_LIMITS,
-                       staircase=None) -> Polynomial:
-    """Monic least-degree m over Q with m(element) = 0 modulo the basis' ideal.
+def _multiplication_matrix(basis: GroebnerBasis, element: Polynomial, staircase, limits):
+    """(M, num, den): multiplying by ``element`` is (num / den) * M on coordinate vectors.
 
-    The quotient is a vector space with the monomials below the grevlex
-    staircase as basis: ``basis.staircase``, unless a caller that already
-    read it from the same leads passes it in.  ValueError in positive
-    dimension, where the staircase is infinite.
-
-    Returned as a univariate polynomial in ``variable``.  The Krylov
-    powers 1, e, e^2, ... are reduced one at a time against an echelon
-    form of the powers before them, kept as (pivot, row) pairs.  A row is
-    augmented: its first n entries are a quotient vector and its last
-    n + 1 the combination of powers that gives it, so power k enters as
-    P_k followed by the k-th unit vector, and its pivot lies in the first
-    n entries.  The first power e^k whose first n entries reduce to zero
-    is a combination of the earlier ones; moved to the left and made
-    monic, that combination is m.
-
-    Everything runs over Z.  With e == factor * step, step a primitive
-    integer map, the multiplication matrix M has column j equal to
-    den * NF(step * b_j) for the staircase monomial b_j and one common
-    integer den, so multiplying by e is (factor / den) * M on coordinate
-    vectors.  M is kept as its n columns of nonzero (row, value) entries,
-    never as an n x n table.  e^k is kept as a primitive integer vector P_k
-    with e^k = (num_k / den_k) * P_k; each power is one matrix-vector
-    product, column by column, and a content removal.  Rows are combined
-    by fraction-free cross-multiplication, and the content of the whole
-    row is removed.
+    Coordinates are over the staircase monomials b_j, the constant first.
+    With NF(element) == factor * step, step a primitive integer map, M has
+    column j equal to d * NF(step * b_j) for one common integer d, and
+    num / den == factor / d.  M is kept as its n columns of nonzero
+    (row, value) entries, never as an n x n table.
     """
-    if staircase is None:
-        staircase = basis.staircase(basis.context, limits)
-    if staircase is None:
-        raise ValueError("leading terms admit no finite staircase (dimension > 0)")
-    z_ctx = make_context((variable,))
+    if element.context != basis.context:
+        raise ContextMismatchError("polynomial context differs from basis context")
+    content, terms = integer_primitive(element.terms)
+    remainder, scale = basis.pseudo_normal_form(terms, limits)
+    unit, step = integer_primitive(remainder)
+    factor = content * unit / scale
     index = {exp: i for i, exp in enumerate(staircase)}
-    n = len(staircase)
-    factor, step = integer_primitive(basis.normal_form(element, limits).terms)
     columns = []
     for monomial in staircase:
         limits.check_deadline()
@@ -154,9 +138,57 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
     den = math.lcm(*(scale.numerator for _, scale in columns))
     matrix = [[(index[exp], scale.denominator * (den // scale.numerator) * c)
                for exp, c in remainder.items()] for remainder, scale in columns]
-    step_num, step_den = factor.numerator, factor.denominator * den
-    power = [0] * n
-    power[index[(0,) * len(basis.context)]] = 1
+    return matrix, factor.numerator, factor.denominator * den
+
+
+def _apply(matrix, vector):
+    """M V, M kept as columns of (row, value) entries."""
+    product = [0] * len(vector)
+    for column, c in zip(matrix, vector):
+        if c:
+            for i, v in column:
+                product[i] += v * c
+    return product
+
+
+def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
+                       variable=_MINPOLY_VARIABLE, limits=DEFAULT_LIMITS,
+                       staircase=None, matrix=None) -> Polynomial:
+    """Monic least-degree m over Q with m(element) = 0 modulo the basis' ideal.
+
+    The quotient is a vector space with the monomials below the grevlex
+    staircase as basis: ``basis.staircase``, unless a caller that already
+    read it from the same leads passes it in, with the element's
+    ``_multiplication_matrix`` over it if built.  ValueError in positive
+    dimension, where the staircase is infinite.
+
+    Returned as a univariate polynomial in ``variable``, a name or a
+    one-variable context.  The Krylov powers 1, e, e^2, ... are reduced
+    one at a time against an echelon form of the powers before them, kept
+    as (pivot, row) pairs.  A row is augmented: its first n entries are a
+    quotient vector and its last n + 1 the combination of powers that
+    gives it, so power k enters as P_k followed by the k-th unit vector,
+    and its pivot lies in the first n entries.  The first power e^k whose
+    first n entries reduce to zero is a combination of the earlier ones;
+    moved to the left and made monic, that combination is m.
+
+    Everything runs over Z: multiplying by e is (num / den) * M with M
+    the integer multiplication matrix.  e^k is kept as a primitive integer
+    vector P_k with e^k = (num_k / den_k) * P_k; each power is one
+    matrix-vector product, column by column, and a content removal.  Rows
+    are combined by fraction-free cross-multiplication, and the content of
+    the whole row is removed.
+    """
+    if staircase is None:
+        staircase = basis.staircase(basis.context, limits)
+    if staircase is None:
+        raise ValueError("leading terms admit no finite staircase (dimension > 0)")
+    z_ctx = make_context((variable,)) if isinstance(variable, str) else variable
+    n = len(staircase)
+    if matrix is None:
+        matrix = _multiplication_matrix(basis, element, staircase, limits)
+    matrix, step_num, step_den = matrix
+    power = [1] + [0] * (n - 1)  # the constant monomial comes first
     scales = [(1, 1)]
     rows = []
     # The term budget binds on each elimination step as on a reduction step;
@@ -185,13 +217,8 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
             lead = coeffs[(k,)]
             return Polynomial(z_ctx, {e: c / lead for e, c in coeffs.items()})
         rows.append((pivot, row))
-        # e^(k+1) = (num_k / den_k) * (factor / den) * M P_k
-        product = [0] * n
-        for column, c in zip(matrix, power):
-            if c:
-                for i, v in column:
-                    product[i] += v * c
-        power = product
+        # e^(k+1) = (num_k / den_k) * (num / den) * M P_k
+        power = _apply(matrix, power)
         unit = math.gcd(*power)
         num_k, den_k = scales[-1]
         if unit:
@@ -223,8 +250,15 @@ class PrimalityVerdict:
 
 def _certificate_error(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
                        limits=DEFAULT_LIMITS) -> str | None:
-    """Why (f, g) fails to certify NotPrime for the basis' ideal; None if it holds."""
-    if not basis.contains(f * g, limits):
+    """Why (f, g) fails to certify NotPrime for the basis' ideal; None if it holds.
+
+    f*g is the product of the primitive integer parts of f and g, tested
+    by its integer pseudo-remainder.
+    """
+    if not f.context == g.context == basis.context:
+        raise ContextMismatchError("certificate context differs from basis context")
+    product = _mul_terms(integer_primitive(f.terms)[1], integer_primitive(g.terms)[1])
+    if basis.pseudo_normal_form({e: c for e, c in product.items() if c}, limits)[0]:
         return "f*g is not in the ideal"
     if basis.contains(f, limits) or basis.contains(g, limits):
         return "a factor lies in the ideal"
@@ -256,34 +290,44 @@ def _linear_forms(ctx, rng, trials):
 
 
 def _split_minimal_poly(m: Polynomial, limits, splits):
-    """(f, g) with f*g = m, both of positive degree, or None if irreducible.
+    """(c, f, g) with m = c * f * g, f and g integer rows of positive degree; None if m is irreducible.
 
-    ``splits`` is the root's memo of modular splits, passed to ``factor_univariate``.
+    Rows are dense, constant term first.  f is the first factor
+    ``factor_univariate`` finds, with the root's memo of modular splits
+    ``splits``, and g the primitive integer row of m divided by f: one
+    exact division, since f is primitive (Gauss).
     """
-    unit, factors = factor_univariate(m, limits, splits)
+    _, factors = factor_univariate(m, limits, splits)
     if len(factors) == 1 and factors[0][1] == 1:
         return None
-    (first, first_mult), *rest = factors
-    return first, math.prod((fac ** mult for fac, mult in rest),
-                            start=unit * first ** (first_mult - 1))
+    row = list(integer_primitive(dict(enumerate(_to_dense(m)[1])))[1].values())
+    first = [c.numerator for c in _to_dense(factors[0][0])[1]]
+    return Fraction(1, row[-1]), first, _zx_div_exact(row, first)
 
 
-def _evaluate_in_quotient(basis: GroebnerBasis, univariate: Polynomial,
-                          element_reduced: Polynomial, limits=DEFAULT_LIMITS) -> Polynomial:
-    """Normal form of univariate(element) modulo the basis' ideal, by Horner.
+def _evaluate_in_quotient(basis: GroebnerBasis, staircase, matrix, row, scale,
+                          limits=DEFAULT_LIMITS) -> Polynomial:
+    """Normal form of scale * row(e) modulo the basis' ideal, by Horner on coordinates.
 
-    Expanding the composition as a raw polynomial can explode in term
-    count; reducing after every Horner step keeps each intermediate at
-    most as wide as the staircase.
+    ``matrix`` is the ``_multiplication_matrix`` of e over ``staircase`` and
+    ``row`` an integer polynomial, constant term first.  The accumulator is
+    one integer coordinate vector V over one common denominator D; a step
+    V / D -> (V / D) * e + c multiplies V by num * M, adds c * den * D to
+    the constant coordinate, multiplies D by den, and divides out the
+    content of V and D.  Normal forms are unique, so this is the normal
+    form of the composition, with no polynomial built on the way.
     """
-    ctx = basis.context
-    coeffs = [Fraction(0)] * (univariate.total_degree() + 1)
-    for exp, c in univariate.terms.items():
-        coeffs[exp[0]] = c
-    acc = Polynomial.zero(ctx)
-    for c in reversed(coeffs):
-        acc = basis.normal_form(acc * element_reduced + Polynomial.constant(ctx, c), limits)
-    return acc
+    matrix, num, den = matrix
+    vector, common = [0] * len(staircase), 1
+    for c in reversed(row):
+        limits.check_deadline()
+        vector = [num * v for v in _apply(matrix, vector)]
+        common *= den
+        vector[0] += c * common
+        content = math.gcd(common, *vector)
+        vector, common = [v // content for v in vector], common // content
+    factor = Fraction(scale, common)
+    return Polynomial(basis.context, {e: factor * v for e, v in zip(staircase, vector) if v})
 
 
 def _eliminant(root: Ideal, name, free, at, n, z_ctx, limits) -> Polynomial | None:
@@ -348,7 +392,8 @@ def _field_test(ideal, block, values, part, point, rng, trials, limits,
         if m is None:
             if basis is None:
                 basis = specialize_basis(block, {**values, **point}, part, limits)
-            m = minimal_polynomial(basis, form, z_ctx.names[0], limits, staircase)
+            matrix = _multiplication_matrix(basis, form, staircase, limits)
+            m = minimal_polynomial(basis, form, z_ctx, limits, staircase, matrix)
             split = _split_minimal_poly(m, limits, root._splits)
         sections.append(SectionData(free, at_u, form, m, n))
         if split is None:
@@ -357,8 +402,9 @@ def _field_test(ideal, block, values, part, point, rng, trials, limits,
             continue  # the form generates a proper subfield: next form
         # The reduced images are the certificate: F*G = m(form) = 0 holds in
         # the quotient and minimality of m keeps both factors nonzero.
-        reduced = basis.normal_form(form, limits)
-        f, g = (_evaluate_in_quotient(basis, z, reduced, limits) for z in split)
+        scale, *rows = split
+        f, g = (_evaluate_in_quotient(basis, staircase, matrix, row, c, limits)
+                for row, c in zip(rows, (1, scale)))
         return not_prime_verdict(basis, f, g, limits, sections=sections)
     return PrimalityVerdict(INCONCLUSIVE, sections=tuple(sections), reason=(
         f"no field certificate from {len(part)} coordinate(s) and {trials} random linear "

@@ -299,3 +299,12 @@ def test_factor_runs_under_the_default_deadline(monkeypatch, capsys):
     monkeypatch.setattr(time, "monotonic", lambda: next(clock))
     assert main(["factor", "Y^4 + 1"]) == 4
     assert capsys.readouterr().err == "budget exhausted: wall-clock budget exceeded\n"
+
+
+def test_help_says_what_verify_report_checks(capsys):
+    # verify-report re-runs good samples as well as failures, and rebuilds the header
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "verify-report re-run every sample of a report and compare it with its record" in out

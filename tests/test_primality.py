@@ -11,12 +11,14 @@ import pytest
 from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchberger, context,
                        factor_univariate, grevlex, is_prime, minimal_polynomial, parse_polynomial,
                        target_first)
-from primespec import (BudgetExceededError, GBLimits, VariableContext, factor, groebner, primality,
-                       specialize_scalar)
+from primespec import (BudgetExceededError, ContextMismatchError, GBLimits, VariableContext, factor,
+                       groebner, primality, specialize_scalar)
 from primespec.experiments import derive_seed, sample_point, specialize_point
 from primespec.groebner import specialize_basis
+from primespec.poly import integer_primitive
 from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, _certificate_error,
-                                 _evaluate_in_quotient, not_prime_verdict)
+                                 _evaluate_in_quotient, _multiplication_matrix, _split_minimal_poly,
+                                 not_prime_verdict)
 
 from conftest import make_ideal, random_polynomial, seeded
 
@@ -553,6 +555,34 @@ def _points_forms(ctx):
     return forms
 
 
+def _dense_row(p):
+    """The primitive integer coefficient row of a univariate p, constant term first."""
+    ints = integer_primitive(p.terms)[1]
+    return [ints.get((k,), 0) for k in range(p.total_degree() + 1)]
+
+
+def _reference_evaluation(basis, univariate, element):
+    """univariate(element) modulo the ideal: Horner over polynomials, a normal form per step."""
+    ctx = basis.context
+    coeffs = [Fraction(0)] * (univariate.total_degree() + 1)
+    for exp, c in univariate.terms.items():
+        coeffs[exp[0]] = c
+    reduced = basis.normal_form(element)
+    acc = Polynomial.zero(ctx)
+    for c in reversed(coeffs):
+        acc = basis.normal_form(acc * reduced + Polynomial.constant(ctx, c))
+    return acc
+
+
+def _reference_certificate_error(basis, f, g):
+    """``_certificate_error`` by normal forms over Q."""
+    if not basis.normal_form(f * g).is_zero:
+        return "f*g is not in the ideal"
+    if basis.normal_form(f).is_zero or basis.normal_form(g).is_zero:
+        return "a factor lies in the ideal"
+    return None
+
+
 def test_minimal_polynomial_matches_krylov_rank():
     ideal = make_ideal(("Y1", "Y2", "Y3"), POINTS_T2)
     q = ideal.groebner(grevlex)
@@ -573,11 +603,82 @@ def test_minimal_polynomial_matches_krylov_rank():
         m = minimal_polynomial(basis, element)
         top = max(m.terms, key=lambda exp: exp[0])
         assert m.terms[top] == 1
-        assert _evaluate_in_quotient(basis, m, basis.normal_form(element)).is_zero
+        staircase = basis.staircase(basis.context)
+        matrix = _multiplication_matrix(basis, element, staircase, GBLimits())
+        assert _evaluate_in_quotient(basis, staircase, matrix, _dense_row(m), 1).is_zero
         assert m.total_degree() == _krylov_rank(basis, element)
         found.append(m)
     assert [m.total_degree() for m in found] == [12] * 6 + [1, 2, 2]
     assert [str(m) for m in found[6:]] == ["Z - 3", "Z^2 - Z - 2", "Z^2 - 1/2*Z - 1/2"]
+
+
+def _split_ideals():
+    """The points fiber at T = 0, a non-radical ideal, and seeded zero-dimensional ideals that split.
+
+    The first generator of a random ideal is (Y1 - a) times a monic of
+    degree 1 or 2 in Y1, and every other variable's is its power over a
+    random tail of lower total degree: the leads are pure powers.
+    """
+    yield make_ideal(("Y1", "Y2", "Y3"), ["Y1^3 - 1", "Y2^2 - Y1*Y3", "Y3^2 - Y1 - Y2"])
+    yield make_ideal(("Y1", "Y2"), ["(Y1 - 1)^2*(Y1 + 2)", "Y2^2 - Y1 - 3"])
+    rng = seeded(39)
+    for names in [("Y1", "Y2")] * 6 + [("Y1", "Y2", "Y3")] * 4:
+        ctx = context(names)
+        y = [Polynomial.variable(ctx, name) for name in names]
+        gens = [(y[0] - rng.randint(-3, 3)) * (y[0] ** rng.randint(1, 2) + rng.randint(-5, 5))]
+        for v in y[1:]:
+            d = rng.randint(2, 3)
+            gens.append(v ** d + random_polynomial(ctx, rng, max_degree=d - 1, max_coeff=5))
+        yield Ideal(ctx, gens)
+
+
+def test_certificate_from_the_matrix_matches_normal_forms():
+    # For every split minimal polynomial m = c * f * g, the Horner run on
+    # integer coordinate vectors gives the normal forms of f(e) and c * g(e)
+    # that Horner over polynomials with a normal form per step gives, and
+    # the integer certificate check answers as the one over Q.
+    limits = GBLimits()
+    rng = seeded(40)
+    splits = 0
+    for ideal in _split_ideals():
+        basis = ideal.groebner()
+        ctx = ideal.context
+        staircase = basis.staircase(ctx)
+        elements = [Polynomial.variable(ctx, name) for name in ctx.names]
+        elements += [random_polynomial(ctx, rng, max_degree=2) * Fraction(1, rng.randint(1, 4))
+                     for _ in range(3)]
+        for element in elements:
+            matrix = _multiplication_matrix(basis, element, staircase, limits)
+            m = minimal_polynomial(basis, element, "Z", limits, staircase, matrix)
+            assert m == minimal_polynomial(basis, element)
+            split = _split_minimal_poly(m, limits, None)
+            if split is None:
+                continue
+            scale, first, rest = split
+            f_z, g_z = (Polynomial(m.context, {(k,): c for k, c in enumerate(row)})
+                        for row in (first, rest))
+            assert f_z.total_degree() > 0 and g_z.total_degree() > 0
+            assert f_z * g_z * scale == m
+            f = _evaluate_in_quotient(basis, staircase, matrix, first, 1, limits)
+            g = _evaluate_in_quotient(basis, staircase, matrix, rest, scale, limits)
+            assert f == _reference_evaluation(basis, f_z, element)
+            assert g == _reference_evaluation(basis, g_z * scale, element)
+            one = Polynomial.constant(ctx, 1)
+            for pair in ((f, g), (f * g, f), (f, g + one), (f, one)):
+                assert _certificate_error(basis, *pair) == _reference_certificate_error(basis, *pair)
+            assert _certificate_error(basis, f, g) is None
+            assert _certificate_error(basis, f * g, f) == "a factor lies in the ideal"
+            assert _certificate_error(basis, f, one) == "f*g is not in the ideal"
+            splits += 1
+    assert splits >= 40
+    other = make_ideal(("X", "Y"), ["Y - X", "Y - X^2"])
+    x = Polynomial.variable(other.context, "X")
+    with pytest.raises(ContextMismatchError):
+        _certificate_error(basis, x, x)
+    with pytest.raises(ContextMismatchError):
+        _certificate_error(other.groebner(), x, Polynomial.variable(ctx, "Y1"))
+    with pytest.raises(ContextMismatchError):
+        basis.contains(x)
 
 
 GOLDEN_POINTS_MINPOLYS = [
@@ -759,7 +860,7 @@ def test_points_chi_is_proved_squarefree_without_an_integer_gcd(monkeypatch):
     assert [p for p, _ in family._splits] == [3]
 
 
-def test_fibers_of_a_root_share_their_contexts(cubic_fiber_family):
+def test_fibers_of_a_root_share_their_contexts(cubic_fiber_family, parabola_family):
     # The ambient context, the one the minimal polynomials are written in
     # and, in positive dimension, the context V of the variables a point u
     # does not fix, are built once per root, not per fiber.
@@ -775,6 +876,13 @@ def test_fibers_of_a_root_share_their_contexts(cubic_fiber_family):
             v = sections[0].linear_form.context
             assert v is sections[1].linear_form.context is fibers[0].context.without(independent)
             assert v == VariableContext((), ("Y1", "Y2"))
+    # Y^2 - t splits at squares t, so the eliminant abstains and the Krylov
+    # run writes its minimal polynomial over the shared context too
+    fibers = [specialize_scalar(parabola_family, [t]) for t in (4, 9)]
+    verdicts = [is_prime(fiber) for fiber in fibers]
+    assert [verdict.status for verdict in verdicts] == [NOT_PRIME] * 2
+    assert verdicts[0].sections[-1].minimal_poly.context \
+        is verdicts[1].sections[-1].minimal_poly.context is fibers[0].context.apart("Z")
 
 
 def test_eliminant_gives_the_krylov_minimal_polynomial_on_cubic_fibers(cubic_fiber_family,

@@ -103,9 +103,11 @@ class ExperimentConfig:
         _require_at_least("H", self.box, 1)
         _require_at_least("trials", self.trials, 1)
         _require_at_least("workers", self.workers, 1)
-        _require_at_least("degrees", min(self.degrees, default=0), 0)
         if self.kind == GENERIC_INTERSECT and not self.degrees:
             raise ConfigError("GenericIntersect needs a degrees list")
+        # a GenericIntersect form of degree 0 is a constant, which cuts nothing
+        _require_at_least("degrees", min(self.degrees, default=0),
+                          int(self.kind == GENERIC_INTERSECT))
 
 
 # config key -> field of the integers a report echoes, in the echo's order
@@ -518,12 +520,15 @@ def verify_report(report: dict) -> list[str]:
     20 s, while the echo keeps the echoed timeout.  An echo whose ideal
     does not rebuild (a generator that does not parse, an unknown or
     repeated variable, no variable) or that the config or the hypothesis
-    check rejects, or a record with a mistyped field, is a malformed
+    check rejects, a record with a mistyped field, or ``samples`` that is
+    not a list or an ``aggregate`` that is not an object, is a malformed
     report.  Returns one accounting message and one per sample that is not
     good.
     """
     try:
         samples, echo, recorded = report["samples"], report["config"], report["aggregate"]
+        if not isinstance(samples, list) or not isinstance(recorded, dict):
+            raise TypeError("samples must be a list and aggregate an object")
         source = echo["ideal_source"]
         ctx = make_context(source["vars"], params=source["params"])
         ideal = Ideal(ctx, [parse_polynomial(g, ctx) for g in source["gens"]])

@@ -42,9 +42,12 @@ Dense integer coefficient lists (ascending, index = exponent) are used
 throughout.  The one factorization core, ``factor_primitive``, takes a
 primitive integer row with a positive lead and returns integer rows; a
 caller that holds integers, as ``primality`` does for an eliminant,
-calls it directly.  ``factor_univariate`` reads a ``Polynomial`` into
-such a row and builds its factors back: ``Fraction``s appear only there
-and in its unit.  The modular split (m = p) and the Hensel lift
+calls it directly.  A univariate ``Polynomial`` crosses to such a row and
+back at one place: ``_integer_row`` reads it as a unit times a primitive
+row, and ``_from_row`` builds row(x) / den.  ``factor_univariate`` uses
+both, and so does ``primality`` for every minimal polynomial it builds
+or splits: ``Fraction``s appear only in the polynomials built and in the
+unit.  The modular split (m = p) and the Hensel lift
 (m = p^k) share one arithmetic modulo m, with residues in [0, m).  The
 symmetric representative in (-m/2, m/2] is taken in two places only:
 where the trace test reads a sum of subleading coefficients, and where
@@ -106,16 +109,10 @@ def _zx_mul(f, g):
 def _zx_derivative(f):
     return _zx_strip([i * c for i, c in enumerate(f)][1:])
 
-def _zx_content(f):
-    c = 0
-    for a in f:
-        c = math.gcd(c, abs(a))
-    return c
-
 
 def _zx_primitive(f):
     """Primitive part with positive leading coefficient."""
-    c = _zx_content(f)
+    c = math.gcd(*f)
     if f and f[-1] < 0:
         c = -c
     return [a // c for a in f]
@@ -589,28 +586,38 @@ def _zassenhaus(f, limits, splits=None, candidates=None):
 # -- public operations ---------------------------------------------------------
 
 
-def _to_dense(p: Polynomial):
-    """(variable index, ascending Fraction coefficients) of a univariate."""
-    used = p.variables_used()
+def _integer_row(p: Polynomial):
+    """(var, unit, row) with p = unit * row(x): the one reader of a univariate.
+
+    ``p`` is nonzero and uses at most the variable x, at index ``var`` of
+    its context (0 for a constant).  ``row`` is p's primitive integer row,
+    dense and constant term first, with a positive lead, and ``unit`` the
+    ``Fraction`` that makes it p.  ValueError when p uses two variables or
+    more.
+    """
+    used = sorted({i for exp in p.terms for i, e in enumerate(exp) if e})
     if len(used) > 1:
-        raise ValueError(f"polynomial is not univariate: uses {used}")
-    ctx = p.context
-    var = ctx.index[used[0]] if used else 0
-    coeffs = [Fraction(0)] * (p.total_degree() + 1 if p.terms else 1)
-    for exp, coeff in p.terms.items():
-        coeffs[exp[var]] = coeff
-    return var, coeffs
+        names = tuple(p.context.names[i] for i in used)
+        raise ValueError(f"polynomial is not univariate: uses {names}")
+    var = used[0] if used else 0
+    unit, ints = integer_primitive(p.terms)
+    row = [0] * (1 + max(exp[var] for exp in ints))
+    for exp, c in ints.items():
+        row[exp[var]] = c
+    if row[-1] < 0:
+        return var, -unit, [-c for c in row]
+    return var, unit, row
 
 
-def _from_dense(context, var, coeffs) -> Polynomial:
-    width = len(context)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            exp = [0] * width
-            exp[var] = i
-            terms[tuple(exp)] = Fraction(c)
-    return Polynomial(context, terms)
+def _from_row(context, var, row, den=1) -> Polynomial:
+    """The polynomial row(x) / den: the one builder of a univariate.
+
+    ``row`` is an integer row, constant term first, in the variable at
+    index ``var`` of ``context``.
+    """
+    before, after = (0,) * var, (0,) * (len(context) - var - 1)
+    return Polynomial(context, {(*before, k, *after): Fraction(c, den)
+                                for k, c in enumerate(row) if c})
 
 
 def factor_primitive(f, limits, splits) -> list[tuple[list[int], int]]:
@@ -648,19 +655,18 @@ def factor_univariate(p: Polynomial, limits=DEFAULT_LIMITS, splits=None
 
     Returns (unit, [(factor, multiplicity)]) with primitive positive-lead
     integer factors; unit * prod(factor^multiplicity) reconstructs the
-    input exactly.  The input's primitive integer row, its lead made
-    positive, goes to ``factor_primitive`` with ``limits`` and ``splits``.
-    A degree at or above the term budget raises ``BudgetExceededError``
-    before the dense coefficient list is built.
+    input exactly.  The input's row from ``_integer_row`` goes to
+    ``factor_primitive`` with ``limits`` and ``splits``.  ValueError where
+    the input is zero or uses two variables or more; a degree at or above
+    the term budget raises ``BudgetExceededError`` before the dense
+    coefficient list is built.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if p.total_degree() >= limits.max_term_count:
         raise BudgetExceededError("degree exceeds term budget")
-    var, coeffs = _to_dense(p)
-    if len(coeffs) == 1:
-        return coeffs[0], []
-    _, ints = integer_primitive(dict(enumerate(coeffs)))
-    primitive = _zx_primitive(list(ints.values()))
-    return coeffs[-1] / primitive[-1], [(_from_dense(p.context, var, f), m)
-                                        for f, m in factor_primitive(primitive, limits, splits)]
+    var, unit, row = _integer_row(p)
+    if len(row) == 1:
+        return unit, []
+    return unit, [(_from_row(p.context, var, f), m)
+                  for f, m in factor_primitive(row, limits, splits)]

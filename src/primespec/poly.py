@@ -85,14 +85,6 @@ class Polynomial:
             return -1
         return max(sum(exp) for exp in self.terms)
 
-    def variables_used(self) -> tuple[str, ...]:
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return tuple(self.context.names[i] for i in sorted(used))
-
     # -- arithmetic ----------------------------------------------------------
 
     def _require_same_context(self, other):

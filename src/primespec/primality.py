@@ -96,8 +96,8 @@ from fractions import Fraction
 
 from .context import context as make_context
 from .errors import BudgetExceededError, ContextMismatchError, PrimespecError
-from .factor import (_to_dense, _zx_div_exact, _zx_primitive, factor_primitive,
-                     factor_univariate)
+from .factor import (_from_row, _integer_row, _zx_div_exact, _zx_primitive, _zx_strip,
+                     factor_primitive, factor_univariate)
 from .groebner import (DEFAULT_LIMITS, GroebnerBasis, Ideal, _mul, saturation,
                        specialize_basis)
 from .poly import Polynomial, _mul_terms, horner, integer_primitive
@@ -211,11 +211,12 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
                         row = [a // content for a in row]
         pivot = next((i for i in range(n) if row[i]), None)
         if pivot is None:
-            # sum row[n + i] * P_i = 0 with P_i = (den_i / num_i) * e^i
-            coeffs = {(i,): Fraction(c * scales[i][1], scales[i][0])
-                      for i, c in enumerate(row[n:]) if c}
-            lead = coeffs[(k,)]
-            return Polynomial(z_ctx, {e: c / lead for e, c in coeffs.items()})
+            # sum row[n + i] * P_i = 0 with P_i = (den_i / num_i) * e^i; times
+            # lcm(num_i), an integer row in e
+            common = math.lcm(*(num for num, _ in scales))
+            m = _zx_primitive([c * den * (common // num)
+                               for c, (num, den) in zip(row[n:], scales)])
+            return _from_row(z_ctx, 0, m, m[-1])
         rows.append((pivot, row))
         # e^(k+1) = (num_k / den_k) * (num / den) * M P_k
         power = _apply(matrix, power)
@@ -300,9 +301,9 @@ def _split_minimal_poly(m: Polynomial, limits, splits):
     _, factors = factor_univariate(m, limits, splits)
     if len(factors) == 1 and factors[0][1] == 1:
         return None
-    row = list(integer_primitive(dict(enumerate(_to_dense(m)[1])))[1].values())
-    first = [c.numerator for c in _to_dense(factors[0][0])[1]]
-    return Fraction(1, row[-1]), first, _zx_div_exact(row, first)
+    _, unit, row = _integer_row(m)
+    first = _integer_row(factors[0][0])[2]
+    return unit, first, _zx_div_exact(row, first)
 
 
 def _evaluate_in_quotient(basis: GroebnerBasis, staircase, matrix, row, scale,
@@ -344,15 +345,13 @@ def _eliminant(root: Ideal, name, free, at, n, z_ctx, limits) -> Polynomial | No
     limits.check_deadline()
     if rows is None:
         return None
-    chi = [horner(row, at) for row in rows]
-    while chi and not chi[-1]:
-        chi.pop()
+    chi = _zx_strip([horner(row, at) for row in rows])
     if len(chi) != n + 1:
         return None
     chi = _zx_primitive(chi)
     if factor_primitive(chi, limits, root._splits) != [(chi, 1)]:
         return None
-    return Polynomial(z_ctx, {(k,): Fraction(c, chi[-1]) for k, c in enumerate(chi) if c})
+    return _from_row(z_ctx, 0, chi, chi[-1])
 
 
 def _field_test(ideal, block, values, part, point, rng, trials, limits,

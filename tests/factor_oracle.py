@@ -3,15 +3,16 @@
 ``brute_force_factor_oracle`` is an independent divisor search: it
 enumerates small integer polynomials and shares none of the modular
 split, Hensel lift or recombination of ``primespec.factor``, so it can
-check that path.  ``is_irreducible_univariate`` reads irreducibility off
+check that path.  Its dense conversion, content and division are its
+own: it imports nothing from ``primespec.factor``.
+``is_irreducible_univariate`` reads irreducibility off
 ``factor_univariate``.
 """
 
 import itertools
+import math
 
 from primespec import BudgetExceededError, Polynomial, factor_univariate
-from primespec.factor import (_from_dense, _to_dense, _zx_content, _zx_degree,
-                              _zx_div_exact, _zx_primitive)
 
 
 def is_irreducible_univariate(p: Polynomial) -> bool:
@@ -20,6 +21,38 @@ def is_irreducible_univariate(p: Polynomial) -> bool:
         return False
     _, factors = factor_univariate(p)
     return len(factors) == 1 and factors[0][1] == 1
+
+
+def _dense(p: Polynomial):
+    """(variable index, ascending coefficients) of a polynomial in at most one variable."""
+    used = {i for exp in p.terms for i, e in enumerate(exp) if e}
+    if len(used) > 1:
+        raise ValueError("oracle expects a univariate polynomial")
+    var = used.pop() if used else 0
+    coeffs = [0] * (1 + max((exp[var] for exp in p.terms), default=0))
+    for exp, c in p.terms.items():
+        coeffs[exp[var]] = c
+    return var, coeffs
+
+
+def _sparse(p: Polynomial, var, coeffs) -> Polynomial:
+    """The polynomial with ascending ``coeffs`` in the variable at ``var`` of p's context."""
+    width = len(p.context)
+    return Polynomial(p.context, {tuple(k if i == var else 0 for i in range(width)): c
+                                  for k, c in enumerate(coeffs) if c})
+
+
+def _divides(g, f):
+    """True when the integer polynomial g divides f over the integers, by long division."""
+    rem = list(f)
+    while len(rem) >= len(g):
+        q, r = divmod(rem[-1], g[-1])
+        if r:
+            return False
+        for i, c in enumerate(g):
+            rem[len(rem) - len(g) + i] -= q * c
+        rem.pop()
+    return not any(rem)
 
 
 def _zx_eval(f, x):
@@ -45,16 +78,16 @@ def brute_force_factor_oracle(p: Polynomial, max_deg: int, max_height: int,
     non-divisors before the division test.  Completely independent of
     the Hensel/Zassenhaus path, so it can serve as its oracle.
     """
-    var, coeffs = _to_dense(p)
+    var, coeffs = _dense(p)
     if any(c.denominator != 1 for c in coeffs):
         raise ValueError("oracle expects integer coefficients")
-    zx = [int(c) for c in coeffs]
-    degree = _zx_degree(zx)
+    degree = len(coeffs) - 1
     if degree < 1:
         raise ValueError("input must have degree >= 1")
     if not 1 <= max_deg < degree:
         raise ValueError("need 1 <= max_deg < deg p")
-    f = _zx_primitive(zx)
+    content = math.gcd(*(int(c) for c in coeffs))
+    f = [int(c) // content for c in coeffs]
     f0 = _zx_eval(f, 0)
     f1 = _zx_eval(f, 1)
     fm1 = _zx_eval(f, -1)
@@ -85,8 +118,8 @@ def brute_force_factor_oracle(p: Polynomial, max_deg: int, max_height: int,
                         if gm1 == 0 or fm1 % gm1:
                             continue
                     g = [a0, *middle, lead]
-                    if _zx_content(g) != 1:
+                    if math.gcd(*g) != 1:
                         continue
-                    if _zx_div_exact(f, g) is not None:
-                        return _from_dense(p.context, var, g)
+                    if _divides(g, f):
+                        return _sparse(p, var, g)
     return None

@@ -252,6 +252,9 @@ MALFORMED_REPORTS = {
     "prime sample with an unknown verdict": (_first_sample_made_unknown, "sample 0: "),
     "report without config": (lambda report: report.pop("config"), "malformed report: "),
     "report without aggregate": (lambda report: report.pop("aggregate"), "malformed report: "),
+    "null aggregate": (lambda report: report.update(aggregate=None), "malformed report: "),
+    "list aggregate": (lambda report: report.update(aggregate=[1]), "malformed report: "),
+    "null samples": (lambda report: report.update(samples=None), "malformed report: "),
     "config without n": (lambda report: report["config"].pop("n"), "malformed report: "),
     # An echoed ideal that does not rebuild is a tampered field, not a parse error.
     "echo with gens that do not parse": (

@@ -222,6 +222,9 @@ REFUSED_CONFIGS = {
         "GenericIntersect", PARABOLA, (1,), "GenericIntersect expects an ideal without parameters"),
     "degrees on ScalarSpec": ("ScalarSpec", PARABOLA, (1,), "ScalarSpec needs 0 degrees, got 1"),
     "degrees on Consistency": ("Consistency", PARABOLA, (2,), "Consistency needs 0 degrees, got 1"),
+    # a degree-0 form is a constant: every sample would be unit_ideal or uncut
+    "GenericIntersect of degree 0": (
+        "GenericIntersect", CIRCLE, (0,), "key 'degrees' must be >= 1, got 0"),
 }
 
 

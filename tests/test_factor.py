@@ -68,6 +68,12 @@ def test_zero_rejected(y):
         factor_univariate(Polynomial.zero(y))
 
 
+def test_polynomial_in_two_variables_rejected():
+    xy = context(("X", "Y"))
+    with pytest.raises(ValueError, match=r"^polynomial is not univariate: uses \('X', 'Y'\)$"):
+        factor_univariate(parse_polynomial("X*Y", xy))
+
+
 def test_rational_content_extracted(y):
     unit, factors = factor_univariate(parse_polynomial("1/2 Y^2 - 1", y))
     assert unit == Fraction(1, 2)

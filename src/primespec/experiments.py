@@ -58,9 +58,15 @@ CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
 
-def _require_at_least(key: str, value: int, least: int) -> None:
-    """Reject a config value below its minimum, naming the config key."""
-    if value < least:
+def _require_at_least(key: str, value, least: int | None) -> None:
+    """Reject a config value that is not an int, or is below ``least``, naming the config key.
+
+    A bool is no int here, and ``least`` None sets no minimum.  Every count
+    and budget, from a ``.conf`` file or a report's echo, passes this rule.
+    """
+    if type(value) is not int:
+        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+    if least is not None and value < least:
         raise ConfigError(f"key {key!r} must be >= {least}, got {value}")
 
 
@@ -99,15 +105,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        _require_at_least("n", self.samples, 1)
-        _require_at_least("H", self.box, 1)
-        _require_at_least("trials", self.trials, 1)
-        _require_at_least("workers", self.workers, 1)
+        if not isinstance(self.ideal_path, str):
+            raise ConfigError(f"key 'ideal' must be a string, got {self.ideal_path!r}")
+        for key, name in _INT_FIELDS.items():
+            _require_at_least(key, getattr(self, name), None if name == "seed" else 1)
         if self.kind == GENERIC_INTERSECT and not self.degrees:
             raise ConfigError("GenericIntersect needs a degrees list")
         # a GenericIntersect form of degree 0 is a constant, which cuts nothing
-        _require_at_least("degrees", min(self.degrees, default=0),
-                          int(self.kind == GENERIC_INTERSECT))
+        for degree in self.degrees:
+            _require_at_least("degrees", degree, int(self.kind == GENERIC_INTERSECT))
 
 
 # config key -> field of the integers a report echoes, in the echo's order

@@ -247,7 +247,7 @@ class GroebnerBasis:
             self._independent[part] = _max_independent_set(list(leads), len(part), limits)
         return self._independent[part]
 
-    def leading_coefficients(self, part: VariableContext, values) -> list[tuple[int, dict]]:
+    def leading_coefficients(self, part: VariableContext, values) -> list | None:
         """Per element, its lead's coefficient lc and its ``part``-leading coefficient at ``values``.
 
         ``self.order`` must compare the ``part`` variables first
@@ -255,11 +255,11 @@ class GroebnerBasis:
         the polynomial in the other variables in front of the ``part`` of its
         lead.  ``values`` binds the first variables of the context (a root's
         parameters) to ints, or none.  The coefficient is an int term map over
-        the other variables, with ``part`` exponents 0, empty where it
-        vanishes at ``values``; divided by lc it is the monic element's.
-        Compiled once per part and number of values (``_tables``, one table
-        over the bound variables per monomial in the others) and read by
-        ``horner``.
+        the other variables, with ``part`` exponents 0; divided by lc it is
+        the monic element's.  None as soon as one coefficient vanishes at
+        ``values``: the elements after it are not evaluated.  Compiled once
+        per part and number of values (``_tables``, one table over the bound
+        variables per monomial in the others) and read by ``horner``.
         """
         at = tuple(values.values())
         key = (part, len(at))
@@ -271,8 +271,12 @@ class GroebnerBasis:
                                     for e, c in terms.items() if project(e) == project(lead)},
                                    len(at)).items()))
                 for lead, lc, terms in self._reducers]
-        return [(lc, {e: c for e, table in tables if (c := horner(table, at))})
-                for lc, tables in self._leading[key]]
+        leading = []
+        for lc, tables in self._leading[key]:
+            leading.append((lc, {e: c for e, table in tables if (c := horner(table, at))}))
+            if not leading[-1][1]:
+                return None
+        return leading
 
     def pseudo_normal_form(self, terms, limits=DEFAULT_LIMITS):
         """(remainder, scale) of an integer term map; remainder == scale * NF."""
@@ -613,7 +617,7 @@ class Ideal:
             root, values = self.root
             basis = root.groebner(root.block_order(part), limits)
             leading = basis.leading_coefficients(part, values)
-            if not all(coefficient for _, coefficient in leading):
+            if leading is None:
                 values = {}
                 basis = self.groebner(self.block_order(part), limits)
                 leading = basis.leading_coefficients(part, values)

@@ -61,19 +61,24 @@ force m = chi(t, u, W) made monic: the section, and the verdict prime,
 are those of the Krylov run, which is skipped.  ``_eliminant`` evaluates
 chi at (t, u) in integers, one Horner pass per W-degree, makes that row
 primitive and factors it in integers (``factor.factor_primitive``); it
-builds m as a polynomial only when chi certifies, and otherwise abstains.
-The factorization passes the root's memo of modular splits: chi(t, u, W)
-mod p depends on (t, u) mod p only, so fibers at congruent points test it
-for a repeated factor and split it mod p once.  The root owns the memo, as
-it owns chi.  The memo is pure, keyed by p and the residues, so the Krylov
-path factors its m with it too.  Everything else (a lower degree, a split,
-a random form, an ideal that is no scalar fiber, such as a cut by two or
-more forms, a sample whose root a budget stopped or a fiber at a t that is
-not integral, no principal generator, chi over budget) takes the Krylov
-path, which factors its own m with ``factor_univariate``: a chi of full
-degree that splits is factored once as chi and once as m.  Minimal
-polynomials are written over one context per ideal context
-(``VariableContext.apart``), which the fibers of a root share.
+returns that row when chi certifies, and otherwise abstains.  A
+certified fiber goes from its integer point to its verdict in integers:
+the coordinate is tried by its name, and its section keeps the name and
+chi's row, building the form and m as polynomials only when a reader
+reads them (``SectionData``).  The factorization passes the root's memo
+of modular splits: chi(t, u, W) mod p depends on (t, u) mod p only, so
+fibers at congruent points test it for a repeated factor and split it
+mod p once.  The root owns the memo, as it owns chi.  The memo is pure,
+keyed by p and the residues, so the Krylov path factors its m with it
+too.  Everything else (a lower degree, a split, a random form, an ideal
+that is no scalar fiber, such as a cut by two or more forms, a sample
+whose root a budget stopped or a fiber at a t that is not integral, no
+principal generator, chi over budget) takes the Krylov path, which
+builds the form as a polynomial and factors its own m with
+``factor_univariate``: a chi of full degree that splits is factored once
+as chi and once as m.  Minimal polynomials are written over one context
+per ideal context (``VariableContext.apart``), which the fibers of a
+root share.
 
 The Krylov path runs over Z from the specialized basis to the verdict.
 The form's integer multiplication matrix of the quotient is built once
@@ -230,15 +235,43 @@ def minimal_polynomial(basis: GroebnerBasis, element: Polynomial,
     raise PrimespecError("Krylov sequence exceeded the quotient dimension")
 
 
-@dataclass(frozen=True)
 class SectionData:
-    """One field test at U = u (both empty in dimension 0): probe form, minimal polynomial."""
+    """One field test at U = u (both empty in dimension 0): probe form, minimal polynomial.
 
-    independent: tuple[str, ...]
-    point: tuple[int, ...]
-    linear_form: Polynomial
-    minimal_poly: Polynomial
-    quotient_dim: int
+    Each of ``linear_form`` and ``minimal_poly`` is given as a polynomial,
+    or as the arguments of the call that builds it, as a section certified
+    from chi gives them: (context, name) of ``Polynomial.variable`` for its
+    coordinate, and (context, 0, row, lead) of ``factor._from_row`` for m,
+    chi's primitive row made monic.  Each is built the first time it is
+    read, so a sample whose sections nobody reads builds neither.  Sections
+    compare and print by what those read, whichever way they were given.
+    """
+
+    def __init__(self, independent, point, linear_form, minimal_poly, quotient_dim):
+        self.independent, self.point, self.quotient_dim = independent, point, quotient_dim
+        self._form, self._minimal = linear_form, minimal_poly
+
+    @property
+    def linear_form(self) -> Polynomial:
+        if not isinstance(self._form, Polynomial):
+            self._form = Polynomial.variable(*self._form)
+        return self._form
+
+    @property
+    def minimal_poly(self) -> Polynomial:
+        if not isinstance(self._minimal, Polynomial):
+            self._minimal = _from_row(*self._minimal)
+        return self._minimal
+
+    def _read(self):
+        return self.independent, self.point, self.linear_form, self.minimal_poly, self.quotient_dim
+
+    def __eq__(self, other):
+        return isinstance(other, SectionData) and self._read() == other._read()
+
+    def __repr__(self):
+        return ("SectionData(independent=%r, point=%r, linear_form=%r, minimal_poly=%r, "
+                "quotient_dim=%r)" % self._read())
 
 
 @dataclass(frozen=True)
@@ -276,17 +309,16 @@ def not_prime_verdict(basis: GroebnerBasis, f: Polynomial, g: Polynomial,
 
 
 def _linear_forms(ctx, rng, trials):
-    """(name, form) for the coordinates, last first, then (None, form) for ``trials`` random forms.
+    """The coordinates' names, last first, then ``trials`` random forms as polynomials.
 
     The k-th random form draws its coefficients from BOX_START * 2^k.
     """
+    yield from reversed(ctx.names)
     box = BOX_START
-    for name in reversed(ctx.names):
-        yield name, Polynomial.variable(ctx, name)
     for _ in range(trials):
         coeffs = [rng.randint(-box, box) for _ in ctx.names]
-        yield None, Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
-                                     for i, c in enumerate(coeffs) if c})
+        yield Polynomial(ctx, {tuple(int(i == j) for j in range(len(ctx))): Fraction(c)
+                               for i, c in enumerate(coeffs) if c})
         box *= 2
 
 
@@ -331,15 +363,16 @@ def _evaluate_in_quotient(basis: GroebnerBasis, staircase, matrix, row, scale,
     return Polynomial(basis.context, {e: factor * v for e, v in zip(staircase, vector) if v})
 
 
-def _eliminant(root: Ideal, name, free, at, n, z_ctx, limits) -> Polynomial | None:
-    """The minimal polynomial of the coordinate ``name`` from the root's eliminant, or None.
+def _eliminant(root: Ideal, name, free, at, n, limits) -> list[int] | None:
+    """chi at ``at``, the minimal polynomial of the coordinate ``name`` as an integer row; or None.
 
     chi is the root's ``Ideal.eliminant`` over (T, U), U = ``free``, at the
-    integers ``at`` = (t, u): an integer row in W, made primitive with a
-    positive lead.  Where it has W-degree ``n`` and ``factor_primitive``,
-    with the root's memo of modular splits that fibers at congruent t
-    share, finds it irreducible, chi made monic over ``z_ctx`` is the
-    coordinate's minimal polynomial (module docstring); otherwise None.
+    integers ``at`` = (t, u): an integer row in W, constant term first,
+    made primitive with a positive lead.  Where it has W-degree ``n`` and
+    ``factor_primitive``, with the root's memo of modular splits that
+    fibers at congruent t share, finds it irreducible, that row made monic
+    is the coordinate's minimal polynomial (module docstring) and is
+    returned as it is; otherwise None.
     """
     rows = root.eliminant(name, free, limits)
     limits.check_deadline()
@@ -349,9 +382,7 @@ def _eliminant(root: Ideal, name, free, at, n, z_ctx, limits) -> Polynomial | No
     if len(chi) != n + 1:
         return None
     chi = _zx_primitive(chi)
-    if factor_primitive(chi, limits, root._splits) != [(chi, 1)]:
-        return None
-    return _from_row(z_ctx, 0, chi, chi[-1])
+    return chi if factor_primitive(chi, limits, root._splits) == [(chi, 1)] else None
 
 
 def _field_test(ideal, block, values, part, point, rng, trials, limits,
@@ -369,8 +400,10 @@ def _field_test(ideal, block, values, part, point, rng, trials, limits,
     one-variable context ``z_ctx``.  Each nonzero form tried records one
     ``SectionData``, the deciding one last.  Where ``ideal`` is a scalar
     fiber, a coordinate is first tried from its root's eliminant
-    (``_eliminant``), which certifies it or abstains; every form it does
-    not certify takes the Krylov run, whose m is factored with the root's
+    (``_eliminant``), which certifies it or abstains: a certified
+    coordinate's section holds its name and chi's row, unbuilt.  Every
+    form it does not certify takes the Krylov run, which builds a
+    coordinate's form as a polynomial and factors its m with the root's
     memo of modular splits.
     """
     staircase = block.staircase(part, limits)
@@ -381,19 +414,21 @@ def _field_test(ideal, block, values, part, point, rng, trials, limits,
     basis = None
     zero = 0
     sections = []
-    for name, form in _linear_forms(part, rng, trials):
-        if form.is_zero:
+    for form in _linear_forms(part, rng, trials):
+        if isinstance(form, str):  # a coordinate's name
+            chi = _eliminant(root, form, free, at, n, limits) if root_values else None
+            if chi is not None:
+                sections.append(SectionData(free, at_u, (part, form), (z_ctx, 0, chi, chi[-1]), n))
+                return PrimalityVerdict(PRIME, sections=tuple(sections))
+            form = Polynomial.variable(part, form)
+        elif form.is_zero:
             zero += 1
             continue
-        m = (_eliminant(root, name, free, at, n, z_ctx, limits)
-             if root_values and name is not None else None)
-        split = None
-        if m is None:
-            if basis is None:
-                basis = specialize_basis(block, {**values, **point}, part, limits)
-            matrix = _multiplication_matrix(basis, form, staircase, limits)
-            m = minimal_polynomial(basis, form, z_ctx, limits, staircase, matrix)
-            split = _split_minimal_poly(m, limits, root._splits)
+        if basis is None:
+            basis = specialize_basis(block, {**values, **point}, part, limits)
+        matrix = _multiplication_matrix(basis, form, staircase, limits)
+        m = minimal_polynomial(basis, form, z_ctx, limits, staircase, matrix)
+        split = _split_minimal_poly(m, limits, root._splits)
         sections.append(SectionData(free, at_u, form, m, n))
         if split is None:
             if m.total_degree() == n:

@@ -28,7 +28,6 @@ budget stops, are built here.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .errors import ContextMismatchError
 from .groebner import DEFAULT_LIMITS, Ideal
@@ -42,23 +41,28 @@ def _target_without_params(ideal: Ideal):
 
 
 def _images(ideal: Ideal, bindings, target, limits):
-    """Each generator's image under ``bindings``; the deadline is checked before each."""
+    """Each generator's image under ``bindings``; the deadline is checked before each.
+
+    A binding is a polynomial, or an int or Fraction that
+    ``Polynomial.substitute`` makes a Fraction.
+    """
     for g in ideal.generators:
         limits.check_deadline()
         yield g.substitute(bindings, target)
 
 
 def specialize_scalar(ideal: Ideal, values, limits=DEFAULT_LIMITS) -> Ideal:
-    """Substitute the parameters by rational values; zero generators drop.
+    """Substitute the parameters by rational values, ints or Fractions; zero generators drop.
 
     At integer values the result remembers ``ideal`` and the values, as
     ints, so that ``Ideal.lifted`` reads its bases from ``ideal``'s (the
     ``groebner`` module docstring); at any other values it is its own root.
-    Its generators are substituted when first read, under ``limits``: a
-    fiber certified from its root's bases never reads them.
+    Its generators are substituted when first read, under ``limits``, and
+    only there do the values become Fractions (``_images``): a fiber
+    certified from its root's bases never reads them, and builds none.
     """
     params = ideal.context.param_names
-    values = tuple(Fraction(v) for v in values)
+    values = tuple(values)
     if len(values) != len(params):
         raise ValueError(f"expected {len(params)} values, got {len(values)}")
     target = _target_without_params(ideal)

@@ -256,6 +256,28 @@ MALFORMED_REPORTS = {
     "list aggregate": (lambda report: report.update(aggregate=[1]), "malformed report: "),
     "null samples": (lambda report: report.update(samples=None), "malformed report: "),
     "config without n": (lambda report: report["config"].pop("n"), "malformed report: "),
+    # Every echoed count and budget is an int and no bool, and the ideal label a string.
+    "config with trials true": (
+        lambda report: report["config"].update(trials=True),
+        r"malformed report: ConfigError\(\"key 'trials' must be an integer, got True"),
+    "config with a float H": (
+        lambda report: report["config"].update(H=3.0),
+        r"malformed report: ConfigError\(\"key 'H' must be an integer, got 3.0"),
+    "config with an object for the ideal": (
+        lambda report: report["config"].update(ideal={}),
+        r"malformed report: ConfigError\(\"key 'ideal' must be a string, got \{\}"),
+    "budget gb_max_pairs NaN": (
+        lambda report: report["config"]["budgets"].update(gb_max_pairs=float("nan")),
+        r"malformed report: ConfigError\(\"key 'gb.max_pairs' must be an integer, got nan"),
+    "budget gb_max_pairs 1.5": (
+        lambda report: report["config"]["budgets"].update(gb_max_pairs=1.5),
+        r"malformed report: ConfigError\(\"key 'gb.max_pairs' must be an integer, got 1.5"),
+    "budget gb_max_pairs Infinity": (
+        lambda report: report["config"]["budgets"].update(gb_max_pairs=float("inf")),
+        r"malformed report: ConfigError\(\"key 'gb.max_pairs' must be an integer, got inf"),
+    "budget sample_timeout_ms true": (
+        lambda report: report["config"]["budgets"].update(sample_timeout_ms=True),
+        r"malformed report: ConfigError\(\"key 'sample.timeout_ms' must be an integer, got True"),
     # An echoed ideal that does not rebuild is a tampered field, not a parse error.
     "echo with gens that do not parse": (
         lambda report: report["config"]["ideal_source"].update(gens=["Y^"]),

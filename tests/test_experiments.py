@@ -1126,6 +1126,31 @@ def test_shipped_config_report_hash(name, monkeypatch):
     verify_report(reloaded)
 
 
+BENCHMARK_WORKLOAD_HASHES = {
+    ("cuts", 7): "6c50ecf8b8d7444d",
+    ("cuts", 3): "cba9ce8f7aaeedfd",
+    ("points", 1): "e4ec98df83e60aca",
+    ("points", 3): "646ea501b5f88278",
+    ("curves", 11): "47ea503fe4e67974",
+    ("curves", 3): "865a65a8a55fbb0f",
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(BENCHMARK_WORKLOAD_HASHES))
+def test_benchmark_workload_report_hash(workload, seed, monkeypatch):
+    # The benchmark's workloads at the seeds its gates run, read as the
+    # benchmark reads them: the config text with the seed appended, relative
+    # to perfbench/configs from the repo root, so the echoed ideal path
+    # matches.
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    with open(f"perfbench/configs/{workload}.conf", "r", encoding="ascii") as handle:
+        text = handle.read()
+    config = parse_experiment_config(f"{text}\nseed = {seed}\n",
+                                     os.path.join("perfbench", "configs"))
+    report = run_experiment(config)
+    assert report_hash(report)[:16] == BENCHMARK_WORKLOAD_HASHES[(workload, seed)]
+
+
 SPHERE_CUT_HASHES = {
     (1,): "99bb4ff2fbe1c7b9",  # curves, each a fiber of the cutting root
     (1, 1): "50925a165aa344c8",  # points, cut by two adjoined planes

@@ -346,6 +346,29 @@ def test_specialized_basis_matches_buchberger():
             assert fallbacks == vanishing, name
 
 
+def test_leading_coefficients_stop_at_the_first_that_vanishes(monkeypatch):
+    # The first element of the root's (Y | T) basis is (T - 2)*Y1^2 - Y2: at
+    # t = 2 its lead vanishes, so the tables of the two elements after it are
+    # not evaluated, and lifted falls back to the fiber's own basis.
+    family = make_ideal(("Y1", "Y2", "Y3"), ["(T - 2)*Y1^2 - Y2", "Y3 - Y1*Y2"], params=("T",))
+    part = family.context.without_params()
+    block = family.groebner(family.block_order(part))
+    assert len(block.leading_coefficients(part, {"T": 3})) == 3
+    evaluated = []
+    evaluate = groebner.horner
+
+    def counted(table, values):
+        evaluated.append(table)
+        return evaluate(table, values)
+
+    monkeypatch.setattr(groebner, "horner", counted)
+    assert block.leading_coefficients(part, {"T": 2}) is None
+    assert len(evaluated) == 1
+    fiber = specialize_scalar(family, [2])
+    own = fiber.groebner(fiber.block_order(part))
+    assert fiber.lifted(part) == (own, {}, own.leading_coefficients(part, {}))
+
+
 def test_specialize_basis_with_no_values_is_the_basis(cubic_fiber_family):
     # With nothing to bind, the basis is already the ideal's reduced grevlex
     # basis: no copy is projected or interreduced.

@@ -14,11 +14,12 @@ from primespec import (GroebnerBasis, Ideal, Polynomial, PrimespecError, buchber
 from primespec import (BudgetExceededError, ContextMismatchError, GBLimits, VariableContext, factor,
                        groebner, primality, specialize_scalar)
 from primespec.experiments import derive_seed, sample_point, specialize_point
+from primespec.factor import _from_row
 from primespec.groebner import specialize_basis
 from primespec.poly import integer_primitive
-from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, _certificate_error,
-                                 _evaluate_in_quotient, _multiplication_matrix, _split_minimal_poly,
-                                 not_prime_verdict)
+from primespec.primality import (INCONCLUSIVE, NOT_PRIME, PRIME, UNIT_IDEAL, SectionData,
+                                 _certificate_error, _evaluate_in_quotient, _multiplication_matrix,
+                                 _split_minimal_poly, not_prime_verdict)
 
 from conftest import make_ideal, random_polynomial, seeded
 
@@ -776,15 +777,39 @@ def _krylov_forms(monkeypatch):
     return forms
 
 
+def _assert_eager_build_agrees(fiber, section):
+    """A section certified from chi holds its coordinate's name and chi's row until read.
+
+    It must compare equal to the section built eagerly from that name and
+    row, print as it does, and print the same linear form and minimal
+    polynomial.
+    """
+    part, name = section._form
+    root, values = fiber.root
+    row = primality._eliminant(root, name, section.independent,
+                               [*values.values(), *section.point], section.quotient_dim,
+                               GBLimits())
+    z_ctx = fiber.context.apart("Z")
+    assert section._minimal == (z_ctx, 0, row, row[-1])
+    eager = SectionData(section.independent, section.point, Polynomial.variable(part, name),
+                        _from_row(z_ctx, 0, row, row[-1]), section.quotient_dim)
+    assert section == eager and repr(section) == repr(eager)
+    assert (str(section.linear_form), str(section.minimal_poly)) == \
+        (str(eager.linear_form), str(eager.minimal_poly))
+
+
 def _assert_same_as_krylov(fiber, seed, forms, limits=GBLimits()):
     """The fiber's verdict and the forms its Krylov path took (``forms`` records them).
 
     The same ideal without origin is its own root and takes the Krylov path
     for every form: the verdict and the deciding section must be its own.
+    A section certified from chi must agree with its eager build.
     """
     del forms[:]
     verdict = is_prime(fiber, seed=seed, limits=limits)
     reached = forms[:]
+    if verdict.sections and not isinstance(verdict.sections[-1]._form, Polynomial):
+        _assert_eager_build_agrees(fiber, verdict.sections[-1])
     own = is_prime(Ideal(fiber.context, fiber.generators), seed=seed)
     assert (verdict.status, verdict.certificate, verdict.reason) == \
         (own.status, own.certificate, own.reason)
@@ -1008,16 +1033,31 @@ def test_every_line_cut_of_the_circle_matches_krylov(monkeypatch):
 def test_certified_fibers_build_no_basis_of_their_own(cubic_fiber_family, monkeypatch):
     # A curve fiber reads U, h(u) != 0 and its quotient's staircase from the
     # root's bases; certified from chi, it specializes no basis at (t, u).
+    # Once the root's bases and chi are built, such a fiber goes from its
+    # integer point to its verdict with no Fraction and no Polynomial: its
+    # section builds them when read.
     cubic_fiber_family.independent_set(cubic_fiber_family.context.keep(("Y1", "Y2", "Y3")))
 
     def refuse(*args):
         raise AssertionError("a certified fiber specializes no basis")
 
     monkeypatch.setattr(primality, "specialize_basis", refuse)
+    built = []
+    for cls, method in ((Fraction, "__new__"), (Polynomial, "__init__")):
+        def counted(*args, build=getattr(cls, method), cls=cls, **kwargs):
+            built.append(cls)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
     for t in (3, 5, 7):  # the first u is 2, and 4*t is no cube
+        del built[:]
         fiber = specialize_scalar(cubic_fiber_family, [t])
-        assert is_prime(fiber).status == PRIME
+        verdict = is_prime(fiber)
+        assert verdict.status == PRIME
         assert fiber._cache == {} and callable(fiber._generators)
+        assert built == [] or t == 3, built  # the first fiber builds the root's chi
+        assert str(verdict.sections[-1].minimal_poly) == f"Z^3 - {4 * t}"
+        assert Polynomial in built
 
 
 def test_pair_budget_that_stops_the_eliminant_falls_back_to_krylov(monkeypatch):
